@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use paradmm_graph::{FactorId, VarStore};
 use paradmm_prox::ProxCtx;
 
+use crate::kernels::flush_subnormal;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
 
@@ -158,7 +159,7 @@ pub fn run_async(problem: &AdmmProblem, store: &mut VarStore, sweeps: usize, thr
                                     z[b.idx() * d + c].fetch_add(rho * (m_new - m_old) / denom);
                                 }
                                 let zv = z[b.idx() * d + c].load();
-                                let u_new = u_old + alpha * (xe - zv);
+                                let u_new = flush_subnormal(u_old + alpha * (xe - zv));
                                 u[e * d + c].0.store(u_new.to_bits(), Ordering::Release);
                             }
                         }

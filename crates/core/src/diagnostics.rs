@@ -238,6 +238,26 @@ pub fn fleet_report(diag: &FleetDiagnostics) -> String {
     out
 }
 
+/// Number of subnormal values across all six arrays of `store`.
+///
+/// A healthy run reads 0, or a handful while values decaying to zero
+/// cross the range. A count that *stays* above 0 means some kernel keeps
+/// subnormals alive and every sweep touching them pays the CPU's denormal
+/// assist — see [`crate::kernels::flush_subnormal`].
+pub fn subnormal_count(store: &VarStore) -> usize {
+    [
+        &store.x,
+        &store.m,
+        &store.u,
+        &store.n,
+        &store.z,
+        &store.z_prev,
+    ]
+    .iter()
+    .map(|a| a.iter().filter(|v| v.is_subnormal()).count())
+    .sum()
+}
+
 /// One trace sample.
 #[derive(Debug, Clone, Copy)]
 pub struct TracePoint {
@@ -245,6 +265,8 @@ pub struct TracePoint {
     pub iteration: usize,
     /// Residuals at that point.
     pub residuals: Residuals,
+    /// [`subnormal_count`] of the state at that point.
+    pub subnormals: usize,
 }
 
 /// A growing record of convergence samples.
@@ -265,6 +287,7 @@ impl Trace {
         self.points.push(TracePoint {
             iteration,
             residuals,
+            subnormals: subnormal_count(store),
         });
     }
 
@@ -310,7 +333,8 @@ impl Trace {
     }
 
     /// Renders the trace as a JSON array of samples (hand-rolled — the
-    /// repo carries no serde), one object per recorded point.
+    /// repo carries no serde), one object per recorded point: residuals,
+    /// norms and `"subnormals"`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, p) in self.points.iter().enumerate() {
@@ -319,8 +343,8 @@ impl Trace {
             }
             let r = &p.residuals;
             out.push_str(&format!(
-                "{{\"iteration\":{},\"primal\":{:e},\"dual\":{:e},\"x_norm\":{:e},\"z_norm\":{:e},\"u_norm\":{:e}}}",
-                p.iteration, r.primal, r.dual, r.x_norm, r.z_norm, r.u_norm
+                "{{\"iteration\":{},\"primal\":{:e},\"dual\":{:e},\"x_norm\":{:e},\"z_norm\":{:e},\"u_norm\":{:e},\"subnormals\":{}}}",
+                p.iteration, r.primal, r.dual, r.x_norm, r.z_norm, r.u_norm, p.subnormals
             ));
         }
         out.push(']');
@@ -329,7 +353,8 @@ impl Trace {
 }
 
 /// Structured per-run telemetry as one JSON document: the residual
-/// trajectory ([`Trace::to_json`]) plus the per-pass wall-clock
+/// trajectory ([`Trace::to_json`], each sample with the state's
+/// [`subnormal_count`] as `"subnormals"`) plus the per-pass wall-clock
 /// breakdown from [`crate::UpdateTimings`] — what the ablation bins
 /// write when given `--trace <file>`, and what the StandardRunbook-style
 /// observability docs in ROADMAP ask every long run to leave behind.
@@ -434,7 +459,7 @@ mod tests {
         assert_eq!(json.matches("\"iteration\":").count(), 2);
         assert!(json.contains("\"iteration\":5,"), "{json}");
         assert!(json.contains("\"iteration\":10,"), "{json}");
-        for field in ["primal", "dual", "x_norm", "z_norm", "u_norm"] {
+        for field in ["primal", "dual", "x_norm", "z_norm", "u_norm", "subnormals"] {
             assert_eq!(json.matches(&format!("\"{field}\":")).count(), 2, "{json}");
         }
     }
@@ -457,6 +482,30 @@ mod tests {
         assert!(doc.contains("\"residual_trace\":[{"), "{doc}");
         assert!(doc.contains("\"total_seconds\":"), "{doc}");
         assert!(doc.contains("\"seconds_per_iteration\":"), "{doc}");
+    }
+
+    #[test]
+    fn subnormal_count_sees_every_array_and_reaches_the_trace() {
+        let p = problem();
+        let mut store = paradmm_graph::VarStore::zeros(p.graph());
+        assert_eq!(subnormal_count(&store), 0);
+        let tiny = f64::MIN_POSITIVE / 2.0;
+        store.x[0] = tiny;
+        store.m[1] = -tiny;
+        store.u[0] = tiny;
+        store.n[1] = tiny;
+        store.z[0] = -tiny;
+        store.z_prev[0] = tiny;
+        // Neither zero, the smallest normal, nor NaN is subnormal.
+        store.x[1] = -0.0;
+        store.u[1] = f64::MIN_POSITIVE;
+        store.m[0] = f64::NAN;
+        assert_eq!(subnormal_count(&store), 6);
+        let mut trace = Trace::new();
+        trace.record(0, &p, &store);
+        assert_eq!(trace.last().unwrap().subnormals, 6);
+        let doc = run_trace_json("stalled", &trace, &UpdateTimings::new());
+        assert!(doc.contains("\"subnormals\":6"), "{doc}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use paradmm_graph::{FactorId, VarStore};
 use paradmm_prox::ProxCtx;
 
+use crate::kernels::flush_subnormal;
 use crate::problem::AdmmProblem;
 
 /// Scattered-allocation ADMM state: one boxed vector per edge per array.
@@ -124,12 +125,14 @@ impl<'p> NaiveAdmm<'p> {
             zb.iter_mut().for_each(|v| *v *= inv);
         }
 
-        // u-update.
+        // u-update, under the engine's subnormal rule (one definition).
         for e in g.edges() {
             let b = g.edge_var(e);
             let alpha = params.alpha(e);
             for c in 0..d {
-                self.u[e.idx()][c] += alpha * (self.x[e.idx()][c] - self.z[b.idx()][c]);
+                self.u[e.idx()][c] = flush_subnormal(
+                    self.u[e.idx()][c] + alpha * (self.x[e.idx()][c] - self.z[b.idx()][c]),
+                );
             }
         }
 

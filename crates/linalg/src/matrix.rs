@@ -5,7 +5,7 @@ use crate::LinalgError;
 /// Row-major dense `f64` matrix.
 ///
 /// Sized for the small systems parADMM proximal operators solve (the MPC
-/// dynamics projection is 4×9); all operations are plain O(n³)/O(n²) loops.
+/// dynamics projection is 4×10); all operations are plain O(n³)/O(n²) loops.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,

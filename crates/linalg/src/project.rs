@@ -56,11 +56,13 @@ pub fn project_affine_weighted(
             got: c.len(),
         });
     }
-    if x.len() != m.cols() || w.len() != m.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            expected: m.cols(),
-            got: x.len(),
-        });
+    for len in [x.len(), w.len()] {
+        if len != m.cols() {
+            return Err(LinalgError::DimensionMismatch {
+                expected: m.cols(),
+                got: len,
+            });
+        }
     }
     assert!(
         w.iter().all(|&v| v > 0.0),
@@ -177,6 +179,16 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 1.0]]);
         assert!(project_affine(&m, &[1.0, 2.0], &[0.0, 0.0]).is_err());
         assert!(project_affine(&m, &[1.0], &[0.0]).is_err());
+    }
+
+    #[test]
+    fn weighted_mismatch_reports_the_offending_length() {
+        let m = Matrix::from_rows(&[&[1.0, 1.0]]);
+        let mismatch = |got| LinalgError::DimensionMismatch { expected: 2, got };
+        let short_w = project_affine_weighted(&m, &[1.0], &[0.0, 0.0], &[1.0]);
+        assert_eq!(short_w.unwrap_err(), mismatch(1));
+        let long_x = project_affine_weighted(&m, &[1.0], &[0.0; 3], &[1.0, 1.0]);
+        assert_eq!(long_x.unwrap_err(), mismatch(3));
     }
 
     #[test]

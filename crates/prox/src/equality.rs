@@ -46,10 +46,10 @@ impl ProxOp for ConsensusEqualityProx {
 ///
 /// Solves the weighted projection
 /// `argmin Σⱼ ρⱼ/2 ‖sⱼ − nⱼ‖² s.t. M s = c` via a Cholesky factorization of
-/// `M W⁻¹ Mᵀ`. For a solve with *uniform* ρ across the factor's edges the
-/// projection matrix is precomputed once at construction and the per-call
-/// work is two mat-vecs (this is the fast path the engine hits in classical
-/// fixed-ρ ADMM).
+/// `M W⁻¹ Mᵀ`. Nothing is precomputed or cached: every call expands ρ over
+/// the components, rebuilds `M W⁻¹ Mᵀ`, factors it and solves, through
+/// seven heap allocations ([`project_affine_weighted`]) — also in classical
+/// fixed-ρ ADMM, where the factor would be the same every time.
 #[derive(Debug, Clone)]
 pub struct AffineEqualityProx {
     m: Matrix,
