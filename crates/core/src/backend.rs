@@ -33,9 +33,9 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use paradmm_graph::{EdgeStream, FactorId, VarStore};
+use paradmm_graph::{EdgeStream, VarStore};
 
-use crate::kernels::{self, split_factor_blocks, x_update_factor};
+use crate::kernels;
 use crate::plan::{Pass, PassKind, SweepPlan};
 use crate::problem::AdmmProblem;
 use crate::stale::StaleBoundedBackend;
@@ -320,13 +320,36 @@ fn run_rayon(problem: &AdmmProblem, store: &mut VarStore, iters: usize, t: &mut 
     }
 }
 
+/// Factors per rayon work item of the x and x+m passes: a whole number of
+/// [`kernels::PROX_TILE`]s, about [`MIN_CHUNK`] scalars at the paper
+/// families' 2–12 scalars per factor.
+const FACTOR_GRAIN: usize = 4 * kernels::PROX_TILE;
+
+/// Cuts the factors into grains of [`FACTOR_GRAIN`] and `data` (a full
+/// edge-ordered array) into the contiguous block each grain owns:
+/// `(a_lo, a_hi, block)` per grain, in factor order.
+fn factor_grains<'a>(
+    g: &paradmm_graph::FactorGraph,
+    mut data: &'a mut [f64],
+) -> Vec<(usize, usize, &'a mut [f64])> {
+    let nf = g.num_factors();
+    let mut grains = Vec::with_capacity(nf.div_ceil(FACTOR_GRAIN));
+    for a_lo in (0..nf).step_by(FACTOR_GRAIN) {
+        let a_hi = (a_lo + FACTOR_GRAIN).min(nf);
+        let (block, rest) = data.split_at_mut(kernels::factor_flat_range(g, a_lo, a_hi).len());
+        grains.push((a_lo, a_hi, block));
+        data = rest;
+    }
+    grains
+}
+
 /// Runs one pass of a plan as rayon data-parallel loops (one
 /// `par_iter` ≙ one `#pragma omp parallel for` of the paper's approach
-/// #1). Granularity comes from [`MIN_CHUNK`], not the pass's dynamic
-/// chunk size — rayon's join splitting already rebalances. The
-/// element-wise sweeps hand each parallel chunk to the block-relative
-/// range kernels, so chunk shape only affects task boundaries, never any
-/// per-element operation order.
+/// #1). Granularity comes from [`MIN_CHUNK`] and [`FACTOR_GRAIN`], not
+/// the pass's dynamic chunk size — rayon's join splitting already
+/// rebalances. Every sweep hands each parallel chunk to the
+/// block-relative range kernels, so chunk shape only affects task
+/// boundaries, never any per-element operation order.
 fn run_pass_rayon(
     problem: &AdmmProblem,
     store: &mut VarStore,
@@ -335,22 +358,20 @@ fn run_pass_rayon(
 ) {
     let g = problem.graph();
     let params = problem.params();
+    let prox_of = |a: usize| &*problem.proxes()[a];
     let d = g.dims();
     let chunk = MIN_CHUNK.max(d);
     let var_chunk = (MIN_CHUNK / d.max(1)).max(1) * d;
 
     match pass.kind() {
-        // x-update: one task per factor (each owns a contiguous x block).
+        // x-update: one task per grain of factors, each handed to the
+        // block kernel with the contiguous x block it owns.
         PassKind::X => {
             let n = &store.n;
-            let blocks = split_factor_blocks(g, &mut store.x);
-            blocks
+            factor_grains(g, &mut store.x)
                 .into_par_iter()
-                .enumerate()
-                .with_min_len(8)
-                .for_each(|(a, xb)| {
-                    let fa = FactorId::from_usize(a);
-                    x_update_factor(g, problem.prox(fa), params, n, xb, fa);
+                .for_each(|(a_lo, a_hi, xb)| {
+                    kernels::x_update_block(g, prox_of, params, n, xb, a_lo, a_hi);
                 });
         }
         // m-update: element-wise m = x + u over flat chunks.
@@ -372,22 +393,14 @@ fn run_pass_rayon(
                     );
                 });
         }
-        // Fused x+m: one task per factor writing its own x *and* m block.
+        // Fused x+m: the same grains, each writing its own x *and* m block.
         PassKind::Xm => {
-            let n = &store.n;
-            let u = &store.u;
-            let x_blocks = split_factor_blocks(g, &mut store.x);
-            let m_blocks = split_factor_blocks(g, &mut store.m);
-            x_blocks
+            let (n, u) = (&store.n, &store.u);
+            factor_grains(g, &mut store.x)
                 .into_par_iter()
-                .zip(m_blocks.into_par_iter())
-                .enumerate()
-                .with_min_len(8)
-                .for_each(|(a, (xb, mb))| {
-                    let fa = FactorId::from_usize(a);
-                    x_update_factor(g, problem.prox(fa), params, n, xb, fa);
-                    let lo = g.factor_edge_range(fa).start * d;
-                    kernels::m_update_range(xb, &u[lo..lo + mb.len()], mb, 0, mb.len());
+                .zip(factor_grains(g, &mut store.m).into_par_iter())
+                .for_each(|((a_lo, a_hi, xb), (_, _, mb))| {
+                    kernels::xm_update_block(g, prox_of, params, n, u, xb, mb, a_lo, a_hi);
                 });
         }
         // z-update on swapped buffers: variable-aligned chunks, no z_prev
@@ -617,8 +630,6 @@ pub(crate) struct SweepArrays<'a> {
     g: &'a paradmm_graph::FactorGraph,
     params: &'a paradmm_graph::EdgeParams,
     d: usize,
-    nf: usize,
-    ne: usize,
     x: RawArray,
     m: RawArray,
     u: RawArray,
@@ -640,8 +651,6 @@ impl<'a> SweepArrays<'a> {
             g,
             params: problem.params(),
             d: g.dims(),
-            nf: g.num_factors(),
-            ne: g.num_edges(),
             x: RawArray::new(&mut store.x),
             m: RawArray::new(&mut store.m),
             u: RawArray::new(&mut store.u),
@@ -685,35 +694,16 @@ impl<'a> SweepArrays<'a> {
     /// the same phase, and a barrier must separate this phase from any
     /// phase writing n or reading x.
     unsafe fn x_phase(&self, f_lo: usize, f_hi: usize) {
-        let d = self.d;
-        let flat = |f: usize| {
-            if f < self.nf {
-                self.g.factor_edge_range(FactorId::from_usize(f)).start * d
-            } else {
-                self.ne * d
-            }
-        };
-        let x_block = self.x.range_mut(flat(f_lo), flat(f_hi));
+        let flat = kernels::factor_flat_range(self.g, f_lo, f_hi);
+        let x_block = self.x.range_mut(flat.start, flat.end);
+        let prox_of = |a: usize| &*self.problem.proxes()[a];
         let n_all = self.n.whole();
-        let mut offset = 0usize;
-        for a in f_lo..f_hi {
-            let fa = FactorId::from_usize(a);
-            let len = self.g.factor_degree(fa) * d;
-            x_update_factor(
-                self.g,
-                self.problem.prox(fa),
-                self.params,
-                n_all,
-                &mut x_block[offset..offset + len],
-                fa,
-            );
-            offset += len;
-        }
+        kernels::x_update_block(self.g, prox_of, self.params, n_all, x_block, f_lo, f_hi);
     }
 
-    /// Fused x+m pass over factors `[f_lo, f_hi)`: each factor's proximal
-    /// operator followed by `m = x + u` for its own contiguous edge
-    /// block (see [`kernels::xm_update_range`] for the bit-identity
+    /// Fused x+m pass over factors `[f_lo, f_hi)`: their proximal
+    /// operators followed by `m = x + u` for their own contiguous edge
+    /// blocks (see [`kernels::xm_update_block`] for the bit-identity
     /// argument).
     ///
     /// # Safety
@@ -722,34 +712,22 @@ impl<'a> SweepArrays<'a> {
     /// freshly written x (same worker, same call). Same disjointness and
     /// barrier-separation obligations as [`SweepArrays::x_phase`].
     unsafe fn xm_phase(&self, f_lo: usize, f_hi: usize) {
-        let d = self.d;
-        let flat = |f: usize| {
-            if f < self.nf {
-                self.g.factor_edge_range(FactorId::from_usize(f)).start * d
-            } else {
-                self.ne * d
-            }
-        };
-        let base = flat(f_lo);
-        let x_block = self.x.range_mut(base, flat(f_hi));
-        let m_block = self.m.range_mut(base, flat(f_hi));
-        let n_all = self.n.whole();
-        let u_all = self.u.whole();
-        let mut offset = 0usize;
-        for a in f_lo..f_hi {
-            let fa = FactorId::from_usize(a);
-            let len = self.g.factor_degree(fa) * d;
-            let xb = &mut x_block[offset..offset + len];
-            x_update_factor(self.g, self.problem.prox(fa), self.params, n_all, xb, fa);
-            kernels::m_update_range(
-                xb,
-                &u_all[base + offset..base + offset + len],
-                &mut m_block[offset..offset + len],
-                0,
-                len,
-            );
-            offset += len;
-        }
+        let flat = kernels::factor_flat_range(self.g, f_lo, f_hi);
+        let x_block = self.x.range_mut(flat.start, flat.end);
+        let m_block = self.m.range_mut(flat.start, flat.end);
+        let prox_of = |a: usize| &*self.problem.proxes()[a];
+        let (n_all, u_all) = (self.n.whole(), self.u.whole());
+        kernels::xm_update_block(
+            self.g,
+            prox_of,
+            self.params,
+            n_all,
+            u_all,
+            x_block,
+            m_block,
+            f_lo,
+            f_hi,
+        );
     }
 
     /// M sweep (`m = x + u`) over edges `[e_lo, e_hi)`.

@@ -1,6 +1,7 @@
 //! Convergence tracing and schedule diagnostics: record residuals per
 //! check-point (CSV export), render what the cost-model planner
-//! measured and decided ([`plan_report`]), and summarize how the fleet
+//! measured and decided ([`plan_report`]), break the x pass down by
+//! operator kind ([`prox_profile`]), and summarize how the fleet
 //! scheduler's workers moved between instances ([`fleet_report`]).
 //!
 //! The paper's experiments run "for the same number of iterations" and
@@ -8,8 +9,13 @@
 //! half for downstream users — a ring of residual samples a monitoring
 //! loop can inspect or dump.
 
-use paradmm_graph::VarStore;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
+use paradmm_graph::{FactorId, VarStore};
+use paradmm_prox::{ProxOp, ZeroProx};
+
+use crate::kernels;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
 use crate::residuals::Residuals;
@@ -50,7 +56,135 @@ pub fn plan_report(plan: &SweepPlan, costs: &SweepCosts, problem: &AdmmProblem) 
         "predicted serial iteration: {:.3e}s\n",
         costs.predicted_iteration_seconds(g.num_edges(), g.num_vars())
     ));
+    // Where the x pass goes, on the planner's kind of scratch input.
+    let mut scratch = VarStore::zeros(g);
+    for (i, v) in scratch.n.iter_mut().enumerate() {
+        *v = 0.1 + 0.01 * (i % 7) as f64;
+    }
+    out.push_str("x pass by operator (fastest of 5, one factor per kernel call):\n");
+    for row in prox_profile(problem, &scratch) {
+        out.push_str(&format!(
+            "  {:>12} deg {:<3} x {:>8}  {:>9.1} ns/call  {:>5.1} %\n",
+            row.name,
+            row.degree,
+            row.count,
+            row.ns_per_call,
+            100.0 * row.share
+        ));
+    }
     out
+}
+
+/// One row of [`prox_profile`]: what one kind of factor costs in the x
+/// pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProxKindCost {
+    /// [`ProxOp::name`] of the group's operators — or `"call path"` for
+    /// the row that runs [`ZeroProx`] in place of every operator.
+    pub name: &'static str,
+    /// Factor degree of the group; 0 on the call-path row, which spans
+    /// every degree.
+    pub degree: usize,
+    /// Factors in the group.
+    pub count: usize,
+    /// Nanoseconds per call: the group's fastest repeat over its calls.
+    pub ns_per_call: f64,
+    /// The group's time over the summed time of all operator groups. On
+    /// the call-path row: the share of that same sum spent reaching an
+    /// operator and copying a block, whatever the operator then does.
+    pub share: f64,
+}
+
+/// Breaks the x pass of `problem` down by operator kind: factors grouped
+/// by ([`ProxOp::name`], degree), each group's operators run on the
+/// `n` of `store` (into scratch; `store` is not modified), slowest group
+/// first, and last a `"call path"` row in which every factor runs
+/// [`ZeroProx`] — what the pass costs before any operator does
+/// arithmetic.
+///
+/// A group is timed *as a group*, one timestamp pair around passes over
+/// the whole group lasting 20 µs or more, fastest of five repeats: a
+/// timestamp pair costs several cheap operator calls (65 ns against
+/// 10–30 ns on the scoreboard host), so timing single calls — as
+/// [`crate::Planner::measure`] does for its per-factor weights — reads
+/// the clock, not the operator. Every row goes through
+/// [`kernels::x_update_block`] one factor at a time (a group's factors
+/// are scattered over the graph), so rows compare with each other; the
+/// pass proper hands the kernel whole ranges and is a little cheaper per
+/// call.
+pub fn prox_profile(problem: &AdmmProblem, store: &VarStore) -> Vec<ProxKindCost> {
+    let (g, params) = (problem.graph(), problem.params());
+    let mut groups: BTreeMap<(&'static str, usize), Vec<FactorId>> = BTreeMap::new();
+    for a in g.factors() {
+        let kind = (problem.prox(a).name(), g.factor_degree(a));
+        groups.entry(kind).or_default().push(a);
+    }
+    let mut x = store.x.clone();
+    // Seconds for one pass over `ids`, each factor running its own
+    // operator or the substitute.
+    let mut pass_seconds = |ids: &[FactorId], substitute: Option<&dyn ProxOp>| {
+        let mut run = |passes: usize| {
+            let t0 = Instant::now();
+            for _ in 0..passes {
+                for &a in ids {
+                    let prox = substitute.unwrap_or_else(|| problem.prox(a));
+                    let (lo, hi) = (a.idx(), a.idx() + 1);
+                    let block = &mut x[kernels::factor_flat_range(g, lo, hi)];
+                    kernels::x_update_block(g, |_| prox, params, &store.n, block, lo, hi);
+                }
+            }
+            t0.elapsed().as_secs_f64()
+        };
+        // A first pass sizes the stretch and warms the caches.
+        let passes = (PROFILE_MIN_STRETCH_SECONDS / run(1).max(1e-9)).ceil() as usize;
+        let best = (0..PROFILE_REPS)
+            .map(|_| run(passes))
+            .fold(f64::INFINITY, f64::min);
+        best / passes as f64
+    };
+    let mut rows: Vec<ProxKindCost> = groups
+        .iter()
+        .map(|(&(name, degree), ids)| {
+            ProxKindCost::new(name, degree, ids.len(), pass_seconds(ids, None))
+        })
+        .collect();
+    rows.sort_by(|a, b| b.pass_ns().total_cmp(&a.pass_ns()));
+    let operators_ns: f64 = rows.iter().map(ProxKindCost::pass_ns).sum();
+    let all: Vec<FactorId> = g.factors().collect();
+    if !all.is_empty() {
+        let seconds = pass_seconds(&all, Some(&ZeroProx));
+        rows.push(ProxKindCost::new("call path", 0, all.len(), seconds));
+    }
+    for row in &mut rows {
+        row.share = row.pass_ns() / operators_ns;
+    }
+    rows
+}
+
+/// Shortest stretch [`prox_profile`] puts under one timestamp pair (some
+/// 300 times what the pair itself costs): a small or cheap group is run
+/// over and over until it fills it.
+const PROFILE_MIN_STRETCH_SECONDS: f64 = 20e-6;
+/// Repeats per group in [`prox_profile`]; the fastest is reported.
+const PROFILE_REPS: usize = 5;
+
+impl ProxKindCost {
+    /// A row from the seconds one pass over its `count` factors took;
+    /// `share` is filled in once every group is timed.
+    fn new(name: &'static str, degree: usize, count: usize, pass_seconds: f64) -> Self {
+        ProxKindCost {
+            name,
+            degree,
+            count,
+            ns_per_call: pass_seconds * 1e9 / count as f64,
+            share: 0.0,
+        }
+    }
+
+    /// Nanoseconds of one pass over the group.
+    fn pass_ns(&self) -> f64 {
+        self.ns_per_call * self.count as f64
+    }
 }
 
 // Effective memory traffic per item of each element-wise sweep, used to
@@ -553,5 +687,51 @@ mod tests {
         assert!(report.contains("kernel throughput"), "{report}");
         assert!(report.contains("GB/s"), "{report}");
         assert!(report.contains("Specialized"), "{report}");
+        assert!(report.contains("x pass by operator"), "{report}");
+        assert!(report.contains("call path"), "{report}");
+    }
+
+    #[test]
+    fn prox_profile_groups_by_name_and_degree() {
+        use paradmm_prox::{ConsensusEqualityProx, QuadraticProx};
+        let mut b = GraphBuilder::new(2);
+        let vs = b.add_vars(5);
+        let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        for i in 0..4 {
+            b.add_factor(&[vs[i], vs[i + 1]]);
+            proxes.push(Box::new(ConsensusEqualityProx));
+        }
+        b.add_factor(&[vs[0], vs[2], vs[4]]);
+        proxes.push(Box::new(ConsensusEqualityProx));
+        for &v in &vs[..3] {
+            b.add_factor(&[v]);
+            proxes.push(Box::new(QuadraticProx::isotropic(2, 1.0, &[0.5, -0.5])));
+        }
+        let p = AdmmProblem::new(b.build(), proxes, 1.0, 1.0);
+        let mut store = VarStore::zeros(p.graph());
+        store
+            .n
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, v)| *v = i as f64);
+
+        let rows = prox_profile(&p, &store);
+        let kinds: std::collections::BTreeSet<_> =
+            rows.iter().map(|r| (r.name, r.degree, r.count)).collect();
+        let want = [
+            ("call path", 0, 8),
+            ("consensus", 2, 4),
+            ("consensus", 3, 1),
+            ("quadratic", 1, 3),
+        ];
+        assert_eq!(kinds, want.into_iter().collect());
+        assert_eq!(rows.last().unwrap().name, "call path");
+        let operators = &rows[..rows.len() - 1];
+        let share: f64 = operators.iter().map(|r| r.share).sum();
+        assert!(
+            (share - 1.0).abs() < 1e-9,
+            "operator shares sum to 1: {share}"
+        );
+        assert!(rows.iter().all(|r| r.ns_per_call > 0.0 && r.share > 0.0));
     }
 }

@@ -28,6 +28,23 @@
 //! [`EdgeStream`] instead of `EdgeId`
 //! accessor chains.
 //!
+//! # The prox sweep
+//!
+//! The x pass has one body, `prox_sweep`, behind two block-relative entry
+//! points: [`x_update_block`] and the fused [`xm_update_block`]. It takes
+//! a factor range and write slices covering exactly that range (as
+//! [`z_update_swapped_block`] and [`un_update_range_stream`] do), walks
+//! the factor offsets once, hands each operator a [`ProxCtx`] cut from the
+//! factor's CSR range without re-validating shapes the graph guarantees,
+//! and forms `m = x + u` once per [`PROX_TILE`] factors over the tile's
+//! contiguous range. The operator comes from a monomorphized
+//! `Fn(usize) -> &dyn ProxOp`, so a shard-local graph can map its factor
+//! ids to the global operators. Every executor's x pass is this body:
+//! [`x_update_range`] / [`xm_update_range`] (serial, and the thin
+//! [`x_update_factor`]), `SweepArrays::x_phase` / `xm_phase` (barrier,
+//! work-stealing, fleet), the rayon backend's factor grains, and the
+//! staging phases of the sharded and bounded-staleness executors.
+//!
 //! # Subnormals
 //!
 //! Every write of the dual `u`, in every body and on every path, goes
@@ -202,6 +219,19 @@ fn add_block(x: &[f64], u: &[f64], m: &mut [f64]) {
     while j < len {
         m[j] = x[j] + u[j];
         j += 1;
+    }
+}
+
+/// `m = x + u` over equal-length slices under either dispatch: the
+/// unrolled [`add_block`] (`fast`) or the seed's scalar loop.
+#[inline]
+fn m_body(fast: bool, x: &[f64], u: &[f64], m: &mut [f64]) {
+    if fast {
+        add_block(x, u, m);
+    } else {
+        for j in 0..m.len() {
+            m[j] = x[j] + u[j];
+        }
     }
 }
 
@@ -514,9 +544,134 @@ impl UpdateKind {
     }
 }
 
+/// Factors per tile of the prox sweep ([`x_update_block`],
+/// [`xm_update_block`]): the operators of a tile run back to back and the
+/// `m = x + u` tail then covers the tile's whole flat range at once. At
+/// the paper families' 2–12 scalars per factor a tile's x, u, m and n
+/// blocks are a few KiB — still in L1 when the tail reads them back.
+pub const PROX_TILE: usize = 64;
+
+/// The one prox sweep: runs the proximal operators of factors
+/// `[a_lo, a_hi)` tile by tile and, if `m_tail = (u_all, m_block)` is
+/// given, forms `m = x + u` over each finished tile.
+///
+/// The offsets are walked once, the dispatch mode is read once, and each
+/// operator gets a [`ProxCtx`] cut straight from the factor's CSR range:
+/// `n` and `x` are the same `degree · dims` scalars of two edge-ordered
+/// arrays and `rho` the same `degree` edges, which is all
+/// [`ProxCtx::new`] would re-check.
+#[inline]
+#[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
+fn prox_sweep<'p>(
+    graph: &FactorGraph,
+    prox_of: impl Fn(usize) -> &'p dyn ProxOp,
+    params: &EdgeParams,
+    n_all: &[f64],
+    x_block: &mut [f64],
+    m_tail: Option<(&[f64], &mut [f64])>,
+    a_lo: usize,
+    a_hi: usize,
+) {
+    let d = graph.dims();
+    let offsets = &graph.factor_offsets()[a_lo..=a_hi];
+    let (e_lo, e_hi) = (offsets[0] as usize, offsets[a_hi - a_lo] as usize);
+    let flat = e_lo * d..e_hi * d;
+    let mut n_rest = &n_all[flat.clone()];
+    let mut rho_rest = &params.rho[e_lo..e_hi];
+    assert!(
+        x_block.len() == n_rest.len(),
+        "x block must cover exactly the factors [a_lo, a_hi)"
+    );
+    let mut x_rest = x_block;
+    let mut m_tail = m_tail.map(|(u_all, m_block)| (&u_all[flat], m_block));
+    let fast = specialized();
+    let (mut a, mut prev) = (a_lo, offsets[0]);
+    for tile in offsets[1..].chunks(PROX_TILE) {
+        // Every slice is split off the front of what is left, so each
+        // factor gets exactly its own scalars with one length check.
+        let tile_len = (tile[tile.len() - 1] - prev) as usize * d;
+        let (x_tile, x_next) = std::mem::take(&mut x_rest).split_at_mut(tile_len);
+        x_rest = x_next;
+        let mut x_left = &mut *x_tile;
+        for &end in tile {
+            let degree = (end - prev) as usize;
+            prev = end;
+            let (n, n_next) = n_rest.split_at(degree * d);
+            let (rho, rho_next) = rho_rest.split_at(degree);
+            let (x, x_next) = std::mem::take(&mut x_left).split_at_mut(degree * d);
+            (n_rest, rho_rest, x_left) = (n_next, rho_next, x_next);
+            prox_of(a).prox(&mut ProxCtx { n, rho, x, dims: d });
+            a += 1;
+        }
+        if let Some((u_rest, m_rest)) = m_tail.as_mut() {
+            let (u_tile, u_next) = u_rest.split_at(tile_len);
+            let (m_tile, m_next) = std::mem::take(m_rest).split_at_mut(tile_len);
+            (*u_rest, *m_rest) = (u_next, m_next);
+            m_body(fast, x_tile, u_tile, m_tile);
+        }
+    }
+}
+
+/// x-update over the factor range `[a_lo, a_hi)` with a *block-relative*
+/// write slice: `x_block` covers exactly those factors' edges (`n_all`
+/// stays the full array), so parallel executors can pass the disjoint
+/// chunk they own. `prox_of` maps a factor index of `graph` to its
+/// operator — the identity into [`crate::AdmmProblem::proxes`] for most
+/// callers, a local → global lookup for the shard-local graphs.
+#[inline]
+pub fn x_update_block<'p>(
+    graph: &FactorGraph,
+    prox_of: impl Fn(usize) -> &'p dyn ProxOp,
+    params: &EdgeParams,
+    n_all: &[f64],
+    x_block: &mut [f64],
+    a_lo: usize,
+    a_hi: usize,
+) {
+    prox_sweep(graph, prox_of, params, n_all, x_block, None, a_lo, a_hi);
+}
+
+/// Fused x+m over the factor range `[a_lo, a_hi)` with *block-relative*
+/// write slices (see [`x_update_block`]): each tile of [`PROX_TILE`]
+/// factors runs its proximal operators and then forms `m = x + u` over
+/// the tile's contiguous edge range.
+///
+/// Bit-identical to an x sweep over all factors followed by
+/// [`m_update_range`] over all edges: the x sweep reads only `n`, the
+/// m body of edge `e` reads only `x_e` (just written by the same call)
+/// and `u_e` (written by neither sweep) — so interleaving per tile
+/// reorders no floating-point operation within any single output value.
+/// One pass fewer over the `x` array, and one synchronization point
+/// fewer per iteration in barrier-style backends.
+#[inline]
+#[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
+pub fn xm_update_block<'p>(
+    graph: &FactorGraph,
+    prox_of: impl Fn(usize) -> &'p dyn ProxOp,
+    params: &EdgeParams,
+    n_all: &[f64],
+    u_all: &[f64],
+    x_block: &mut [f64],
+    m_block: &mut [f64],
+    a_lo: usize,
+    a_hi: usize,
+) {
+    let m_tail = Some((u_all, m_block));
+    prox_sweep(graph, prox_of, params, n_all, x_block, m_tail, a_lo, a_hi);
+}
+
+/// The flat component range `[lo, hi)` the factors `[a_lo, a_hi)` own in
+/// every edge-ordered array.
+#[inline]
+pub fn factor_flat_range(graph: &FactorGraph, a_lo: usize, a_hi: usize) -> std::ops::Range<usize> {
+    let (offsets, d) = (graph.factor_offsets(), graph.dims());
+    offsets[a_lo] as usize * d..offsets[a_hi] as usize * d
+}
+
 /// Runs the proximal operator of one factor: reads the factor's contiguous
 /// block of `n_all`, writes its block of `x_factor` (which must be exactly
-/// that factor's slice of the global x array).
+/// that factor's slice of the global x array). [`x_update_block`] over a
+/// range of one; sweeps call the block kernel directly.
 #[inline]
 pub fn x_update_factor(
     graph: &FactorGraph,
@@ -526,13 +681,15 @@ pub fn x_update_factor(
     x_factor: &mut [f64],
     a: FactorId,
 ) {
-    let d = graph.dims();
-    let er = graph.factor_edge_range(a);
-    let n = &n_all[er.start * d..er.end * d];
-    let rho = &params.rho[er];
-    debug_assert_eq!(x_factor.len(), n.len());
-    let mut ctx = ProxCtx::new(n, rho, x_factor, d);
-    prox.prox(&mut ctx);
+    x_update_block(
+        graph,
+        |_| prox,
+        params,
+        n_all,
+        x_factor,
+        a.idx(),
+        a.idx() + 1,
+    );
 }
 
 /// x-update over a contiguous factor range `[a_lo, a_hi)`; `x_all` is the
@@ -546,38 +703,18 @@ pub fn x_update_range(
     a_lo: usize,
     a_hi: usize,
 ) {
-    let d = graph.dims();
-    for a in a_lo..a_hi {
-        let fa = FactorId::from_usize(a);
-        let er = graph.factor_edge_range(fa);
-        let x_factor = &mut x_all[er.start * d..er.end * d];
-        x_update_factor(graph, &*proxes[a], params, n_all, x_factor, fa);
-    }
+    let x_block = &mut x_all[factor_flat_range(graph, a_lo, a_hi)];
+    x_update_block(graph, |a| &*proxes[a], params, n_all, x_block, a_lo, a_hi);
 }
 
 /// m-update over flat component range `[lo, hi)`: `m = x + u`.
 #[inline]
 pub fn m_update_range(x: &[f64], u: &[f64], m: &mut [f64], lo: usize, hi: usize) {
-    if specialized() {
-        add_block(&x[lo..hi], &u[lo..hi], &mut m[lo..hi]);
-    } else {
-        for j in lo..hi {
-            m[j] = x[j] + u[j];
-        }
-    }
+    m_body(specialized(), &x[lo..hi], &u[lo..hi], &mut m[lo..hi]);
 }
 
-/// Fused x+m over a contiguous factor range `[a_lo, a_hi)`: each factor
-/// runs its proximal operator and immediately forms `m = x + u` for its
-/// own (contiguous) edge block.
-///
-/// Bit-identical to running [`x_update_range`] over all factors followed
-/// by [`m_update_range`] over all edges: the x sweep reads only `n`, the
-/// m body of edge `e` reads only `x_e` (just written by the same factor)
-/// and `u_e` (written by neither sweep) — so interleaving per factor
-/// reorders no floating-point operation within any single output value.
-/// One pass fewer over the `x` array, and one synchronization point
-/// fewer per iteration in barrier-style backends.
+/// Fused x+m over a contiguous factor range `[a_lo, a_hi)`; `x_all` and
+/// `m_all` are the full global arrays (see [`xm_update_block`]).
 #[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
 pub fn xm_update_range(
     graph: &FactorGraph,
@@ -590,20 +727,12 @@ pub fn xm_update_range(
     a_lo: usize,
     a_hi: usize,
 ) {
-    let d = graph.dims();
-    for a in a_lo..a_hi {
-        let fa = FactorId::from_usize(a);
-        let er = graph.factor_edge_range(fa);
-        let (flo, fhi) = (er.start * d, er.end * d);
-        x_update_factor(graph, &*proxes[a], params, n_all, &mut x_all[flo..fhi], fa);
-        if specialized() {
-            add_block(&x_all[flo..fhi], &u_all[flo..fhi], &mut m_all[flo..fhi]);
-        } else {
-            for j in flo..fhi {
-                m_all[j] = x_all[j] + u_all[j];
-            }
-        }
-    }
+    let flat = factor_flat_range(graph, a_lo, a_hi);
+    let (x_block, m_block) = (&mut x_all[flat.clone()], &mut m_all[flat]);
+    let prox_of = |a: usize| &*proxes[a];
+    xm_update_block(
+        graph, prox_of, params, n_all, u_all, x_block, m_block, a_lo, a_hi,
+    );
 }
 
 /// Dims threshold below which [`z_update_var`] accumulates on the stack.
@@ -1030,22 +1159,6 @@ pub fn n_update_range_stream(
     }
 }
 
-/// Splits `data` (the global x array) into one mutable slice per factor,
-/// in factor order. The slices partition `data` exactly because factor
-/// edge ranges are contiguous and cover all edges.
-pub fn split_factor_blocks<'a>(graph: &FactorGraph, mut data: &'a mut [f64]) -> Vec<&'a mut [f64]> {
-    let d = graph.dims();
-    let mut out = Vec::with_capacity(graph.num_factors());
-    for a in graph.factors() {
-        let len = graph.factor_degree(a) * d;
-        let (head, tail) = data.split_at_mut(len);
-        out.push(head);
-        data = tail;
-    }
-    debug_assert!(data.is_empty());
-    out
-}
-
 /// Evenly partitions `n_items` across `n_parts`, mirroring the paper's
 /// `AssignThreads`: the first `n_items % n_parts` parts get
 /// `⌈n/p⌉` items, the rest `⌊n/p⌋`, so sizes differ by at most one and
@@ -1172,16 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn split_factor_blocks_partitions() {
-        let (g, _) = chain(3);
-        let mut data = vec![0.0; g.num_edges() * 3];
-        let blocks = split_factor_blocks(&g, &mut data);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].len(), 6);
-        assert_eq!(blocks[1].len(), 6);
-    }
-
-    #[test]
     fn fused_un_matches_separate_sweeps_bitwise() {
         let (g, mut p) = chain(2);
         p.alpha = vec![0.3, 0.7, 1.1, 0.9].into();
@@ -1285,6 +1388,86 @@ mod tests {
         let u0 = (0..ne * dims).map(|i| (i as f64 * 0.31).sin()).collect();
         let z0 = (0..nv * dims).map(|i| (i as f64 * 0.11).cos()).collect();
         (g, p, x, m0, u0, z0)
+    }
+
+    /// The prox-sweep kernel on a mixed-degree graph (degrees 1, 2, 4
+    /// interleaved, three operator kinds, non-uniform ρ), over ranges that
+    /// start mid-graph, end mid-tile, are shorter than one tile, span
+    /// several and are empty, under both dispatch modes: bit for bit what
+    /// `x_update_factor` per factor followed by `m_update_range` gives,
+    /// and not a scalar written outside the range's block.
+    #[test]
+    fn prox_sweep_matches_per_factor_calls_bitwise_on_any_range() {
+        use paradmm_prox::{ConsensusEqualityProx, QuadraticProx};
+        let _guard = DISPATCH_LOCK.lock().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        let nf = 3 * PROX_TILE + 17;
+        for dims in [2usize, 3] {
+            let mut b = GraphBuilder::new(dims);
+            let vs = b.add_vars(nf + 3);
+            let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+            for a in 0..nf {
+                let degree = [1, 2, 4][a % 3];
+                b.add_factor(&vs[a..a + degree]);
+                proxes.push(match degree {
+                    1 => Box::new(QuadraticProx::isotropic(dims, 1.5, &vec![0.25; dims])),
+                    2 => Box::new(ConsensusEqualityProx),
+                    _ => Box::new(ZeroProx),
+                });
+            }
+            let g = b.build();
+            let mut p = EdgeParams::uniform(&g, 1.0, 1.0);
+            for (i, r) in p.rho.as_mut_slice().iter_mut().enumerate() {
+                *r = 0.5 + (i as f64 * 0.37).sin().abs();
+            }
+            let flat = g.num_edges() * dims;
+            let n: Vec<f64> = (0..flat).map(|i| (i as f64 * 0.7).sin()).collect();
+            let u: Vec<f64> = (0..flat).map(|i| (i as f64 * 0.3).cos()).collect();
+
+            let ranges = [
+                (0, nf),
+                (5, 15),
+                (PROX_TILE - 3, 2 * PROX_TILE + 9),
+                (PROX_TILE, 2 * PROX_TILE),
+                (70, 70),
+                (nf - 1, nf),
+            ];
+            for mode in [KernelDispatch::Scalar, KernelDispatch::Specialized] {
+                for (a_lo, a_hi) in ranges {
+                    set_kernel_dispatch(mode);
+                    // Untouched scalars keep a sentinel no sweep produces.
+                    let (mut x_ref, mut m_ref) = (vec![-7.0; flat], vec![-7.0; flat]);
+                    for a in a_lo..a_hi {
+                        let fa = FactorId::from_usize(a);
+                        let block = factor_flat_range(&g, a, a + 1);
+                        x_update_factor(&g, &*proxes[a], &p, &n, &mut x_ref[block], fa);
+                    }
+                    let block = factor_flat_range(&g, a_lo, a_hi);
+                    m_update_range(&x_ref, &u, &mut m_ref, block.start, block.end);
+
+                    let (mut x_fused, mut m_fused) = (vec![-7.0; flat], vec![-7.0; flat]);
+                    xm_update_range(
+                        &g,
+                        &proxes,
+                        &p,
+                        &n,
+                        &u,
+                        &mut x_fused,
+                        &mut m_fused,
+                        a_lo,
+                        a_hi,
+                    );
+                    let mut x_alone = vec![-7.0; flat];
+                    x_update_range(&g, &proxes, &p, &n, &mut x_alone, a_lo, a_hi);
+                    set_kernel_dispatch(KernelDispatch::Specialized);
+
+                    let at = format!("dims {dims} {mode:?} factors [{a_lo}, {a_hi})");
+                    assert_eq!(bits(&x_fused), bits(&x_ref), "x+m: x, {at}");
+                    assert_eq!(bits(&m_fused), bits(&m_ref), "x+m: m, {at}");
+                    assert_eq!(bits(&x_alone), bits(&x_ref), "x alone, {at}");
+                }
+            }
+        }
     }
 
     /// The specialized bodies (fixed-D for d ≤ 4, 4-wide unrolled beyond)

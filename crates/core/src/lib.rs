@@ -92,8 +92,8 @@ pub use backend::{
 };
 pub use batch::{BatchReport, BatchSolver, InstanceReport};
 pub use diagnostics::{
-    fleet_report, plan_report, run_trace_json, subnormal_count, FleetDiagnostics, FleetWorkerStats,
-    Trace, TracePoint,
+    fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,
+    FleetWorkerStats, ProxKindCost, Trace, TracePoint,
 };
 pub use fleet::{FleetBackend, FleetSolver};
 pub use kernels::{kernel_dispatch, set_kernel_dispatch, KernelDispatch, UpdateKind};

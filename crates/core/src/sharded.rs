@@ -48,7 +48,7 @@ use std::time::Instant;
 use paradmm_graph::{EdgeParams, FactorId, Partition, Shard, ShardedStore, VarStore};
 
 use crate::backend::SweepExecutor;
-use crate::kernels::{self, assign_range, x_update_factor, UpdateKind};
+use crate::kernels::{self, assign_range, UpdateKind};
 use crate::plan::{PassKind, SweepPlan};
 use crate::problem::AdmmProblem;
 use crate::timing::UpdateTimings;
@@ -365,52 +365,22 @@ fn run_sharded(
                         let params = &shard.params;
                         let d = g.dims();
 
+                        // Shard-local x (+m) through the shared block
+                        // kernel, the prox fetched via the global id.
+                        let nf = g.num_factors();
+                        let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
+                        let st = &mut shard.store;
                         let (t1, t2) = if xm_fused {
-                            // Fused local x+m: each factor's prox then
-                            // m = x + u for its own contiguous edge block
-                            // (same fusion as kernels::xm_update_range,
-                            // with the prox fetched via the global id).
-                            for (lf, &ga) in shard.factor_global.iter().enumerate() {
-                                let fa = FactorId::from_usize(lf);
-                                let er = g.factor_edge_range(fa);
-                                let (flo, fhi) = (er.start * d, er.end * d);
-                                x_update_factor(
-                                    g,
-                                    problem.prox(ga),
-                                    params,
-                                    &shard.store.n,
-                                    &mut shard.store.x[flo..fhi],
-                                    fa,
-                                );
-                                for j in flo..fhi {
-                                    shard.store.m[j] = shard.store.x[j] + shard.store.u[j];
-                                }
-                            }
+                            kernels::xm_update_block(
+                                g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
+                            );
                             let t1 = Instant::now();
                             (t1, t1)
                         } else {
-                            for (lf, &ga) in shard.factor_global.iter().enumerate() {
-                                let fa = FactorId::from_usize(lf);
-                                let er = g.factor_edge_range(fa);
-                                x_update_factor(
-                                    g,
-                                    problem.prox(ga),
-                                    params,
-                                    &shard.store.n,
-                                    &mut shard.store.x[er.start * d..er.end * d],
-                                    fa,
-                                );
-                            }
+                            kernels::x_update_block(g, prox_of, params, &st.n, &mut st.x, 0, nf);
                             let t1 = Instant::now();
-
-                            let flat = g.num_edges() * d;
-                            kernels::m_update_range(
-                                &shard.store.x,
-                                &shard.store.u,
-                                &mut shard.store.m,
-                                0,
-                                flat,
-                            );
+                            let flat = st.x.len();
+                            kernels::m_update_range(&st.x, &st.u, &mut st.m, 0, flat);
                             (t1, Instant::now())
                         };
 

@@ -120,6 +120,15 @@ impl FactorGraph {
         self.factor_offsets[a.idx()] as usize..self.factor_offsets[a.idx() + 1] as usize
     }
 
+    /// The CSR offsets behind [`FactorGraph::factor_edge_range`], one per
+    /// factor plus the sentinel: factor `a` owns edges
+    /// `offsets[a]..offsets[a + 1]`. For sweeps that walk many consecutive
+    /// factors and want to cut the array once.
+    #[inline]
+    pub fn factor_offsets(&self) -> &[u32] {
+        &self.factor_offsets
+    }
+
     /// Degree `|∂a|` of factor `a`.
     #[inline]
     pub fn factor_degree(&self, a: FactorId) -> usize {

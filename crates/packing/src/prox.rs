@@ -36,10 +36,17 @@ impl ProxOp for CollisionProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
         assert_eq!(ctx.dims, 2, "collision operator expects dims = 2");
         assert_eq!(ctx.degree(), 4, "collision factor touches (c1, r1, c2, r2)");
-        ctx.copy_n_to_x();
+        // The one shape this operator has, held as arrays: the copy is
+        // eight moves instead of a `memcpy` call and no index below is
+        // bounds-checked.
+        let n: &[f64; 8] = ctx.n.try_into().expect("collision block is 8 scalars");
+        let x: &mut [f64; 8] = (&mut *ctx.x)
+            .try_into()
+            .expect("collision block is 8 scalars");
+        *x = *n;
 
-        let (c1, r1) = ([ctx.n[0], ctx.n[1]], ctx.n[2]);
-        let (c2, r2) = ([ctx.n[4], ctx.n[5]], ctx.n[6]);
+        let (c1, r1) = ([n[0], n[1]], n[2]);
+        let (c2, r2) = ([n[4], n[5]], n[6]);
         let rho1 = ctx.rho[0];
         let rho2 = ctx.rho[2];
 
@@ -63,14 +70,14 @@ impl ProxOp for CollisionProx {
         let step = 0.5 * overlap;
 
         // Disk 1: move away from disk 2, shrink.
-        ctx.x[0] = c1[0] - step * w1 * nx;
-        ctx.x[1] = c1[1] - step * w1 * ny;
-        ctx.x[2] = r1 - step * w1;
+        x[0] = c1[0] - step * w1 * nx;
+        x[1] = c1[1] - step * w1 * ny;
+        x[2] = r1 - step * w1;
         // Disk 2: move away from disk 1, shrink.
-        ctx.x[4] = c2[0] + step * w2 * nx;
-        ctx.x[5] = c2[1] + step * w2 * ny;
-        ctx.x[6] = r2 - step * w2;
-        // Padding components (x[3], x[7]) already carry n via copy_n_to_x.
+        x[4] = c2[0] + step * w2 * nx;
+        x[5] = c2[1] + step * w2 * ny;
+        x[6] = r2 - step * w2;
+        // Padding components (x[3], x[7]) already carry n from the copy.
     }
 
     fn cost_estimate(&self, _degree: usize, _dims: usize) -> f64 {
@@ -87,7 +94,7 @@ impl ProxOp for CollisionProx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradmm_prox::testing::assert_is_minimizer;
+    use paradmm_prox::testing::{assert_is_minimizer, output_bits, seeded_blocks};
 
     fn run(n: &[f64; 8], rho: &[f64; 4]) -> Vec<f64> {
         let mut x = vec![0.0; 8];
@@ -100,6 +107,57 @@ mod tests {
         let dx = x[4] - x[0];
         let dy = x[5] - x[1];
         (dx * dx + dy * dy).sqrt() - x[2] - x[6]
+    }
+
+    /// The array-held body must agree bit for bit with the slice-indexed
+    /// body it replaced, on overlapping and separated pairs, non-uniform
+    /// per-edge ρ, ±0 inputs and padding.
+    #[test]
+    fn array_body_matches_the_slice_body_bitwise() {
+        let (mut overlapping, mut separated) = (0, 0);
+        for (case, (mut n, rho)) in seeded_blocks(4, 2, 128).into_iter().enumerate() {
+            // Radii of either sign around 0.9: about half the pairs overlap.
+            n[2] = 0.9 + 0.5 * n[2];
+            n[6] = 0.9 + 0.5 * n[6];
+            let fixed = output_bits(8, |x| CollisionProx.prox(&mut ProxCtx::new(&n, &rho, x, 2)));
+            let before = output_bits(8, |x| {
+                x.copy_from_slice(&n);
+                let (dx, dy) = (n[4] - n[0], n[5] - n[1]);
+                let dist = (dx * dx + dy * dy).sqrt();
+                let overlap = n[2] + n[6] - dist;
+                if overlap <= 0.0 {
+                    separated += 1;
+                    return;
+                }
+                overlapping += 1;
+                let (nx, ny) = if dist > 1e-300 {
+                    (dx / dist, dy / dist)
+                } else {
+                    (1.0, 0.0)
+                };
+                let w1 = rho[2] / (rho[0] + rho[2]);
+                let w2 = rho[0] / (rho[0] + rho[2]);
+                let step = 0.5 * overlap;
+                x[0] = n[0] - step * w1 * nx;
+                x[1] = n[1] - step * w1 * ny;
+                x[2] = n[2] - step * w1;
+                x[4] = n[4] + step * w2 * nx;
+                x[5] = n[5] + step * w2 * ny;
+                x[6] = n[6] - step * w2;
+            });
+            assert_eq!(fixed, before, "case {case}");
+        }
+        assert!(
+            overlapping > 16 && separated > 16,
+            "{overlapping} / {separated}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "expects dims = 2")]
+    fn other_dims_still_rejected() {
+        let (n, rho) = ([0.0; 12], [1.0; 4]);
+        CollisionProx.prox(&mut ProxCtx::new(&n, &rho, &mut [0.0; 12], 3));
     }
 
     #[test]

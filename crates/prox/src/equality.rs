@@ -12,21 +12,44 @@ use crate::{ProxCtx, ProxOp};
 #[derive(Debug, Clone, Default)]
 pub struct ConsensusEqualityProx;
 
-impl ProxOp for ConsensusEqualityProx {
-    fn prox(&self, ctx: &mut ProxCtx<'_>) {
-        let d = ctx.dims;
-        let k = ctx.degree();
-        let rho_sum: f64 = ctx.rho.iter().sum();
+impl ConsensusEqualityProx {
+    /// The weighted average over `rho.len()` blocks of `d` components
+    /// each: the body for every shape. Inlined into
+    /// [`Self::average_fixed`] it *is* the fixed-shape body, so the two
+    /// cannot differ in a rounded operation; every sum runs in ascending
+    /// edge order.
+    #[inline(always)]
+    fn average(n: &[f64], rho: &[f64], x: &mut [f64], d: usize) {
+        let k = rho.len();
+        let rho_sum: f64 = rho.iter().sum();
         assert!(rho_sum > 0.0, "consensus needs positive total weight");
         for c in 0..d {
             let mut acc = 0.0;
             for i in 0..k {
-                acc += ctx.rho[i] * ctx.n[i * d + c];
+                acc += rho[i] * n[i * d + c];
             }
             let avg = acc / rho_sum;
             for i in 0..k {
-                ctx.x[i * d + c] = avg;
+                x[i * d + c] = avg;
             }
+        }
+    }
+
+    /// [`Self::average`] for a factor of `K` edges of `D` components:
+    /// every slice is cut to its compile-time length first, so the loops
+    /// unroll and the per-component bounds checks fold away.
+    fn average_fixed<const K: usize, const D: usize>(ctx: &mut ProxCtx<'_>) {
+        let (n, x) = (&ctx.n[..K * D], &mut ctx.x[..K * D]);
+        Self::average(n, &ctx.rho[..K], x, D);
+    }
+}
+
+impl ProxOp for ConsensusEqualityProx {
+    fn prox(&self, ctx: &mut ProxCtx<'_>) {
+        // The shape the SVM's copy chain instantiates.
+        match (ctx.rho.len(), ctx.dims) {
+            (2, 3) => Self::average_fixed::<2, 3>(ctx),
+            (_, d) => Self::average(ctx.n, ctx.rho, ctx.x, d),
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -76,8 +99,8 @@ impl ProxOp for AffineEqualityProx {
         assert_eq!(self.m.cols(), ctx.n.len(), "constraint width mismatch");
         // Expand per-edge rho over components.
         let mut w = vec![0.0; ctx.n.len()];
-        for j in 0..w.len() {
-            w[j] = ctx.rho[j / ctx.dims];
+        for (wi, &rho) in w.chunks_exact_mut(ctx.dims).zip(ctx.rho) {
+            wi.fill(rho);
         }
         let s = project_affine_weighted(&self.m, &self.c, ctx.n, &w)
             .expect("affine constraint must have full row rank");
@@ -105,7 +128,7 @@ impl ProxOp for AffineEqualityProx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::assert_is_minimizer;
+    use crate::testing::{assert_is_minimizer, output_bits, seeded_blocks};
     use paradmm_linalg::ops;
 
     fn run(op: &dyn ProxOp, n: &[f64], rho: &[f64], dims: usize) -> Vec<f64> {
@@ -113,6 +136,29 @@ mod tests {
         let mut ctx = ProxCtx::new(n, rho, &mut x, dims);
         op.prox(&mut ctx);
         x
+    }
+
+    /// On the shape with a fixed-shape body, `prox` must agree bit for bit
+    /// with the any-shape body run at a shape the compiler cannot see —
+    /// non-uniform per-edge ρ, ±0 inputs.
+    #[test]
+    fn consensus_fixed_shape_matches_the_any_shape_body_bitwise() {
+        let (k, d) = (2usize, 3usize);
+        for (case, (n, rho)) in seeded_blocks(k, d, 64).into_iter().enumerate() {
+            let fixed = output_bits(k * d, |x| {
+                ConsensusEqualityProx.prox(&mut ProxCtx::new(&n, &rho, x, d))
+            });
+            let any_shape = output_bits(k * d, |x| {
+                ConsensusEqualityProx::average(&n, &rho, x, std::hint::black_box(d))
+            });
+            assert_eq!(fixed, any_shape, "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive total weight")]
+    fn consensus_fixed_shape_still_rejects_zero_weight() {
+        let _ = run(&ConsensusEqualityProx, &[1.0; 6], &[0.0, 0.0], 3);
     }
 
     #[test]

@@ -33,22 +33,47 @@ impl HalfspaceProx {
     pub fn slack(&self, s: &[f64]) -> f64 {
         paradmm_linalg::ops::dot(&self.a, s) - self.b
     }
+
+    /// The closed form over `rho.len()` edges of `d` components each: the
+    /// body for every shape. Inlined into [`Self::project_fixed`] it *is*
+    /// the fixed-shape body, so the two cannot differ in a rounded
+    /// operation; both sums run in ascending component order.
+    #[inline(always)]
+    fn project(a: &[f64], b: f64, n: &[f64], rho: &[f64], x: &mut [f64], d: usize) {
+        let mut a_dot_n = 0.0;
+        let mut quad = 0.0;
+        for (i, &rho) in rho.iter().enumerate() {
+            for j in i * d..(i + 1) * d {
+                a_dot_n += a[j] * n[j];
+                quad += a[j] * a[j] / rho;
+            }
+        }
+        let lambda = ((b - a_dot_n) / quad).max(0.0);
+        for (i, &rho) in rho.iter().enumerate() {
+            for j in i * d..(i + 1) * d {
+                x[j] = n[j] + lambda * a[j] / rho;
+            }
+        }
+    }
+
+    /// [`Self::project`] for a factor of `K` edges of `D` components:
+    /// every slice is cut to its compile-time length first, so the loops
+    /// unroll and the per-component bounds checks fold away.
+    fn project_fixed<const K: usize, const D: usize>(&self, ctx: &mut ProxCtx<'_>) {
+        let (n, x) = (&ctx.n[..K * D], &mut ctx.x[..K * D]);
+        Self::project(&self.a[..K * D], self.b, n, &ctx.rho[..K], x, D);
+    }
 }
 
 impl ProxOp for HalfspaceProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
         assert_eq!(self.a.len(), ctx.n.len(), "normal length mismatch");
-        let mut a_dot_n = 0.0;
-        let mut quad = 0.0;
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
-            a_dot_n += self.a[j] * ctx.n[j];
-            quad += self.a[j] * self.a[j] / rho;
-        }
-        let lambda = ((self.b - a_dot_n) / quad).max(0.0);
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
-            ctx.x[j] = ctx.n[j] + lambda * self.a[j] / rho;
+        // The shapes the paper families instantiate: packing's wall
+        // factor and the SVM's hinge over (plane, slack).
+        match (ctx.rho.len(), ctx.dims) {
+            (2, 2) => self.project_fixed::<2, 2>(ctx),
+            (2, 3) => self.project_fixed::<2, 3>(ctx),
+            (_, d) => Self::project(&self.a, self.b, ctx.n, ctx.rho, ctx.x, d),
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -118,13 +143,70 @@ impl ProxOp for HingeProx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::assert_is_minimizer;
+    use crate::testing::{assert_is_minimizer, output_bits, seeded_blocks};
 
     fn run(op: &dyn ProxOp, n: &[f64], rho: &[f64], dims: usize) -> Vec<f64> {
         let mut x = vec![0.0; n.len()];
         let mut ctx = ProxCtx::new(n, rho, &mut x, dims);
         op.prox(&mut ctx);
         x
+    }
+
+    /// On the shapes with a fixed-shape body, `prox` must agree bit for
+    /// bit with the any-shape body run at a shape the compiler cannot
+    /// see, and with the formula as it stood before either existed (ρ
+    /// looked up per component) — on feasible (λ = 0) and infeasible
+    /// (λ > 0) points, normals with zero components, ±0 inputs.
+    #[test]
+    fn fixed_shapes_match_the_any_shape_body_bitwise() {
+        for (k, d) in [(2usize, 2usize), (2, 3)] {
+            let len = k * d;
+            let (mut feasible, mut infeasible) = (0, 0);
+            for (case, (n, rho)) in seeded_blocks(k, d, 96).into_iter().enumerate() {
+                // The SVM hinge's normal has zero padding; every third
+                // case plants one, of either sign.
+                let mut a: Vec<f64> = n.iter().rev().map(|v| 0.5 - v).collect();
+                if case % 3 == 0 {
+                    a[case % len] = if case % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let op = HalfspaceProx::new(a, if case % 2 == 0 { -1.5 } else { 2.5 });
+                if op.slack(&n) >= 0.0 {
+                    feasible += 1;
+                } else {
+                    infeasible += 1;
+                }
+
+                let fixed = output_bits(len, |x| op.prox(&mut ProxCtx::new(&n, &rho, x, d)));
+                let any_shape = output_bits(len, |x| {
+                    let d = std::hint::black_box(d);
+                    HalfspaceProx::project(&op.a, op.b, &n, &rho, x, d)
+                });
+                let before = output_bits(len, |x| {
+                    let (mut a_dot_n, mut quad) = (0.0, 0.0);
+                    for j in 0..len {
+                        a_dot_n += op.a[j] * n[j];
+                        quad += op.a[j] * op.a[j] / rho[j / d];
+                    }
+                    let lambda = ((op.b - a_dot_n) / quad).max(0.0);
+                    for j in 0..len {
+                        x[j] = n[j] + lambda * op.a[j] / rho[j / d];
+                    }
+                });
+                assert_eq!(fixed, any_shape, "({k}, {d}) case {case}");
+                assert_eq!(fixed, before, "({k}, {d}) case {case}");
+            }
+            assert!(
+                feasible > 8 && infeasible > 8,
+                "({k}, {d}): {feasible} / {infeasible}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "normal length mismatch")]
+    fn fixed_shape_still_rejects_a_short_normal() {
+        let op = HalfspaceProx::new(vec![1.0; 5], 0.0);
+        let _ = run(&op, &[0.0; 6], &[1.0, 2.0], 3); // a fast-path shape, (2, 3)
     }
 
     #[test]

@@ -43,6 +43,30 @@ pub use spec::{specs_for, ProxSpec};
 /// Implementations must be `Send + Sync` (shared read-only across worker
 /// threads) and deterministic. All mutable state lives in the
 /// [`ProxCtx`]'s output slice.
+///
+/// # Writing an operator
+///
+/// The sweep calls `prox` once per factor per iteration, so at the paper
+/// families' 2–12 scalars per factor the loop around the arithmetic costs
+/// as much as the arithmetic. Two rules keep it small:
+///
+/// * **Loop over edges, then components** — `for (i, &rho) in
+///   ctx.rho.iter().enumerate() { for j in i * d..(i + 1) * d { … } }` —
+///   and never find a component's weight by dividing its index by
+///   `dims`: that is a 64-bit division per component, several times the
+///   cost of the multiply-add it feeds.
+/// * **A fixed-shape body is the any-shape body at a known shape.** Write
+///   the closed form once as an `#[inline(always)]` function of slices
+///   and `dims`, dispatch `match (ctx.rho.len(), ctx.dims)` to
+///   const-generic wrappers that cut every slice to its compile-time
+///   length first (see `HalfspaceProx::project_fixed`), and keep the
+///   any-shape call as the fallback arm. The loops then unroll and the
+///   bounds checks fold, while every output still sees the same rounded
+///   operations in the same order — accumulations ascending in `j` — so
+///   the solve is bit-identical whichever arm runs. Check the operator's
+///   stored vectors against `ctx.n.len()` *before* the dispatch, and pin
+///   `prox` ≡ the any-shape body with `to_bits()` equality
+///   ([`testing::seeded_blocks`], [`testing::output_bits`]).
 pub trait ProxOp: Send + Sync {
     /// Solves `argmin_s f(s) + Σᵢ ρᵢ/2 ‖sᵢ − nᵢ‖²` and writes `s` into
     /// `ctx.x`. Blocks are laid out contiguously: edge `i` of the factor

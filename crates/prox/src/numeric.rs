@@ -43,9 +43,11 @@ impl NumericProx {
 
     fn augmented(&self, s: &[f64], n: &[f64], rho: &[f64], dims: usize) -> f64 {
         let mut acc = (self.f)(s);
-        for j in 0..s.len() {
-            let d = s[j] - n[j];
-            acc += 0.5 * rho[j / dims] * d * d;
+        for (i, &rho) in rho.iter().enumerate() {
+            for j in i * dims..(i + 1) * dims {
+                let d = s[j] - n[j];
+                acc += 0.5 * rho * d * d;
+            }
         }
         acc
     }

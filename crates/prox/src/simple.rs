@@ -41,9 +41,11 @@ impl LinearProx {
 impl ProxOp for LinearProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
         assert_eq!(self.g.len(), ctx.n.len(), "gradient length mismatch");
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
-            ctx.x[j] = ctx.n[j] - self.g[j] / rho;
+        let d = ctx.dims;
+        for (i, &rho) in ctx.rho.iter().enumerate() {
+            for j in i * d..(i + 1) * d {
+                ctx.x[j] = ctx.n[j] - self.g[j] / rho;
+            }
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -92,14 +94,42 @@ impl QuadraticProx {
     }
 }
 
+impl QuadraticProx {
+    /// The closed form over `rho.len()` edges of `d` components each: the
+    /// body for every shape. Inlined into [`Self::solve_fixed`] it *is*
+    /// the fixed-shape body, so the two cannot differ in a rounded
+    /// operation.
+    #[inline(always)]
+    fn solve(q: &[f64], g: &[f64], n: &[f64], rho: &[f64], x: &mut [f64], d: usize) {
+        for (i, &rho) in rho.iter().enumerate() {
+            for j in i * d..(i + 1) * d {
+                let denom = q[j] + rho;
+                assert!(denom > 0.0, "q + rho must stay positive (got {denom})");
+                x[j] = (rho * n[j] + g[j]) / denom;
+            }
+        }
+    }
+
+    /// [`Self::solve`] for a factor of `K` edges of `D` components: every
+    /// slice is cut to its compile-time length first, so the loops unroll
+    /// and the per-component bounds checks fold away.
+    fn solve_fixed<const K: usize, const D: usize>(&self, ctx: &mut ProxCtx<'_>) {
+        let (q, g) = (&self.q[..K * D], &self.g[..K * D]);
+        let (n, x) = (&ctx.n[..K * D], &mut ctx.x[..K * D]);
+        Self::solve(q, g, n, &ctx.rho[..K], x, D);
+    }
+}
+
 impl ProxOp for QuadraticProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
         assert_eq!(self.q.len(), ctx.n.len(), "quadratic length mismatch");
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
-            let denom = self.q[j] + rho;
-            assert!(denom > 0.0, "q + rho must stay positive (got {denom})");
-            ctx.x[j] = (rho * ctx.n[j] + self.g[j]) / denom;
+        // The shapes the paper families instantiate: packing's radius
+        // factor, the SVM's norm factor, MPC's stage cost.
+        match (ctx.rho.len(), ctx.dims) {
+            (1, 2) => self.solve_fixed::<1, 2>(ctx),
+            (1, 3) => self.solve_fixed::<1, 3>(ctx),
+            (1, 5) => self.solve_fixed::<1, 5>(ctx),
+            (_, d) => Self::solve(&self.q, &self.g, ctx.n, ctx.rho, ctx.x, d),
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -171,11 +201,13 @@ impl L1Prox {
 
 impl ProxOp for L1Prox {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
+        let d = ctx.dims;
+        for (i, &rho) in ctx.rho.iter().enumerate() {
             let t = self.lambda / rho;
-            let n = ctx.n[j];
-            ctx.x[j] = n.signum() * (n.abs() - t).max(0.0);
+            for j in i * d..(i + 1) * d {
+                let n = ctx.n[j];
+                ctx.x[j] = n.signum() * (n.abs() - t).max(0.0);
+            }
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -210,9 +242,12 @@ impl SemiLassoProx {
 
 impl ProxOp for SemiLassoProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
-        for j in 0..ctx.n.len() {
-            let rho = ctx.rho[j / ctx.dims];
-            ctx.x[j] = (ctx.n[j] - self.lambda / rho).max(0.0);
+        let d = ctx.dims;
+        for (i, &rho) in ctx.rho.iter().enumerate() {
+            let t = self.lambda / rho;
+            for j in i * d..(i + 1) * d {
+                ctx.x[j] = (ctx.n[j] - t).max(0.0);
+            }
         }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
@@ -231,13 +266,60 @@ impl ProxOp for SemiLassoProx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::assert_is_minimizer;
+    use crate::testing::{assert_is_minimizer, output_bits, seeded_blocks};
 
     fn run(op: &dyn ProxOp, n: &[f64], rho: &[f64], dims: usize) -> Vec<f64> {
         let mut x = vec![0.0; n.len()];
         let mut ctx = ProxCtx::new(n, rho, &mut x, dims);
         op.prox(&mut ctx);
         x
+    }
+
+    /// On the shapes with a fixed-shape body, `prox` must agree bit for
+    /// bit with the any-shape body run at a shape the compiler cannot
+    /// see, and with the formula as it stood before either existed (ρ
+    /// looked up per component) — curvatures of both signs and zero,
+    /// ±0 inputs and linear terms.
+    #[test]
+    fn quadratic_fixed_shapes_match_the_any_shape_body_bitwise() {
+        for (k, d) in [(1usize, 2usize), (1, 3), (1, 5)] {
+            let len = k * d;
+            for (case, (n, rho)) in seeded_blocks(k, d, 64).into_iter().enumerate() {
+                // q + ρ stays positive: ρ ≥ 0.25 and q > −0.2.
+                let q: Vec<f64> = n.iter().map(|v| 0.1 * v).collect();
+                let mut g: Vec<f64> = n.iter().rev().map(|v| 1.0 - v).collect();
+                g[case % len] = if case % 2 == 0 { 0.0 } else { -0.0 };
+                let op = QuadraticProx::diagonal(q, g);
+
+                let fixed = output_bits(len, |x| op.prox(&mut ProxCtx::new(&n, &rho, x, d)));
+                let any_shape = output_bits(len, |x| {
+                    let d = std::hint::black_box(d);
+                    QuadraticProx::solve(&op.q, &op.g, &n, &rho, x, d)
+                });
+                let before = output_bits(len, |x| {
+                    for j in 0..len {
+                        let rho = rho[j / d];
+                        x[j] = (rho * n[j] + op.g[j]) / (op.q[j] + rho);
+                    }
+                });
+                assert_eq!(fixed, any_shape, "({k}, {d}) case {case}");
+                assert_eq!(fixed, before, "({k}, {d}) case {case}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quadratic length mismatch")]
+    fn quadratic_fixed_shape_still_rejects_a_short_curvature() {
+        let op = QuadraticProx::diagonal(vec![1.0; 2], vec![0.0; 2]);
+        let _ = run(&op, &[0.0; 3], &[1.0], 3); // a fast-path shape, (1, 3)
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn quadratic_fixed_shape_still_rejects_degenerate_curvature() {
+        let op = QuadraticProx::diagonal(vec![0.0, 0.0, -1.0], vec![0.0; 3]);
+        let _ = run(&op, &[1.0; 3], &[1.0], 3); // q + rho = 0 in the last component
     }
 
     #[test]

@@ -80,11 +80,33 @@ struct SlackProx {
     lambda: f64,
 }
 
+impl SlackProx {
+    /// The thresholded component 0, the operator's one rounded expression.
+    #[inline(always)]
+    fn shrink(&self, n0: f64, rho: f64) -> f64 {
+        (n0 - self.lambda / rho).max(0.0)
+    }
+
+    /// The body for every shape: pass `n` through, threshold component 0.
+    fn prox_any_shape(&self, ctx: &mut ProxCtx<'_>) {
+        ctx.copy_n_to_x();
+        ctx.x[0] = self.shrink(ctx.n[0], ctx.rho[0]);
+    }
+}
+
 impl ProxOp for SlackProx {
     fn prox(&self, ctx: &mut ProxCtx<'_>) {
-        ctx.copy_n_to_x();
-        let rho = ctx.rho[0];
-        ctx.x[0] = (ctx.n[0] - self.lambda / rho).max(0.0);
+        // The shape the paper's 2-D data instantiates (one slack edge of
+        // dims = 3): the block moves as an array, with no copy call.
+        if let ([rho], Ok(n), Ok(x)) = (
+            ctx.rho,
+            <&[f64; 3]>::try_from(ctx.n),
+            <&mut [f64; 3]>::try_from(&mut *ctx.x),
+        ) {
+            *x = [self.shrink(n[0], *rho), n[1], n[2]];
+        } else {
+            self.prox_any_shape(ctx);
+        }
     }
     fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
         (degree * dims) as f64 + 4.0
@@ -292,6 +314,35 @@ mod tests {
     fn small_data(n: usize, dim: usize, sep: f64, seed: u64) -> Dataset {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         gaussian_mixture(n, dim, sep, &mut rng)
+    }
+
+    /// On the (1, 3) shape `SlackProx` moves the block as an array; it
+    /// must agree bit for bit with the any-shape body — slack pushed to
+    /// zero and kept positive, ±0 inputs and padding — and the any-shape
+    /// body must still serve every other dims.
+    #[test]
+    fn slack_array_body_matches_the_any_shape_body_bitwise() {
+        use paradmm_prox::testing::{output_bits, seeded_blocks};
+        let op = SlackProx { lambda: 0.75 };
+        let (mut clipped, mut kept) = (0, 0);
+        for (case, (n, rho)) in seeded_blocks(1, 3, 64).into_iter().enumerate() {
+            let fixed = output_bits(3, |x| op.prox(&mut ProxCtx::new(&n, &rho, x, 3)));
+            let any_shape = output_bits(3, |x| {
+                op.prox_any_shape(&mut ProxCtx::new(&n, &rho, x, 3));
+            });
+            assert_eq!(fixed, any_shape, "case {case}");
+            if f64::from_bits(fixed[0]) == 0.0 {
+                clipped += 1;
+            } else {
+                kept += 1;
+            }
+        }
+        assert!(clipped > 8 && kept > 8, "{clipped} / {kept}");
+
+        let (n, rho) = ([2.0, -0.0, 7.0, 0.0], [0.5]);
+        let x = output_bits(4, |x| op.prox(&mut ProxCtx::new(&n, &rho, x, 4)));
+        let want = [0.5f64, -0.0, 7.0, 0.0].map(f64::to_bits);
+        assert_eq!(x, want, "dims 4 takes the any-shape body");
     }
 
     #[test]
