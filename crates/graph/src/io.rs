@@ -222,7 +222,8 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 pub enum FrameError {
     /// The underlying reader/writer failed.
     Io(std::io::Error),
-    /// The length prefix exceeded [`MAX_FRAME_LEN`].
+    /// The length prefix read, or the payload offered for writing,
+    /// exceeded [`MAX_FRAME_LEN`].
     Oversized(usize),
     /// The stream ended mid-frame (after a partial prefix or payload).
     Truncated,
@@ -248,11 +249,46 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one `u32`-LE length-prefixed frame.
+/// Writes one `u32`-LE length-prefixed frame: the bytes on the wire are
+/// `(payload.len() as u32).to_le_bytes()` followed by `payload`, exactly
+/// what [`read_frame`] (and every earlier version of this function)
+/// expects, so old peers interoperate.
+///
+/// **One write per frame.** The prefix and the payload are handed to
+/// the writer together, as the two slices of a single
+/// [`write_vectored`](std::io::Write::write_vectored) call; the payload
+/// is never copied. On a `TcpStream` that is one `writev` for a frame
+/// of any size, so the prefix never travels alone. This matters on a
+/// socket: a prefix sent as a segment of its own leaves the payload
+/// behind it waiting, under Nagle's algorithm, for the peer's delayed
+/// ACK — a 40 ms timer per frame instead of microseconds. The call is
+/// repeated only when the writer accepts part of the frame. (A writer
+/// that keeps the default `write_vectored` takes the first non-empty
+/// slice per call and still produces the same stream.)
+///
+/// A payload beyond [`MAX_FRAME_LEN`] is refused with
+/// [`FrameError::Oversized`] before anything is written, so the stream
+/// stays frame-aligned and the caller may write another frame.
 pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> Result<(), FrameError> {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload exceeds cap");
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(payload.len()));
+    }
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let total = prefix.len() + payload.len();
+    // Bytes of `prefix ++ payload` the writer has accepted so far.
+    let mut sent = 0;
+    while sent < total {
+        let frame = [
+            std::io::IoSlice::new(&prefix[sent.min(prefix.len())..]),
+            std::io::IoSlice::new(&payload[sent.saturating_sub(prefix.len())..]),
+        ];
+        match w.write_vectored(&frame) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
@@ -574,6 +610,142 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    /// Writer that records what each `write` / `write_vectored` call
+    /// accepted, taking at most `cap` bytes per call — a socket whose
+    /// send buffer has `cap` bytes free.
+    struct CallLog {
+        calls: Vec<Vec<u8>>,
+        cap: usize,
+    }
+
+    impl CallLog {
+        fn accepting(cap: usize) -> Self {
+            CallLog {
+                calls: Vec::new(),
+                cap,
+            }
+        }
+    }
+
+    impl std::io::Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut call = Vec::new();
+            for buf in bufs {
+                let room = self.cap - call.len();
+                call.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            let accepted = call.len();
+            self.calls.push(call);
+            Ok(accepted)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    /// The encoding `write_frame` had when it issued two writes.
+    fn prefix_then_payload(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
+    #[test]
+    fn frame_prefix_never_travels_alone() {
+        const SOCKET_ROOM: usize = 16 << 10;
+        for len in [0usize, 1, 4092, 4096, 65_536, 1 << 20] {
+            let payload = patterned(len);
+            let wire = prefix_then_payload(&payload);
+
+            // A writer that takes whatever it is offered sees the whole
+            // frame in one call.
+            let mut w = CallLog::accepting(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls.len(), 1, "len {len}");
+            assert_eq!(w.calls[0], wire, "len {len}");
+
+            // One with 16 KiB of room gets the prefix and the first
+            // payload bytes together, and a frame that fits is one call.
+            let mut w = CallLog::accepting(SOCKET_ROOM);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.calls[0].len(), wire.len().min(SOCKET_ROOM), "len {len}");
+            assert_eq!(w.calls.len(), wire.len().div_ceil(SOCKET_ROOM), "len {len}");
+            assert_eq!(w.calls.concat(), wire, "len {len}");
+        }
+    }
+
+    #[test]
+    fn frame_survives_partial_writes() {
+        for len in [0usize, 1, 5, 4092, 4096] {
+            let payload = patterned(len);
+            let wire = prefix_then_payload(&payload);
+            for k in [1usize, 3, 7] {
+                let mut w = CallLog::accepting(k);
+                write_frame(&mut w, &payload).unwrap();
+                assert_eq!(w.calls.concat(), wire, "len {len}, {k} bytes per call");
+                assert!(w.calls.iter().all(|c| c.len() <= k));
+            }
+        }
+    }
+
+    /// Writer without a `write_vectored` of its own: std's default hands
+    /// it the first non-empty slice of each call.
+    struct PlainWriter(Vec<u8>);
+
+    impl std::io::Write for PlainWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_stream_is_the_same_through_a_non_vectored_writer() {
+        for len in [0usize, 1, 4096] {
+            let payload = patterned(len);
+            let mut w = PlainWriter(Vec::new());
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.0, prefix_then_payload(&payload), "len {len}");
+        }
+    }
+
+    #[test]
+    fn frame_write_stalled_at_zero_is_an_error() {
+        let mut w = CallLog::accepting(0);
+        assert!(matches!(
+            write_frame(&mut w, b"payload"),
+            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero
+        ));
+    }
+
+    #[test]
+    fn oversized_payload_refused_before_any_write() {
+        // Zeroed pages are never touched: the length check comes first.
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut w = CallLog::accepting(usize::MAX);
+        assert!(matches!(
+            write_frame(&mut w, &payload),
+            Err(FrameError::Oversized(n)) if n == MAX_FRAME_LEN + 1
+        ));
+        assert!(w.calls.is_empty(), "stream stays frame-aligned");
+        // The cap itself is a legal length, and the writer is still usable.
+        write_frame(&mut w, b"next").unwrap();
+        assert_eq!(w.calls.concat(), prefix_then_payload(b"next"));
     }
 
     /// Reader that yields `wire` one byte at a time, erroring with

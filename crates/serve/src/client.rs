@@ -74,10 +74,14 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a server.
+    /// Connects to a server. The socket runs with `TCP_NODELAY`: every
+    /// request is one whole frame, and with Nagle on it could wait for
+    /// the server's delayed ACK of the frame before it.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(ServeClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             graphs: HashMap::new(),
             ready: Vec::new(),
             next_id: 0,

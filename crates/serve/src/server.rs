@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -21,7 +21,7 @@ use std::time::Duration;
 use paradmm_graph::io::{read_frame_or_cancel, write_frame, FrameError};
 
 use crate::engine::{Completion, Engine, EngineConfig, EngineRequest};
-use crate::protocol::{decode_request, encode_response, ServedOutcome};
+use crate::protocol::{decode_request, encode_response, response_id, ServedOutcome};
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -155,18 +155,16 @@ fn accept_loop(
 /// request; a paired writer thread drains the response channel.
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // Whole frames in, whole frames out: nothing for Nagle to coalesce,
+    // and with it on a reply can sit behind the peer's delayed ACK. Set
+    // before the clone so both halves carry it; like the read timeout, a
+    // socket option that fails must not drop the connection.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        let mut stream = write_half;
-        for frame in rx {
-            if write_frame(&mut stream, &frame).is_err() {
-                break;
-            }
-        }
-    });
+    let writer = std::thread::spawn(move || writer_loop(write_half, rx));
 
     let mut stream = stream;
     loop {
@@ -208,6 +206,29 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// Drains one connection's response channel onto its socket until the
+/// channel closes or the transport fails.
+///
+/// A reply too large to frame is refused by [`write_frame`] before any
+/// byte is written, so the stream is still frame-aligned: that one
+/// request is answered with an error reply under its own id and the
+/// connection keeps serving.
+fn writer_loop(mut stream: TcpStream, frames: Receiver<Vec<u8>>) {
+    for frame in frames {
+        let written = match write_frame(&mut stream, &frame) {
+            Err(e @ FrameError::Oversized(_)) => {
+                let id = response_id(&frame).unwrap_or(u64::MAX);
+                let refusal = Err(format!("reply not sent: {e}"));
+                write_frame(&mut stream, &encode_response(id, &refusal))
+            }
+            other => other,
+        };
+        if written.is_err() {
+            break;
+        }
+    }
 }
 
 /// The engine thread: drain the inbox, step the engine, send
@@ -264,4 +285,45 @@ fn engine_loop(config: EngineConfig, shared: Arc<Shared>) -> Engine {
         }
     }
     engine
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::decode_response;
+    use paradmm_graph::io::{read_frame, MAX_FRAME_LEN};
+
+    #[test]
+    fn oversized_reply_becomes_an_error_reply_and_the_connection_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let (tx, rx) = channel::<Vec<u8>>();
+        let writer = std::thread::spawn(move || writer_loop(accepted, rx));
+
+        // A reply to request 7 one byte over the cap. Only the page
+        // holding the header is touched; the rest stays lazily zeroed.
+        let head = encode_response(7, &Err(String::new()));
+        let mut huge = vec![0u8; MAX_FRAME_LEN + 1];
+        huge[..head.len()].copy_from_slice(&head);
+        tx.send(huge).unwrap();
+        tx.send(encode_response(8, &Err("next".to_string())))
+            .unwrap();
+
+        let reply = read_frame(&mut client).unwrap().expect("refusal");
+        let (id, result) = decode_response(&reply, None).unwrap();
+        assert_eq!(id, 7, "the refusal answers the request it replaces");
+        let message = result.unwrap_err();
+        assert!(message.contains("exceeds cap"), "{message}");
+
+        // Nothing of the refused frame reached the wire: the next reply
+        // parses from the very next byte.
+        let reply = read_frame(&mut client).unwrap().expect("next reply");
+        let (id, result) = decode_response(&reply, None).unwrap();
+        assert_eq!((id, result.unwrap_err().as_str()), (8, "next"));
+
+        drop(tx);
+        writer.join().expect("writer thread does not panic");
+        assert!(read_frame(&mut client).unwrap().is_none(), "clean close");
+    }
 }

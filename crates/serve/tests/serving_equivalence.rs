@@ -4,8 +4,9 @@
 //! fused batch mid-flight and requests seeded from the warm-start
 //! cache.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use paradmm_core::{AdmmProblem, StopReason, StoppingCriteria};
 use paradmm_graph::io::{read_frame, write_frame};
@@ -204,4 +205,114 @@ fn undecodable_frame_reports_error_and_keeps_connection() {
     drop(stream);
     let engine = server.shutdown();
     assert_eq!(engine.stats().completed, 1);
+}
+
+/// Median, in milliseconds, of `samples` back-to-back calls of
+/// `round_trip` on an established connection: one call is made first and
+/// discarded (connection set-up, first-touch allocation).
+fn median_round_trip_ms(samples: usize, mut round_trip: impl FnMut() -> Duration) -> f64 {
+    round_trip();
+    let mut ms: Vec<f64> = (0..samples)
+        .map(|_| round_trip().as_secs_f64() * 1e3)
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// What the transport may add to a one-iteration solve. A segment held
+/// back by Nagle's algorithm waits for the peer's delayed-ACK timer —
+/// 40 ms, per direction — and a healthy loopback round trip reads
+/// 0.1–0.2 ms, so the bound sits 4× under the failure and 50× over the
+/// success.
+const ROUND_TRIP_BOUND_MS: f64 = 10.0;
+
+fn one_iteration() -> SolveRequest {
+    request(1, &[2.0, 4.0], StoppingCriteria::fixed_iterations(1))
+}
+
+/// The server's side alone: the client frames in memory, writes once and
+/// sets `TCP_NODELAY` itself, so any timer in the round trip is the
+/// server's. One request in flight waits if a reply's prefix leaves as a
+/// segment of its own with Nagle on; a burst of four waits if the
+/// accepted socket lacks `TCP_NODELAY`, because the second reply is then
+/// held until the client acknowledges the first.
+#[test]
+fn server_replies_do_not_wait_for_a_delayed_ack() {
+    let server = ServerHandle::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    let req = one_iteration();
+    let graph = req.problem().graph().clone();
+    for in_flight in [1u64, 4] {
+        let mut frames = Vec::new();
+        for id in 0..in_flight {
+            write_frame(&mut frames, &encode_request(id, &req, false).unwrap()).unwrap();
+        }
+        let median = median_round_trip_ms(20, || {
+            let start = Instant::now();
+            stream.write_all(&frames).unwrap();
+            for _ in 0..in_flight {
+                let reply = read_frame(&mut stream).unwrap().expect("reply");
+                let (_, result) = decode_response(&reply, Some(&graph)).unwrap();
+                assert_eq!(result.unwrap().iterations, 1);
+            }
+            start.elapsed()
+        });
+        assert!(
+            median < ROUND_TRIP_BOUND_MS,
+            "{in_flight} in flight: median round trip {median:.3} ms"
+        );
+    }
+
+    drop(stream);
+    server.shutdown();
+}
+
+/// Both sides as a library user gets them, through `ServeClient`.
+#[test]
+fn serve_client_does_not_wait_for_a_delayed_ack() {
+    let server = ServerHandle::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+
+    // `solve` with one request in flight.
+    let req = one_iteration();
+    let median = median_round_trip_ms(20, || {
+        let start = Instant::now();
+        assert_eq!(client.solve(&req, false).unwrap().iterations, 1);
+        start.elapsed()
+    });
+    assert!(
+        median < ROUND_TRIP_BOUND_MS,
+        "solve: median round trip {median:.3} ms"
+    );
+
+    // A request submitted right behind one the server is busy with: with
+    // Nagle on the client's socket it would stay in the send buffer until
+    // the server's delayed ACK of the first, instead of joining the
+    // running pack at the next repack boundary.
+    let long = StoppingCriteria {
+        max_iters: 100_000,
+        eps_abs: 0.0,
+        eps_rel: 0.0,
+        check_every: 25,
+    };
+    let median = median_round_trip_ms(5, || {
+        let start = Instant::now();
+        let busy = client
+            .submit(&slow_request(&[1.0, 5.0, 9.0], long), false)
+            .unwrap();
+        let quick = client.submit(&req, false).unwrap();
+        assert_eq!(client.recv(quick).unwrap().iterations, 1);
+        let waited = start.elapsed();
+        assert_eq!(client.recv(busy).unwrap().iterations, long.max_iters);
+        waited
+    });
+    assert!(
+        median < ROUND_TRIP_BOUND_MS,
+        "pipelined submit: median time to the quick reply {median:.3} ms"
+    );
+
+    drop(client);
+    server.shutdown();
 }

@@ -1,6 +1,7 @@
 //! Property-based coverage of the serve wire protocol: encode/decode
 //! roundtrips over arbitrary requests, rejection of every truncation
-//! point, and oversized-frame rejection at the transport layer.
+//! point, and the transport layer's framing: byte-exact encoding,
+//! back-to-back roundtrips, oversized and torn frames.
 
 use std::io::Cursor;
 use std::time::Duration;
@@ -211,6 +212,36 @@ proptest! {
         let bytes = encode_response(7, &Ok(served));
         let cut = ((bytes.len() as f64) * cut) as usize;
         prop_assert!(decode_response(&bytes[..cut], Some(&graph)).is_err());
+    }
+
+    /// Whatever the payloads, `write_frame` puts `len.to_le_bytes() ++
+    /// payload` on the stream — the encoding it had when it issued the
+    /// prefix and the payload as two writes, so old peers interoperate —
+    /// and `read_frame` takes back-to-back frames apart again.
+    #[test]
+    fn frames_keep_the_two_write_encoding_and_roundtrip(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(0u32..256, 0..600),
+            1..5,
+        ),
+    ) {
+        let payloads: Vec<Vec<u8>> = payloads
+            .iter()
+            .map(|bytes| bytes.iter().map(|&b| b as u8).collect())
+            .collect();
+        let mut wire = Vec::new();
+        let mut expected = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(payload);
+        }
+        prop_assert_eq!(&wire, &expected);
+        let mut cursor = Cursor::new(wire);
+        for payload in &payloads {
+            prop_assert_eq!(&read_frame(&mut cursor).unwrap().unwrap(), payload);
+        }
+        prop_assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
     }
 
     /// Error responses roundtrip without needing a graph.

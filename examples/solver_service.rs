@@ -13,6 +13,8 @@
 //!
 //! Run: `cargo run --release --example solver_service`
 
+use std::time::Instant;
+
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
 use paradmm::prelude::*;
 use paradmm::serve::{ServeClient, ServerConfig, ServerHandle};
@@ -68,7 +70,12 @@ fn main() {
     // The same controller one tick later: the warm-start cache seeds it
     // from the converged solution instead of zeros (bit-identical to a
     // solo solve given the same warm start).
-    let warm = client.solve(&mpc_request(0), true).expect("resubmit");
+    // Timed from the client: round trip minus the server-side solve time
+    // is everything the service adds — codec, queueing and the transport.
+    let tick = mpc_request(0);
+    let sent = Instant::now();
+    let warm = client.solve(&tick, true).expect("resubmit");
+    let round_trip = sent.elapsed();
     println!(
         "resubmitted request: {} iterations ({}), {:?}",
         warm.iterations,
@@ -78,6 +85,11 @@ fn main() {
             "cold"
         },
         warm.stop_reason,
+    );
+    println!(
+        "  client round trip {:.3} ms, server-side solve {:.3} ms",
+        round_trip.as_secs_f64() * 1e3,
+        warm.elapsed.as_secs_f64() * 1e3,
     );
 
     let engine = server.shutdown();
