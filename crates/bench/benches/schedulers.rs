@@ -1,6 +1,6 @@
 //! Criterion benchmarks: serial vs rayon (#1) vs barrier (#2) schedulers
-//! on one mid-size problem — the real-engine counterpart of the §III-A
-//! ablation.
+//! on one mid-size problem — the real-engine version of the paper's
+//! §III-A comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

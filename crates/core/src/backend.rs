@@ -3,10 +3,10 @@
 //!
 //! Every strategy for executing an ADMM iteration — serial loops, rayon
 //! data-parallel loops, persistent barrier-synchronized workers, atomic
-//! work-stealing workers, partition-local sharded workers with halo
-//! exchange ([`crate::ShardedBackend`]), probe-and-lock auto selection,
-//! the asynchronous activation engine, the simulated GPU in
-//! `paradmm-gpusim`, and any future backend (real CUDA) — implements
+//! work-stealing workers, partition-local shard workers with a halo
+//! exchange ([`crate::StaleBoundedBackend`]), probe-and-lock auto
+//! selection, the simulated GPU in `paradmm-gpusim`, and any future
+//! backend (real CUDA) — implements
 //! [`SweepExecutor`]. The [`crate::Solver`] drives whichever backend it
 //! is given through the same convergence loop, so a new backend is a
 //! drop-in `impl`, not another enum arm.
@@ -21,11 +21,11 @@
 //! — exists exactly once, in [`crate::kernels`].
 //!
 //! The synchronous backends (serial, rayon, barrier, work-stealing,
-//! sharded, fleet, stale at `k = 0`, and auto, which locks in one of
+//! fleet, the halo executor at `k = 0`, and auto, which locks in one of
 //! them) are *bit-identical* to each other by construction (the
 //! z-average is deterministic per variable regardless of scheduling);
-//! [`AsyncBackend`] — the bounded-staleness executor at `k ≥ 1` — is
-//! not, and converges instead — see its docs.
+//! the halo executor at `k ≥ 1` (the `async` spec) is not, and converges
+//! instead — see [`StaleBoundedBackend`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -124,10 +124,9 @@ pub trait SweepExecutor: Send {
     /// anything. The default is a no-op: most backends split work from
     /// the (already cost-aware) [`SweepPlan`] each block, so a replan
     /// that installs a new plan on the problem reaches them with no
-    /// backend-side state to rebuild. Partition-holding backends
-    /// ([`crate::ShardedBackend`], [`crate::StaleBoundedBackend`])
-    /// override this to re-grow their factor partition under the new
-    /// weights.
+    /// backend-side state to rebuild. The partition-holding
+    /// [`StaleBoundedBackend`] overrides this to re-grow its factor
+    /// partition under the new weights.
     fn repartition(&mut self, _problem: &AdmmProblem, _costs: &SweepCosts) -> bool {
         false
     }
@@ -1130,89 +1129,6 @@ fn run_worksteal(
     t.merge(&collected);
 }
 
-/// Asynchronous execution as a backend — the paper's future-work item 1,
-/// run on the bounded-staleness sharded executor
-/// ([`StaleBoundedBackend`]) with a default staleness of
-/// [`AsyncBackend::DEFAULT_STALENESS`] iteration.
-///
-/// Historically this backend ran the seed-era activation engine
-/// ([`crate::run_async`], which survives as the documented scalar
-/// reference); it now routes through the watermark protocol: one worker
-/// per shard, no global barriers, halo reads up to `k` iterations
-/// stale. Iterates are *not* bit-identical to the synchronous backends
-/// for `k ≥ 1` (neighbors see bounded-stale `z`); on convex problems it
-/// converges to the same fixed point, which is what the equivalence
-/// suite asserts. Unlike the retired activation loop — which snapshotted
-/// no parity at all and recomputed `z` incrementally — the stale
-/// executor inherits the PR 5 `swap_z` buffer-parity scheme from the
-/// sharded path, so `z_prev` is maintained without full copies and the
-/// solver's `z`-based residuals are meaningful.
-///
-/// Per-kind timing follows the sharded convention (x/m split where the
-/// plan is unfused; z covers the interior update + staging + waits).
-pub struct AsyncBackend {
-    inner: StaleBoundedBackend,
-}
-
-impl AsyncBackend {
-    /// Staleness bound used by [`AsyncBackend::new`]: one iteration of
-    /// drift buys zero phase-waits while staying close to the
-    /// synchronous trajectory.
-    pub const DEFAULT_STALENESS: usize = 1;
-
-    /// Backend with `threads` asynchronous workers (one shard each) and
-    /// the default staleness bound.
-    ///
-    /// # Panics
-    /// If `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        Self::with_staleness(threads, Self::DEFAULT_STALENESS)
-    }
-
-    /// Backend with `threads` workers and an explicit staleness bound
-    /// `k` (`k = 0` is the synchronous sharded schedule, bit-identical
-    /// to [`SerialBackend`]).
-    ///
-    /// # Panics
-    /// If `threads == 0`.
-    pub fn with_staleness(threads: usize, staleness: usize) -> Self {
-        assert!(threads >= 1, "async backend needs at least one thread");
-        AsyncBackend {
-            inner: StaleBoundedBackend::new(threads, staleness),
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.inner.parts()
-    }
-
-    /// The staleness bound `k`.
-    pub fn staleness(&self) -> usize {
-        self.inner.staleness()
-    }
-}
-
-impl SweepExecutor for AsyncBackend {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn execute(
-        &mut self,
-        problem: &AdmmProblem,
-        store: &mut VarStore,
-        iters: usize,
-        t: &mut UpdateTimings,
-    ) {
-        self.inner.execute(problem, store, iters, t);
-    }
-
-    fn repartition(&mut self, problem: &AdmmProblem, costs: &SweepCosts) -> bool {
-        self.inner.repartition(problem, costs)
-    }
-}
-
 /// Self-tuning backend: probes every candidate on a short warmup of the
 /// *actual* problem, locks in the fastest, and runs it from then on —
 /// the paper's "automatic per-operator tuning" future-work item made
@@ -1232,13 +1148,13 @@ impl SweepExecutor for AsyncBackend {
 /// problem, the probe falls through to [`SerialBackend`], which supports
 /// everything.
 ///
-/// The default candidate set ([`AutoBackend::new`]) is the seven
-/// synchronous CPU backends — Serial, Rayon, Barrier, WorkStealing,
-/// Sharded, Fleet (whose single-instance degenerate form is a
-/// barrier-free chunk-claiming executor), and the bounded-staleness
-/// executor at `k = 0` (watermark waits instead of barriers, still the
-/// synchronous schedule) — all bit-identical by construction, so
-/// whichever one wins, the iterates match [`SerialBackend`] exactly.
+/// The default candidate set ([`AutoBackend::new`]) is the six
+/// synchronous CPU backends — Serial, Rayon, Barrier, WorkStealing, the
+/// halo executor at `k = 0` (shard workers synchronized by watermark
+/// waits, labelled `sharded`), and Fleet (whose single-instance
+/// degenerate form is a barrier-free chunk-claiming executor) — all
+/// bit-identical by construction, so whichever one wins, the iterates
+/// match [`SerialBackend`] exactly.
 /// Custom candidate sets ([`AutoBackend::with_candidates`]) carry
 /// whatever equivalence their members guarantee.
 pub struct AutoBackend {
@@ -1249,10 +1165,9 @@ pub struct AutoBackend {
 }
 
 impl AutoBackend {
-    /// Auto-selection over the seven synchronous CPU backends, each
-    /// configured for `threads` workers (the sharded and stale
-    /// candidates run one shard per worker; stale probes at `k = 0`, its
-    /// bit-identical configuration).
+    /// Auto-selection over the six synchronous CPU backends, each
+    /// configured for `threads` workers (the halo executor runs one
+    /// shard per worker at `k = 0`, its bit-identical configuration).
     ///
     /// # Panics
     /// If `threads == 0`.
@@ -1262,9 +1177,8 @@ impl AutoBackend {
             Box::new(RayonBackend::new(Some(threads))),
             Box::new(BarrierBackend::new(threads)),
             Box::new(WorkStealingBackend::new(threads)),
-            Box::new(crate::sharded::ShardedBackend::new(threads)),
-            Box::new(crate::fleet::FleetBackend::new(threads)),
             Box::new(StaleBoundedBackend::new(threads, 0)),
+            Box::new(crate::fleet::FleetBackend::new(threads)),
         ])
     }
 
@@ -1477,16 +1391,8 @@ mod tests {
         let b = solve_with(&mut auto, 50);
         assert_eq!(a, b);
         let name = auto.selected().expect("probe must lock in");
-        assert!([
-            "serial",
-            "rayon",
-            "barrier",
-            "worksteal",
-            "sharded",
-            "fleet"
-        ]
-        .contains(&name));
-        assert!(!auto.probe_report().is_empty());
+        assert_eq!(auto.probe_report().len(), 6, "one row per candidate");
+        assert!(auto.probe_report().iter().any(|&(n, _)| n == name));
         assert!(auto.probe_report().iter().all(|&(_, s)| s > 0.0));
         // The probe picks the argmin of its own report.
         let best = auto
@@ -1576,7 +1482,7 @@ mod tests {
 
     #[test]
     fn async_backend_converges_to_mean() {
-        let z = solve_with(&mut AsyncBackend::new(2), 800);
+        let z = solve_with(&mut StaleBoundedBackend::new(2, 1), 800);
         assert!((z - 5.0).abs() < 1e-4, "z = {z}");
     }
 
@@ -1589,7 +1495,7 @@ mod tests {
         let mut store = VarStore::zeros(problem.graph());
         store.z.fill(1e3);
         let mut t = UpdateTimings::new();
-        AsyncBackend::new(2).run_block(&problem, &mut store, 800, &mut t);
+        StaleBoundedBackend::new(2, 1).run_block(&problem, &mut store, 800, &mut t);
         assert!((store.z[0] - 5.0).abs() < 1e-4, "z = {}", store.z[0]);
     }
 
@@ -1622,10 +1528,10 @@ mod tests {
         assert_eq!(SerialBackend.name(), "serial");
         assert_eq!(RayonBackend::new(None).name(), "rayon");
         assert_eq!(BarrierBackend::new(2).name(), "barrier");
-        assert_eq!(AsyncBackend::new(2).name(), "async");
+        assert_eq!(StaleBoundedBackend::new(2, 1).name(), "async");
         assert_eq!(WorkStealingBackend::new(2).name(), "worksteal");
         assert_eq!(AutoBackend::new(2).name(), "auto");
-        assert_eq!(crate::sharded::ShardedBackend::new(2).name(), "sharded");
+        assert_eq!(StaleBoundedBackend::new(2, 0).name(), "sharded");
         assert_eq!(crate::fleet::FleetBackend::new(2).name(), "fleet");
     }
 

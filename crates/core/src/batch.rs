@@ -23,10 +23,10 @@
 //!   keep their ordinary `assign_range` / chunk-claim scheduling with
 //!   no holes to skip — stragglers get the whole machine.
 //!
-//! Instances are natural shards: with
-//! [`crate::Scheduler::Sharded`], each (re)pack installs a fresh
-//! [`ShardedBackend`] over the layout's **zero-cut** partition (whole
-//! instances per shard, empty halo).
+//! Instances are natural shards: with [`BackendSpec::Sharded`], each
+//! (re)pack installs a fresh [`StaleBoundedBackend`] at `k = 0` over the
+//! layout's **zero-cut** partition (whole instances per shard, empty
+//! halo).
 //!
 //! Each (re)pack installs the default fused three-pass
 //! [`crate::SweepPlan`] on the fused problem at pack time, cached by
@@ -49,9 +49,9 @@ use crate::backend::SweepExecutor;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
 use crate::residuals::Residuals;
-use crate::scheduler::Scheduler;
-use crate::sharded::ShardedBackend;
 use crate::solver::{SolverOptions, StopReason};
+use crate::spec::{default_threads, BackendSpec};
+use crate::stale::StaleBoundedBackend;
 use crate::timing::UpdateTimings;
 
 /// Per-instance outcome of a batched solve.
@@ -169,15 +169,15 @@ pub struct BatchSolver {
 
 impl BatchSolver {
     /// Batches `problems` with zero-initialized state; the backend comes
-    /// from [`SolverOptions::scheduler`]. With
-    /// [`Scheduler::Sharded`], the shard partition is the layout's
-    /// zero-cut instance partition instead of BFS growing.
+    /// from [`SolverOptions::backend`]. With [`BackendSpec::Sharded`],
+    /// the shard partition is the layout's zero-cut instance partition
+    /// instead of BFS growing.
     ///
     /// # Panics
     /// If `problems` is empty or the instances disagree on `dims`.
     pub fn new(problems: Vec<AdmmProblem>, options: SolverOptions) -> Self {
-        let sharded_parts = match options.scheduler {
-            Scheduler::Sharded { parts } => Some(parts),
+        let sharded_parts = match options.backend {
+            BackendSpec::Sharded { parts } => Some(parts.unwrap_or_else(default_threads)),
             _ => None,
         };
         // The sharded backend is (re)built per pack; install a serial
@@ -185,18 +185,18 @@ impl BatchSolver {
         let backend: Box<dyn SweepExecutor> = if sharded_parts.is_some() {
             Box::new(crate::backend::SerialBackend)
         } else {
-            options.scheduler.to_backend()
+            options.backend.to_backend()
         };
         Self::build(problems, options, backend, sharded_parts)
     }
 
     /// Batches `problems` behind an explicit backend.
-    /// [`SolverOptions::scheduler`] is ignored. The backend must
+    /// [`SolverOptions::backend`] is ignored. The backend must
     /// tolerate the executed problem changing shape across blocks
     /// (every built-in backend does; a
-    /// [`ShardedBackend::with_partition`] pinned to one topology does
-    /// not — use [`Scheduler::Sharded`] through [`BatchSolver::new`]
-    /// for sharded batching instead).
+    /// [`StaleBoundedBackend::with_partition`] pinned to one topology
+    /// does not — use [`BackendSpec::Sharded`] through
+    /// [`BatchSolver::new`] for sharded batching instead).
     ///
     /// # Panics
     /// If `problems` is empty or the instances disagree on `dims`.
@@ -268,7 +268,7 @@ impl BatchSolver {
     pub fn from_requests(requests: Vec<crate::SolveRequest>) -> Self {
         let (problems, warm, stopping, backend) = crate::request::group_parts(requests);
         let options = SolverOptions {
-            scheduler: backend.to_scheduler(),
+            backend,
             stopping,
             ..SolverOptions::default()
         };
@@ -468,7 +468,10 @@ impl BatchSolver {
             // Instances are natural shards: a fresh backend over the
             // zero-cut instance partition, rebuilt because the fused
             // topology changes on every repack.
-            self.backend = Box::new(ShardedBackend::with_partition(layout.partition(parts)));
+            self.backend = Box::new(StaleBoundedBackend::with_partition(
+                layout.partition(parts),
+                0,
+            ));
         }
         self.active = Some(ActiveSet {
             problem,
@@ -691,8 +694,8 @@ mod tests {
 
     #[test]
     fn batch_matches_solo_on_every_sync_descriptor() {
-        let options_for = |scheduler| SolverOptions {
-            scheduler,
+        let options_for = |backend| SolverOptions {
+            backend,
             ..SolverOptions::default()
         };
         let solo: Vec<(VarStore, usize)> = mixed_instances()
@@ -702,23 +705,23 @@ mod tests {
                 (s, it)
             })
             .collect();
-        for scheduler in [
-            Scheduler::Serial,
-            Scheduler::Rayon { threads: Some(2) },
-            Scheduler::Barrier { threads: 2 },
-            Scheduler::WorkSteal { threads: 2 },
-            Scheduler::Sharded { parts: 2 },
-            Scheduler::Auto { threads: 2 },
+        for spec in [
+            BackendSpec::Serial,
+            BackendSpec::Rayon { threads: Some(2) },
+            BackendSpec::Barrier { threads: Some(2) },
+            BackendSpec::WorkSteal { threads: Some(2) },
+            BackendSpec::Sharded { parts: Some(2) },
+            BackendSpec::Auto { threads: Some(2) },
         ] {
-            let mut batch = BatchSolver::new(mixed_instances(), options_for(scheduler));
+            let mut batch = BatchSolver::new(mixed_instances(), options_for(spec));
             let report = batch.run(600);
             for (i, (store, iters)) in solo.iter().enumerate() {
                 assert_eq!(
                     report.instances[i].iterations, *iters,
-                    "{scheduler:?} instance {i} iterations"
+                    "{spec} instance {i} iterations"
                 );
-                assert_eq!(batch.store(i).z, store.z, "{scheduler:?} instance {i}");
-                assert_eq!(batch.store(i).u, store.u, "{scheduler:?} instance {i}");
+                assert_eq!(batch.store(i).z, store.z, "{spec} instance {i}");
+                assert_eq!(batch.store(i).u, store.u, "{spec} instance {i}");
             }
         }
     }
@@ -788,7 +791,7 @@ mod tests {
     #[test]
     fn sharded_descriptor_uses_zero_cut_partition() {
         let options = SolverOptions {
-            scheduler: Scheduler::Sharded { parts: 2 },
+            backend: BackendSpec::Sharded { parts: Some(2) },
             ..SolverOptions::default()
         };
         let mut batch = BatchSolver::new(mixed_instances(), options);

@@ -24,8 +24,8 @@ use crate::timing::SweepCosts;
 /// Renders a human-readable report of a compiled [`SweepPlan`] and the
 /// measured [`SweepCosts`] it was built from: pass layout, barrier
 /// count, operator imbalance, and the predicted serial iteration cost.
-/// Used by `examples/heterogeneous_prox.rs` and the `fused_ablation`
-/// bench to show *why* the planner chose its chunks and splits.
+/// Used by `examples/heterogeneous_prox.rs` to show *why* the planner
+/// chose its chunks and splits.
 pub fn plan_report(plan: &SweepPlan, costs: &SweepCosts, problem: &AdmmProblem) -> String {
     let g = problem.graph();
     let mut out = String::new();
@@ -339,8 +339,8 @@ impl FleetDiagnostics {
 
 /// Renders a human-readable report of fleet assist telemetry in the
 /// style of [`plan_report`]: per-worker claim/migration/idle counters
-/// plus the fleet-wide instance distribution. Used by the
-/// `ablation_fleet` bench to show *where* workers spent their claims.
+/// plus the fleet-wide instance distribution — *where* workers spent
+/// their claims.
 pub fn fleet_report(diag: &FleetDiagnostics) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -489,9 +489,8 @@ impl Trace {
 /// Structured per-run telemetry as one JSON document: the residual
 /// trajectory ([`Trace::to_json`], each sample with the state's
 /// [`subnormal_count`] as `"subnormals"`) plus the per-pass wall-clock
-/// breakdown from [`crate::UpdateTimings`] — what the ablation bins
-/// write when given `--trace <file>`, and what the StandardRunbook-style
-/// observability docs in ROADMAP ask every long run to leave behind.
+/// breakdown from [`crate::UpdateTimings`] — what a long run leaves
+/// behind for later inspection.
 pub fn run_trace_json(
     label: &str,
     trace: &Trace,

@@ -59,7 +59,7 @@ use paradmm_prox::{ProxCtx, ProxOp};
 
 /// Which element-wise kernel bodies the executors run (see module docs).
 /// Both choices produce bit-identical iterates; `Scalar` exists so the
-/// SIMD ablation can measure the specialization honestly.
+/// specialization can be measured honestly against the seed loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelDispatch {
     /// The original runtime-`dims` scalar loops.
@@ -1171,12 +1171,10 @@ pub fn n_update_range_stream(
 /// spinning at every phase barrier with no work while loaded workers sat
 /// further down the thread list.
 ///
-/// This is the single balanced-split helper shared by every static
-/// partitioner: the barrier backend's per-thread sweep ranges and the
-/// sharded backend's halo-reduce tiling both call it, so the
-/// front-loading regression tests below guard both call sites (the
-/// sharded one additionally via
-/// `sharded::tests::more_shards_than_halo_vars_front_loads_reduce`).
+/// This is the single balanced-split helper behind every static
+/// partition ([`crate::Pass::split`]'s uniform case, which the barrier
+/// backend's per-thread sweep ranges use), so the front-loading
+/// regression tests below guard that call site.
 #[inline]
 pub fn assign_range(n_items: usize, part: usize, n_parts: usize) -> (usize, usize) {
     debug_assert!(part < n_parts, "part {part} out of range for {n_parts}");

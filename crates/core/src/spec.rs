@@ -1,12 +1,8 @@
-//! Parseable backend descriptor: the string form of the execution
-//! strategy.
+//! Parseable backend descriptor: the one value that names an execution
+//! strategy, in process and as text.
 //!
-//! The legacy [`Scheduler`] enum is a fine in-process descriptor but has
-//! no canonical text form, so every binary that took a `--backend` flag
-//! grew its own ad-hoc `match` over strings (and `compare.rs` grew a
-//! special case to strip `auto:<pick>` suffixes out of bench labels).
-//! [`BackendSpec`] replaces all of that with one `FromStr`/`Display`
-//! roundtrip:
+//! [`BackendSpec`] has one `FromStr`/`Display` roundtrip, so every binary
+//! that takes a `--backend` flag shares one grammar:
 //!
 //! ```text
 //! serial | rayon[:N] | barrier[:N] | async[:N] | worksteal[:N]
@@ -15,28 +11,27 @@
 //!
 //! An omitted `:N` means "backend default" (rayon's global pool, or the
 //! host's available parallelism), and `Display` preserves the omission,
-//! so `parse ∘ to_string` is the identity. The legacy bench-label form
-//! `auto:<backend-name>` (an [`crate::AutoBackend`] that recorded its
-//! pick) also parses, canonicalizing to plain `auto` — that is the
-//! special case this type absorbs from `compare.rs`.
+//! so `parse ∘ to_string` is the identity.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::backend::SweepExecutor;
-use crate::scheduler::Scheduler;
+use crate::backend::{
+    AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor, WorkStealingBackend,
+};
+use crate::fleet::FleetBackend;
+use crate::stale::StaleBoundedBackend;
 
 /// Worker-count used when a spec omits `:N` and the backend needs a
 /// concrete count.
-fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(2)
 }
 
-/// Parseable descriptor of the built-in execution backends — the
-/// [`Scheduler`] family with a stable text form. See the module docs
-/// for the grammar.
+/// Parseable descriptor of the built-in execution backends, with a
+/// stable text form. See the module docs for the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendSpec {
     /// [`crate::SerialBackend`].
@@ -52,7 +47,9 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::AsyncBackend`] (convergent, not bit-identical).
+    /// [`StaleBoundedBackend`] at staleness `k = 1`: one shard per
+    /// worker, halo reads up to one iteration stale (convergent, not
+    /// bit-identical).
     Async {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -62,7 +59,9 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::ShardedBackend`].
+    /// [`StaleBoundedBackend`] at staleness `k = 0`: one shard per worker
+    /// with a real per-iteration halo exchange, bit-identical to
+    /// [`SerialBackend`].
     Sharded {
         /// Shard count, `None` = available parallelism.
         parts: Option<usize>,
@@ -121,60 +120,20 @@ impl BackendSpec {
         }
     }
 
-    /// Resolves the spec to the legacy [`Scheduler`] descriptor,
-    /// substituting the host's available parallelism for an omitted
-    /// count (except `rayon`, whose `None` means the global pool).
-    pub fn to_scheduler(&self) -> Scheduler {
+    /// Constructs the backend this spec names, substituting the host's
+    /// available parallelism for an omitted count (except `rayon`, whose
+    /// `None` means the global pool).
+    pub fn to_backend(&self) -> Box<dyn SweepExecutor> {
         let n = |t: Option<usize>| t.unwrap_or_else(default_threads);
         match *self {
-            BackendSpec::Serial => Scheduler::Serial,
-            BackendSpec::Rayon { threads } => Scheduler::Rayon { threads },
-            BackendSpec::Barrier { threads } => Scheduler::Barrier {
-                threads: n(threads),
-            },
-            BackendSpec::Async { threads } => Scheduler::Async {
-                threads: n(threads),
-            },
-            BackendSpec::WorkSteal { threads } => Scheduler::WorkSteal {
-                threads: n(threads),
-            },
-            BackendSpec::Sharded { parts } => Scheduler::Sharded { parts: n(parts) },
-            BackendSpec::Fleet { threads } => Scheduler::Fleet {
-                threads: n(threads),
-            },
-            BackendSpec::Auto { threads } => Scheduler::Auto {
-                threads: n(threads),
-            },
-        }
-    }
-
-    /// Constructs the backend this spec names.
-    pub fn to_backend(&self) -> Box<dyn SweepExecutor> {
-        self.to_scheduler().to_backend()
-    }
-}
-
-impl From<Scheduler> for BackendSpec {
-    fn from(s: Scheduler) -> Self {
-        match s {
-            Scheduler::Serial => BackendSpec::Serial,
-            Scheduler::Rayon { threads } => BackendSpec::Rayon { threads },
-            Scheduler::Barrier { threads } => BackendSpec::Barrier {
-                threads: Some(threads),
-            },
-            Scheduler::Async { threads } => BackendSpec::Async {
-                threads: Some(threads),
-            },
-            Scheduler::WorkSteal { threads } => BackendSpec::WorkSteal {
-                threads: Some(threads),
-            },
-            Scheduler::Sharded { parts } => BackendSpec::Sharded { parts: Some(parts) },
-            Scheduler::Fleet { threads } => BackendSpec::Fleet {
-                threads: Some(threads),
-            },
-            Scheduler::Auto { threads } => BackendSpec::Auto {
-                threads: Some(threads),
-            },
+            BackendSpec::Serial => Box::new(SerialBackend),
+            BackendSpec::Rayon { threads } => Box::new(RayonBackend::new(threads)),
+            BackendSpec::Barrier { threads } => Box::new(BarrierBackend::new(n(threads))),
+            BackendSpec::Async { threads } => Box::new(StaleBoundedBackend::new(n(threads), 1)),
+            BackendSpec::WorkSteal { threads } => Box::new(WorkStealingBackend::new(n(threads))),
+            BackendSpec::Sharded { parts } => Box::new(StaleBoundedBackend::new(n(parts), 0)),
+            BackendSpec::Fleet { threads } => Box::new(FleetBackend::new(n(threads))),
+            BackendSpec::Auto { threads } => Box::new(AutoBackend::new(n(threads))),
         }
     }
 }
@@ -220,11 +179,6 @@ impl FromStr for BackendSpec {
             None => None,
             Some(a) => match a.parse::<usize>() {
                 Ok(n) if n >= 1 => Some(n),
-                // The legacy recorded-pick label `auto:<backend>` from
-                // AutoBackend bench rows: canonicalize to plain auto.
-                _ if family == "auto" && BACKEND_FAMILIES.contains(&a) => {
-                    return Ok(BackendSpec::Auto { threads: None });
-                }
                 _ => return Err(err()),
             },
         };
@@ -276,17 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_auto_pick_labels_canonicalize() {
-        for label in ["auto:serial", "auto:worksteal", "auto:fleet"] {
-            assert_eq!(
-                label.parse::<BackendSpec>().unwrap(),
-                BackendSpec::Auto { threads: None },
-                "{label}"
-            );
-        }
-    }
-
-    #[test]
     fn junk_rejected() {
         for junk in [
             "",
@@ -296,6 +239,7 @@ mod tests {
             "worksteal:two",
             "rayon:-1",
             "auto:warp",
+            "auto:serial",
             "fleet[2t]",
             "batched[worksteal]",
         ] {
@@ -304,35 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn resolves_to_matching_scheduler_and_backend() {
-        assert_eq!(
-            "worksteal:3".parse::<BackendSpec>().unwrap().to_scheduler(),
-            Scheduler::WorkSteal { threads: 3 }
-        );
-        assert_eq!(
-            "rayon".parse::<BackendSpec>().unwrap().to_scheduler(),
-            Scheduler::Rayon { threads: None }
-        );
+    fn resolves_to_matching_backend() {
         for family in BACKEND_FAMILIES {
             let spec: BackendSpec = family.parse().unwrap();
             assert_eq!(spec.to_backend().name(), family);
-        }
-    }
-
-    #[test]
-    fn scheduler_conversion_roundtrips_family() {
-        for scheduler in [
-            Scheduler::Serial,
-            Scheduler::Rayon { threads: Some(2) },
-            Scheduler::Barrier { threads: 2 },
-            Scheduler::Async { threads: 2 },
-            Scheduler::WorkSteal { threads: 2 },
-            Scheduler::Sharded { parts: 2 },
-            Scheduler::Fleet { threads: 2 },
-            Scheduler::Auto { threads: 2 },
-        ] {
-            let spec = BackendSpec::from(scheduler);
-            assert_eq!(spec.to_scheduler(), scheduler);
         }
     }
 }

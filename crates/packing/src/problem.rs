@@ -1,7 +1,7 @@
 //! Factor-graph construction for the packing problem (paper Figure 6).
 
 use paradmm_core::{
-    AdmmProblem, ProxOp, Scheduler, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
+    AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
 use paradmm_graph::{GraphBuilder, VarId, VarStore};
 use paradmm_prox::{HalfspaceProx, QuadraticProx};
@@ -205,9 +205,9 @@ impl PackingProblem {
         config: PackingConfig,
         iters: usize,
         seed: u64,
-        scheduler: Scheduler,
+        backend: BackendSpec,
     ) -> (PackingSolution, PackingProblem) {
-        Self::solve_with_backend(config, iters, seed, scheduler.to_backend())
+        Self::solve_with_backend(config, iters, seed, backend.to_backend())
     }
 
     /// Build, randomly initialize, and run `iters` iterations on any
@@ -221,7 +221,7 @@ impl PackingProblem {
         use rand::SeedableRng;
         let (packing, admm) = PackingProblem::build(config);
         let options = SolverOptions {
-            scheduler: Scheduler::Serial, // ignored by from_problem_with_backend
+            backend: BackendSpec::Serial, // ignored by from_problem_with_backend
             rho: packing.config.rho,
             alpha: packing.config.alpha,
             stopping: StoppingCriteria::fixed_iterations(iters),
@@ -266,7 +266,7 @@ mod tests {
             rho: 2.0,
             alpha: 1.0,
         };
-        let (solution, packing) = PackingProblem::solve(config, 3000, 7, Scheduler::Serial);
+        let (solution, packing) = PackingProblem::solve(config, 3000, 7, BackendSpec::Serial);
         let d = &solution.disks[0];
         // Equilateral triangle side 1: inradius = 1/(2√3) ≈ 0.2887.
         let inradius = 1.0 / (2.0 * 3.0_f64.sqrt());
@@ -289,7 +289,7 @@ mod tests {
             rho: 2.5,
             alpha: 1.0,
         };
-        let (solution, packing) = PackingProblem::solve(config, 4000, 3, Scheduler::Serial);
+        let (solution, packing) = PackingProblem::solve(config, 4000, 3, BackendSpec::Serial);
         assert!(
             solution.worst_overlap() > -0.02,
             "overlap {}",
@@ -310,7 +310,7 @@ mod tests {
             rho: 2.0,
             alpha: 1.0,
         };
-        let (solution, packing) = PackingProblem::solve(config, 4000, 11, Scheduler::Serial);
+        let (solution, packing) = PackingProblem::solve(config, 4000, 11, BackendSpec::Serial);
         assert!(solution.worst_overlap() > -0.05);
         assert!(solution.worst_wall_violation(&packing.config().container) > -0.05);
         let coverage = solution.covered_area() / packing.config().container.area();
@@ -328,8 +328,8 @@ mod tests {
     fn rayon_scheduler_gives_identical_result() {
         let c1 = PackingConfig::new(4);
         let c2 = PackingConfig::new(4);
-        let (a, _) = PackingProblem::solve(c1, 200, 5, Scheduler::Serial);
-        let (b, _) = PackingProblem::solve(c2, 200, 5, Scheduler::Rayon { threads: Some(2) });
+        let (a, _) = PackingProblem::solve(c1, 200, 5, BackendSpec::Serial);
+        let (b, _) = PackingProblem::solve(c2, 200, 5, BackendSpec::Rayon { threads: Some(2) });
         for (da, db) in a.disks.iter().zip(&b.disks) {
             assert_eq!(da.c, db.c);
             assert_eq!(da.r, db.r);

@@ -57,7 +57,7 @@ use crate::protocol::request_fingerprint;
 /// Which execution path served a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// One-at-a-time execution ([`ServeMode::Solo`], the ablation
+    /// One-at-a-time execution ([`ServeMode::Solo`], the unbatched
     /// baseline).
     Solo,
     /// The continuously-batched fused pack.
@@ -262,7 +262,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             cache: WarmStartCache::new(config.cache_capacity),
-            backend: config.backend.to_scheduler().to_backend(),
+            backend: config.backend.to_backend(),
             config,
             queue: Vec::new(),
             pack: None,
@@ -409,7 +409,7 @@ impl Engine {
             }
             let problem = AdmmProblem::with_params(p.graph, p.proxes, p.params);
             let options = SolverOptions {
-                scheduler: self.config.backend.to_scheduler(),
+                backend: self.config.backend,
                 stopping: p.stopping,
                 ..SolverOptions::default()
             };

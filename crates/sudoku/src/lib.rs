@@ -20,7 +20,7 @@
 //! parallelize well. Easy instances solve in a few hundred iterations;
 //! the solver supports random restarts for harder ones.
 
-use paradmm_core::{AdmmProblem, ProxOp, Scheduler, Solver, SolverOptions, StoppingCriteria};
+use paradmm_core::{AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria};
 use paradmm_graph::{GraphBuilder, VarId, VarStore};
 use paradmm_prox::{PermutationProx, QuadraticProx, SimplexProx};
 use rand::Rng;
@@ -216,19 +216,19 @@ impl SudokuProblem {
     /// Solves with random restarts; returns the solved grid and the total
     /// iterations spent, or `None` if every attempt failed.
     pub fn solve(givens: &Grid, config: &SudokuConfig, seed: u64) -> Option<(Grid, usize)> {
-        Self::solve_with_scheduler(givens, config, seed, Scheduler::Serial)
+        Self::solve_with_backend(givens, config, seed, BackendSpec::Serial)
     }
 
     /// [`SudokuProblem::solve`] on a chosen execution backend. All
     /// synchronous backends are bit-identical, so the solved grid *and*
-    /// the iteration count are independent of the scheduler (pinned by
+    /// the iteration count are independent of the backend (pinned by
     /// `tests/sudoku_golden.rs`); the knob exists to run the restarts on
     /// whatever hardware mapping is fastest.
-    pub fn solve_with_scheduler(
+    pub fn solve_with_backend(
         givens: &Grid,
         config: &SudokuConfig,
         seed: u64,
-        scheduler: Scheduler,
+        backend: BackendSpec,
     ) -> Option<(Grid, usize)> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -236,7 +236,7 @@ impl SudokuProblem {
         for _attempt in 0..config.max_attempts {
             let (sudoku, admm) = SudokuProblem::build(givens, config);
             let options = SolverOptions {
-                scheduler,
+                backend,
                 rho: config.rho,
                 alpha: 1.0,
                 stopping: StoppingCriteria::fixed_iterations(config.iters_per_attempt),

@@ -16,8 +16,7 @@
 //! more equilibrated", which is what keeps the z-update balanced on the
 //! GPU. [`SvmProblem::build`] implements that replicated topology;
 //! [`SvmProblem::build_star`] builds the naive single-`w` star topology so
-//! the imbalance ablation can compare the two (conclusion / Figure 12
-//! discussion).
+//! the two can be compared (conclusion / Figure 12 discussion).
 //!
 //! A Pegasos-style subgradient reference (`reference`) provides an
 //! independent baseline for accuracy tests, and `data` generates the

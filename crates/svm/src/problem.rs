@@ -1,7 +1,7 @@
 //! Factor-graph construction for soft-margin SVM training (paper Fig. 12).
 
 use paradmm_core::{
-    AdmmProblem, ProxOp, Scheduler, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
+    AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
 use paradmm_graph::{GraphBuilder, VarId, VarStore};
 use paradmm_prox::{ConsensusEqualityProx, HalfspaceProx, ProxCtx, QuadraticProx};
@@ -39,7 +39,7 @@ pub enum SvmTopology {
     /// A naive star: one shared `(w, b)` node touched by every hinge
     /// factor. Semantically identical optimum, but the plane node's degree
     /// is `N + 1` — the imbalance pathology the paper's conclusion
-    /// discusses. Used by the ablation benchmark.
+    /// discusses.
     Star,
 }
 
@@ -259,9 +259,9 @@ impl SvmProblem {
         data: &Dataset,
         config: SvmConfig,
         iters: usize,
-        scheduler: Scheduler,
+        backend: BackendSpec,
     ) -> (SvmModel, SvmProblem) {
-        Self::train_with_backend(data, config, iters, scheduler.to_backend())
+        Self::train_with_backend(data, config, iters, backend.to_backend())
     }
 
     /// Build, run `iters` on any [`SweepExecutor`] backend, extract.
@@ -273,7 +273,7 @@ impl SvmProblem {
     ) -> (SvmModel, SvmProblem) {
         let (svm, admm) = SvmProblem::build(data, config);
         let options = SolverOptions {
-            scheduler: Scheduler::Serial, // ignored by from_problem_with_backend
+            backend: BackendSpec::Serial, // ignored by from_problem_with_backend
             rho: svm.config.rho,
             alpha: svm.config.alpha,
             stopping: StoppingCriteria {
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn trains_separable_data_accurately() {
         let data = small_data(60, 2, 6.0, 3);
-        let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 3000, Scheduler::Serial);
+        let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 3000, BackendSpec::Serial);
         let acc = data.accuracy(&model.w, model.b);
         assert!(acc > 0.95, "ADMM SVM accuracy {acc}");
     }
@@ -395,7 +395,7 @@ mod tests {
             rho: 1.0,
             alpha: 1.0,
         };
-        let (admm_model, _) = SvmProblem::train(&data, config, 4000, Scheduler::Serial);
+        let (admm_model, _) = SvmProblem::train(&data, config, 4000, BackendSpec::Serial);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let (pw, pb) = pegasos_train(&data, lambda / data.len() as f64, 40, &mut rng);
         let peg_model = SvmModel { w: pw, b: pb };
@@ -411,11 +411,11 @@ mod tests {
     fn star_and_replicated_agree() {
         let data = small_data(30, 2, 5.0, 5);
         let config = SvmConfig::default();
-        let (rep_model, _) = SvmProblem::train(&data, config.clone(), 4000, Scheduler::Serial);
+        let (rep_model, _) = SvmProblem::train(&data, config.clone(), 4000, BackendSpec::Serial);
 
         let (star, admm) = SvmProblem::build_star(&data, config.clone());
         let options = SolverOptions {
-            scheduler: Scheduler::Serial,
+            backend: BackendSpec::Serial,
             rho: config.rho,
             alpha: config.alpha,
             stopping: StoppingCriteria::fixed_iterations(4000),
@@ -438,19 +438,19 @@ mod tests {
     #[test]
     fn higher_dimensional_training_works() {
         let data = small_data(60, 5, 7.0, 6);
-        let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 3000, Scheduler::Serial);
+        let (model, _) = SvmProblem::train(&data, SvmConfig::default(), 3000, BackendSpec::Serial);
         assert!(data.accuracy(&model.w, model.b) > 0.9);
     }
 
     #[test]
     fn rayon_matches_serial() {
         let data = small_data(20, 2, 5.0, 7);
-        let (a, _) = SvmProblem::train(&data, SvmConfig::default(), 200, Scheduler::Serial);
+        let (a, _) = SvmProblem::train(&data, SvmConfig::default(), 200, BackendSpec::Serial);
         let (b, _) = SvmProblem::train(
             &data,
             SvmConfig::default(),
             200,
-            Scheduler::Rayon { threads: Some(2) },
+            BackendSpec::Rayon { threads: Some(2) },
         );
         assert_eq!(a.w, b.w);
         assert_eq!(a.b, b.b);

@@ -80,7 +80,7 @@ fn main() {
     ];
 
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria {

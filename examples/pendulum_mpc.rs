@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example pendulum_mpc`
 
-use paradmm::core::{Scheduler, SerialBackend, Solver, SolverOptions, StoppingCriteria};
+use paradmm::core::{BackendSpec, SerialBackend, Solver, SolverOptions, StoppingCriteria};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     c.q0 = q;
     let (mpc, admm) = MpcProblem::build(c.clone(), paper_plant());
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: c.rho,
         alpha: c.alpha,
         stopping: StoppingCriteria::fixed_iterations(3000),

@@ -9,9 +9,9 @@
 //! sweeps (x, m, z, u, n) over a bipartite factor-graph; users write only
 //! *serial* proximal operators and the engine parallelizes the sweeps.
 //! Execution strategies are pluggable [`core::SweepExecutor`] backends:
-//! serial, rayon data-parallel, persistent barrier workers, asynchronous
-//! activations, or a simulated SIMT GPU device — all driven by the same
-//! [`core::Solver`] loop.
+//! serial, rayon data-parallel, persistent barrier workers, shard workers
+//! with a halo exchange (synchronous or bounded-stale), or a simulated
+//! SIMT GPU device — all driven by the same [`core::Solver`] loop.
 //!
 //! ## Quick start
 //!
@@ -54,12 +54,12 @@ pub use paradmm_svm as svm;
 /// Convenient glob-import of the most common types.
 pub mod prelude {
     pub use paradmm_core::{
-        kernel_dispatch, set_kernel_dispatch, AdmmProblem, AsyncBackend, AutoBackend, BackendSpec,
+        kernel_dispatch, set_kernel_dispatch, AdmmProblem, AutoBackend, BackendSpec,
         BarrierBackend, BatchReport, BatchSolver, FleetSolver, InstanceReport, KernelDispatch,
-        Pass, PassKind, Planner, Priority, ProxCtx, ProxOp, RayonBackend, Residuals, Scheduler,
-        SerialBackend, ShardedBackend, SolveOutcome, SolveRequest, Solver, SolverOptions,
-        SolverReport, StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan,
-        UpdateKind, UpdateTimings, WorkStealingBackend,
+        Pass, PassKind, Planner, Priority, ProxCtx, ProxOp, RayonBackend, Residuals, SerialBackend,
+        SolveOutcome, SolveRequest, Solver, SolverOptions, SolverReport, StaleBoundedBackend,
+        StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan, UpdateKind,
+        UpdateTimings, WorkStealingBackend,
     };
     pub use paradmm_gpusim::GpuSimBackend;
     pub use paradmm_graph::{

@@ -12,14 +12,16 @@
 //! z-update's exact floating-point association. This suite pins that contract on all
 //! three paper problem generators (packing, MPC, SVM) and on a
 //! degree-imbalanced hub graph whose static range splits straggle.
-//! [`AsyncBackend`] deliberately breaks the schedule (workers see
-//! bounded-stale `z`), so for it the contract is convergence to the same
-//! fixed point on a convex instance, not bitwise equality.
+//! The `async` spec (the halo executor at staleness `k = 1`)
+//! deliberately breaks the schedule (workers see bounded-stale `z`), so
+//! for it the contract is convergence to the same fixed point on a
+//! convex instance, not bitwise equality.
 
 use paradmm::core::{
-    barriers_per_iteration, AdmmProblem, AsyncBackend, AutoBackend, BarrierBackend, BatchSolver,
-    FleetBackend, FleetSolver, RayonBackend, Scheduler, SerialBackend, ShardedBackend, Solver,
-    SolverOptions, StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings, WorkStealingBackend,
+    barriers_per_iteration, AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver,
+    FleetBackend, FleetSolver, RayonBackend, SerialBackend, Solver, SolverOptions,
+    StaleBoundedBackend, StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
+    WorkStealingBackend,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -114,13 +116,14 @@ fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: u
         // variables interleave their edges across shards — the hard case
         // for an ordered reduce).
         for parts in [1usize, 2, 4] {
-            let sharded = run_from_seeded_state(problem, &mut ShardedBackend::new(parts), iters);
+            let mut sharded = BackendSpec::Sharded { parts: Some(parts) }.to_backend();
+            let sharded = run_from_seeded_state(problem, sharded.as_mut(), iters);
             assert_matches(&sharded, &format!("sharded({parts})"));
 
             let contiguous = Partition::contiguous(problem.graph(), parts);
             let sharded_cont = run_from_seeded_state(
                 problem,
-                &mut ShardedBackend::with_partition(contiguous),
+                &mut StaleBoundedBackend::with_partition(contiguous, 0),
                 iters,
             );
             assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
@@ -158,7 +161,7 @@ fn svm_generator_bit_identical() {
 
 #[test]
 fn imbalanced_degree_graph_bit_identical() {
-    // The hub-heavy generator the ablation benches: all hub variables sit
+    // The hub-heavy generator: all hub variables sit
     // at the front of the variable order, so a contiguous static
     // z-partition hands one worker every hub's heavy weighted average.
     // Chunk-claiming backends must still be bit-identical — scheduling
@@ -173,9 +176,7 @@ fn imbalanced_degree_graph_bit_identical() {
 fn async_backend_converges_on_seeded_convex_instance() {
     // A strongly convex instance (MPC tracking QP) built from a fixed
     // seed: the asynchronous backend must land on the same optimum the
-    // serial backend finds. Both start from the all-zeros state — the
-    // consistent state the async activation loop's incremental z-update
-    // requires (see `AsyncBackend` docs).
+    // serial backend finds. Both start from the all-zeros state.
     let run_from_zeros = |problem: &AdmmProblem, backend: &mut dyn SweepExecutor, iters| {
         let mut store = VarStore::zeros(problem.graph());
         let mut t = UpdateTimings::new();
@@ -188,7 +189,8 @@ fn async_backend_converges_on_seeded_convex_instance() {
     let sync_traj = mpc.extract(&sync_store);
 
     let (mpc2, problem2) = MpcProblem::build(config, paper_plant());
-    let async_store = run_from_zeros(&problem2, &mut AsyncBackend::new(3), 20_000);
+    let mut async_backend = BackendSpec::Async { threads: Some(3) }.to_backend();
+    let async_store = run_from_zeros(&problem2, async_backend.as_mut(), 20_000);
     let async_traj = mpc2.extract(&async_store);
 
     for t in 0..=8 {
@@ -241,17 +243,17 @@ fn batched_solves_bit_identical_to_solo_serial_on_every_sync_backend() {
         "mixed horizons should converge at different checks: {iters:?}"
     );
 
-    for scheduler in [
-        Scheduler::Serial,
-        Scheduler::Rayon { threads: Some(2) },
-        Scheduler::Barrier { threads: 3 },
-        Scheduler::WorkSteal { threads: 2 },
-        Scheduler::Sharded { parts: 2 },
-        Scheduler::Fleet { threads: 2 },
-        Scheduler::Auto { threads: 2 },
+    for spec in [
+        BackendSpec::Serial,
+        BackendSpec::Rayon { threads: Some(2) },
+        BackendSpec::Barrier { threads: Some(3) },
+        BackendSpec::WorkSteal { threads: Some(2) },
+        BackendSpec::Sharded { parts: Some(2) },
+        BackendSpec::Fleet { threads: Some(2) },
+        BackendSpec::Auto { threads: Some(2) },
     ] {
         let options = SolverOptions {
-            scheduler,
+            backend: spec,
             stopping,
             ..SolverOptions::default()
         };
@@ -259,17 +261,14 @@ fn batched_solves_bit_identical_to_solo_serial_on_every_sync_backend() {
         let report = batch.run(stopping.max_iters);
         for (i, (store, solo_iters, solo_reason)) in solo.iter().enumerate() {
             let r = &report.instances[i];
-            assert_eq!(
-                r.iterations, *solo_iters,
-                "{scheduler:?} instance {i} iters"
-            );
-            assert_eq!(r.stop_reason, *solo_reason, "{scheduler:?} instance {i}");
+            assert_eq!(r.iterations, *solo_iters, "{spec} instance {i} iters");
+            assert_eq!(r.stop_reason, *solo_reason, "{spec} instance {i}");
             let got = batch.store(i);
-            assert_eq!(got.z, store.z, "{scheduler:?} instance {i} z");
-            assert_eq!(got.x, store.x, "{scheduler:?} instance {i} x");
-            assert_eq!(got.u, store.u, "{scheduler:?} instance {i} u");
-            assert_eq!(got.n, store.n, "{scheduler:?} instance {i} n");
-            assert_eq!(got.m, store.m, "{scheduler:?} instance {i} m");
+            assert_eq!(got.z, store.z, "{spec} instance {i} z");
+            assert_eq!(got.x, store.x, "{spec} instance {i} x");
+            assert_eq!(got.u, store.u, "{spec} instance {i} u");
+            assert_eq!(got.n, store.n, "{spec} instance {i} n");
+            assert_eq!(got.m, store.m, "{spec} instance {i} m");
         }
     }
 
@@ -332,7 +331,9 @@ fn fleet_solves_bit_identical_to_solo_serial_across_shapes() {
     for threads in [1usize, 2, 3] {
         for chunk in [None, Some(2), Some(7)] {
             let options = SolverOptions {
-                scheduler: Scheduler::Fleet { threads },
+                backend: BackendSpec::Fleet {
+                    threads: Some(threads),
+                },
                 stopping,
                 ..SolverOptions::default()
             };
@@ -377,7 +378,7 @@ fn fleet_serves_mixed_dims_fleets_batching_cannot_fuse() {
     );
 
     let options = SolverOptions {
-        scheduler: Scheduler::Fleet { threads: 2 },
+        backend: BackendSpec::Fleet { threads: Some(2) },
         stopping,
         ..SolverOptions::default()
     };

@@ -2,7 +2,7 @@
 //! three-weight propagation, and warm starting.
 
 use paradmm::core::{
-    AdmmProblem, ResidualBalancing, Scheduler, SerialBackend, Solver, SolverOptions, StopReason,
+    AdmmProblem, BackendSpec, ResidualBalancing, SerialBackend, Solver, SolverOptions, StopReason,
     StoppingCriteria, SweepExecutor, TwaWeights, UpdateTimings, WeightClass,
 };
 use paradmm::graph::{EdgeId, EdgeParams, GraphBuilder, VarId, VarStore};
@@ -28,7 +28,7 @@ fn consensus_chain(k: usize, targets: &[f64]) -> (AdmmProblem, Vec<VarId>) {
 fn residuals_shrink_monotonically_ish() {
     let (problem, _) = consensus_chain(5, &[1.0, 2.0, 3.0, 4.0, 5.0]);
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria {
@@ -59,7 +59,7 @@ fn chain_consensus_converges_to_global_mean() {
     let targets = [2.0, 4.0, 6.0, 8.0];
     let (problem, vars) = consensus_chain(4, &targets);
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria {
@@ -169,7 +169,7 @@ fn twa_infinite_weight_pins_variable() {
 fn warm_start_converges_faster_than_cold() {
     let (problem, _) = consensus_chain(8, &[1.0; 8]);
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria {
@@ -196,7 +196,7 @@ fn warm_start_converges_faster_than_cold() {
 fn fixed_iteration_budget_is_respected_exactly() {
     let (problem, _) = consensus_chain(3, &[1.0, 2.0, 3.0]);
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: 1.0,
         alpha: 1.0,
         stopping: StoppingCriteria::fixed_iterations(123),

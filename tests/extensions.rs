@@ -2,9 +2,7 @@
 //! scheduling, multi-device partitioning, serialization round-trips
 //! through the full pipeline, and the Sudoku combinatorial domain.
 
-use paradmm::core::{
-    AsyncBackend, Scheduler, Solver, SolverOptions, StoppingCriteria, SweepExecutor, UpdateTimings,
-};
+use paradmm::core::{BackendSpec, Solver, SolverOptions, StoppingCriteria, UpdateTimings};
 use paradmm::gpusim::{MultiDevice, WorkloadProfile};
 use paradmm::graph::{io, Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -13,12 +11,13 @@ use paradmm::sudoku::{Grid, SudokuConfig, SudokuProblem};
 
 #[test]
 fn async_solves_mpc() {
-    // Asynchronous activation must reach the same optimum as synchronous
-    // sweeps on a convex problem (different trajectory, same fixed point).
+    // The async spec (bounded staleness k = 1) must reach the same
+    // optimum as synchronous sweeps on a convex problem (different
+    // trajectory, same fixed point).
     let config = MpcConfig::new(6);
     let (mpc, admm_sync) = MpcProblem::build(config.clone(), paper_plant());
     let options = SolverOptions {
-        scheduler: Scheduler::Serial,
+        backend: BackendSpec::Serial,
         rho: config.rho,
         alpha: config.alpha,
         stopping: StoppingCriteria::fixed_iterations(15_000),
@@ -30,7 +29,9 @@ fn async_solves_mpc() {
     let (mpc2, admm_async) = MpcProblem::build(config, paper_plant());
     let mut store = VarStore::zeros(admm_async.graph());
     let mut t = UpdateTimings::new();
-    AsyncBackend::new(2).run_block(&admm_async, &mut store, 15_000, &mut t);
+    BackendSpec::Async { threads: Some(2) }
+        .to_backend()
+        .run_block(&admm_async, &mut store, 15_000, &mut t);
     let async_traj = mpc2.extract(&store);
 
     for t in 0..=6 {
@@ -66,7 +67,7 @@ fn graph_io_roundtrip_through_solver() {
         Solver::from_problem(
             admm,
             SolverOptions {
-                scheduler: Scheduler::Serial,
+                backend: BackendSpec::Serial,
                 rho: 2.0,
                 alpha: 1.0,
                 stopping: StoppingCriteria::fixed_iterations(100),
@@ -108,10 +109,10 @@ fn sudoku_rayon_matches_serial_iterates() {
     // The Sudoku graph exercises PermutationProx under both schedulers.
     let givens = Grid::parse(2, "1000003004000002");
     let config = SudokuConfig::default();
-    let run_with = |scheduler: Scheduler| {
+    let run_with = |backend: BackendSpec| {
         let (_, admm) = SudokuProblem::build(&givens, &config);
         let options = SolverOptions {
-            scheduler,
+            backend,
             rho: config.rho,
             alpha: 1.0,
             stopping: StoppingCriteria::fixed_iterations(50),
@@ -120,8 +121,8 @@ fn sudoku_rayon_matches_serial_iterates() {
         solver.run(50);
         solver.store().z.clone()
     };
-    let a = run_with(Scheduler::Serial);
-    let b = run_with(Scheduler::Rayon { threads: Some(2) });
+    let a = run_with(BackendSpec::Serial);
+    let b = run_with(BackendSpec::Rayon { threads: Some(2) });
     assert_eq!(a, b);
 }
 

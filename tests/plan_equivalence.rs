@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, BarrierBackend, Pass, PassKind, Planner, RayonBackend, SerialBackend,
-    ShardedBackend, SweepExecutor, SweepPlan, UpdateTimings, WorkStealingBackend,
+    AdmmProblem, BackendSpec, BarrierBackend, Pass, PassKind, Planner, RayonBackend, SerialBackend,
+    SweepExecutor, SweepPlan, UpdateTimings, WorkStealingBackend,
 };
 use paradmm::graph::VarStore;
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -133,7 +133,7 @@ proptest! {
                 ("rayon", Box::new(RayonBackend::new(Some(2)))),
                 ("barrier", Box::new(BarrierBackend::new(3))),
                 ("worksteal", Box::new(WorkStealingBackend::new(2))),
-                ("sharded", Box::new(ShardedBackend::new(2))),
+                ("sharded", BackendSpec::Sharded { parts: Some(2) }.to_backend()),
             ];
             for (name, backend) in backends.iter_mut() {
                 let got = run(&problem, backend.as_mut(), ITERS);

@@ -17,7 +17,7 @@
 //! every iterate matches.
 
 use paradmm::core::{
-    AdmmProblem, SerialBackend, ShardedBackend, SweepExecutor, UpdateTimings, WorkStealingBackend,
+    AdmmProblem, BackendSpec, SerialBackend, SweepExecutor, UpdateTimings, WorkStealingBackend,
 };
 use paradmm::graph::{GraphBuilder, Reordering, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -62,7 +62,13 @@ fn assert_reorder_bit_identical(problem: AdmmProblem, reordering: &Reordering, l
     assert_eq!(natural.z, natural_ws.z, "{label}: worksteal z (natural)");
 
     let mut natural_sh = seed.clone();
-    run(&problem, &mut natural_sh, &mut ShardedBackend::new(3));
+    run(
+        &problem,
+        &mut natural_sh,
+        BackendSpec::Sharded { parts: Some(3) }
+            .to_backend()
+            .as_mut(),
+    );
     assert_eq!(natural.z, natural_sh.z, "{label}: sharded z (natural)");
 
     let reordered_problem = problem.reordered(reordering);
@@ -71,7 +77,12 @@ fn assert_reorder_bit_identical(problem: AdmmProblem, reordering: &Reordering, l
     for (backend, which) in [
         (&mut SerialBackend as &mut dyn SweepExecutor, "serial"),
         (&mut WorkStealingBackend::new(3), "worksteal"),
-        (&mut ShardedBackend::new(3), "sharded"),
+        (
+            BackendSpec::Sharded { parts: Some(3) }
+                .to_backend()
+                .as_mut(),
+            "sharded",
+        ),
     ] {
         let mut store = reordered_seed.clone();
         run(&reordered_problem, &mut store, backend);
