@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks: throughput of each of the five update
-//! kernels on a mid-size packing graph (real engine, real numerics).
+//! kernels on a mid-size packing graph (real engine, real numerics): the
+//! z average on swapped buffers and the u/n sweeps over the dense
+//! [`paradmm_graph::EdgeStream`], as the executors run them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use paradmm_core::kernels;
-use paradmm_graph::VarStore;
+use paradmm_graph::{EdgeStream, VarStore};
 use paradmm_packing::{PackingConfig, PackingProblem};
 
 fn bench_updates(c: &mut Criterion) {
@@ -21,6 +23,7 @@ fn bench_updates(c: &mut Criterion) {
         let nv = g.num_vars();
         let ne = g.num_edges();
         let d = g.dims();
+        let stream = EdgeStream::build(g, params);
 
         group.bench_with_input(BenchmarkId::new("x_update", n), &n, |b, _| {
             let n_snapshot = store.n.clone();
@@ -44,20 +47,20 @@ fn bench_updates(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("z_update", n), &n, |b, _| {
             b.iter(|| {
-                let (m, z) = (&store.m, &mut store.z);
-                kernels::z_update_range(g, params, m, z, 0, nv);
+                let (m, z_old, z) = (&store.m, &store.z_prev, &mut store.z);
+                kernels::z_update_swapped_range(g, params, m, z_old, z, 0, nv);
             })
         });
         group.bench_with_input(BenchmarkId::new("u_update", n), &n, |b, _| {
             b.iter(|| {
                 let (x, z, u) = (&store.x, &store.z, &mut store.u);
-                kernels::u_update_range(g, params, x, z, u, 0, ne);
+                kernels::u_update_range_stream(&stream, x, z, u, 0, ne);
             })
         });
         group.bench_with_input(BenchmarkId::new("n_update", n), &n, |b, _| {
             b.iter(|| {
                 let (z, u, nn) = (&store.z, &store.u, &mut store.n);
-                kernels::n_update_range(g, z, u, nn, 0, ne);
+                kernels::n_update_range_stream(&stream, z, u, nn, 0, ne);
             })
         });
     }

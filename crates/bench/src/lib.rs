@@ -18,6 +18,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use paradmm_core::naive::NaiveAdmm;
 use paradmm_core::{AdmmProblem, SerialBackend, SweepExecutor, UpdateTimings};
 use paradmm_gpusim::{CpuModel, SimtDevice, WorkloadProfile};
 use paradmm_graph::VarStore;
@@ -415,6 +416,22 @@ pub fn imbalanced_problem(hubs: usize, hub_degree: usize) -> AdmmProblem {
         }
     }
     AdmmProblem::new(b.build(), proxes, 1.0, 1.0)
+}
+
+/// The state the paper's literal five sweeps ([`NaiveAdmm`]) reach after
+/// `iters` iterations from `seed`: their `x, m, u, n, z`, with the `z` of
+/// the iteration before in `z_prev` — what every synchronous executor
+/// must reproduce bit for bit. Used by the equivalence tests.
+pub fn naive_reference(problem: &AdmmProblem, seed: &VarStore, iters: usize) -> VarStore {
+    let mut naive = NaiveAdmm::new(problem);
+    naive.load_from(seed);
+    let mut want = seed.clone();
+    for _ in 0..iters {
+        naive.iterate();
+        want.swap_z();
+        naive.write_to(&mut want);
+    }
+    want
 }
 
 /// `n` small independent MPC instances (dims = 5): horizons cycle

@@ -11,14 +11,11 @@
 //! is given through the same convergence loop, so a new backend is a
 //! drop-in `impl`, not another enum arm.
 //!
-//! Since the SweepPlan refactor, no backend open-codes the five-sweep
-//! schedule: each block resolves the problem's [`SweepPlan`] (the
-//! default is the fused three-pass `x+m | z | u+n` schedule — see
-//! [`SweepPlan::fused`]) and executes its passes, one synchronization
-//! point per pass. The barrier and work-stealing workers share one
-//! unsafe pass dispatcher (`SweepArrays::run_pass`), so every fusion —
-//! including the u+n fusion the work-stealing backend used to hand-roll
-//! — exists exactly once, in [`crate::kernels`].
+//! Every backend runs the same three-pass schedule, `x+m | z | u+n`
+//! (see [`SweepPlan`]), one synchronization point per pass, on the
+//! kernels of [`crate::kernels`]. The barrier, work-stealing and fleet
+//! workers share one unsafe pass dispatcher (`SweepArrays::run_pass`),
+//! so each fusion exists exactly once.
 //!
 //! The synchronous backends (serial, rayon, barrier, work-stealing,
 //! fleet, the halo executor at `k = 0`, and auto, which locks in one of
@@ -39,7 +36,7 @@ use crate::kernels;
 use crate::plan::{Pass, PassKind, SweepPlan};
 use crate::problem::AdmmProblem;
 use crate::stale::StaleBoundedBackend;
-use crate::timing::{SweepCosts, UpdateTimings};
+use crate::timing::UpdateTimings;
 
 /// A way to execute blocks of ADMM iterations (the five x/m/z/u/n sweeps)
 /// and report how long each update kind took.
@@ -66,18 +63,17 @@ use crate::timing::{SweepCosts, UpdateTimings};
 ///   sweep; correctness never depends on who executed which chunk;
 /// * the only hard rules are that every task of a pass is executed
 ///   **exactly once** per iteration, passes execute in the plan's order
-///   (which [`SweepPlan::from_passes`] constrains to the x→m→z→u→n data
-///   order, with adjacent same-space sweeps optionally fused: see
-///   [`kernels::xm_update_range`] / [`kernels::un_update_edge`]), and
-///   all writes of a pass are visible before the next pass reads them.
+///   `x+m | z | u+n` (see [`kernels::xm_update_block`] and
+///   [`kernels::un_update_range_stream`] for why each fusion is exact),
+///   and all writes of a pass are visible before the next pass reads
+///   them.
 ///
 /// # Schedule resolution
 ///
 /// Backends execute the [`SweepPlan`] the problem carries
-/// ([`AdmmProblem::plan`]), falling back to the default fused three-pass
-/// schedule ([`SweepPlan::fused`]) — use [`SweepPlan::resolve`] for the
-/// shared rule. Any legal plan yields bit-identical iterates, so plan
-/// choice is purely a throughput knob.
+/// ([`AdmmProblem::plan`]), falling back to [`SweepPlan::fused`] — use
+/// [`SweepPlan::resolve`] for the shared rule. Every plan has the same
+/// three passes; chunk sizes and splits change throughput, never a bit.
 pub trait SweepExecutor: Send {
     /// Short stable label for reports and bench tables (e.g. `"serial"`,
     /// `"rayon"`).
@@ -117,19 +113,6 @@ pub trait SweepExecutor: Send {
         self.execute(problem, store, iters, timings);
         timings.iterations += iters;
     }
-
-    /// Asks the backend to re-balance its internal work split for
-    /// freshly measured per-pass `costs` (an online replan — see
-    /// [`crate::ReplanPolicy`]). Returns `true` if the backend changed
-    /// anything. The default is a no-op: most backends split work from
-    /// the (already cost-aware) [`SweepPlan`] each block, so a replan
-    /// that installs a new plan on the problem reaches them with no
-    /// backend-side state to rebuild. The partition-holding
-    /// [`StaleBoundedBackend`] overrides this to re-grow its factor
-    /// partition under the new weights.
-    fn repartition(&mut self, _problem: &AdmmProblem, _costs: &SweepCosts) -> bool {
-        false
-    }
 }
 
 /// Minimum scalars per rayon work item for the cheap element-wise sweeps;
@@ -138,46 +121,26 @@ const MIN_CHUNK: usize = 1024;
 
 /// Optimized single-core loops — the paper's serial C baseline and the
 /// denominator of every speedup it reports. Executes the problem's
-/// [`SweepPlan`] pass by pass; under the default fused plan that is one
-/// combined x+m traversal, a z pass on swapped buffers (no `z_prev`
-/// copy), and one fused u+n traversal.
+/// [`SweepPlan`] pass by pass: one combined x+m traversal, a z pass on
+/// swapped buffers (no `z_prev` copy), and one fused u+n traversal.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SerialBackend;
 
-/// Builds the dense per-edge parameter stream the specialized u/n kernels
-/// consume, or `None` under scalar dispatch. Executors call this once per
-/// block — adaptive-ρ policies mutate `params` *between* blocks, so the
-/// snapshot stays valid for the whole block.
-fn block_stream(problem: &AdmmProblem) -> Option<EdgeStream> {
-    kernels::specialized().then(|| EdgeStream::build(problem.graph(), problem.params()))
+/// Builds the dense per-edge parameter stream the u+n kernel consumes.
+/// Executors call this once per block — params may change between
+/// blocks, so the snapshot stays valid for the whole block.
+fn block_stream(problem: &AdmmProblem) -> EdgeStream {
+    EdgeStream::build(problem.graph(), problem.params())
 }
 
-/// Runs one pass of a plan serially over its full index range.
-/// Exhaustively dispatches every [`PassKind`]; the Z pass swaps the
-/// `z`/`z_prev` buffers in place of the seed's snapshot copy (identical
-/// values — see [`kernels::z_update_swapped_range`]).
-fn run_pass_serial(
-    problem: &AdmmProblem,
-    store: &mut VarStore,
-    pass: &Pass,
-    stream: Option<&EdgeStream>,
-) {
+/// Runs one pass of a plan serially over its full index range. The Z
+/// pass swaps the `z`/`z_prev` buffers in place of a snapshot copy
+/// (identical values — see [`kernels::z_update_swapped_range`]).
+fn run_pass_serial(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass, stream: &EdgeStream) {
     let g = problem.graph();
     let params = problem.params();
     let items = pass.items();
     match pass.kind() {
-        PassKind::X => kernels::x_update_range(
-            g,
-            problem.proxes(),
-            params,
-            &store.n,
-            &mut store.x,
-            0,
-            items,
-        ),
-        PassKind::M => {
-            kernels::m_update_range(&store.x, &store.u, &mut store.m, 0, items * g.dims())
-        }
         PassKind::Xm => kernels::xm_update_range(
             g,
             problem.proxes(),
@@ -201,39 +164,15 @@ fn run_pass_serial(
                 items,
             );
         }
-        PassKind::U => match stream {
-            Some(s) => {
-                kernels::u_update_range_stream(s, &store.x, &store.z, &mut store.u, 0, items)
-            }
-            None => kernels::u_update_range(g, params, &store.x, &store.z, &mut store.u, 0, items),
-        },
-        PassKind::N => match stream {
-            Some(s) => {
-                kernels::n_update_range_stream(s, &store.z, &store.u, &mut store.n, 0, items)
-            }
-            None => kernels::n_update_range(g, &store.z, &store.u, &mut store.n, 0, items),
-        },
-        PassKind::Un => match stream {
-            Some(s) => kernels::un_update_range_stream(
-                s,
-                &store.x,
-                &store.z,
-                &mut store.u,
-                &mut store.n,
-                0,
-                items,
-            ),
-            None => kernels::un_update_range(
-                g,
-                params,
-                &store.x,
-                &store.z,
-                &mut store.u,
-                &mut store.n,
-                0,
-                items,
-            ),
-        },
+        PassKind::Un => kernels::un_update_range_stream(
+            stream,
+            &store.x,
+            &store.z,
+            &mut store.u,
+            &mut store.n,
+            0,
+            items,
+        ),
     }
 }
 
@@ -254,14 +193,14 @@ impl SweepExecutor for SerialBackend {
         for _ in 0..iters {
             for pass in plan.passes() {
                 let t0 = Instant::now();
-                run_pass_serial(problem, store, pass, stream.as_ref());
+                run_pass_serial(problem, store, pass, &stream);
                 t.add(pass.kind().timing_kind(), t0.elapsed());
             }
         }
     }
 }
 
-/// Five data-parallel loops per iteration on the rayon pool — the paper's
+/// One data-parallel loop per pass on the rayon pool — the paper's
 /// OpenMP approach #1, one `#pragma omp parallel for` ≙ one parallel
 /// iterator.
 pub struct RayonBackend {
@@ -313,13 +252,13 @@ fn run_rayon(problem: &AdmmProblem, store: &mut VarStore, iters: usize, t: &mut 
     for _ in 0..iters {
         for pass in plan.passes() {
             let t0 = Instant::now();
-            run_pass_rayon(problem, store, pass, stream.as_ref());
+            run_pass_rayon(problem, store, pass, &stream);
             t.add(pass.kind().timing_kind(), t0.elapsed());
         }
     }
 }
 
-/// Factors per rayon work item of the x and x+m passes: a whole number of
+/// Factors per rayon work item of the x+m pass: a whole number of
 /// [`kernels::PROX_TILE`]s, about [`MIN_CHUNK`] scalars at the paper
 /// families' 2–12 scalars per factor.
 const FACTOR_GRAIN: usize = 4 * kernels::PROX_TILE;
@@ -349,50 +288,16 @@ fn factor_grains<'a>(
 /// rebalances. Every sweep hands each parallel chunk to the
 /// block-relative range kernels, so chunk shape only affects task
 /// boundaries, never any per-element operation order.
-fn run_pass_rayon(
-    problem: &AdmmProblem,
-    store: &mut VarStore,
-    pass: &Pass,
-    stream: Option<&EdgeStream>,
-) {
+fn run_pass_rayon(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass, stream: &EdgeStream) {
     let g = problem.graph();
     let params = problem.params();
     let prox_of = |a: usize| &*problem.proxes()[a];
     let d = g.dims();
-    let chunk = MIN_CHUNK.max(d);
     let var_chunk = (MIN_CHUNK / d.max(1)).max(1) * d;
 
     match pass.kind() {
-        // x-update: one task per grain of factors, each handed to the
-        // block kernel with the contiguous x block it owns.
-        PassKind::X => {
-            let n = &store.n;
-            factor_grains(g, &mut store.x)
-                .into_par_iter()
-                .for_each(|(a_lo, a_hi, xb)| {
-                    kernels::x_update_block(g, prox_of, params, n, xb, a_lo, a_hi);
-                });
-        }
-        // m-update: element-wise m = x + u over flat chunks.
-        PassKind::M => {
-            let x = &store.x;
-            let u = &store.u;
-            store
-                .m
-                .par_chunks_mut(chunk)
-                .enumerate()
-                .for_each(|(i, mc)| {
-                    let lo = i * chunk;
-                    kernels::m_update_range(
-                        &x[lo..lo + mc.len()],
-                        &u[lo..lo + mc.len()],
-                        mc,
-                        0,
-                        mc.len(),
-                    );
-                });
-        }
-        // Fused x+m: the same grains, each writing its own x *and* m block.
+        // Fused x+m: one task per grain of factors, each handed to the
+        // block kernel with the contiguous x and m blocks it owns.
         PassKind::Xm => {
             let (n, u) = (&store.n, &store.u);
             factor_grains(g, &mut store.x)
@@ -425,63 +330,6 @@ fn run_pass_rayon(
                     );
                 });
         }
-        // u-update: edge-aligned chunks.
-        PassKind::U => {
-            let x = &store.x;
-            let z = &store.z;
-            store
-                .u
-                .par_chunks_mut(var_chunk)
-                .enumerate()
-                .for_each(|(i, uc)| {
-                    let e_lo = i * var_chunk / d;
-                    let e_hi = e_lo + uc.len() / d;
-                    match stream {
-                        Some(s) => kernels::u_update_range_stream(s, x, z, uc, e_lo, e_hi),
-                        None => {
-                            for e in e_lo..e_hi {
-                                let off = (e - e_lo) * d;
-                                kernels::u_update_edge(
-                                    g,
-                                    params,
-                                    x,
-                                    z,
-                                    &mut uc[off..off + d],
-                                    paradmm_graph::EdgeId::from_usize(e),
-                                );
-                            }
-                        }
-                    }
-                });
-        }
-        // n-update: edge-aligned chunks.
-        PassKind::N => {
-            let z = &store.z;
-            let u = &store.u;
-            store
-                .n
-                .par_chunks_mut(var_chunk)
-                .enumerate()
-                .for_each(|(i, nc)| {
-                    let e_lo = i * var_chunk / d;
-                    let e_hi = e_lo + nc.len() / d;
-                    match stream {
-                        Some(s) => kernels::n_update_range_stream(s, z, u, nc, e_lo, e_hi),
-                        None => {
-                            for e in e_lo..e_hi {
-                                let off = (e - e_lo) * d;
-                                kernels::n_update_edge(
-                                    g,
-                                    z,
-                                    u,
-                                    &mut nc[off..off + d],
-                                    paradmm_graph::EdgeId::from_usize(e),
-                                );
-                            }
-                        }
-                    }
-                });
-        }
         // Fused u+n: edge-aligned chunks writing both u and n blocks.
         PassKind::Un => {
             let x = &store.x;
@@ -494,23 +342,7 @@ fn run_pass_rayon(
                 .for_each(|(i, (uc, nc))| {
                     let e_lo = i * var_chunk / d;
                     let e_hi = e_lo + uc.len() / d;
-                    match stream {
-                        Some(s) => kernels::un_update_range_stream(s, x, z, uc, nc, e_lo, e_hi),
-                        None => {
-                            for e in e_lo..e_hi {
-                                let off = (e - e_lo) * d;
-                                kernels::un_update_edge(
-                                    g,
-                                    params,
-                                    x,
-                                    z,
-                                    &mut uc[off..off + d],
-                                    &mut nc[off..off + d],
-                                    paradmm_graph::EdgeId::from_usize(e),
-                                );
-                            }
-                        }
-                    }
+                    kernels::un_update_range_stream(stream, x, z, uc, nc, e_lo, e_hi);
                 });
         }
     }
@@ -558,23 +390,22 @@ impl SweepExecutor for BarrierBackend {
 }
 
 /// Raw shared view of an `f64` array, handed to barrier / work-stealing
-/// workers.
+/// / fleet workers.
 ///
 /// # Safety contract
 /// Each pass writes a set of per-worker ranges that are pairwise disjoint
 /// (static [`Pass::split`] partitions for the barrier backend; unique
-/// atomically-claimed chunks for the work-stealing backend), and never
-/// reads data that another worker writes in the same pass (verified
-/// against Algorithm 2's data flow per [`PassKind`]: X reads n/writes x;
-/// M reads x,u/writes m; the fused X+M pass writes x,m but each factor's
-/// m reads only `u` — not written that pass — and the factor's own x,
-/// written by the same worker in the same call; Z reads m and the
-/// previous-iterate z buffer / writes the other z buffer; U reads
-/// x,z/writes u; N reads z,u/writes n; the fused U+N pass writes u,n but
+/// atomically-claimed chunks for the work-stealing and fleet workers),
+/// and never reads data that another worker writes in the same pass
+/// (verified against Algorithm 2's data flow per [`PassKind`]: the X+M
+/// pass reads n,u/writes x,m, and each factor's m reads only `u` — not
+/// written that pass — and the factor's own x, written by the same
+/// worker in the same call; Z reads m and the previous-iterate z buffer
+/// / writes the other z buffer; the U+N pass reads x,z/writes u,n, and
 /// each `n_e` reads only `z` — not written that pass — and the same
 /// edge's `u_e`, written by the same worker within the same chunk).
-/// Barriers separate passes, establishing happens-before edges for all
-/// cross-thread visibility.
+/// Barriers (or the fleet's watermarks) separate passes, establishing
+/// happens-before edges for all cross-thread visibility.
 #[derive(Clone, Copy)]
 struct RawArray {
     ptr: *mut f64,
@@ -612,10 +443,10 @@ impl RawArray {
 /// The shared state a persistent-worker backend hands every worker: raw
 /// views of all six ADMM arrays plus the problem context, with one method
 /// per pass kind executing an element *range*. The barrier backend
-/// calls these with its static per-thread splits, the work-stealing
-/// backend with atomically claimed chunks — the unsafe bodies (and their
-/// aliasing reasoning, see [`RawArray`]) exist exactly once, and every
-/// fusion they dispatch to lives in [`crate::kernels`].
+/// calls these with its static per-thread splits, the work-stealing and
+/// fleet workers with atomically claimed chunks — the unsafe bodies (and
+/// their aliasing reasoning, see [`RawArray`]) exist exactly once, and
+/// every fusion they dispatch to lives in [`crate::kernels`].
 ///
 /// The two z buffers are held as a parity-indexed pair: workers cannot
 /// swap the `Vec`s mid-block (raw pointers are captured once), so the Z
@@ -636,10 +467,9 @@ pub(crate) struct SweepArrays<'a> {
     /// `[0]` views `store.z`, `[1]` views `store.z_prev`; which one holds
     /// the current iterate alternates per iteration (see struct docs).
     z_bufs: [RawArray; 2],
-    /// Dense per-edge parameter snapshot for the specialized u/n bodies
-    /// (`None` under scalar dispatch), captured once per block like the
-    /// raw pointers.
-    stream: Option<EdgeStream>,
+    /// Dense per-edge parameter snapshot for the u+n body, captured once
+    /// per block like the raw pointers.
+    stream: EdgeStream,
 }
 
 impl<'a> SweepArrays<'a> {
@@ -674,42 +504,25 @@ impl<'a> SweepArrays<'a> {
         let z_old = iter & 1;
         let z_new = z_old ^ 1;
         match pass.kind() {
-            PassKind::X => self.x_phase(lo, hi),
-            PassKind::M => self.m_phase(lo, hi),
             PassKind::Xm => self.xm_phase(lo, hi),
             PassKind::Z => self.z_phase_swapped(lo, hi, z_old, z_new),
-            PassKind::U => self.u_phase(lo, hi, z_new),
-            PassKind::N => self.n_phase(lo, hi, z_new),
             PassKind::Un => self.un_phase(lo, hi, z_new),
         }
     }
 
-    /// X sweep over factors `[f_lo, f_hi)` (their x-block is contiguous
-    /// because factor edge ranges are contiguous and ordered).
-    ///
-    /// # Safety
-    /// Writes x for exactly these factors; reads n, not written this
-    /// phase. No other worker may execute an overlapping factor range in
-    /// the same phase, and a barrier must separate this phase from any
-    /// phase writing n or reading x.
-    unsafe fn x_phase(&self, f_lo: usize, f_hi: usize) {
-        let flat = kernels::factor_flat_range(self.g, f_lo, f_hi);
-        let x_block = self.x.range_mut(flat.start, flat.end);
-        let prox_of = |a: usize| &*self.problem.proxes()[a];
-        let n_all = self.n.whole();
-        kernels::x_update_block(self.g, prox_of, self.params, n_all, x_block, f_lo, f_hi);
-    }
-
-    /// Fused x+m pass over factors `[f_lo, f_hi)`: their proximal
-    /// operators followed by `m = x + u` for their own contiguous edge
-    /// blocks (see [`kernels::xm_update_block`] for the bit-identity
+    /// Fused x+m pass over factors `[f_lo, f_hi)` (their edge blocks are
+    /// contiguous because factor edge ranges are contiguous and ordered):
+    /// their proximal operators followed by `m = x + u` for their own
+    /// edges (see [`kernels::xm_update_block`] for the bit-identity
     /// argument).
     ///
     /// # Safety
     /// Writes x and m for exactly these factors' edges; reads n and u,
     /// written by neither constituent sweep, plus the factor's own
-    /// freshly written x (same worker, same call). Same disjointness and
-    /// barrier-separation obligations as [`SweepArrays::x_phase`].
+    /// freshly written x (same worker, same call). No other worker may
+    /// execute an overlapping factor range in the same phase, and a
+    /// barrier must separate this phase from any phase writing n or u or
+    /// reading x or m.
     unsafe fn xm_phase(&self, f_lo: usize, f_hi: usize) {
         let flat = kernels::factor_flat_range(self.g, f_lo, f_hi);
         let x_block = self.x.range_mut(flat.start, flat.end);
@@ -729,25 +542,6 @@ impl<'a> SweepArrays<'a> {
         );
     }
 
-    /// M sweep (`m = x + u`) over edges `[e_lo, e_hi)`.
-    ///
-    /// # Safety
-    /// Writes m for exactly these edges; reads x, u. Same disjointness
-    /// and barrier-separation obligations as [`SweepArrays::x_phase`].
-    unsafe fn m_phase(&self, e_lo: usize, e_hi: usize) {
-        let d = self.d;
-        let m_block = self.m.range_mut(e_lo * d, e_hi * d);
-        let x_all = self.x.whole();
-        let u_all = self.u.whole();
-        kernels::m_update_range(
-            &x_all[e_lo * d..e_hi * d],
-            &u_all[e_lo * d..e_hi * d],
-            m_block,
-            0,
-            (e_hi - e_lo) * d,
-        );
-    }
-
     /// Z pass on swapped buffers over variables `[v_lo, v_hi)`: the
     /// fresh average is written into buffer `z_new` while buffer `z_old`
     /// (the previous iterate) plays `z_prev` — no snapshot copy.
@@ -757,8 +551,8 @@ impl<'a> SweepArrays<'a> {
     /// Writes buffer `z_new` for exactly these variables; reads m and
     /// buffer `z_old`, neither written this phase (`z_new ≠ z_old` is the
     /// caller's parity invariant; `z_old` was last written two phases —
-    /// two barriers — ago). Same obligations as
-    /// [`SweepArrays::x_phase`].
+    /// two barriers — ago). Same disjointness and barrier-separation
+    /// obligations as [`SweepArrays::xm_phase`].
     unsafe fn z_phase_swapped(&self, v_lo: usize, v_hi: usize, z_old: usize, z_new: usize) {
         debug_assert_ne!(z_old, z_new);
         let d = self.d;
@@ -768,97 +562,23 @@ impl<'a> SweepArrays<'a> {
         kernels::z_update_swapped_block(self.g, self.params, m_all, z_old_all, z_block, v_lo, v_hi);
     }
 
-    /// U sweep (dual ascent) over edges `[e_lo, e_hi)`, reading z from
-    /// buffer `zi` (the one the Z pass of this iteration wrote).
-    ///
-    /// # Safety
-    /// Writes u for exactly these edges; reads x and z buffer `zi`. Same
-    /// obligations as [`SweepArrays::x_phase`].
-    unsafe fn u_phase(&self, e_lo: usize, e_hi: usize, zi: usize) {
-        let d = self.d;
-        let u_block = self.u.range_mut(e_lo * d, e_hi * d);
-        let x_all = self.x.whole();
-        let z_all = self.z_bufs[zi].whole();
-        match &self.stream {
-            Some(s) => kernels::u_update_range_stream(s, x_all, z_all, u_block, e_lo, e_hi),
-            None => {
-                for e in e_lo..e_hi {
-                    let ue = &mut u_block[(e - e_lo) * d..(e - e_lo + 1) * d];
-                    kernels::u_update_edge(
-                        self.g,
-                        self.params,
-                        x_all,
-                        z_all,
-                        ue,
-                        paradmm_graph::EdgeId::from_usize(e),
-                    );
-                }
-            }
-        }
-    }
-
-    /// N sweep (`n = z − u`) over edges `[e_lo, e_hi)`, reading z from
-    /// buffer `zi`.
-    ///
-    /// # Safety
-    /// Writes n for exactly these edges; reads z buffer `zi`, u. Same
-    /// obligations as [`SweepArrays::x_phase`].
-    unsafe fn n_phase(&self, e_lo: usize, e_hi: usize, zi: usize) {
-        let d = self.d;
-        let n_block = self.n.range_mut(e_lo * d, e_hi * d);
-        let z_all = self.z_bufs[zi].whole();
-        let u_all = self.u.whole();
-        match &self.stream {
-            Some(s) => kernels::n_update_range_stream(s, z_all, u_all, n_block, e_lo, e_hi),
-            None => {
-                for e in e_lo..e_hi {
-                    let nb = &mut n_block[(e - e_lo) * d..(e - e_lo + 1) * d];
-                    kernels::n_update_edge(
-                        self.g,
-                        z_all,
-                        u_all,
-                        nb,
-                        paradmm_graph::EdgeId::from_usize(e),
-                    );
-                }
-            }
-        }
-    }
-
     /// Fused u+n pass over edges `[e_lo, e_hi)`, reading z from buffer
-    /// `zi` — see [`kernels::un_update_edge`] for why fusion is
+    /// `zi` (the one the Z pass of this iteration wrote) — see
+    /// [`kernels::un_update_range_stream`] for why fusion is
     /// bit-identical.
     ///
     /// # Safety
     /// Writes u and n for exactly these edges; reads x, z buffer `zi`,
     /// and each edge's own freshly written u (same worker, same call) —
     /// see [`RawArray`]'s contract on the fused phase. Same obligations
-    /// as [`SweepArrays::x_phase`].
+    /// as [`SweepArrays::xm_phase`].
     unsafe fn un_phase(&self, e_lo: usize, e_hi: usize, zi: usize) {
         let d = self.d;
         let u_block = self.u.range_mut(e_lo * d, e_hi * d);
         let n_block = self.n.range_mut(e_lo * d, e_hi * d);
         let x_all = self.x.whole();
         let z_all = self.z_bufs[zi].whole();
-        match &self.stream {
-            Some(s) => {
-                kernels::un_update_range_stream(s, x_all, z_all, u_block, n_block, e_lo, e_hi)
-            }
-            None => {
-                for e in e_lo..e_hi {
-                    let off = (e - e_lo) * d;
-                    kernels::un_update_edge(
-                        self.g,
-                        self.params,
-                        x_all,
-                        z_all,
-                        &mut u_block[off..off + d],
-                        &mut n_block[off..off + d],
-                        paradmm_graph::EdgeId::from_usize(e),
-                    );
-                }
-            }
-        }
+        kernels::un_update_range_stream(&self.stream, x_all, z_all, u_block, n_block, e_lo, e_hi);
     }
 }
 
@@ -936,10 +656,8 @@ pub const DEFAULT_STEAL_CHUNK: usize = 64;
 /// approach #2 (static per-thread ranges leave cores idle whenever the
 /// factor graph's degree distribution is lumpy).
 ///
-/// Each iteration runs the plan's passes (three under the default fused
-/// plan: x+m, z, u+n — this backend pioneered the u+n fusion, which now
-/// lives in the shared [`SweepPlan`] machinery instead of being
-/// hand-rolled here). Within a pass, every worker repeatedly
+/// Each iteration runs the plan's three passes, x+m, z and u+n. Within a
+/// pass, every worker repeatedly
 /// `fetch_add`s a shared chunk counter and executes the claimed chunk of
 /// factors / edges / variables, so a worker stuck on a heavy chunk simply
 /// claims fewer chunks while the others drain the rest — the atomic
@@ -1029,7 +747,7 @@ impl SweepExecutor for WorkStealingBackend {
 /// How many synchronization points per iteration a barrier-style backend
 /// pays for `problem` — the plan's pass count (see
 /// [`SweepPlan::barriers_per_iteration`]). Exposed so gates and benches
-/// can assert the fused schedule's ≤ 3 barriers without re-deriving the
+/// can assert the schedule's 3 barriers without re-deriving the
 /// resolution rule.
 pub fn barriers_per_iteration(problem: &AdmmProblem) -> usize {
     SweepPlan::resolve(problem).barriers_per_iteration()
@@ -1265,13 +983,6 @@ impl SweepExecutor for AutoBackend {
             .as_mut()
             .expect("probe always locks in a backend")
             .execute(problem, store, iters, t);
-    }
-
-    fn repartition(&mut self, problem: &AdmmProblem, costs: &SweepCosts) -> bool {
-        match self.chosen.as_mut() {
-            Some(b) => b.repartition(problem, costs),
-            None => false, // nothing locked in yet; nothing to rebuild
-        }
     }
 }
 

@@ -45,8 +45,7 @@ pub fn plan_report(plan: &SweepPlan, costs: &SweepCosts, problem: &AdmmProblem) 
         costs.m_per_edge, costs.z_per_var, costs.u_per_edge, costs.n_per_edge
     ));
     out.push_str(&format!(
-        "kernel throughput ({:?} dispatch): m {:.2} | z {:.2} | u {:.2} | n {:.2} GB/s\n",
-        crate::kernels::kernel_dispatch(),
+        "kernel throughput: m {:.2} | z {:.2} | u {:.2} | n {:.2} GB/s\n",
         gb_per_s(m_bytes_per_edge(g.dims()), costs.m_per_edge),
         gb_per_s(z_bytes_per_var(g), costs.z_per_var),
         gb_per_s(u_bytes_per_edge(g.dims()), costs.u_per_edge),
@@ -685,7 +684,6 @@ mod tests {
         let report = plan_report(&plan, &costs, &p);
         assert!(report.contains("kernel throughput"), "{report}");
         assert!(report.contains("GB/s"), "{report}");
-        assert!(report.contains("Specialized"), "{report}");
         assert!(report.contains("x pass by operator"), "{report}");
         assert!(report.contains("call path"), "{report}");
     }

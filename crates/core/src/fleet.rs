@@ -34,8 +34,8 @@
 //! `InstanceExec` internals for the full protocol argument.
 //!
 //! Execution goes through the shared `SweepArrays::run_pass` kernel
-//! dispatcher, so scalar/specialized kernels, fused passes, and the
-//! z-buffer parity rotation all carry over unchanged — per-instance
+//! dispatcher, so the fused passes and the z-buffer parity rotation
+//! carry over unchanged — per-instance
 //! iterates are **bit-identical** to a solo serial solve (chunks tile
 //! each pass exactly, passes run in plan order per instance, and
 //! Algorithm 2's Jacobi data flow is schedule-independent), which
@@ -436,9 +436,6 @@ struct FleetSlot {
     iterations: usize,
     stop_reason: Option<StopReason>,
     final_residuals: Option<Residuals>,
-    /// Per-instance replan bookkeeping (costs drift independently per
-    /// instance, so each keeps its own baseline and cadence counter).
-    replan_state: crate::plan::ReplanState,
 }
 
 /// Drives a fleet of independent [`AdmmProblem`]s to convergence with
@@ -476,7 +473,6 @@ pub struct FleetSolver {
     timings: UpdateTimings,
     diagnostics: FleetDiagnostics,
     elapsed: Duration,
-    replan: Option<crate::plan::ReplanPolicy>,
 }
 
 impl FleetSolver {
@@ -524,7 +520,6 @@ impl FleetSolver {
                     iterations: 0,
                     stop_reason: None,
                     final_residuals: None,
-                    replan_state: crate::plan::ReplanState::default(),
                 }
             })
             .collect();
@@ -540,7 +535,6 @@ impl FleetSolver {
             timings: UpdateTimings::new(),
             diagnostics: FleetDiagnostics::new(),
             elapsed: Duration::ZERO,
-            replan: None,
         }
     }
 
@@ -600,20 +594,6 @@ impl FleetSolver {
     pub fn set_chunk(&mut self, chunk: usize) {
         assert!(chunk >= 1, "chunk size must be positive");
         self.chunk = Some(chunk);
-    }
-
-    /// Enables online re-planning for every instance: each slot keeps
-    /// its own [`crate::ReplanState`] (baselines drift independently)
-    /// and re-measures/recompiles its plan at block boundaries per
-    /// `policy`. Replans change scheduling only, so fleet iterates stay
-    /// bit-identical to solo solves.
-    pub fn set_replan_policy(&mut self, policy: crate::plan::ReplanPolicy) {
-        self.replan = Some(policy);
-    }
-
-    /// Replan bookkeeping for instance `i`, when a policy is active.
-    pub fn replan_state(&self, i: usize) -> Option<&crate::plan::ReplanState> {
-        self.replan.map(|_| &self.slots[i].replan_state)
     }
 
     /// Number of fleet instances.
@@ -737,16 +717,6 @@ impl FleetSolver {
                     if conv {
                         slot.stop_reason = Some(StopReason::Converged);
                         slot.active = false; // retires — no repack
-                    }
-                }
-                // Online replan per still-active instance: drifting
-                // operator costs recompile that instance's plan at the
-                // block boundary (the fleet scheduler claims chunks from
-                // each instance's own plan, so no backend state needs
-                // rebuilding).
-                if let Some(policy) = self.replan {
-                    for slot in self.slots.iter_mut().filter(|s| s.active) {
-                        let _ = policy.maybe_replan(&mut slot.replan_state, &mut slot.problem);
                     }
                 }
             } else {

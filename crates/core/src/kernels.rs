@@ -1,32 +1,27 @@
 //! The five update kernels of Algorithm 2, expressed over index ranges.
 //!
-//! Every kernel is written as a *range* function so the same code drives
-//! all three schedulers: the serial baseline passes the full range, the
-//! barrier scheduler passes each worker's static partition, and the rayon
-//! scheduler maps the per-element bodies over parallel chunk iterators.
+//! Every kernel is a *range* function with block-relative write slices,
+//! so the same code drives every executor: the serial baseline passes
+//! the full range, the barrier backend each worker's static partition,
+//! the work-stealing and fleet workers their claimed chunks, the rayon
+//! backend its chunk iterators, and the halo executor each shard's local
+//! arrays. One iteration runs three of them — the fused `x+m`, the `z`
+//! average on swapped buffers, and the fused `u+n` — in that order.
 //!
-//! # SIMD specialization
+//! # Fixed-`dims` bodies
 //!
-//! The element-wise bodies (`m`, `z`, `u`, `n`, fused `u+n`, and the
-//! m-tail of the fused `x+m`) exist in two forms:
-//!
-//! * the original **scalar** loops with runtime `dims`, and
-//! * **specialized** monomorphized variants for `d ∈ {1, 2, 3, 4}` (the
-//!   paper families' dims) whose fixed trip-count inner loops the
-//!   compiler fully unrolls and vectorizes, plus a 4-wide manually
-//!   unrolled fallback for larger `d`.
-//!
-//! Both forms perform the *same per-output sequence of rounded
-//! floating-point operations* — specialization only removes loop/bounds
-//! overhead and improves instruction-level parallelism across
-//! *independent* outputs, never re-associating any individual
-//! accumulation — so iterates are bit-identical under either path (the
-//! `tests/plan_equivalence.rs` / `backend_equivalence.rs` suites pin
-//! this). [`set_kernel_dispatch`] selects the path process-wide; the
-//! executors read it once per pass. The u/n sweeps additionally have
-//! `*_stream` entry points driven by a dense
-//! [`EdgeStream`] instead of `EdgeId`
-//! accessor chains.
+//! The element-wise bodies (`z`, `u`, `n`, fused `u+n`, and the m-tail of
+//! the fused `x+m`) are monomorphized for `d ∈ {1, 2, 3, 4}` (the paper
+//! families' dims), whose fixed trip-count inner loops the compiler fully
+//! unrolls and vectorizes, with a 4-wide manually unrolled body for
+//! larger `d`. Unrolling runs only across *independent* outputs: each
+//! output value sees the same sequence of rounded floating-point
+//! operations as the paper's literal loop ([`crate::naive::NaiveAdmm`]),
+//! and no accumulation is ever re-associated. The kernel tests restate
+//! every formula in straight-line code and compare bits; the oracle test
+//! compares every executor's whole state against `NaiveAdmm`. The u/n
+//! bodies read their per-edge `(α, z-base)` from a dense [`EdgeStream`]
+//! instead of chasing `EdgeId` accessors through the graph.
 //!
 //! # The prox sweep
 //!
@@ -40,124 +35,19 @@
 //! contiguous range. The operator comes from a monomorphized
 //! `Fn(usize) -> &dyn ProxOp`, so a shard-local graph can map its factor
 //! ids to the global operators. Every executor's x pass is this body:
-//! [`x_update_range`] / [`xm_update_range`] (serial, and the thin
-//! [`x_update_factor`]), `SweepArrays::x_phase` / `xm_phase` (barrier,
+//! [`xm_update_range`] (serial), `SweepArrays::xm_phase` (barrier,
 //! work-stealing, fleet), the rayon backend's factor grains, and the
-//! staging phases of the sharded and bounded-staleness executors.
+//! staging phase of the halo executor.
 //!
 //! # Subnormals
 //!
-//! Every write of the dual `u`, in every body and on every path, goes
-//! through [`flush_subnormal`]: `u` is the one array that carries its own
-//! value from one iteration to the next, so it is the one place a
-//! subnormal can settle for good.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Every write of the dual `u`, in every body, goes through
+//! [`flush_subnormal`]: `u` is the one array that carries its own value
+//! from one iteration to the next, so it is the one place a subnormal
+//! can settle for good.
 
 use paradmm_graph::{EdgeParams, EdgeStream, FactorGraph, FactorId, VarId};
 use paradmm_prox::{ProxCtx, ProxOp};
-
-/// Which element-wise kernel bodies the executors run (see module docs).
-/// Both choices produce bit-identical iterates; `Scalar` exists so the
-/// specialization can be measured honestly against the seed loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelDispatch {
-    /// The original runtime-`dims` scalar loops.
-    Scalar,
-    /// Fixed-`dims` monomorphized bodies (d ≤ 4) / 4-wide unrolled
-    /// fallback, plus the [`EdgeStream`] path in the executors.
-    Specialized,
-}
-
-/// 0 = Specialized (default), 1 = Scalar.
-static KERNEL_DISPATCH: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the kernel dispatch mode process-wide (picked up at the next
-/// pass boundary). Defaults to [`KernelDispatch::Specialized`].
-pub fn set_kernel_dispatch(mode: KernelDispatch) {
-    KERNEL_DISPATCH.store(
-        matches!(mode, KernelDispatch::Scalar) as u8,
-        Ordering::Relaxed,
-    );
-}
-
-/// The current kernel dispatch mode.
-pub fn kernel_dispatch() -> KernelDispatch {
-    if KERNEL_DISPATCH.load(Ordering::Relaxed) == 0 {
-        KernelDispatch::Specialized
-    } else {
-        KernelDispatch::Scalar
-    }
-}
-
-#[inline]
-pub(crate) fn specialized() -> bool {
-    KERNEL_DISPATCH.load(Ordering::Relaxed) == 0
-}
-
-/// Per-edge `(α, flat z-base)` source for the u/n bodies: either the
-/// `EdgeId` accessor chain or the dense precomputed stream. Monomorphizing
-/// the bodies over this trait keeps the two paths literally the same code.
-trait EdgeCtx: Copy {
-    fn alpha(&self, e: usize) -> f64;
-    fn z_base(&self, e: usize) -> usize;
-}
-
-#[derive(Clone, Copy)]
-struct AccessorCtx<'a> {
-    graph: &'a FactorGraph,
-    params: &'a EdgeParams,
-    d: usize,
-}
-
-impl EdgeCtx for AccessorCtx<'_> {
-    #[inline]
-    fn alpha(&self, e: usize) -> f64 {
-        self.params.alpha(paradmm_graph::EdgeId::from_usize(e))
-    }
-    #[inline]
-    fn z_base(&self, e: usize) -> usize {
-        self.graph
-            .edge_var(paradmm_graph::EdgeId::from_usize(e))
-            .idx()
-            * self.d
-    }
-}
-
-/// Context for the n body, which never reads `α` — only the z-base map.
-#[derive(Clone, Copy)]
-struct GraphCtx<'a> {
-    graph: &'a FactorGraph,
-    d: usize,
-}
-
-impl EdgeCtx for GraphCtx<'_> {
-    #[inline]
-    fn alpha(&self, _e: usize) -> f64 {
-        unreachable!("n body never reads alpha")
-    }
-    #[inline]
-    fn z_base(&self, e: usize) -> usize {
-        self.graph
-            .edge_var(paradmm_graph::EdgeId::from_usize(e))
-            .idx()
-            * self.d
-    }
-}
-
-#[derive(Clone, Copy)]
-struct StreamCtx<'a>(&'a EdgeStream);
-
-impl EdgeCtx for StreamCtx<'_> {
-    #[inline]
-    fn alpha(&self, e: usize) -> f64 {
-        self.0.alpha()[e]
-    }
-    #[inline]
-    fn z_base(&self, e: usize) -> usize {
-        self.0.z_base()[e] as usize
-    }
-}
 
 /// The rule every write of the scaled dual `u` goes through: a subnormal
 /// result becomes a zero of the same sign; every other value — ±0,
@@ -176,8 +66,8 @@ impl EdgeCtx for StreamCtx<'_> {
 /// stays. The perturbation is below 2.3e-308 per component, and a run
 /// that never produces a subnormal `u` is unchanged bit for bit.
 ///
-/// Exported so that reference loops ([`crate::naive::NaiveAdmm`], the
-/// asynchronous scalar loop) apply the same rule from the same place.
+/// Exported so that the reference loop ([`crate::naive::NaiveAdmm`])
+/// applies the same rule from the same place.
 #[inline(always)]
 pub fn flush_subnormal(v: f64) -> f64 {
     // One compare and one mask: below the normal range only the sign bit
@@ -196,9 +86,10 @@ pub fn flush_subnormal(v: f64) -> f64 {
 //
 // Write slices are *block-relative*: `u_block`/`n_block`/`z_block` cover
 // exactly the range `[lo, hi)` being updated, so the same bodies serve
-// full-array calls (serial), static partitions (barrier), claimed chunks
-// (work-stealing) and rayon chunk iterators without aliasing whole
-// arrays. Read arrays are always the full flat arrays.
+// full-array calls (serial, the halo executor's shards), static
+// partitions (barrier), claimed chunks (work-stealing, fleet) and rayon
+// chunk iterators without aliasing whole arrays. Read arrays are always
+// the full flat arrays.
 // ---------------------------------------------------------------------------
 
 /// `m[i] = x[i] + u[i]` over equal-length slices, 4-wide unrolled.
@@ -222,22 +113,9 @@ fn add_block(x: &[f64], u: &[f64], m: &mut [f64]) {
     }
 }
 
-/// `m = x + u` over equal-length slices under either dispatch: the
-/// unrolled [`add_block`] (`fast`) or the seed's scalar loop.
 #[inline]
-fn m_body(fast: bool, x: &[f64], u: &[f64], m: &mut [f64]) {
-    if fast {
-        add_block(x, u, m);
-    } else {
-        for j in 0..m.len() {
-            m[j] = x[j] + u[j];
-        }
-    }
-}
-
-#[inline]
-fn u_body_fixed<const D: usize, C: EdgeCtx>(
-    ctx: C,
+fn u_body_fixed<const D: usize>(
+    stream: &EdgeStream,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -245,6 +123,7 @@ fn u_body_fixed<const D: usize, C: EdgeCtx>(
     e_hi: usize,
 ) {
     // Slices cut once and walked as D-wide chunks, see `un_body_fixed`.
+    let (alphas, z_base) = (stream.alpha(), stream.z_base());
     let x_block = &x_all[e_lo * D..e_hi * D];
     assert!(
         u_block.len() == x_block.len(),
@@ -252,8 +131,8 @@ fn u_body_fixed<const D: usize, C: EdgeCtx>(
     );
     let blocks = x_block.chunks_exact(D).zip(u_block.chunks_exact_mut(D));
     for (e, (xe, ue)) in (e_lo..e_hi).zip(blocks) {
-        let alpha = ctx.alpha(e);
-        let zb = ctx.z_base(e);
+        let alpha = alphas[e];
+        let zb = z_base[e] as usize;
         let z = &z_all[zb..zb + D];
         for c in 0..D {
             ue[c] = flush_subnormal(ue[c] + alpha * (xe[c] - z[c]));
@@ -262,8 +141,8 @@ fn u_body_fixed<const D: usize, C: EdgeCtx>(
 }
 
 #[inline]
-fn u_body_dyn<C: EdgeCtx>(
-    ctx: C,
+fn u_body_dyn(
+    stream: &EdgeStream,
     d: usize,
     x_all: &[f64],
     z_all: &[f64],
@@ -271,9 +150,10 @@ fn u_body_dyn<C: EdgeCtx>(
     e_lo: usize,
     e_hi: usize,
 ) {
+    let (alphas, z_base) = (stream.alpha(), stream.z_base());
     for e in e_lo..e_hi {
-        let alpha = ctx.alpha(e);
-        let zb = ctx.z_base(e);
+        let alpha = alphas[e];
+        let zb = z_base[e] as usize;
         let xe = &x_all[e * d..e * d + d];
         let z = &z_all[zb..zb + d];
         let ue = &mut u_block[(e - e_lo) * d..(e - e_lo) * d + d];
@@ -295,16 +175,17 @@ fn u_body_dyn<C: EdgeCtx>(
 }
 
 #[inline]
-fn n_body_fixed<const D: usize, C: EdgeCtx>(
-    ctx: C,
+fn n_body_fixed<const D: usize>(
+    stream: &EdgeStream,
     z_all: &[f64],
     u_all: &[f64],
     n_block: &mut [f64],
     e_lo: usize,
     e_hi: usize,
 ) {
+    let z_base = stream.z_base();
     for e in e_lo..e_hi {
-        let zb = ctx.z_base(e);
+        let zb = z_base[e] as usize;
         let z = &z_all[zb..zb + D];
         let ue = &u_all[e * D..e * D + D];
         let ne = &mut n_block[(e - e_lo) * D..(e - e_lo) * D + D];
@@ -315,8 +196,8 @@ fn n_body_fixed<const D: usize, C: EdgeCtx>(
 }
 
 #[inline]
-fn n_body_dyn<C: EdgeCtx>(
-    ctx: C,
+fn n_body_dyn(
+    stream: &EdgeStream,
     d: usize,
     z_all: &[f64],
     u_all: &[f64],
@@ -324,8 +205,9 @@ fn n_body_dyn<C: EdgeCtx>(
     e_lo: usize,
     e_hi: usize,
 ) {
+    let z_base = stream.z_base();
     for e in e_lo..e_hi {
-        let zb = ctx.z_base(e);
+        let zb = z_base[e] as usize;
         let z = &z_all[zb..zb + d];
         let ue = &u_all[e * d..e * d + d];
         let ne = &mut n_block[(e - e_lo) * d..(e - e_lo) * d + d];
@@ -345,8 +227,8 @@ fn n_body_dyn<C: EdgeCtx>(
 }
 
 #[inline]
-fn un_body_fixed<const D: usize, C: EdgeCtx>(
-    ctx: C,
+fn un_body_fixed<const D: usize>(
+    stream: &EdgeStream,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -358,6 +240,7 @@ fn un_body_fixed<const D: usize, C: EdgeCtx>(
     // re-sliced per edge: the bounds checks that saves pay for the flush
     // (d = 2, cache-resident: 1.52 ns/edge before either, 1.83 with the
     // flush alone, 1.33 with both).
+    let (alphas, z_base) = (stream.alpha(), stream.z_base());
     let x_block = &x_all[e_lo * D..e_hi * D];
     assert!(
         u_block.len() == x_block.len() && n_block.len() == x_block.len(),
@@ -368,8 +251,8 @@ fn un_body_fixed<const D: usize, C: EdgeCtx>(
         .zip(u_block.chunks_exact_mut(D))
         .zip(n_block.chunks_exact_mut(D));
     for (e, ((xe, ue), ne)) in (e_lo..e_hi).zip(blocks) {
-        let alpha = ctx.alpha(e);
-        let zb = ctx.z_base(e);
+        let alpha = alphas[e];
+        let zb = z_base[e] as usize;
         let z = &z_all[zb..zb + D];
         for c in 0..D {
             let u = flush_subnormal(ue[c] + alpha * (xe[c] - z[c]));
@@ -381,8 +264,8 @@ fn un_body_fixed<const D: usize, C: EdgeCtx>(
 
 #[inline]
 #[allow(clippy::too_many_arguments)] // internal body; mirrors un_body_fixed plus the runtime dims
-fn un_body_dyn<C: EdgeCtx>(
-    ctx: C,
+fn un_body_dyn(
+    stream: &EdgeStream,
     d: usize,
     x_all: &[f64],
     z_all: &[f64],
@@ -391,9 +274,10 @@ fn un_body_dyn<C: EdgeCtx>(
     e_lo: usize,
     e_hi: usize,
 ) {
+    let (alphas, z_base) = (stream.alpha(), stream.z_base());
     for e in e_lo..e_hi {
-        let alpha = ctx.alpha(e);
-        let zb = ctx.z_base(e);
+        let alpha = alphas[e];
+        let zb = z_base[e] as usize;
         let xe = &x_all[e * d..e * d + d];
         let z = &z_all[zb..zb + d];
         let bo = (e - e_lo) * d;
@@ -424,43 +308,10 @@ fn un_body_dyn<C: EdgeCtx>(
     }
 }
 
-/// z body for `d = D`, copying schedule (degree-0 variables are left
-/// unchanged in `z_block`). The weighted sum accumulates into a stack
-/// array in *exactly* the fold order and association of the scalar path.
-#[inline]
-fn z_body_fixed<const D: usize>(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    m_all: &[f64],
-    z_block: &mut [f64],
-    b_lo: usize,
-    b_hi: usize,
-) {
-    for b in b_lo..b_hi {
-        let edges = graph.var_edges(VarId::from_usize(b));
-        if edges.is_empty() {
-            continue;
-        }
-        let mut acc = [0.0f64; D];
-        let mut rho_sum = 0.0;
-        for &e in edges {
-            let rho = params.rho(e);
-            rho_sum += rho;
-            let me = &m_all[e.idx() * D..e.idx() * D + D];
-            for c in 0..D {
-                acc[c] += rho * me[c];
-            }
-        }
-        let inv = 1.0 / rho_sum;
-        let out = &mut z_block[(b - b_lo) * D..(b - b_lo) * D + D];
-        for c in 0..D {
-            out[c] = acc[c] * inv;
-        }
-    }
-}
-
-/// z body for `d = D`, double-buffered schedule (degree-0 variables copy
-/// forward from `z_old`).
+/// z body for `d = D` on the double-buffered schedule (degree-0
+/// variables copy forward from `z_old`). The weighted sum accumulates
+/// into a stack array in exactly the fold order and association of
+/// [`z_update_var`].
 #[inline]
 fn z_swapped_body_fixed<const D: usize>(
     graph: &FactorGraph,
@@ -555,11 +406,10 @@ pub const PROX_TILE: usize = 64;
 /// `[a_lo, a_hi)` tile by tile and, if `m_tail = (u_all, m_block)` is
 /// given, forms `m = x + u` over each finished tile.
 ///
-/// The offsets are walked once, the dispatch mode is read once, and each
-/// operator gets a [`ProxCtx`] cut straight from the factor's CSR range:
-/// `n` and `x` are the same `degree · dims` scalars of two edge-ordered
-/// arrays and `rho` the same `degree` edges, which is all
-/// [`ProxCtx::new`] would re-check.
+/// The offsets are walked once and each operator gets a [`ProxCtx`] cut
+/// straight from the factor's CSR range: `n` and `x` are the same
+/// `degree · dims` scalars of two edge-ordered arrays and `rho` the same
+/// `degree` edges, which is all [`ProxCtx::new`] would re-check.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
 fn prox_sweep<'p>(
@@ -584,7 +434,6 @@ fn prox_sweep<'p>(
     );
     let mut x_rest = x_block;
     let mut m_tail = m_tail.map(|(u_all, m_block)| (&u_all[flat], m_block));
-    let fast = specialized();
     let (mut a, mut prev) = (a_lo, offsets[0]);
     for tile in offsets[1..].chunks(PROX_TILE) {
         // Every slice is split off the front of what is left, so each
@@ -607,7 +456,7 @@ fn prox_sweep<'p>(
             let (u_tile, u_next) = u_rest.split_at(tile_len);
             let (m_tile, m_next) = std::mem::take(m_rest).split_at_mut(tile_len);
             (*u_rest, *m_rest) = (u_next, m_next);
-            m_body(fast, x_tile, u_tile, m_tile);
+            add_block(x_tile, u_tile, m_tile);
         }
     }
 }
@@ -710,7 +559,7 @@ pub fn x_update_range(
 /// m-update over flat component range `[lo, hi)`: `m = x + u`.
 #[inline]
 pub fn m_update_range(x: &[f64], u: &[f64], m: &mut [f64], lo: usize, hi: usize) {
-    m_body(specialized(), &x[lo..hi], &u[lo..hi], &mut m[lo..hi]);
+    add_block(&x[lo..hi], &u[lo..hi], &mut m[lo..hi]);
 }
 
 /// Fused x+m over a contiguous factor range `[a_lo, a_hi)`; `x_all` and
@@ -798,39 +647,12 @@ pub fn z_update_var(
     }
 }
 
-/// z-update over a contiguous variable range `[b_lo, b_hi)`; `z_all` is the
-/// full global z array.
-pub fn z_update_range(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    m_all: &[f64],
-    z_all: &mut [f64],
-    b_lo: usize,
-    b_hi: usize,
-) {
-    let d = graph.dims();
-    if specialized() {
-        let z_block = &mut z_all[b_lo * d..b_hi * d];
-        match d {
-            1 => return z_body_fixed::<1>(graph, params, m_all, z_block, b_lo, b_hi),
-            2 => return z_body_fixed::<2>(graph, params, m_all, z_block, b_lo, b_hi),
-            3 => return z_body_fixed::<3>(graph, params, m_all, z_block, b_lo, b_hi),
-            4 => return z_body_fixed::<4>(graph, params, m_all, z_block, b_lo, b_hi),
-            _ => {} // large dims: per-var body below (stack path covers d ≤ 8)
-        }
-    }
-    for b in b_lo..b_hi {
-        let zb = &mut z_all[b * d..(b + 1) * d];
-        z_update_var(graph, params, m_all, zb, VarId::from_usize(b));
-    }
-}
-
 /// z-update body for the double-buffered (swap) schedule: variable `b`'s
 /// fresh average is written into `z_b_out` (a slice of the *write*
 /// buffer, stale by two iterations after a [`paradmm_graph::VarStore::swap_z`]);
 /// a degree-0 variable instead copies its value forward from `z_old_b`
-/// (its slice of the previous iterate), reproducing the copying
-/// schedule's "left unchanged" semantics bit for bit.
+/// (its slice of the previous iterate), reproducing Algorithm 2's "left
+/// unchanged" semantics bit for bit.
 #[inline]
 pub fn z_update_swapped_var(
     graph: &FactorGraph,
@@ -886,22 +708,12 @@ pub fn z_update_swapped_block(
 ) {
     let d = graph.dims();
     debug_assert_eq!(z_block.len(), (b_hi - b_lo) * d);
-    if specialized() {
-        match d {
-            1 => {
-                return z_swapped_body_fixed::<1>(graph, params, m_all, z_old, z_block, b_lo, b_hi)
-            }
-            2 => {
-                return z_swapped_body_fixed::<2>(graph, params, m_all, z_old, z_block, b_lo, b_hi)
-            }
-            3 => {
-                return z_swapped_body_fixed::<3>(graph, params, m_all, z_old, z_block, b_lo, b_hi)
-            }
-            4 => {
-                return z_swapped_body_fixed::<4>(graph, params, m_all, z_old, z_block, b_lo, b_hi)
-            }
-            _ => {} // large dims: per-var body below (stack path covers d ≤ 8)
-        }
+    match d {
+        1 => return z_swapped_body_fixed::<1>(graph, params, m_all, z_old, z_block, b_lo, b_hi),
+        2 => return z_swapped_body_fixed::<2>(graph, params, m_all, z_old, z_block, b_lo, b_hi),
+        3 => return z_swapped_body_fixed::<3>(graph, params, m_all, z_old, z_block, b_lo, b_hi),
+        4 => return z_swapped_body_fixed::<4>(graph, params, m_all, z_old, z_block, b_lo, b_hi),
+        _ => {} // large dims: per-var body below (stack path covers d ≤ 8)
     }
     for b in b_lo..b_hi {
         let r = (b - b_lo) * d..(b - b_lo + 1) * d;
@@ -916,66 +728,9 @@ pub fn z_update_swapped_block(
     }
 }
 
-/// u-update body for a single edge `e`:
-/// `u_e ← u_e + α_e (x_e − z_{var(e)})`, written into `u_e_out`.
-#[inline]
-pub fn u_update_edge(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    x_all: &[f64],
-    z_all: &[f64],
-    u_e_out: &mut [f64],
-    e: paradmm_graph::EdgeId,
-) {
-    let d = graph.dims();
-    let alpha = params.alpha(e);
-    let b = graph.edge_var(e);
-    let xe = &x_all[e.idx() * d..(e.idx() + 1) * d];
-    let zb = &z_all[b.idx() * d..(b.idx() + 1) * d];
-    for c in 0..d {
-        u_e_out[c] = flush_subnormal(u_e_out[c] + alpha * (xe[c] - zb[c]));
-    }
-}
-
-/// u-update over a contiguous edge range `[e_lo, e_hi)`.
-pub fn u_update_range(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    x_all: &[f64],
-    z_all: &[f64],
-    u_all: &mut [f64],
-    e_lo: usize,
-    e_hi: usize,
-) {
-    let d = graph.dims();
-    if specialized() {
-        let ctx = AccessorCtx { graph, params, d };
-        let u_block = &mut u_all[e_lo * d..e_hi * d];
-        return match d {
-            1 => u_body_fixed::<1, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-            2 => u_body_fixed::<2, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-            3 => u_body_fixed::<3, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-            4 => u_body_fixed::<4, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-            _ => u_body_dyn(ctx, d, x_all, z_all, u_block, e_lo, e_hi),
-        };
-    }
-    for e in e_lo..e_hi {
-        let ue = &mut u_all[e * d..(e + 1) * d];
-        u_update_edge(
-            graph,
-            params,
-            x_all,
-            z_all,
-            ue,
-            paradmm_graph::EdgeId::from_usize(e),
-        );
-    }
-}
-
-/// [`u_update_range`] driven by a dense [`EdgeStream`] instead of the
-/// `EdgeId` accessor chain; `u_block` is *block-relative* — it covers
-/// exactly the edges `[e_lo, e_hi)` — so parallel executors can pass the
-/// disjoint chunk they own. Always runs the specialized bodies.
+/// u-update `u_e ← u_e + α_e (x_e − z_{var(e)})` over the edges
+/// `[e_lo, e_hi)`, with `(α, z-base)` read from `stream`; `u_block` is
+/// *block-relative* — it covers exactly those edges.
 pub fn u_update_range_stream(
     stream: &EdgeStream,
     x_all: &[f64],
@@ -984,90 +739,25 @@ pub fn u_update_range_stream(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let ctx = StreamCtx(stream);
     match stream.dims() {
-        1 => u_body_fixed::<1, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-        2 => u_body_fixed::<2, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-        3 => u_body_fixed::<3, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-        4 => u_body_fixed::<4, _>(ctx, x_all, z_all, u_block, e_lo, e_hi),
-        d => u_body_dyn(ctx, d, x_all, z_all, u_block, e_lo, e_hi),
+        1 => u_body_fixed::<1>(stream, x_all, z_all, u_block, e_lo, e_hi),
+        2 => u_body_fixed::<2>(stream, x_all, z_all, u_block, e_lo, e_hi),
+        3 => u_body_fixed::<3>(stream, x_all, z_all, u_block, e_lo, e_hi),
+        4 => u_body_fixed::<4>(stream, x_all, z_all, u_block, e_lo, e_hi),
+        d => u_body_dyn(stream, d, x_all, z_all, u_block, e_lo, e_hi),
     }
 }
 
-/// Fused u+n body for a single edge `e`: the dual ascent
+/// Fused u+n over the edges `[e_lo, e_hi)`: the dual ascent
 /// `u_e ← u_e + α_e (x_e − z_{var(e)})` immediately followed by
-/// `n_e = z_{var(e)} − u_e` on the freshly written dual.
+/// `n_e = z_{var(e)} − u_e` on the freshly written dual; `u_block` and
+/// `n_block` are *block-relative* (they cover exactly those edges).
 ///
 /// `n_e` depends only on `z` (read-only in both sweeps) and on `u_e` of
-/// the *same* edge, so fusing the two edge sweeps into one pass is
-/// bit-identical to running [`u_update_edge`] over all edges and then
-/// [`n_update_edge`] over all edges — while costing one less
-/// synchronization point per iteration in barrier-style backends and one
-/// less pass over the `u` array everywhere.
-#[inline]
-pub fn un_update_edge(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    x_all: &[f64],
-    z_all: &[f64],
-    u_e_out: &mut [f64],
-    n_e_out: &mut [f64],
-    e: paradmm_graph::EdgeId,
-) {
-    let d = graph.dims();
-    let alpha = params.alpha(e);
-    let b = graph.edge_var(e);
-    let xe = &x_all[e.idx() * d..(e.idx() + 1) * d];
-    let zb = &z_all[b.idx() * d..(b.idx() + 1) * d];
-    for c in 0..d {
-        u_e_out[c] = flush_subnormal(u_e_out[c] + alpha * (xe[c] - zb[c]));
-        n_e_out[c] = zb[c] - u_e_out[c];
-    }
-}
-
-/// Fused u+n update over a contiguous edge range `[e_lo, e_hi)`; `u_all`
-/// and `n_all` are the full global arrays.
-#[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
-pub fn un_update_range(
-    graph: &FactorGraph,
-    params: &EdgeParams,
-    x_all: &[f64],
-    z_all: &[f64],
-    u_all: &mut [f64],
-    n_all: &mut [f64],
-    e_lo: usize,
-    e_hi: usize,
-) {
-    let d = graph.dims();
-    if specialized() {
-        let ctx = AccessorCtx { graph, params, d };
-        let u_block = &mut u_all[e_lo * d..e_hi * d];
-        let n_block = &mut n_all[e_lo * d..e_hi * d];
-        return match d {
-            1 => un_body_fixed::<1, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-            2 => un_body_fixed::<2, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-            3 => un_body_fixed::<3, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-            4 => un_body_fixed::<4, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-            _ => un_body_dyn(ctx, d, x_all, z_all, u_block, n_block, e_lo, e_hi),
-        };
-    }
-    for e in e_lo..e_hi {
-        let lo = e * d;
-        un_update_edge(
-            graph,
-            params,
-            x_all,
-            z_all,
-            &mut u_all[lo..lo + d],
-            &mut n_all[lo..lo + d],
-            paradmm_graph::EdgeId::from_usize(e),
-        );
-    }
-}
-
-/// [`un_update_range`] driven by a dense [`EdgeStream`]; `u_block` and
-/// `n_block` are *block-relative* (they cover exactly `[e_lo, e_hi)`).
-/// Always runs the specialized bodies.
+/// the *same* edge, so fusing the two edge sweeps is bit-identical to
+/// [`u_update_range_stream`] over the range followed by
+/// [`n_update_range_stream`] — one pass over `u` fewer, and one
+/// synchronization point fewer per iteration.
 pub fn un_update_range_stream(
     stream: &EdgeStream,
     x_all: &[f64],
@@ -1077,70 +767,18 @@ pub fn un_update_range_stream(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let ctx = StreamCtx(stream);
     match stream.dims() {
-        1 => un_body_fixed::<1, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-        2 => un_body_fixed::<2, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-        3 => un_body_fixed::<3, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-        4 => un_body_fixed::<4, _>(ctx, x_all, z_all, u_block, n_block, e_lo, e_hi),
-        d => un_body_dyn(ctx, d, x_all, z_all, u_block, n_block, e_lo, e_hi),
+        1 => un_body_fixed::<1>(stream, x_all, z_all, u_block, n_block, e_lo, e_hi),
+        2 => un_body_fixed::<2>(stream, x_all, z_all, u_block, n_block, e_lo, e_hi),
+        3 => un_body_fixed::<3>(stream, x_all, z_all, u_block, n_block, e_lo, e_hi),
+        4 => un_body_fixed::<4>(stream, x_all, z_all, u_block, n_block, e_lo, e_hi),
+        d => un_body_dyn(stream, d, x_all, z_all, u_block, n_block, e_lo, e_hi),
     }
 }
 
-/// n-update body for a single edge `e`: `n_e = z_{var(e)} − u_e`.
-#[inline]
-pub fn n_update_edge(
-    graph: &FactorGraph,
-    z_all: &[f64],
-    u_all: &[f64],
-    n_e_out: &mut [f64],
-    e: paradmm_graph::EdgeId,
-) {
-    let d = graph.dims();
-    let b = graph.edge_var(e);
-    let zb = &z_all[b.idx() * d..(b.idx() + 1) * d];
-    let ue = &u_all[e.idx() * d..(e.idx() + 1) * d];
-    for c in 0..d {
-        n_e_out[c] = zb[c] - ue[c];
-    }
-}
-
-/// n-update over a contiguous edge range `[e_lo, e_hi)`.
-pub fn n_update_range(
-    graph: &FactorGraph,
-    z_all: &[f64],
-    u_all: &[f64],
-    n_all: &mut [f64],
-    e_lo: usize,
-    e_hi: usize,
-) {
-    let d = graph.dims();
-    if specialized() {
-        let ctx = GraphCtx { graph, d };
-        let n_block = &mut n_all[e_lo * d..e_hi * d];
-        return match d {
-            1 => n_body_fixed::<1, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-            2 => n_body_fixed::<2, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-            3 => n_body_fixed::<3, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-            4 => n_body_fixed::<4, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-            _ => n_body_dyn(ctx, d, z_all, u_all, n_block, e_lo, e_hi),
-        };
-    }
-    for e in e_lo..e_hi {
-        let ne = &mut n_all[e * d..(e + 1) * d];
-        n_update_edge(
-            graph,
-            z_all,
-            u_all,
-            ne,
-            paradmm_graph::EdgeId::from_usize(e),
-        );
-    }
-}
-
-/// [`n_update_range`] driven by a dense [`EdgeStream`]; `n_block` is
-/// *block-relative* (it covers exactly `[e_lo, e_hi)`). Always runs the
-/// specialized bodies.
+/// n-update `n_e = z_{var(e)} − u_e` over the edges `[e_lo, e_hi)`, with
+/// the z-base read from `stream`; `n_block` is *block-relative* (it
+/// covers exactly those edges).
 pub fn n_update_range_stream(
     stream: &EdgeStream,
     z_all: &[f64],
@@ -1149,13 +787,12 @@ pub fn n_update_range_stream(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let ctx = StreamCtx(stream);
     match stream.dims() {
-        1 => n_body_fixed::<1, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-        2 => n_body_fixed::<2, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-        3 => n_body_fixed::<3, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-        4 => n_body_fixed::<4, _>(ctx, z_all, u_all, n_block, e_lo, e_hi),
-        d => n_body_dyn(ctx, d, z_all, u_all, n_block, e_lo, e_hi),
+        1 => n_body_fixed::<1>(stream, z_all, u_all, n_block, e_lo, e_hi),
+        2 => n_body_fixed::<2>(stream, z_all, u_all, n_block, e_lo, e_hi),
+        3 => n_body_fixed::<3>(stream, z_all, u_all, n_block, e_lo, e_hi),
+        4 => n_body_fixed::<4>(stream, z_all, u_all, n_block, e_lo, e_hi),
+        d => n_body_dyn(stream, d, z_all, u_all, n_block, e_lo, e_hi),
     }
 }
 
@@ -1188,7 +825,7 @@ pub fn assign_range(n_items: usize, part: usize, n_parts: usize) -> (usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradmm_graph::{GraphBuilder, VarStore};
+    use paradmm_graph::{EdgeId, GraphBuilder, VarStore};
     use paradmm_prox::ZeroProx;
 
     fn chain(dims: usize) -> (FactorGraph, EdgeParams) {
@@ -1224,7 +861,7 @@ mod tests {
         p.rho = vec![1.0, 2.0, 3.0, 1.0].into();
         let m = [0.0, 6.0, 12.0, 0.0];
         let mut z = [0.0; 3];
-        z_update_range(&g, &p, &m, &mut z, 0, 3);
+        z_update_swapped_range(&g, &p, &m, &[0.0; 3], &mut z, 0, 3);
         // z1 = (2·6 + 3·12)/(2+3) = 48/5
         assert!((z[1] - 9.6).abs() < 1e-12);
         // z0 from edge 0 alone, z2 from edge 3 alone.
@@ -1241,9 +878,9 @@ mod tests {
         let g = b.build();
         let p = EdgeParams::uniform(&g, 1.0, 1.0);
         let m = [5.0];
-        let mut z = [0.0, 7.0];
-        z_update_range(&g, &p, &m, &mut z, 0, 2);
-        assert_eq!(z, [5.0, 7.0]); // isolated var untouched
+        let mut z = [-1.0; 2];
+        z_update_swapped_range(&g, &p, &m, &[0.0, 7.0], &mut z, 0, 2);
+        assert_eq!(z, [5.0, 7.0]); // isolated var keeps its previous value
     }
 
     #[test]
@@ -1253,18 +890,18 @@ mod tests {
         let x = [2.0, 0.0, 0.0, 0.0];
         let z = [1.0, 0.0, 0.0];
         let mut u = [1.0, 0.0, 0.0, 0.0];
-        u_update_range(&g, &p, &x, &z, &mut u, 0, 4);
+        u_update_range_stream(&EdgeStream::build(&g, &p), &x, &z, &mut u, 0, 4);
         // edge 0 targets var 0: u += 0.5·(2−1) = 1.5
         assert!((u[0] - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn n_update_is_z_minus_u() {
-        let (g, _) = chain(1);
+        let (g, p) = chain(1);
         let z = [1.0, 2.0, 3.0];
         let u = [0.5, 0.5, 0.5, 0.5];
         let mut n = [0.0; 4];
-        n_update_range(&g, &z, &u, &mut n, 0, 4);
+        n_update_range_stream(&EdgeStream::build(&g, &p), &z, &u, &mut n, 0, 4);
         // edges target vars 0,1,1,2.
         assert_eq!(n, [0.5, 1.5, 1.5, 2.5]);
     }
@@ -1287,18 +924,19 @@ mod tests {
         let (g, mut p) = chain(2);
         p.alpha = vec![0.3, 0.7, 1.1, 0.9].into();
         p.rho = vec![1.0, 2.0, 0.5, 3.0].into();
+        let stream = EdgeStream::build(&g, &p);
         let x: Vec<f64> = (0..8).map(|i| (i as f64 * 0.9).sin()).collect();
         let z: Vec<f64> = (0..6).map(|i| (i as f64 * 0.4).cos()).collect();
         let u0: Vec<f64> = (0..8).map(|i| i as f64 * 0.25 - 1.0).collect();
 
         let mut u_sep = u0.clone();
         let mut n_sep = vec![0.0; 8];
-        u_update_range(&g, &p, &x, &z, &mut u_sep, 0, 4);
-        n_update_range(&g, &z, &u_sep, &mut n_sep, 0, 4);
+        u_update_range_stream(&stream, &x, &z, &mut u_sep, 0, 4);
+        n_update_range_stream(&stream, &z, &u_sep, &mut n_sep, 0, 4);
 
         let mut u_fused = u0;
         let mut n_fused = vec![0.0; 8];
-        un_update_range(&g, &p, &x, &z, &mut u_fused, &mut n_fused, 0, 4);
+        un_update_range_stream(&stream, &x, &z, &mut u_fused, &mut n_fused, 0, 4);
 
         assert_eq!(u_sep, u_fused);
         assert_eq!(n_sep, n_fused);
@@ -1336,9 +974,9 @@ mod tests {
         let p = EdgeParams::uniform(&g, 2.0, 1.0);
         let m = [5.0, 3.0];
 
-        // Copying schedule: snapshot then in-place update.
-        let mut z_copy = [1.0, 7.0, -2.0];
-        z_update_range(&g, &p, &m, &mut z_copy, 0, 3);
+        // What the copying schedule (snapshot, then update in place)
+        // leaves: z0 and z2 from their one edge, the isolated z1 as it was.
+        let z_copy = [5.0, 7.0, 3.0];
 
         // Swap schedule: old iterate in z_old, garbage in the write buffer.
         let z_old = [1.0, 7.0, -2.0];
@@ -1347,11 +985,6 @@ mod tests {
         assert_eq!(z_new, z_copy);
         assert_eq!(z_new[1], 7.0, "isolated var carried forward");
     }
-
-    /// Serializes tests that flip the global dispatch mode. (Correctness
-    /// never depends on the mode — both paths are bit-identical — but a
-    /// concurrent toggler could make a mode *assertion* flaky.)
-    static DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// An irregular fixture: degrees 1..3, one isolated variable, varied
     /// per-edge ρ/α, state arrays seeded with irrational-phase waves.
@@ -1391,13 +1024,12 @@ mod tests {
     /// The prox-sweep kernel on a mixed-degree graph (degrees 1, 2, 4
     /// interleaved, three operator kinds, non-uniform ρ), over ranges that
     /// start mid-graph, end mid-tile, are shorter than one tile, span
-    /// several and are empty, under both dispatch modes: bit for bit what
-    /// `x_update_factor` per factor followed by `m_update_range` gives,
-    /// and not a scalar written outside the range's block.
+    /// several and are empty: bit for bit what `x_update_factor` per
+    /// factor followed by `m_update_range` gives, and not a scalar written
+    /// outside the range's block.
     #[test]
     fn prox_sweep_matches_per_factor_calls_bitwise_on_any_range() {
         use paradmm_prox::{ConsensusEqualityProx, QuadraticProx};
-        let _guard = DISPATCH_LOCK.lock().unwrap();
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
         let nf = 3 * PROX_TILE + 17;
         for dims in [2usize, 3] {
@@ -1430,121 +1062,125 @@ mod tests {
                 (70, 70),
                 (nf - 1, nf),
             ];
-            for mode in [KernelDispatch::Scalar, KernelDispatch::Specialized] {
-                for (a_lo, a_hi) in ranges {
-                    set_kernel_dispatch(mode);
-                    // Untouched scalars keep a sentinel no sweep produces.
-                    let (mut x_ref, mut m_ref) = (vec![-7.0; flat], vec![-7.0; flat]);
-                    for a in a_lo..a_hi {
-                        let fa = FactorId::from_usize(a);
-                        let block = factor_flat_range(&g, a, a + 1);
-                        x_update_factor(&g, &*proxes[a], &p, &n, &mut x_ref[block], fa);
-                    }
-                    let block = factor_flat_range(&g, a_lo, a_hi);
-                    m_update_range(&x_ref, &u, &mut m_ref, block.start, block.end);
-
-                    let (mut x_fused, mut m_fused) = (vec![-7.0; flat], vec![-7.0; flat]);
-                    xm_update_range(
-                        &g,
-                        &proxes,
-                        &p,
-                        &n,
-                        &u,
-                        &mut x_fused,
-                        &mut m_fused,
-                        a_lo,
-                        a_hi,
-                    );
-                    let mut x_alone = vec![-7.0; flat];
-                    x_update_range(&g, &proxes, &p, &n, &mut x_alone, a_lo, a_hi);
-                    set_kernel_dispatch(KernelDispatch::Specialized);
-
-                    let at = format!("dims {dims} {mode:?} factors [{a_lo}, {a_hi})");
-                    assert_eq!(bits(&x_fused), bits(&x_ref), "x+m: x, {at}");
-                    assert_eq!(bits(&m_fused), bits(&m_ref), "x+m: m, {at}");
-                    assert_eq!(bits(&x_alone), bits(&x_ref), "x alone, {at}");
+            for (a_lo, a_hi) in ranges {
+                // Untouched scalars keep a sentinel no sweep produces.
+                let (mut x_ref, mut m_ref) = (vec![-7.0; flat], vec![-7.0; flat]);
+                for a in a_lo..a_hi {
+                    let fa = FactorId::from_usize(a);
+                    let block = factor_flat_range(&g, a, a + 1);
+                    x_update_factor(&g, &*proxes[a], &p, &n, &mut x_ref[block], fa);
                 }
+                let block = factor_flat_range(&g, a_lo, a_hi);
+                m_update_range(&x_ref, &u, &mut m_ref, block.start, block.end);
+
+                let (mut x_fused, mut m_fused) = (vec![-7.0; flat], vec![-7.0; flat]);
+                xm_update_range(
+                    &g,
+                    &proxes,
+                    &p,
+                    &n,
+                    &u,
+                    &mut x_fused,
+                    &mut m_fused,
+                    a_lo,
+                    a_hi,
+                );
+                let mut x_alone = vec![-7.0; flat];
+                x_update_range(&g, &proxes, &p, &n, &mut x_alone, a_lo, a_hi);
+
+                let at = format!("dims {dims} factors [{a_lo}, {a_hi})");
+                assert_eq!(bits(&x_fused), bits(&x_ref), "x+m: x, {at}");
+                assert_eq!(bits(&m_fused), bits(&m_ref), "x+m: m, {at}");
+                assert_eq!(bits(&x_alone), bits(&x_ref), "x alone, {at}");
             }
         }
     }
 
-    /// The specialized bodies (fixed-D for d ≤ 4, 4-wide unrolled beyond)
-    /// must be bit-identical to the scalar loops for every kernel.
+    /// Every element-wise body — fixed-D for d ≤ 4, 4-wide unrolled
+    /// beyond — against its formula restated one output at a time, bit
+    /// for bit, over the full range and over a block-relative range that
+    /// starts and ends inside the arrays.
     #[test]
-    fn specialized_matches_scalar_bitwise() {
-        let _guard = DISPATCH_LOCK.lock().unwrap();
-        for dims in [1usize, 2, 3, 4, 6, 9] {
-            let (g, p, x, m0, u0, z0) = irregular(dims);
+    fn kernel_bodies_match_straight_line_formulas_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        let flush = |v: f64| {
+            if v.is_subnormal() {
+                0.0f64.copysign(v)
+            } else {
+                v
+            }
+        };
+        for d in [1usize, 2, 3, 4, 6, 9] {
+            let (g, p, x, m0, u0, z0) = irregular(d);
             let (ne, nv) = (g.num_edges(), g.num_vars());
-            let run = |mode: KernelDispatch| {
-                set_kernel_dispatch(mode);
-                let mut m = vec![0.0; ne * dims];
-                m_update_range(&x, &u0, &mut m, 0, ne * dims);
-                let mut z = z0.clone();
-                z_update_range(&g, &p, &m0, &mut z, 0, nv);
-                let mut z_sw = vec![0.0; nv * dims];
-                z_update_swapped_range(&g, &p, &m0, &z0, &mut z_sw, 0, nv);
-                let mut u = u0.clone();
-                u_update_range(&g, &p, &x, &z0, &mut u, 0, ne);
-                let mut n = vec![0.0; ne * dims];
-                n_update_range(&g, &z0, &u0, &mut n, 0, ne);
-                let mut uf = u0.clone();
-                let mut nf = vec![0.0; ne * dims];
-                un_update_range(&g, &p, &x, &z0, &mut uf, &mut nf, 0, ne);
-                set_kernel_dispatch(KernelDispatch::Specialized);
-                (m, z, z_sw, u, n, uf, nf)
-            };
-            let scalar = run(KernelDispatch::Scalar);
-            let fast = run(KernelDispatch::Specialized);
-            assert_eq!(scalar, fast, "dims {dims}");
-        }
-    }
-
-    /// The `EdgeStream`-driven entry points must match the accessor path,
-    /// including on partial (block-relative) ranges.
-    #[test]
-    fn stream_kernels_match_accessor_path() {
-        for dims in [1usize, 2, 3, 4, 6] {
-            let (g, p, x, _m0, u0, z0) = irregular(dims);
-            let ne = g.num_edges();
             let stream = EdgeStream::build(&g, &p);
 
-            let mut u_acc = u0.clone();
-            u_update_range(&g, &p, &x, &z0, &mut u_acc, 0, ne);
-            let mut u_st = u0.clone();
-            u_update_range_stream(&stream, &x, &z0, &mut u_st, 0, ne);
-            assert_eq!(u_acc, u_st, "u dims {dims}");
+            // The formulas: m = x + u, u' = flush(u + α(x − z)), n = z − u
+            // (from u, and from u' as the fused pass writes it), and z the
+            // ρ-weighted average of m with a degree-0 variable unchanged.
+            let zeros = || vec![0.0; ne * d];
+            let (mut m, mut u, mut n, mut n_un) = (zeros(), zeros(), zeros(), zeros());
+            for e in 0..ne {
+                let zb = g.edge_var(EdgeId::from_usize(e)).idx() * d;
+                for c in 0..d {
+                    let (i, z) = (e * d + c, z0[zb + c]);
+                    m[i] = x[i] + u0[i];
+                    u[i] = flush(u0[i] + p.alpha[e] * (x[i] - z));
+                    n[i] = z - u0[i];
+                    n_un[i] = z - u[i];
+                }
+            }
+            let mut z = z0.clone();
+            for b in g.vars().filter(|&b| !g.var_edges(b).is_empty()) {
+                let edges = g.var_edges(b);
+                let mut rho_sum = 0.0;
+                for &e in edges {
+                    rho_sum += p.rho[e.idx()];
+                }
+                let inv = 1.0 / rho_sum;
+                for c in 0..d {
+                    let mut acc = 0.0;
+                    for &e in edges {
+                        acc += p.rho[e.idx()] * m0[e.idx() * d + c];
+                    }
+                    z[b.idx() * d + c] = acc * inv;
+                }
+            }
 
-            let mut n_acc = vec![0.0; ne * dims];
-            n_update_range(&g, &z0, &u0, &mut n_acc, 0, ne);
-            let mut n_st = vec![0.0; ne * dims];
-            n_update_range_stream(&stream, &z0, &u0, &mut n_st, 0, ne);
-            assert_eq!(n_acc, n_st, "n dims {dims}");
+            for (lo, hi) in [(0, ne), (1, ne - 1)] {
+                let (r, at) = (lo * d..hi * d, format!("dims {d} edges [{lo}, {hi})"));
+                let mut got_m = vec![-7.0; ne * d];
+                m_update_range(&x, &u0, &mut got_m, r.start, r.end);
+                assert_eq!(bits(&got_m[r.clone()]), bits(&m[r.clone()]), "m, {at}");
 
-            let mut uf_acc = u0.clone();
-            let mut nf_acc = vec![0.0; ne * dims];
-            un_update_range(&g, &p, &x, &z0, &mut uf_acc, &mut nf_acc, 0, ne);
-            let mut uf_st = u0.clone();
-            let mut nf_st = vec![0.0; ne * dims];
-            un_update_range_stream(&stream, &x, &z0, &mut uf_st, &mut nf_st, 0, ne);
-            assert_eq!((uf_acc, nf_acc), (uf_st, nf_st), "un dims {dims}");
+                let mut got_u = u0[r.clone()].to_vec();
+                u_update_range_stream(&stream, &x, &z0, &mut got_u, lo, hi);
+                assert_eq!(bits(&got_u), bits(&u[r.clone()]), "u, {at}");
 
-            // Block-relative partial range: edges [1, ne-1).
-            let (lo, hi) = (1, ne - 1);
-            let mut u_blk = u0[lo * dims..hi * dims].to_vec();
-            u_update_range_stream(&stream, &x, &z0, &mut u_blk, lo, hi);
-            assert_eq!(u_blk, u_acc[lo * dims..hi * dims], "u block dims {dims}");
+                let mut got_n = vec![-7.0; r.len()];
+                n_update_range_stream(&stream, &z0, &u0, &mut got_n, lo, hi);
+                assert_eq!(bits(&got_n), bits(&n[r.clone()]), "n, {at}");
+
+                let (mut got_u, mut got_n) = (u0[r.clone()].to_vec(), vec![-7.0; r.len()]);
+                un_update_range_stream(&stream, &x, &z0, &mut got_u, &mut got_n, lo, hi);
+                assert_eq!(bits(&got_u), bits(&u[r.clone()]), "u+n: u, {at}");
+                assert_eq!(bits(&got_n), bits(&n_un[r]), "u+n: n, {at}");
+            }
+            for (lo, hi) in [(0, nv), (1, nv - 1)] {
+                let mut got_z = vec![-7.0; (hi - lo) * d];
+                z_update_swapped_block(&g, &p, &m0, &z0, &mut got_z, lo, hi);
+                let at = format!("dims {d} vars [{lo}, {hi})");
+                assert_eq!(bits(&got_z), bits(&z[lo * d..hi * d]), "z, {at}");
+            }
         }
     }
 
-    /// Every u path — scalar and specialized dispatch, accessor and
-    /// stream contexts, separate u-then-n and fused u+n — applies the
-    /// same subnormal rule: a subnormal `u + α(x − z)` becomes a zero of
-    /// its sign, ±0, ±`MIN_POSITIVE` and normal results keep their bits,
-    /// and `n = z − u` sees the flushed `u`.
+    /// Every u body — fixed-D and unrolled, separate u-then-n and fused
+    /// u+n — applies the same subnormal rule: a subnormal `u + α(x − z)`
+    /// becomes a zero of its sign, ±0, ±`MIN_POSITIVE` and normal results
+    /// keep their bits, and `n = z − u` sees the flushed `u`.
     #[test]
     fn subnormal_dual_flushes_identically_on_every_path() {
-        let _guard = DISPATCH_LOCK.lock().unwrap();
         const TINY: f64 = f64::MIN_POSITIVE;
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
         for dims in 1usize..=8 {
@@ -1564,7 +1200,7 @@ mod tests {
             let mut seen = [0usize; 7];
             let (mut at_zero, mut at_normal) = (0usize, 0usize);
             for e in 0..ne {
-                let zb = g.edge_var(paradmm_graph::EdgeId::from_usize(e)).idx() * dims;
+                let zb = g.edge_var(EdgeId::from_usize(e)).idx() * dims;
                 for c in 0..dims {
                     let (i, zv) = (e * dims + c, z[zb + c]);
                     // (x, u) per case; the comment names u + (x − z).
@@ -1606,35 +1242,14 @@ mod tests {
             let want = (bits(&u_want), bits(&n_want));
 
             let stream = EdgeStream::build(&g, &p);
-            for mode in [KernelDispatch::Scalar, KernelDispatch::Specialized] {
-                set_kernel_dispatch(mode);
-                let (mut u, mut n) = (u0.clone(), zeros());
-                u_update_range(&g, &p, &x, &z, &mut u, 0, ne);
-                n_update_range(&g, &z, &u, &mut n, 0, ne);
-                let (mut uf, mut nf) = (u0.clone(), zeros());
-                un_update_range(&g, &p, &x, &z, &mut uf, &mut nf, 0, ne);
-                set_kernel_dispatch(KernelDispatch::Specialized);
-                assert_eq!((bits(&u), bits(&n)), want, "u,n dims {dims} {mode:?}");
-                assert_eq!((bits(&uf), bits(&nf)), want, "un dims {dims} {mode:?}");
-            }
             let (mut u, mut n) = (u0.clone(), zeros());
             u_update_range_stream(&stream, &x, &z, &mut u, 0, ne);
             n_update_range_stream(&stream, &z, &u, &mut n, 0, ne);
             let (mut uf, mut nf) = (u0.clone(), zeros());
             un_update_range_stream(&stream, &x, &z, &mut uf, &mut nf, 0, ne);
-            assert_eq!((bits(&u), bits(&n)), want, "stream u,n dims {dims}");
-            assert_eq!((bits(&uf), bits(&nf)), want, "stream un dims {dims}");
+            assert_eq!((bits(&u), bits(&n)), want, "u,n dims {dims}");
+            assert_eq!((bits(&uf), bits(&nf)), want, "un dims {dims}");
         }
-    }
-
-    #[test]
-    fn dispatch_mode_round_trips() {
-        let _guard = DISPATCH_LOCK.lock().unwrap();
-        assert_eq!(kernel_dispatch(), KernelDispatch::Specialized);
-        set_kernel_dispatch(KernelDispatch::Scalar);
-        assert_eq!(kernel_dispatch(), KernelDispatch::Scalar);
-        set_kernel_dispatch(KernelDispatch::Specialized);
-        assert_eq!(kernel_dispatch(), KernelDispatch::Specialized);
     }
 
     #[test]

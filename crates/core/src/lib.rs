@@ -11,13 +11,15 @@
 //! for (a,b) ∈ E:  n(a,b) ← z_b − u(a,b)                     // n-update
 //! ```
 //!
-//! The iteration is *compiled*, not hardcoded: a [`SweepPlan`] (see
-//! [`plan`]) groups the five sweeps into fused passes — by default
-//! `x+m | z | u+n`, three synchronization points instead of five, with
-//! a double-buffered `z`/`z_prev` swap in place of the per-iteration
-//! snapshot copy — and a measuring [`Planner`] can weight its chunking
-//! and static splits with per-operator costs. A [`SweepExecutor`]
-//! *backend* decides how the plan's passes map onto hardware:
+//! Every executor runs one schedule: a [`SweepPlan`] (see [`plan`])
+//! groups the five sweeps into three fused passes, `x+m | z | u+n` —
+//! three synchronization points instead of five, with a double-buffered
+//! `z`/`z_prev` swap in place of the per-iteration snapshot copy — and a
+//! measuring [`Planner`] can weight its chunking and static splits with
+//! per-operator costs, once, before the solve. [`naive::NaiveAdmm`] keeps
+//! the paper's literal five sweeps as the oracle every executor is
+//! tested against bit for bit. A [`SweepExecutor`] *backend* decides how
+//! the plan's passes map onto hardware:
 //!
 //! * [`SerialBackend`] — the optimized single-core baseline the paper
 //!   measures speedups against,
@@ -91,11 +93,9 @@ pub use diagnostics::{
     FleetWorkerStats, ProxKindCost, Trace, TracePoint,
 };
 pub use fleet::{FleetBackend, FleetSolver};
-pub use kernels::{kernel_dispatch, set_kernel_dispatch, KernelDispatch, UpdateKind};
+pub use kernels::UpdateKind;
 pub use paradmm_prox::{ProxCtx, ProxOp};
-pub use plan::{
-    Pass, PassKind, PassSpace, PlanError, Planner, ReplanPolicy, ReplanState, SweepPlan,
-};
+pub use plan::{Pass, PassKind, PassSpace, Planner, SweepPlan};
 pub use problem::AdmmProblem;
 pub use request::{Priority, SolveOutcome, SolveRequest, SolveRequestParts};
 pub use residuals::{Residuals, StoppingCriteria};

@@ -3,12 +3,15 @@
 //! Models "the tool used by \[9\], \[24\]" that the paper reports being ≥4×
 //! slower per iteration than parADMM on a single core: every edge vector
 //! is its own heap allocation reached through per-node adjacency lists, so
-//! each sweep chases pointers instead of streaming a flat array. It is
-//! bit-for-bit equivalent to the engine (same summation order), which makes
-//! it both a correctness oracle in tests and the comparator for the
-//! layout-ablation benchmark.
+//! each sweep chases pointers instead of streaming a flat array. It runs
+//! the paper's five sweeps literally, one after the other, and shares no
+//! schedule code with the engine, yet is bit-for-bit equivalent to it
+//! (same summation order). That makes it the differential oracle every
+//! executor is tested against ([`NaiveAdmm::load_from`] in,
+//! [`NaiveAdmm::write_to`] out) and the comparator for the layout
+//! benchmark.
 
-use paradmm_graph::{FactorId, VarStore};
+use paradmm_graph::VarStore;
 use paradmm_prox::ProxCtx;
 
 use crate::kernels::flush_subnormal;
@@ -65,6 +68,29 @@ impl<'p> NaiveAdmm<'p> {
         }
     }
 
+    /// Copies state out into a flat [`VarStore`] shaped for the same
+    /// graph — the inverse of [`NaiveAdmm::load_from`], so the engine's
+    /// arrays can be compared bit for bit against the literal sweeps.
+    /// `z_prev` is left alone: the paper's loop keeps no previous iterate.
+    pub fn write_to(&self, store: &mut VarStore) {
+        let d = store.dims();
+        for (e, v) in self.x.iter().enumerate() {
+            store.x[e * d..(e + 1) * d].copy_from_slice(v);
+        }
+        for (e, v) in self.m.iter().enumerate() {
+            store.m[e * d..(e + 1) * d].copy_from_slice(v);
+        }
+        for (e, v) in self.u.iter().enumerate() {
+            store.u[e * d..(e + 1) * d].copy_from_slice(v);
+        }
+        for (e, v) in self.n.iter().enumerate() {
+            store.n[e * d..(e + 1) * d].copy_from_slice(v);
+        }
+        for (b, v) in self.z.iter().enumerate() {
+            store.z[b * d..(b + 1) * d].copy_from_slice(v);
+        }
+    }
+
     /// The consensus estimate of variable `b`.
     pub fn z(&self, b: usize) -> &[f64] {
         &self.z[b]
@@ -94,7 +120,6 @@ impl<'p> NaiveAdmm<'p> {
             for (i, e) in er.enumerate() {
                 self.x[e].copy_from_slice(&self.scratch_x[i * d..(i + 1) * d]);
             }
-            let _ = FactorId::from_usize(a.idx());
         }
 
         // m-update.
@@ -149,7 +174,12 @@ impl<'p> NaiveAdmm<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SerialBackend, SweepExecutor};
+    use crate::backend::{
+        AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor,
+        WorkStealingBackend,
+    };
+    use crate::fleet::FleetBackend;
+    use crate::stale::StaleBoundedBackend;
     use crate::timing::UpdateTimings;
     use paradmm_graph::{GraphBuilder, VarStore};
     use paradmm_prox::{HalfspaceProx, ProxOp, QuadraticProx};
@@ -169,30 +199,72 @@ mod tests {
         AdmmProblem::new(b.build(), proxes, 1.3, 0.9)
     }
 
+    /// One hub variable shared by every factor, an isolated variable whose
+    /// `z` must carry forward, and a different ρ and α on every edge.
+    fn hub_problem() -> AdmmProblem {
+        let mut b = GraphBuilder::new(2);
+        let hub = b.add_var();
+        let _isolated = b.add_var();
+        let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        for i in 0..9 {
+            let leaf = b.add_var();
+            b.add_factor(&[hub, leaf]);
+            let t = i as f64 * 0.3;
+            proxes.push(Box::new(QuadraticProx::isotropic(4, 1.0, &[t, -t, 1.0, t])));
+        }
+        let mut problem = AdmmProblem::new(b.build(), proxes, 1.0, 1.0);
+        let params = problem.params_mut();
+        for (i, r) in params.rho.as_mut_slice().iter_mut().enumerate() {
+            *r = 0.5 + (i as f64 * 0.37).sin().abs();
+        }
+        for (i, a) in params.alpha.as_mut_slice().iter_mut().enumerate() {
+            *a = 0.3 + (i as f64 * 0.23).cos().abs();
+        }
+        problem
+    }
+
+    /// The differential oracle: every synchronous executor, run in blocks
+    /// of uneven length from a seeded state, leaves `x`, `m`, `u`, `n` and
+    /// `z` bit-identical to the paper's literal five sweeps.
     #[test]
     fn naive_matches_engine_bit_for_bit() {
-        let problem = mixed_problem();
-        let mut store = VarStore::zeros(problem.graph());
-        // Non-trivial start.
-        for (i, v) in store.n.iter_mut().enumerate() {
-            *v = (i as f64 * 0.7).sin();
-        }
-        let mut naive = NaiveAdmm::new(&problem);
-        naive.load_from(&store);
-
-        let mut t = UpdateTimings::new();
-        for _ in 0..25 {
-            SerialBackend.run_block(&problem, &mut store, 1, &mut t);
-            naive.iterate();
-        }
-        let d = problem.graph().dims();
-        for b in 0..problem.graph().num_vars() {
-            for c in 0..d {
-                assert_eq!(
-                    store.z[b * d + c],
-                    naive.z(b)[c],
-                    "z mismatch at var {b} comp {c}"
-                );
+        let bits = |s: &VarStore| -> Vec<Vec<u64>> {
+            [&s.x, &s.m, &s.u, &s.n, &s.z]
+                .iter()
+                .map(|a| a.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for (label, problem) in [("mixed", mixed_problem()), ("hub", hub_problem())] {
+            let mut seed = VarStore::zeros(problem.graph());
+            for (i, v) in seed.n.iter_mut().enumerate() {
+                *v = (i as f64 * 0.7).sin();
+            }
+            for (i, v) in seed.z.iter_mut().enumerate() {
+                *v = (i as f64 * 0.3).cos();
+            }
+            let executors: Vec<Box<dyn SweepExecutor>> = vec![
+                Box::new(SerialBackend),
+                Box::new(RayonBackend::new(Some(2))),
+                Box::new(BarrierBackend::new(3)),
+                Box::new(WorkStealingBackend::with_chunk(2, 1)),
+                Box::new(StaleBoundedBackend::new(2, 0)),
+                Box::new(FleetBackend::with_chunk(2, 1)),
+                Box::new(AutoBackend::new(2)),
+            ];
+            for mut exec in executors {
+                let mut naive = NaiveAdmm::new(&problem);
+                naive.load_from(&seed);
+                let (mut store, mut want) = (seed.clone(), seed.clone());
+                let mut t = UpdateTimings::new();
+                for block in [1usize, 4, 7, 13] {
+                    exec.run_block(&problem, &mut store, block, &mut t);
+                    for _ in 0..block {
+                        naive.iterate();
+                    }
+                    naive.write_to(&mut want);
+                    let at = format!("{label}: {} after a block of {block}", exec.name());
+                    assert_eq!(bits(&store), bits(&want), "{at}");
+                }
             }
         }
     }

@@ -1,36 +1,34 @@
-//! The `SweepPlan` IR: one ADMM iteration compiled into a list of fused
+//! The `SweepPlan` IR: one ADMM iteration compiled into three fused
 //! *passes* executed by every backend.
 //!
 //! The paper's Algorithm 2 is five embarrassingly parallel sweeps
 //! (x, m, z, u, n) separated by synchronization points, and its §V
 //! experiments show that synchronization — not arithmetic — is what
-//! separates the OpenMP approaches. Historically every backend in this
-//! repo hardcoded the five-sweep schedule (only the work-stealing
-//! backend hand-fused u+n), so each fusion or chunking tweak had to be
-//! re-implemented once per backend. A [`SweepPlan`] makes the schedule
-//! *data*:
+//! separates the OpenMP approaches. Every executor here runs the same
+//! schedule, `x+m | z | u+n`:
 //!
 //! * a **pass** ([`Pass`]) is a fusion of adjacent sweeps over one index
-//!   space — `x+m` fused over factor-edge ranges, `z` alone over
-//!   variables (with a double-buffered `z`/`z_prev` pointer swap instead
-//!   of the per-iteration copy), `u+n` fused over edges;
+//!   space — `x+m` over factor-edge ranges, `z` alone over variables
+//!   (with a double-buffered `z`/`z_prev` pointer swap instead of the
+//!   per-iteration copy), `u+n` over edges;
 //! * passes are separated by implicit barriers, so
-//!   [`SweepPlan::barriers_per_iteration`] *is* the pass count — the
-//!   default fused plan costs 3 synchronization points per iteration
-//!   instead of the seed's 4–5;
+//!   [`SweepPlan::barriers_per_iteration`] *is* the pass count: 3
+//!   synchronization points per iteration instead of the paper's 5;
 //! * each pass carries a **chunk size** (the claim granularity of
 //!   dynamic backends) and an optional **measured cost profile** from
 //!   which static backends derive cost-balanced per-worker splits
 //!   ([`Pass::split`]) — the paper's future-work item 2 ("automatic
-//!   per-operator tuning") made concrete.
+//!   per-operator tuning") made concrete. A [`Planner`] measures once and
+//!   compiles both; the plan then stays fixed for the solve.
 //!
 //! Fusion legality rests on Algorithm 2's Jacobi data flow: within a
 //! pass, every task reads only arrays the pass does not write (the
 //! `x+m` pass writes a factor's own x/m block from `n`/`u`; the `u+n`
 //! pass writes an edge's own u/n from `x`/`z` and its freshly written
-//! u), so *any* legal plan — fused or unfused, any chunking, any split
-//! — produces iterates **bit-identical** to the seed five-sweep serial
-//! schedule. `tests/plan_equivalence.rs` property-tests exactly that.
+//! u), so *any* chunking and any split produces iterates
+//! **bit-identical** to the paper's literal five sweeps
+//! ([`crate::naive::NaiveAdmm`]). `tests/plan_equivalence.rs`
+//! property-tests exactly that.
 
 use std::time::Instant;
 
@@ -44,33 +42,25 @@ use crate::timing::SweepCosts;
 /// The index space a pass sweeps over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassSpace {
-    /// One task per factor (x-update; fused x+m).
+    /// One task per factor (fused x+m).
     Factors,
     /// One task per variable node (z-update).
     Vars,
-    /// One task per edge (m, u, n; fused u+n).
+    /// One task per edge (fused u+n).
     Edges,
 }
 
-/// What one pass computes: a single sweep, or a legal fusion of adjacent
-/// sweeps over the same index space.
+/// What one pass computes: a fusion of adjacent sweeps over the same
+/// index space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassKind {
-    /// Proximal-operator sweep over factors.
-    X,
-    /// `m = x + u` sweep over edges.
-    M,
     /// Fused x+m over factor-edge ranges: each factor runs its proximal
     /// operator and immediately forms `m = x + u` for its own edges.
     Xm,
     /// Consensus average over variables, with the `z`/`z_prev` buffer
     /// swap standing in for the per-iteration snapshot copy.
     Z,
-    /// Dual-ascent sweep over edges.
-    U,
-    /// `n = z − u` sweep over edges.
-    N,
-    /// Fused u+n over edges (see [`kernels::un_update_edge`]).
+    /// Fused u+n over edges (see [`kernels::un_update_range_stream`]).
     Un,
 }
 
@@ -78,42 +68,33 @@ impl PassKind {
     /// The index space this pass sweeps.
     pub fn space(self) -> PassSpace {
         match self {
-            PassKind::X | PassKind::Xm => PassSpace::Factors,
+            PassKind::Xm => PassSpace::Factors,
             PassKind::Z => PassSpace::Vars,
-            PassKind::M | PassKind::U | PassKind::N | PassKind::Un => PassSpace::Edges,
+            PassKind::Un => PassSpace::Edges,
         }
     }
 
     /// The constituent sweeps, in execution order.
     pub fn kinds(self) -> &'static [UpdateKind] {
         match self {
-            PassKind::X => &[UpdateKind::X],
-            PassKind::M => &[UpdateKind::M],
             PassKind::Xm => &[UpdateKind::X, UpdateKind::M],
             PassKind::Z => &[UpdateKind::Z],
-            PassKind::U => &[UpdateKind::U],
-            PassKind::N => &[UpdateKind::N],
             PassKind::Un => &[UpdateKind::U, UpdateKind::N],
         }
     }
 
     /// The [`UpdateKind`] a fused pass's time is accounted under in
-    /// [`crate::UpdateTimings`] — the first constituent, matching the
-    /// precedent set by the seed work-stealing backend (fused u+n under
-    /// `U`).
+    /// [`crate::UpdateTimings`] — the first constituent: x+m under `X`,
+    /// u+n under `U`.
     pub fn timing_kind(self) -> UpdateKind {
         self.kinds()[0]
     }
 
-    /// Short stable label (`"x"`, `"x+m"`, `"u+n"`, …).
+    /// Short stable label (`"x+m"`, `"z"`, `"u+n"`).
     pub fn label(self) -> &'static str {
         match self {
-            PassKind::X => "x",
-            PassKind::M => "m",
             PassKind::Xm => "x+m",
             PassKind::Z => "z",
-            PassKind::U => "u",
-            PassKind::N => "n",
             PassKind::Un => "u+n",
         }
     }
@@ -239,60 +220,27 @@ impl Pass {
     }
 }
 
-/// Why a pass list does not form a legal plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// Flattening the passes' constituent sweeps did not yield the exact
-    /// x→m→z→u→n order each exactly once.
-    WrongSweepOrder {
-        /// The flattened constituent order that was found.
-        found: Vec<UpdateKind>,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::WrongSweepOrder { found } => write!(
-                f,
-                "passes must cover the sweeps x,m,z,u,n in order exactly once; found {:?}",
-                found
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// A compiled iteration schedule: passes in execution order, separated
-/// by implicit barriers. Built once per problem (by
-/// [`SweepPlan::fused`], [`SweepPlan::unfused`], or a measuring
-/// [`Planner`]) and executed by every [`crate::SweepExecutor`].
+/// A compiled iteration schedule: the passes `x+m | z | u+n` in
+/// execution order, separated by implicit barriers. Built once per
+/// problem (by [`SweepPlan::fused`] or a measuring [`Planner`]) and
+/// executed by every [`crate::SweepExecutor`].
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     passes: Vec<Pass>,
 }
 
 impl SweepPlan {
-    /// Builds a plan from explicit passes, validating legality: the
-    /// flattened constituent sweeps must be exactly `x, m, z, u, n` in
-    /// order (each once), i.e. the pass list is one of
-    /// `[x|m]…`, `[x+m]…` × `[z]` × `[u|n]…`, `[u+n]…`.
-    pub fn from_passes(passes: Vec<Pass>) -> Result<Self, PlanError> {
-        let found: Vec<UpdateKind> = passes
-            .iter()
-            .flat_map(|p| p.kind().kinds())
-            .copied()
-            .collect();
-        if found != UpdateKind::ALL {
-            return Err(PlanError::WrongSweepOrder { found });
-        }
-        Ok(SweepPlan { passes })
+    /// Builds a plan from explicit passes — custom chunk sizes or
+    /// weighted splits. `None` unless the passes are exactly `x+m`, `z`,
+    /// `u+n` in that order, i.e. cover the sweeps x→m→z→u→n each once.
+    pub fn from_passes(passes: Vec<Pass>) -> Option<Self> {
+        let sweeps = passes.iter().flat_map(|p| p.kind().kinds());
+        sweeps.eq(&UpdateKind::ALL).then_some(SweepPlan { passes })
     }
 
-    /// The default fused schedule: `x+m | z | u+n`, three passes (and
-    /// thus three barriers) per iteration, uniform chunks. This is what
-    /// every backend executes when the problem carries no explicit plan.
+    /// The default schedule: `x+m | z | u+n` with uniform chunks. This is
+    /// what every backend executes when the problem carries no explicit
+    /// plan.
     pub fn fused(problem: &AdmmProblem) -> Self {
         let g = problem.graph();
         let c = crate::backend::DEFAULT_STEAL_CHUNK;
@@ -301,23 +249,6 @@ impl SweepPlan {
                 Pass::uniform(PassKind::Xm, g.num_factors(), c),
                 Pass::uniform(PassKind::Z, g.num_vars(), c),
                 Pass::uniform(PassKind::Un, g.num_edges(), c),
-            ],
-        }
-    }
-
-    /// The seed five-sweep schedule: `x | m | z | u | n`, five passes,
-    /// uniform chunks — the reference every fused plan is bit-identical
-    /// to, kept constructible for ablations and equivalence tests.
-    pub fn unfused(problem: &AdmmProblem) -> Self {
-        let g = problem.graph();
-        let c = crate::backend::DEFAULT_STEAL_CHUNK;
-        SweepPlan {
-            passes: vec![
-                Pass::uniform(PassKind::X, g.num_factors(), c),
-                Pass::uniform(PassKind::M, g.num_edges(), c),
-                Pass::uniform(PassKind::Z, g.num_vars(), c),
-                Pass::uniform(PassKind::U, g.num_edges(), c),
-                Pass::uniform(PassKind::N, g.num_edges(), c),
             ],
         }
     }
@@ -346,12 +277,6 @@ impl SweepPlan {
         self.passes.len()
     }
 
-    /// Whether both fusions are applied (the three-pass schedule).
-    pub fn is_fused(&self) -> bool {
-        self.passes.iter().any(|p| p.kind() == PassKind::Xm)
-            && self.passes.iter().any(|p| p.kind() == PassKind::Un)
-    }
-
     /// Whether this plan's index-space sizes match `graph` — the shape
     /// gate [`AdmmProblem::set_plan`] enforces.
     pub fn matches(&self, graph: &FactorGraph) -> bool {
@@ -363,15 +288,6 @@ impl SweepPlan {
                     PassSpace::Edges => graph.num_edges(),
                 }
         })
-    }
-
-    /// The first pass sweeping the factor space (the activation unit of
-    /// the asynchronous backend).
-    pub fn factor_pass(&self) -> &Pass {
-        self.passes
-            .iter()
-            .find(|p| p.kind().space() == PassSpace::Factors)
-            .expect("every legal plan has a factor pass")
     }
 
     /// One-line human summary, e.g.
@@ -498,15 +414,14 @@ impl Planner {
         }
     }
 
-    /// Times every proximal operator and the four element-wise sweeps on
-    /// scratch state (min over [`Planner::reps`] repetitions).
-    ///
-    /// The sweeps run through the same dispatch the executors use — under
-    /// [`crate::kernels::KernelDispatch::Specialized`] that is the
-    /// fixed-`dims` bodies, with u/n driven by the dense
-    /// [`EdgeStream`](paradmm_graph::EdgeStream) — so the measured
-    /// per-item costs (and the chunk sizes / weighted splits derived from
-    /// them) always describe the kernels that will actually execute.
+    /// Times every proximal operator and the element-wise bodies the
+    /// executors run — the `m = x + u` tail of the x+m pass, the swapped
+    /// z average and the fused u+n pass over the dense
+    /// [`EdgeStream`](paradmm_graph::EdgeStream) — on scratch state (min
+    /// over [`Planner::reps`] repetitions), so the chunk sizes and
+    /// weighted splits derived from them describe the kernels that will
+    /// actually execute. The fused u+n time is split into the n sweep's
+    /// own time and the rest, charged to u.
     pub fn measure(&self, problem: &AdmmProblem) -> SweepCosts {
         let g = problem.graph();
         let d = g.dims();
@@ -562,16 +477,14 @@ impl Planner {
             kernels::m_update_range(&s.x, &s.u, &mut s.m, 0, flat)
         });
         let z_s = time_sweep(&mut |s: &mut VarStore| {
-            kernels::z_update_range(g, params, &s.m, &mut s.z, 0, nv)
+            kernels::z_update_swapped_range(g, params, &s.m, &s.z_prev, &mut s.z, 0, nv)
         });
-        let stream = kernels::specialized().then(|| paradmm_graph::EdgeStream::build(g, params));
-        let u_s = time_sweep(&mut |s: &mut VarStore| match &stream {
-            Some(st) => kernels::u_update_range_stream(st, &s.x, &s.z, &mut s.u, 0, ne),
-            None => kernels::u_update_range(g, params, &s.x, &s.z, &mut s.u, 0, ne),
+        let stream = paradmm_graph::EdgeStream::build(g, params);
+        let n_s = time_sweep(&mut |s: &mut VarStore| {
+            kernels::n_update_range_stream(&stream, &s.z, &s.u, &mut s.n, 0, ne)
         });
-        let n_s = time_sweep(&mut |s: &mut VarStore| match &stream {
-            Some(st) => kernels::n_update_range_stream(st, &s.z, &s.u, &mut s.n, 0, ne),
-            None => kernels::n_update_range(g, &s.z, &s.u, &mut s.n, 0, ne),
+        let un_s = time_sweep(&mut |s: &mut VarStore| {
+            kernels::un_update_range_stream(&stream, &s.x, &s.z, &mut s.u, &mut s.n, 0, ne)
         });
         let per = |total: f64, items: usize| {
             if items == 0 {
@@ -584,7 +497,7 @@ impl Planner {
             factor_seconds,
             m_per_edge: per(m_s, ne),
             z_per_var: per(z_s, nv),
-            u_per_edge: per(u_s, ne),
+            u_per_edge: per(un_s - n_s, ne),
             n_per_edge: per(n_s, ne),
         }
     }
@@ -612,115 +525,6 @@ impl Planner {
     }
 }
 
-/// Online re-planning: re-measure sweep costs at block boundaries and
-/// recompile the plan when they drift — the paper's "automatic tuning"
-/// future-work item kept *live* instead of frozen at startup.
-///
-/// A [`Planner`] measures once and compiles one plan; if operator costs
-/// then drift mid-run (data-dependent proximal solves, thermal
-/// throttling, a noisy co-tenant), the frozen chunk sizes and weighted
-/// splits describe a machine that no longer exists. A `ReplanPolicy`
-/// closes the loop: every [`ReplanPolicy::every_blocks`]-th call to
-/// [`ReplanPolicy::maybe_replan`] it re-measures the problem (scratch
-/// buffers, a few microseconds per factor), compares against the costs
-/// the current plan was compiled from
-/// ([`SweepCosts::drift`]), and when drift exceeds
-/// [`ReplanPolicy::drift_threshold`] installs a freshly compiled plan.
-/// The first measuring call always installs (it is the baseline). The
-/// returned costs let the caller also re-balance backend-held state —
-/// [`crate::SweepExecutor::repartition`] re-grows a sharded backend's
-/// factor partition under the new weights.
-///
-/// Replans happen only between blocks, so they never perturb in-flight
-/// iterations, and an installed plan changes scheduling only — any legal
-/// plan yields bit-identical iterates (module docs), so re-planning
-/// never changes the trajectory of a synchronous backend.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplanPolicy {
-    /// Re-measure every this many calls (≈ blocks). Measurement costs a
-    /// few prox evaluations per factor, so small values are affordable;
-    /// the default re-measures every 8 blocks.
-    pub every_blocks: usize,
-    /// Relative drift ([`SweepCosts::drift`]) above which the plan is
-    /// recompiled. The default 0.25 ignores timing noise but catches a
-    /// sweep or operator whose cost moved by a quarter.
-    pub drift_threshold: f64,
-    /// The planner that measures and compiles.
-    pub planner: Planner,
-}
-
-impl Default for ReplanPolicy {
-    fn default() -> Self {
-        ReplanPolicy {
-            every_blocks: 8,
-            drift_threshold: 0.25,
-            planner: Planner::new(),
-        }
-    }
-}
-
-/// Mutable companion of [`ReplanPolicy`]: per-solve counters and the
-/// cost baseline the current plan was compiled from. One per driven
-/// problem (the fleet solver keeps one per slot).
-#[derive(Debug, Clone, Default)]
-pub struct ReplanState {
-    /// Costs the currently installed plan was compiled from (`None`
-    /// until the first measuring call).
-    pub baseline: Option<SweepCosts>,
-    /// Calls to `maybe_replan` so far.
-    pub blocks_seen: usize,
-    /// Replans actually installed (excluding the baseline install).
-    pub replans: usize,
-}
-
-impl ReplanPolicy {
-    /// Policy with an explicit cadence and threshold.
-    ///
-    /// # Panics
-    /// If `every_blocks == 0` or the threshold is not positive.
-    pub fn new(every_blocks: usize, drift_threshold: f64) -> Self {
-        assert!(every_blocks >= 1, "replan cadence must be at least 1");
-        assert!(drift_threshold > 0.0, "drift threshold must be positive");
-        ReplanPolicy {
-            every_blocks,
-            drift_threshold,
-            ..Default::default()
-        }
-    }
-
-    /// Called once per block: counts the block, and on the cadence
-    /// re-measures `problem`. Installs a recompiled plan (and returns
-    /// the fresh costs, for [`crate::SweepExecutor::repartition`]) when
-    /// this is the first measurement or the drift against the baseline
-    /// exceeds the threshold; otherwise keeps the current plan *and*
-    /// baseline, so slow creep accumulates across measurements instead
-    /// of being forgiven each time.
-    pub fn maybe_replan(
-        &self,
-        state: &mut ReplanState,
-        problem: &mut AdmmProblem,
-    ) -> Option<SweepCosts> {
-        state.blocks_seen += 1;
-        if !state.blocks_seen.is_multiple_of(self.every_blocks) {
-            return None;
-        }
-        let costs = self.planner.measure(problem);
-        let install = match &state.baseline {
-            None => true,
-            Some(base) => costs.drift(base) > self.drift_threshold,
-        };
-        if !install {
-            return None;
-        }
-        if state.baseline.is_some() {
-            state.replans += 1;
-        }
-        problem.set_plan(self.planner.plan_from_costs(problem, &costs));
-        state.baseline = Some(costs.clone());
-        Some(costs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,20 +547,11 @@ mod tests {
         let p = chain_problem(5);
         let plan = SweepPlan::fused(&p);
         assert_eq!(plan.barriers_per_iteration(), 3);
-        assert!(plan.is_fused());
         assert!(plan.matches(p.graph()));
         assert_eq!(
             plan.passes().iter().map(|x| x.kind()).collect::<Vec<_>>(),
             vec![PassKind::Xm, PassKind::Z, PassKind::Un]
         );
-    }
-
-    #[test]
-    fn unfused_plan_mirrors_the_seed_schedule() {
-        let p = chain_problem(5);
-        let plan = SweepPlan::unfused(&p);
-        assert_eq!(plan.barriers_per_iteration(), 5);
-        assert!(!plan.is_fused());
         let kinds: Vec<UpdateKind> = plan
             .passes()
             .iter()
@@ -768,40 +563,21 @@ mod tests {
 
     #[test]
     fn from_passes_rejects_illegal_orders() {
-        // z before m: illegal.
-        let bad = vec![
-            Pass::uniform(PassKind::X, 3, 8),
-            Pass::uniform(PassKind::Z, 2, 8),
-            Pass::uniform(PassKind::M, 4, 8),
-            Pass::uniform(PassKind::Un, 4, 8),
-        ];
-        assert!(SweepPlan::from_passes(bad).is_err());
-        // duplicate coverage: x+m then m again.
-        let dup = vec![
+        let (xm, z, un) = (
             Pass::uniform(PassKind::Xm, 3, 8),
-            Pass::uniform(PassKind::M, 4, 8),
             Pass::uniform(PassKind::Z, 2, 8),
             Pass::uniform(PassKind::Un, 4, 8),
-        ];
-        assert!(SweepPlan::from_passes(dup).is_err());
-        // all four legal shapes pass.
-        for (xm, un) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut passes = Vec::new();
-            if xm {
-                passes.push(Pass::uniform(PassKind::Xm, 3, 8));
-            } else {
-                passes.push(Pass::uniform(PassKind::X, 3, 8));
-                passes.push(Pass::uniform(PassKind::M, 4, 8));
-            }
-            passes.push(Pass::uniform(PassKind::Z, 2, 8));
-            if un {
-                passes.push(Pass::uniform(PassKind::Un, 4, 8));
-            } else {
-                passes.push(Pass::uniform(PassKind::U, 4, 8));
-                passes.push(Pass::uniform(PassKind::N, 4, 8));
-            }
-            assert!(SweepPlan::from_passes(passes).is_ok(), "xm={xm} un={un}");
-        }
+        );
+        // z before x+m: illegal.
+        let bad = vec![z.clone(), xm.clone(), un.clone()];
+        assert!(SweepPlan::from_passes(bad).is_none());
+        // duplicate coverage: x+m twice.
+        let dup = vec![xm.clone(), xm.clone(), z.clone(), un.clone()];
+        assert!(SweepPlan::from_passes(dup).is_none());
+        // a sweep missing.
+        assert!(SweepPlan::from_passes(vec![xm.clone(), z.clone()]).is_none());
+        // the one legal shape passes.
+        assert!(SweepPlan::from_passes(vec![xm, z, un]).is_some());
     }
 
     #[test]
@@ -857,7 +633,6 @@ mod tests {
     fn planner_produces_a_matching_fused_plan() {
         let p = chain_problem(12);
         let plan = Planner::new().plan(&p);
-        assert!(plan.is_fused());
         assert!(plan.matches(p.graph()));
         assert_eq!(plan.barriers_per_iteration(), 3);
         for pass in plan.passes() {

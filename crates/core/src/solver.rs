@@ -6,7 +6,6 @@ use paradmm_graph::{FactorGraph, VarStore};
 use paradmm_prox::ProxOp;
 
 use crate::backend::SweepExecutor;
-use crate::plan::{ReplanPolicy, ReplanState};
 use crate::problem::AdmmProblem;
 use crate::residuals::{Residuals, StoppingCriteria};
 use crate::spec::BackendSpec;
@@ -84,7 +83,6 @@ pub struct Solver<B: SweepExecutor + ?Sized = dyn SweepExecutor> {
     problem: AdmmProblem,
     store: VarStore,
     options: SolverOptions,
-    replan: Option<(ReplanPolicy, ReplanState)>,
     backend: Box<B>,
 }
 
@@ -106,7 +104,6 @@ impl Solver {
             problem,
             store,
             options,
-            replan: None,
             backend,
         }
     }
@@ -124,7 +121,6 @@ impl Solver {
             problem,
             store,
             options,
-            replan: None,
             backend,
         }
     }
@@ -144,7 +140,6 @@ impl<B: SweepExecutor> Solver<B> {
             problem,
             store,
             options,
-            replan: None,
             backend: Box::new(backend),
         }
     }
@@ -217,27 +212,6 @@ impl<B: SweepExecutor + ?Sized> Solver<B> {
         self.problem.plan().expect("plan was just installed")
     }
 
-    /// Enables online re-planning: at each residual check the policy
-    /// counts the block, periodically re-measures sweep costs, and on
-    /// drift recompiles the plan and asks the backend to
-    /// [`SweepExecutor::repartition`] — the planner kept live across the
-    /// whole solve instead of frozen at startup. See
-    /// [`crate::ReplanPolicy`].
-    pub fn set_replan_policy(&mut self, policy: ReplanPolicy) {
-        self.replan = Some((policy, ReplanState::default()));
-    }
-
-    /// Disables online re-planning (the currently installed plan stays).
-    pub fn clear_replan_policy(&mut self) {
-        self.replan = None;
-    }
-
-    /// Replan bookkeeping (blocks seen, replans installed), when a
-    /// policy is active.
-    pub fn replan_state(&self) -> Option<&ReplanState> {
-        self.replan.as_ref().map(|(_, s)| s)
-    }
-
     /// Randomizes all state uniformly in `[lo, hi)` from a deterministic
     /// seed — the analogue of the paper's `initialize_X_N_Z_M_U_rand`.
     pub fn init_random(&mut self, lo: f64, hi: f64, seed: u64) {
@@ -306,14 +280,6 @@ impl<B: SweepExecutor + ?Sized> Solver<B> {
                 if conv {
                     stop_reason = StopReason::Converged;
                     break;
-                }
-                // Online replan between blocks only — never mid-block,
-                // so in-flight iterations are undisturbed and the next
-                // block starts from a coherent gathered state.
-                if let Some((policy, state)) = self.replan.as_mut() {
-                    if let Some(costs) = policy.maybe_replan(state, &mut self.problem) {
-                        self.backend.repartition(&self.problem, &costs);
-                    }
                 }
             }
         }
@@ -578,37 +544,6 @@ mod tests {
             .probe_report()
             .iter()
             .any(|&(name, _)| name == selected));
-    }
-
-    #[test]
-    fn replan_policy_measures_and_keeps_iterates_bit_identical() {
-        use crate::plan::ReplanPolicy;
-        // Replanning changes scheduling only: a replanning solve must be
-        // bit-identical to a frozen one on a synchronous backend.
-        let (g, p) = two_quadratics();
-        let opts = SolverOptions {
-            stopping: StoppingCriteria {
-                check_every: 5,
-                ..StoppingCriteria::fixed_iterations(60)
-            },
-            ..SolverOptions::default()
-        };
-        let mut replanned = Solver::new(g, p, opts);
-        replanned.set_replan_policy(ReplanPolicy::new(2, 0.25));
-        replanned.run(60);
-        let state = replanned.replan_state().expect("policy installed");
-        assert!(state.blocks_seen >= 2, "policy must see the blocks");
-        assert!(state.baseline.is_some(), "cadence must have measured");
-        assert!(
-            replanned.problem().plan().is_some(),
-            "first measurement installs a plan"
-        );
-
-        let (g2, p2) = two_quadratics();
-        let mut frozen = Solver::new(g2, p2, opts);
-        frozen.run(60);
-        assert_eq!(frozen.store().z, replanned.store().z);
-        assert_eq!(frozen.store().u, replanned.store().u);
     }
 
     #[test]

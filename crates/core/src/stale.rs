@@ -60,8 +60,8 @@
 //! `t`" and every versioned read selects version `t`, so the shard-local
 //! kernels and the global-edge-order halo fold reproduce the serial
 //! schedule exactly: iterates are **bit-identical** to
-//! [`SerialBackend`](crate::SerialBackend) for any partition and any
-//! legal plan; `tests/staleness_equivalence.rs` pins this on all four
+//! [`SerialBackend`](crate::SerialBackend) for any partition;
+//! `tests/staleness_equivalence.rs` pins this on all four
 //! problem families. Only the *scheduling* differs (watermark waits
 //! instead of barriers, reduces on each halo variable's owner).
 //!
@@ -77,13 +77,12 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use paradmm_graph::{EdgeParams, FactorId, Partition, Shard, ShardedStore, VarStore};
+use paradmm_graph::{EdgeParams, EdgeStream, FactorId, Partition, Shard, ShardedStore, VarStore};
 
 use crate::backend::SweepExecutor;
 use crate::kernels::{self, UpdateKind};
-use crate::plan::{PassKind, SweepPlan};
 use crate::problem::AdmmProblem;
-use crate::timing::{SweepCosts, UpdateTimings};
+use crate::timing::UpdateTimings;
 
 /// The watermark word: `(iteration << 32) | phase`, iterations 1-based,
 /// phases [`PHASE_STAGED`](watermark::PHASE_STAGED) →
@@ -169,6 +168,10 @@ fn wait_floor(w: &AtomicU64, floor: u64) -> u64 {
 /// target.
 struct StaleState {
     store: ShardedStore,
+    /// Per shard: the `(α, z-base)` stream of its local edges for the u+n
+    /// body. Built with the shards; the ρ/α fingerprint below rebuilds
+    /// both when the parameters change.
+    streams: Vec<EdgeStream>,
     partition: Partition,
     dims: usize,
     num_vars: usize,
@@ -233,8 +236,14 @@ impl StaleState {
             deps.sort_unstable();
             deps.dedup();
         }
+        let streams = store
+            .shards
+            .iter()
+            .map(|sh| EdgeStream::build(&sh.graph, &sh.params))
+            .collect();
         StaleState {
             store,
+            streams,
             partition,
             dims: g.dims(),
             num_vars: g.num_vars(),
@@ -379,34 +388,6 @@ impl SweepExecutor for StaleBoundedBackend {
         self.max_observed_skew = self.max_observed_skew.max(skew);
         self.iterations += iters;
     }
-
-    fn repartition(&mut self, problem: &AdmmProblem, costs: &SweepCosts) -> bool {
-        if self.parts <= 1 {
-            return false;
-        }
-        let g = problem.graph();
-        if costs.factor_seconds.len() != g.num_factors() {
-            return false;
-        }
-        // Weight = measured prox seconds + the factor's share of the
-        // streaming m work — the same per-factor cost the planner's
-        // weighted x+m split balances.
-        let weights: Vec<f64> = g
-            .factors()
-            .map(|a| costs.factor_seconds[a.idx()] + g.factor_degree(a) as f64 * costs.m_per_edge)
-            .collect();
-        let fresh = Partition::grow_weighted(g, self.parts, &weights);
-        let changed = match (&self.explicit_partition, &self.state) {
-            (Some(p), _) => p.assignment != fresh.assignment,
-            (None, Some(s)) => s.partition.assignment != fresh.assignment,
-            (None, None) => true,
-        };
-        if changed {
-            self.explicit_partition = Some(fresh);
-            self.state = None; // rebuild on the next block
-        }
-        changed
-    }
 }
 
 /// Shared raw view handed to the per-shard workers.
@@ -499,10 +480,6 @@ fn run_stale(
         iters <= u32::MAX as usize,
         "block too large for the 32-bit watermark iteration field"
     );
-    let plan = SweepPlan::resolve(problem);
-    let xm_fused = plan.passes().iter().any(|p| p.kind() == PassKind::Xm);
-    let un_fused = plan.passes().iter().any(|p| p.kind() == PassKind::Un);
-
     // A skew larger than the block is unobservable; clamping keeps the
     // versioned buffers proportional to min(k, iters).
     let k = staleness.min(iters);
@@ -515,6 +492,7 @@ fn run_stale(
     let owned = &state.owned;
     let reduce_deps = &state.reduce_deps;
     let bcast_deps = &state.bcast_deps;
+    let streams = &state.streams;
 
     let (shards, _halo_z, reduce) = state.store.exec_parts_mut();
     let mut stage_bufs: Vec<Vec<f64>> = shards
@@ -563,26 +541,17 @@ fn run_stale(
                     // consistent snapshot.
                     let k_eff = if it == iters as u64 { 0 } else { k as u64 };
 
-                    // ---- staging: local x/m, z swap, interior z, ρ·m ----
+                    // ---- staging: local x+m, z swap, interior z, ρ·m ----
                     let t0 = Instant::now();
                     let g = &shard.graph;
                     let params = &shard.params;
                     let nf = g.num_factors();
                     let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
                     let st = &mut shard.store;
-                    let (t1, t2) = if xm_fused {
-                        kernels::xm_update_block(
-                            g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
-                        );
-                        let t1 = Instant::now();
-                        (t1, t1)
-                    } else {
-                        kernels::x_update_block(g, prox_of, params, &st.n, &mut st.x, 0, nf);
-                        let t1 = Instant::now();
-                        let flat = st.x.len();
-                        kernels::m_update_range(&st.x, &st.u, &mut st.m, 0, flat);
-                        (t1, Instant::now())
-                    };
+                    kernels::xm_update_block(
+                        g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
+                    );
+                    let t1 = Instant::now();
 
                     // Buffer swap in place of the z_prev snapshot copy:
                     // every shard-local variable is rewritten below
@@ -687,48 +656,21 @@ fn run_stale(
                             shard.store.z[lo..lo + d].copy_from_slice(src);
                         }
                         let t3 = Instant::now();
-                        let t4 = if un_fused {
-                            kernels::un_update_range(
-                                g,
-                                &shard.params,
-                                &shard.store.x,
-                                &shard.store.z,
-                                &mut shard.store.u,
-                                &mut shard.store.n,
-                                0,
-                                g.num_edges(),
-                            );
-                            Instant::now()
-                        } else {
-                            kernels::u_update_range(
-                                g,
-                                &shard.params,
-                                &shard.store.x,
-                                &shard.store.z,
-                                &mut shard.store.u,
-                                0,
-                                g.num_edges(),
-                            );
-                            let t4 = Instant::now();
-                            kernels::n_update_range(
-                                g,
-                                &shard.store.z,
-                                &shard.store.u,
-                                &mut shard.store.n,
-                                0,
-                                g.num_edges(),
-                            );
-                            t4
-                        };
+                        let st = &mut shard.store;
+                        kernels::un_update_range_stream(
+                            &streams[tid],
+                            &st.x,
+                            &st.z,
+                            &mut st.u,
+                            &mut st.n,
+                            0,
+                            g.num_edges(),
+                        );
                         if tid == 0 {
                             local.add(UpdateKind::X, t1 - t0);
-                            local.add(UpdateKind::M, t2 - t1);
                             // Interior z + staging + reduce + waits.
-                            local.add(UpdateKind::Z, t3 - t2);
-                            local.add(UpdateKind::U, t4 - t3);
-                            if !un_fused {
-                                local.add(UpdateKind::N, t4.elapsed());
-                            }
+                            local.add(UpdateKind::Z, t3 - t1);
+                            local.add(UpdateKind::U, t3.elapsed());
                         }
                     }
                     my_mark.store(
@@ -965,33 +907,6 @@ mod tests {
         let after = run(&a, &mut sb, 15);
         assert_eq!(after.z, serial.z, "stale rho must not survive a rebuild");
         assert_ne!(before.z, after.z, "rho change must alter iterates");
-    }
-
-    #[test]
-    fn repartition_rebuilds_on_cost_drift() {
-        let problem = chain_problem(24);
-        let mut sb = StaleBoundedBackend::new(3, 1);
-        let _ = run(&problem, &mut sb, 5);
-        let before = sb.partition().unwrap().assignment.clone();
-        // Lopsided costs: all the weight on the last factor forces a
-        // different grown partition.
-        let mut costs = SweepCosts {
-            factor_seconds: vec![1e-7; 24],
-            m_per_edge: 1e-9,
-            z_per_var: 1e-9,
-            u_per_edge: 1e-9,
-            n_per_edge: 1e-9,
-        };
-        costs.factor_seconds[23] = 1e-3;
-        let changed = sb.repartition(&problem, &costs);
-        assert!(changed, "lopsided costs must change the partition");
-        // Next run rebuilds and still matches serial at k = 0 semantics
-        // of its final block iteration (k=1 here: check convergence
-        // plumbing by running and comparing against serial loosely).
-        let got = run(&problem, &mut sb, 5);
-        let after = sb.partition().unwrap().assignment.clone();
-        assert_ne!(before, after);
-        assert_eq!(got.z.len(), problem.graph().num_vars() * 2);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! the GPU: x 31% + z 40%; MPC on CPUs: m+u+n = 60%). The solver collects
 //! exactly those breakdowns here. Fused passes are accounted under their
 //! first constituent sweep ([`crate::plan::PassKind::timing_kind`]):
-//! x+m under `x`, u+n under `u` — the precedent the seed work-stealing
-//! backend set.
+//! x+m under `x`, u+n under `u`.
 
 use std::time::Duration;
 
@@ -28,7 +27,8 @@ pub struct SweepCosts {
     pub m_per_edge: f64,
     /// Mean seconds per variable of the z consensus average.
     pub z_per_var: f64,
-    /// Mean seconds per edge of the dual-ascent u sweep.
+    /// Mean seconds per edge of the dual ascent: the fused u+n pass
+    /// less its n share, so `u_per_edge + n_per_edge` is the pass.
     pub u_per_edge: f64,
     /// Mean seconds per edge of the `n = z − u` sweep.
     pub n_per_edge: f64,
@@ -66,44 +66,6 @@ impl SweepCosts {
         self.x_total()
             + (self.m_per_edge + self.u_per_edge + self.n_per_edge) * num_edges as f64
             + self.z_per_var * num_vars as f64
-    }
-
-    /// Relative drift between two measurements of the same problem: the
-    /// largest relative change across the x total, the heaviest single
-    /// factor, the *per-factor cost profile*, and the four per-item
-    /// sweep costs. `0.0` = unchanged; `1.0` = some component doubled
-    /// (or vanished). This is the number [`crate::ReplanPolicy`]
-    /// thresholds to decide whether a live re-measure warrants
-    /// recompiling the plan.
-    ///
-    /// The profile term is the L1 mass that moved between factors,
-    /// normalized by the larger x total: a cost *shift* between factors
-    /// (total and even max unchanged, balance wrecked — exactly the
-    /// case an online replan exists for) registers even when every
-    /// aggregate is preserved.
-    pub fn drift(&self, baseline: &SweepCosts) -> f64 {
-        const EPS: f64 = 1e-12;
-        let rel = |new: f64, old: f64| (new - old).abs() / old.max(new).max(EPS);
-        let profile = if self.factor_seconds.len() == baseline.factor_seconds.len() {
-            let moved: f64 = self
-                .factor_seconds
-                .iter()
-                .zip(&baseline.factor_seconds)
-                .map(|(a, b)| (a - b).abs())
-                .sum();
-            moved / self.x_total().max(baseline.x_total()).max(EPS)
-        } else {
-            // A different factor count is a different problem; any
-            // threshold should fire.
-            1.0
-        };
-        rel(self.x_total(), baseline.x_total())
-            .max(rel(self.max_factor(), baseline.max_factor()))
-            .max(profile)
-            .max(rel(self.m_per_edge, baseline.m_per_edge))
-            .max(rel(self.z_per_var, baseline.z_per_var))
-            .max(rel(self.u_per_edge, baseline.u_per_edge))
-            .max(rel(self.n_per_edge, baseline.n_per_edge))
     }
 }
 

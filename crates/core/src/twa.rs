@@ -88,7 +88,7 @@ impl TwaWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::z_update_range;
+    use crate::kernels::z_update_swapped_range;
     use paradmm_graph::GraphBuilder;
 
     /// Two factors sharing one variable; messages 10 and 2.
@@ -107,8 +107,8 @@ mod tests {
     fn standard_weights_average_evenly() {
         let (g, mut p, m) = setup();
         TwaWeights::standard(&g).apply(&mut p, 1.0);
-        let mut z = [0.0];
-        z_update_range(&g, &p, &m, &mut z, 0, 1);
+        let mut z = [0.0f64];
+        z_update_swapped_range(&g, &p, &m, &[0.0], &mut z, 0, 1);
         assert!((z[0] - 6.0).abs() < 1e-9);
     }
 
@@ -118,8 +118,8 @@ mod tests {
         let mut w = TwaWeights::standard(&g);
         w.set(EdgeId(0), WeightClass::Infinite);
         w.apply(&mut p, 1.0);
-        let mut z = [0.0];
-        z_update_range(&g, &p, &m, &mut z, 0, 1);
+        let mut z = [0.0f64];
+        z_update_swapped_range(&g, &p, &m, &[0.0], &mut z, 0, 1);
         assert!(
             (z[0] - 10.0).abs() < 1e-6,
             "certain message must win, z = {}",
@@ -133,8 +133,8 @@ mod tests {
         let mut w = TwaWeights::standard(&g);
         w.set(EdgeId(0), WeightClass::Zero);
         w.apply(&mut p, 1.0);
-        let mut z = [0.0];
-        z_update_range(&g, &p, &m, &mut z, 0, 1);
+        let mut z = [0.0f64];
+        z_update_swapped_range(&g, &p, &m, &[0.0], &mut z, 0, 1);
         assert!(
             (z[0] - 2.0).abs() < 1e-6,
             "no-opinion message must vanish, z = {}",

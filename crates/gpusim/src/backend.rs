@@ -6,12 +6,12 @@
 //! [`paradmm_core::SerialBackend`] on the host, while the per-kind
 //! timings recorded into [`UpdateTimings`] are the *simulated* kernel
 //! times of the [`SimtDevice`] model — one `<<<nb, ntb>>>` launch **per
-//! pass of the problem's [`SweepPlan`]** (three under the default fused
-//! plan, five under the seed unfused schedule), each priced from the
-//! problem's real per-task work profile. Fusion pays off twice on the
-//! device model: two launch overheads fewer per iteration, and fused
-//! threads reuse operands (the per-task costs are summed, but the launch
-//! floor is paid once).
+//! pass of the problem's [`SweepPlan`]** (`x+m`, `z`, `u+n`: three, where
+//! the paper's five sweeps launch five), each priced from the problem's
+//! real per-task work profile. Fusion pays off twice on the device
+//! model: two launch overheads fewer per iteration, and fused threads
+//! reuse operands (the per-task costs are summed, but the launch floor
+//! is paid once).
 
 use paradmm_core::{
     AdmmProblem, SerialBackend, SweepExecutor, SweepPlan, UpdateKind, UpdateTimings,
@@ -49,9 +49,8 @@ impl GpuIterationBreakdown {
 /// clock from the [`SimtDevice`] model, one kernel launch per plan pass.
 ///
 /// The [`SweepPlan`] is captured at construction (the problem's plan, or
-/// the default fused schedule); [`SweepExecutor::supports`] rejects
-/// problems whose resolved plan has a different pass structure, so the
-/// priced launch count always matches what the host executes.
+/// the default one); every plan has the same three passes, so the priced
+/// launches always match what the host executes.
 pub struct GpuSimBackend {
     device: SimtDevice,
     profile: WorkloadProfile,
@@ -211,10 +210,8 @@ impl SweepExecutor for GpuSimBackend {
     }
 
     /// `true` only for workloads identical to the one this backend was
-    /// profiled for: after the O(1) shape gate, the problem's resolved
-    /// [`SweepPlan`] must have the pass structure the launches were
-    /// priced for, and every sweep's per-task cost vector is compared
-    /// against a fresh profile of `problem`
+    /// profiled for: after the O(1) shape gate, every sweep's per-task
+    /// cost vector is compared against a fresh profile of `problem`
     /// (an O(|E|) pass — probing is rare, so exactness beats speed here;
     /// a same-shape graph with different factor degrees or proximal
     /// operators is rejected, not silently mispriced). Probing drivers
@@ -223,16 +220,6 @@ impl SweepExecutor for GpuSimBackend {
     /// [`SweepExecutor::execute`].
     fn supports(&self, problem: &AdmmProblem) -> bool {
         if !self.shape_matches(problem) {
-            return false;
-        }
-        let plan = SweepPlan::resolve(problem);
-        if plan.passes().len() != self.plan.passes().len()
-            || plan
-                .passes()
-                .iter()
-                .zip(self.plan.passes())
-                .any(|(a, b)| a.kind() != b.kind())
-        {
             return false;
         }
         let fresh = WorkloadProfile::from_problem(problem);
@@ -254,24 +241,6 @@ impl SweepExecutor for GpuSimBackend {
             self.shape_matches(problem),
             "GpuSimBackend was profiled for a different problem (factors/vars/edges mismatch)"
         );
-        // Likewise the launch prices assume the plan captured at
-        // construction: if a different schedule was installed on the
-        // problem since, the host would execute it while the simulated
-        // clock priced another — fail loudly instead (cheap: pass-kind
-        // comparison only).
-        {
-            let current = SweepPlan::resolve(problem);
-            assert!(
-                current.passes().len() == self.plan.passes().len()
-                    && current
-                        .passes()
-                        .iter()
-                        .zip(self.plan.passes())
-                        .all(|(a, b)| a.kind() == b.kind()),
-                "GpuSimBackend priced a different SweepPlan than the problem now carries \
-                 (rebuild the backend after changing the plan)"
-            );
-        }
 
         // Exact numerics on the host; host wall time is not the metric
         // here, so it is measured into a scratch accumulator.
@@ -455,19 +424,5 @@ mod tests {
         assert_eq!(b.seconds[UpdateKind::M.index()], 0.0);
         assert_eq!(b.seconds[UpdateKind::N.index()], 0.0);
         assert!(b.seconds[UpdateKind::X.index()] > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "priced a different SweepPlan")]
-    fn executing_with_a_swapped_plan_fails_loudly() {
-        // The launch prices are compiled for the plan the problem carried
-        // at construction; silently executing a different schedule would
-        // misreport every simulated figure, so it must assert instead.
-        let mut problem = consensus_problem();
-        let mut backend = GpuSimBackend::new(&problem, SimtDevice::tesla_k40());
-        problem.set_plan(paradmm_core::SweepPlan::unfused(&problem));
-        let mut store = VarStore::zeros(problem.graph());
-        let mut t = UpdateTimings::new();
-        backend.run_block(&problem, &mut store, 1, &mut t);
     }
 }

@@ -202,18 +202,13 @@ impl WorkloadProfile {
     }
 
     /// The task list of one [`PassKind`] — the unit a fused kernel
-    /// launch prices. Single-sweep passes reuse that sweep's tasks; the
-    /// fused x+m pass has one task per *factor* (its x task plus the m
-    /// tasks of its own edges), the fused u+n pass one task per edge
-    /// (u task plus n task).
+    /// launch prices. The fused x+m pass has one task per *factor* (its x
+    /// task plus the m tasks of its own edges), the z pass the z sweep's
+    /// tasks, the fused u+n pass one task per edge (u task plus n task).
     pub fn pass_tasks(&self, kind: PassKind, graph: &FactorGraph) -> Vec<TaskCost> {
         let sweep = |k: UpdateKind| &self.sweeps[k.index()].tasks;
         match kind {
-            PassKind::X => sweep(UpdateKind::X).clone(),
-            PassKind::M => sweep(UpdateKind::M).clone(),
             PassKind::Z => sweep(UpdateKind::Z).clone(),
-            PassKind::U => sweep(UpdateKind::U).clone(),
-            PassKind::N => sweep(UpdateKind::N).clone(),
             PassKind::Xm => {
                 let (x, m) = (sweep(UpdateKind::X), sweep(UpdateKind::M));
                 graph

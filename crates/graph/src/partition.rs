@@ -72,66 +72,6 @@ impl Partition {
         Partition { assignment, parts }
     }
 
-    /// Like [`Partition::grow`], but balancing per-factor *cost* weights
-    /// instead of edge counts — the re-partitioning primitive of the
-    /// online replanner: when measured proximal costs drift, the BFS
-    /// growth re-runs with the fresh weights so each part holds an equal
-    /// share of operator seconds, not of factor count.
-    ///
-    /// Non-positive weights are floored to a tiny epsilon so empty or
-    /// zero-cost factors still get assigned.
-    ///
-    /// # Panics
-    /// If `parts == 0` or `weights` is not one entry per factor.
-    pub fn grow_weighted(graph: &FactorGraph, parts: usize, weights: &[f64]) -> Self {
-        assert!(parts > 0, "need at least one part");
-        assert_eq!(
-            weights.len(),
-            graph.num_factors(),
-            "need one weight per factor"
-        );
-        let nf = graph.num_factors();
-        const MIN_W: f64 = 1e-12;
-        let total: f64 = weights.iter().map(|w| w.max(MIN_W)).sum();
-        let budget = (total / parts as f64).max(MIN_W);
-
-        let mut assignment = vec![u32::MAX; nf];
-        let mut queue = std::collections::VecDeque::new();
-        let mut part = 0u32;
-        let mut used = 0.0f64;
-        let mut next_seed = 0usize;
-
-        while next_seed < nf {
-            if assignment[next_seed] != u32::MAX {
-                next_seed += 1;
-                continue;
-            }
-            queue.push_back(next_seed);
-            while let Some(a) = queue.pop_front() {
-                if assignment[a] != u32::MAX {
-                    continue;
-                }
-                assignment[a] = part;
-                used += weights[a].max(MIN_W);
-                if used >= budget && (part as usize) < parts - 1 {
-                    part += 1;
-                    used = 0.0;
-                    queue.clear();
-                    break;
-                }
-                for &b in graph.factor_vars(FactorId::from_usize(a)) {
-                    for &e in graph.var_edges(b) {
-                        let neigh = graph.edge_factor(e).idx();
-                        if assignment[neigh] == u32::MAX {
-                            queue.push_back(neigh);
-                        }
-                    }
-                }
-            }
-        }
-        Partition { assignment, parts }
-    }
-
     /// Contiguous block partition (edge-balanced, ignores adjacency) —
     /// the baseline the BFS partitioner is compared against.
     pub fn contiguous(graph: &FactorGraph, parts: usize) -> Self {
@@ -306,67 +246,6 @@ mod tests {
     #[should_panic(expected = "at least one part")]
     fn zero_parts_rejected() {
         let _ = Partition::grow(&chain(5), 0);
-    }
-
-    #[test]
-    fn grow_weighted_balances_cost_not_count() {
-        // Front-loaded costs: the first 10 factors carry ~all the weight,
-        // so an equal-cost 2-way split gives part 0 far fewer factors
-        // than half.
-        let g = chain(100);
-        let mut weights = vec![1.0f64; 100];
-        for w in weights.iter_mut().take(10) {
-            *w = 100.0;
-        }
-        let p = Partition::grow_weighted(&g, 2, &weights);
-        assert!(p.validate(&g).is_ok());
-        let count0 = p.assignment.iter().filter(|&&a| a == 0).count();
-        assert!(
-            count0 < 30,
-            "heavy front factors should saturate part 0 quickly, got {count0}"
-        );
-        let cost: Vec<f64> = (0..2)
-            .map(|part| {
-                g.factors()
-                    .filter(|a| p.part_of(*a) == part as u32)
-                    .map(|a| weights[a.idx()])
-                    .sum()
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        assert!(
-            cost[0] < 0.75 * total && cost[1] < 0.75 * total,
-            "cost split {cost:?} vs total {total}"
-        );
-    }
-
-    #[test]
-    fn grow_weighted_uniform_weights_match_grow_shape() {
-        // With per-factor weight = factor degree, the weighted growth
-        // reduces to the edge-count growth.
-        let g = chain(60);
-        let weights: Vec<f64> = g.factors().map(|a| g.factor_degree(a) as f64).collect();
-        let w = Partition::grow_weighted(&g, 3, &weights);
-        let plain = Partition::grow(&g, 3);
-        assert_eq!(w.assignment, plain.assignment);
-    }
-
-    #[test]
-    fn grow_weighted_assigns_every_factor_any_parts() {
-        let g = chain(17);
-        let weights = vec![0.0f64; 17]; // all floored
-        for parts in [1usize, 2, 5] {
-            let p = Partition::grow_weighted(&g, parts, &weights);
-            assert!(p.validate(&g).is_ok());
-            assert!(p.assignment.iter().all(|&a| (a as usize) < parts));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per factor")]
-    fn grow_weighted_rejects_bad_weight_len() {
-        let g = chain(5);
-        let _ = Partition::grow_weighted(&g, 2, &[1.0; 3]);
     }
 
     #[test]

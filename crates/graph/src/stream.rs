@@ -9,10 +9,11 @@
 //! kernel inner loop is a pure streaming pass: sequential loads of
 //! `rho/alpha/z_base`, one gather into `z`, sequential updates of `u`/`n`.
 //!
-//! A stream is a *snapshot* of `EdgeParams`: the adaptive-ρ schemes mutate
-//! `rho` between blocks, so executors rebuild the stream once per
-//! `run_block` call (O(|E|), amortized over the block's iterations) and
-//! never cache it on the problem.
+//! A stream is a *snapshot* of `EdgeParams`, and params change between
+//! blocks, so executors rebuild the stream once per `run_block` call
+//! (O(|E|), amortized over the block's iterations) — or keep it with
+//! state that is rebuilt when ρ or α changes — and never cache it on the
+//! problem.
 
 use crate::aligned::AlignedVec;
 use crate::graph::FactorGraph;

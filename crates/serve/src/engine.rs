@@ -44,9 +44,8 @@
 use std::time::Instant;
 
 use paradmm_core::{
-    AdmmProblem, BackendSpec, FleetSolver, Priority, ReplanPolicy, ReplanState, Residuals,
-    SolveOutcome, SolveRequest, SolverOptions, StopReason, StoppingCriteria, SweepExecutor,
-    SweepPlan, UpdateTimings,
+    AdmmProblem, BackendSpec, FleetSolver, Priority, Residuals, SolveOutcome, SolveRequest,
+    SolverOptions, StopReason, StoppingCriteria, SweepExecutor, UpdateTimings,
 };
 use paradmm_graph::{BatchInstance, BatchLayout, BatchStore, EdgeParams, FactorGraph, VarStore};
 use paradmm_prox::ProxOp;
@@ -114,13 +113,6 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Warm-start cache entries (`0` disables the cache).
     pub cache_capacity: usize,
-    /// Online replanning for the fused pack: re-measure per-pass costs
-    /// on this cadence and re-plan (and ask the backend to re-partition)
-    /// when operator costs drift — see [`ReplanPolicy`]. `None` keeps
-    /// the shape-cached fused plan frozen between repacks. Replans
-    /// change scheduling only, never iterates, so the serving
-    /// bit-identity contract is unaffected.
-    pub replan: Option<ReplanPolicy>,
 }
 
 impl Default for EngineConfig {
@@ -131,7 +123,6 @@ impl Default for EngineConfig {
             fleet_threads: 2,
             max_batch: 64,
             cache_capacity: 128,
-            replan: None,
         }
     }
 }
@@ -247,11 +238,6 @@ pub struct Engine {
     queue: Vec<Pending>,
     pack: Option<Pack>,
     backend: Box<dyn SweepExecutor>,
-    plan_cache: Option<((usize, usize, usize), SweepPlan)>,
-    /// Replan counters/baseline for the *current* pack composition;
-    /// reset at every repack boundary (the fused problem — and with it
-    /// the cost profile the baseline describes — changes there).
-    replan_state: ReplanState,
     timings: UpdateTimings,
     seq: u64,
     stats: EngineStats,
@@ -266,8 +252,6 @@ impl Engine {
             config,
             queue: Vec::new(),
             pack: None,
-            plan_cache: None,
-            replan_state: ReplanState::default(),
             timings: UpdateTimings::new(),
             seq: 0,
             stats: EngineStats::default(),
@@ -282,13 +266,6 @@ impl Engine {
     /// The warm-start cache (hit/miss counters, size).
     pub fn cache(&self) -> &WarmStartCache {
         &self.cache
-    }
-
-    /// Replan counters for the current pack composition (resets at
-    /// every repack boundary). Always default when
-    /// [`EngineConfig::replan`] is `None`.
-    pub fn replan_state(&self) -> &ReplanState {
-        &self.replan_state
     }
 
     /// Whether no work is queued or in flight.
@@ -623,26 +600,16 @@ impl Engine {
         }
 
         if members.is_empty() {
-            self.replan_state = ReplanState::default();
             return;
         }
-        // New fused problem, new cost profile: the replan baseline from
-        // the previous composition no longer describes anything.
-        self.replan_state = ReplanState::default();
         self.stats.max_pack = self.stats.max_pack.max(members.len());
-        self.pack = Some(Self::pack_members(
-            members,
-            states,
-            proxes,
-            &mut self.plan_cache,
-        ));
+        self.pack = Some(Self::pack_members(members, states, proxes));
     }
 
     fn pack_members(
         members: Vec<Member>,
         states: Vec<VarStore>,
         proxes: Vec<Vec<Box<dyn ProxOp>>>,
-        plan_cache: &mut Option<((usize, usize, usize), SweepPlan)>,
     ) -> Pack {
         let batch = {
             let views: Vec<BatchInstance<'_>> = members
@@ -658,20 +625,7 @@ impl Engine {
         };
         let (graph, params, store, layout) = batch.into_parts();
         let fused_proxes: Vec<Box<dyn ProxOp>> = proxes.into_iter().flatten().collect();
-        let mut problem = AdmmProblem::with_params(graph, fused_proxes, params);
-        // Same fused-plan cache as BatchSolver: keyed by pass shape, so
-        // a repack with unchanged fused topology skips the rebuild.
-        let g = problem.graph();
-        let fp = (g.num_factors(), g.num_vars(), g.num_edges());
-        let plan = match plan_cache {
-            Some((cached_fp, plan)) if *cached_fp == fp => plan.clone(),
-            _ => {
-                let plan = SweepPlan::fused(&problem);
-                *plan_cache = Some((fp, plan.clone()));
-                plan
-            }
-        };
-        problem.set_plan(plan);
+        let problem = AdmmProblem::with_params(graph, fused_proxes, params);
         Pack {
             problem,
             store,
@@ -699,25 +653,6 @@ impl Engine {
 
         self.backend
             .run_block(&pack.problem, &mut pack.store, block, &mut self.timings);
-
-        // Online replanning at the block boundary: re-measure per-pass
-        // costs on the policy's cadence and, when the profile drifted,
-        // install a fresh measured plan and let the backend re-partition
-        // its shard assignment. The shape-keyed plan cache must follow,
-        // or the next same-shape repack would reinstall the stale plan.
-        if let Some(policy) = self.config.replan {
-            if policy
-                .maybe_replan(&mut self.replan_state, &mut pack.problem)
-                .map(|costs| self.backend.repartition(&pack.problem, &costs))
-                .is_some()
-            {
-                let g = pack.problem.graph();
-                let fp = (g.num_factors(), g.num_vars(), g.num_edges());
-                if let Some(plan) = pack.problem.plan() {
-                    self.plan_cache = Some((fp, plan.clone()));
-                }
-            }
-        }
 
         let d = pack.layout.dims();
         let mut retired: Vec<(usize, StopReason)> = Vec::new();
@@ -799,18 +734,10 @@ impl Engine {
             }
         }
         debug_assert!(prox_iter.next().is_none());
-        // Retire is a repack boundary too: whatever survives is a new
-        // fused problem with a new cost profile.
-        self.replan_state = ReplanState::default();
         if !surv_members.is_empty() {
             self.stats.repacks += 1;
             self.stats.max_pack = self.stats.max_pack.max(surv_members.len());
-            self.pack = Some(Self::pack_members(
-                surv_members,
-                surv_states,
-                surv_proxes,
-                &mut self.plan_cache,
-            ));
+            self.pack = Some(Self::pack_members(surv_members, surv_states, surv_proxes));
         }
         completions
     }
@@ -1154,45 +1081,6 @@ mod tests {
         let second = engine.run_until_idle();
         assert!(!second[0].warm_started);
         assert_eq!(engine.stats().cache_hits, 0);
-    }
-
-    #[test]
-    fn online_replan_keeps_batched_serving_bit_identical() {
-        // Cadence-1 policy: measure after every fused block. Replans
-        // change scheduling only, so the completion must still be the
-        // bit-identical solo reference.
-        let config = EngineConfig {
-            replan: Some(ReplanPolicy::new(1, 0.25)),
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(config);
-        engine.submit(EngineRequest {
-            id: 1,
-            request: request(1, &[1.0, 5.0, 9.0], tight()),
-            use_cache: false,
-        });
-        let mut completions = Vec::new();
-        let mut measured_in_flight = false;
-        while !engine.is_idle() {
-            completions.extend(engine.step());
-            if engine.pack_len() > 0 {
-                measured_in_flight |= engine.replan_state().baseline.is_some();
-            }
-        }
-        assert!(
-            measured_in_flight,
-            "cadence-1 policy must measure between blocks while the pack is live"
-        );
-        assert_eq!(
-            engine.replan_state().blocks_seen,
-            0,
-            "replan state resets at the final repack boundary"
-        );
-        let reference = solo(1, &[1.0, 5.0, 9.0], tight());
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].outcome.iterations, reference.iterations);
-        assert_eq!(completions[0].outcome.store.z, reference.store.z);
-        assert_eq!(completions[0].outcome.store.u, reference.store.u);
     }
 
     #[test]

@@ -54,12 +54,11 @@ pub use paradmm_svm as svm;
 /// Convenient glob-import of the most common types.
 pub mod prelude {
     pub use paradmm_core::{
-        kernel_dispatch, set_kernel_dispatch, AdmmProblem, AutoBackend, BackendSpec,
-        BarrierBackend, BatchReport, BatchSolver, FleetSolver, InstanceReport, KernelDispatch,
-        Pass, PassKind, Planner, Priority, ProxCtx, ProxOp, RayonBackend, Residuals, SerialBackend,
-        SolveOutcome, SolveRequest, Solver, SolverOptions, SolverReport, StaleBoundedBackend,
-        StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan, UpdateKind,
-        UpdateTimings, WorkStealingBackend,
+        AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchReport, BatchSolver,
+        FleetSolver, InstanceReport, Pass, PassKind, Planner, Priority, ProxCtx, ProxOp,
+        RayonBackend, Residuals, SerialBackend, SolveOutcome, SolveRequest, Solver, SolverOptions,
+        SolverReport, StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor,
+        SweepPlan, UpdateKind, UpdateTimings, WorkStealingBackend,
     };
     pub use paradmm_gpusim::GpuSimBackend;
     pub use paradmm_graph::{

@@ -11,7 +11,10 @@
 //! staged messages in ascending global edge order, replaying the serial
 //! z-update's exact floating-point association. This suite pins that contract on all
 //! three paper problem generators (packing, MPC, SVM) and on a
-//! degree-imbalanced hub graph whose static range splits straggle.
+//! degree-imbalanced hub graph whose static range splits straggle,
+//! against an independent oracle: `NaiveAdmm`, the paper's literal five
+//! sweeps over per-edge allocations, which shares no schedule code with
+//! any executor.
 //! The `async` spec (the halo executor at staleness `k = 1`)
 //! deliberately breaks the schedule (workers see bounded-stale `z`), so
 //! for it the contract is convergence to the same fixed point on a
@@ -20,8 +23,7 @@
 use paradmm::core::{
     barriers_per_iteration, AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver,
     FleetBackend, FleetSolver, RayonBackend, SerialBackend, Solver, SolverOptions,
-    StaleBoundedBackend, StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
-    WorkStealingBackend,
+    StaleBoundedBackend, StoppingCriteria, SweepExecutor, UpdateTimings, WorkStealingBackend,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -29,15 +31,9 @@ use paradmm::packing::{PackingConfig, PackingProblem};
 use paradmm::svm::{gaussian_mixture, SvmConfig, SvmProblem};
 use rand::SeedableRng;
 
-/// Runs `iters` iterations of `problem` from a deterministic non-zero
-/// state on `backend`, returning the full final state.
-fn run_from_seeded_state(
-    problem: &AdmmProblem,
-    backend: &mut dyn SweepExecutor,
-    iters: usize,
-) -> VarStore {
+/// A deterministic non-zero start, so every sweep has real work.
+fn seeded_state(problem: &AdmmProblem) -> VarStore {
     let mut store = VarStore::zeros(problem.graph());
-    // Deterministic non-trivial start so every sweep has real work.
     for (i, v) in store.n.iter_mut().enumerate() {
         *v = (i as f64 * 0.37).sin();
     }
@@ -45,118 +41,120 @@ fn run_from_seeded_state(
         *v = (i as f64 * 0.11).cos();
     }
     store.snapshot_z();
+    store
+}
+
+/// Runs `iters` iterations of `problem` from [`seeded_state`] on
+/// `backend`, returning the full final state.
+fn run_from_seeded_state(
+    problem: &AdmmProblem,
+    backend: &mut dyn SweepExecutor,
+    iters: usize,
+) -> VarStore {
+    let mut store = seeded_state(problem);
     let mut t = UpdateTimings::new();
     backend.run_block(problem, &mut store, iters, &mut t);
     assert_eq!(t.iterations, iters, "backend must account its iterations");
     store
 }
 
-fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: usize, label: &str) {
-    // The reference is the seed five-sweep schedule: the explicit
-    // unfused plan on the serial backend.
-    problem.set_plan(SweepPlan::unfused(problem));
+fn assert_bit_identical_across_sync_backends(problem: &AdmmProblem, iters: usize, label: &str) {
+    // The reference is the paper's literal five sweeps, run from the same
+    // seeded state: an oracle that shares no schedule code with any
+    // executor.
+    let oracle = paradmm_bench::naive_reference(problem, &seeded_state(problem), iters);
+    assert!(
+        barriers_per_iteration(problem) <= 3,
+        "{label}: the plan must cost ≤ 3 barriers/iteration"
+    );
+    let assert_matches = |got: &VarStore, which: &str| {
+        assert_eq!(oracle.x, got.x, "{label}: {which} x diverged");
+        assert_eq!(oracle.m, got.m, "{label}: {which} m diverged");
+        assert_eq!(oracle.z, got.z, "{label}: {which} z diverged");
+        assert_eq!(oracle.u, got.u, "{label}: {which} u diverged");
+        assert_eq!(oracle.n, got.n, "{label}: {which} n diverged");
+        assert_eq!(
+            oracle.z_prev, got.z_prev,
+            "{label}: {which} z_prev diverged"
+        );
+    };
+
     let serial = run_from_seeded_state(problem, &mut SerialBackend, iters);
-    problem.clear_plan();
+    assert_matches(&serial, "serial");
 
-    // Every backend must reproduce it under BOTH the default fused
-    // three-pass plan and the explicit unfused five-pass plan.
-    for fused in [true, false] {
-        if fused {
-            problem.clear_plan(); // default = SweepPlan::fused
-            assert!(
-                barriers_per_iteration(problem) <= 3,
-                "{label}: default plan must cost ≤ 3 barriers/iteration"
-            );
-        } else {
-            problem.set_plan(SweepPlan::unfused(problem));
-        }
-        let plan_label = if fused { "fused" } else { "unfused" };
-        let assert_matches = |got: &VarStore, which: &str| {
-            assert_eq!(serial.z, got.z, "{label}[{plan_label}]: {which} z diverged");
-            assert_eq!(serial.x, got.x, "{label}[{plan_label}]: {which} x diverged");
-            assert_eq!(serial.u, got.u, "{label}[{plan_label}]: {which} u diverged");
-            assert_eq!(serial.n, got.n, "{label}[{plan_label}]: {which} n diverged");
-        };
+    for threads in [1usize, 2, 3] {
+        let rayon = run_from_seeded_state(problem, &mut RayonBackend::new(Some(threads)), iters);
+        assert_matches(&rayon, &format!("rayon({threads})"));
 
-        let serial_again = run_from_seeded_state(problem, &mut SerialBackend, iters);
-        assert_matches(&serial_again, "serial");
+        let barrier = run_from_seeded_state(problem, &mut BarrierBackend::new(threads), iters);
+        assert_matches(&barrier, &format!("barrier({threads})"));
 
-        for threads in [1usize, 2, 3] {
-            let rayon =
-                run_from_seeded_state(problem, &mut RayonBackend::new(Some(threads)), iters);
-            assert_matches(&rayon, &format!("rayon({threads})"));
+        let ws = run_from_seeded_state(problem, &mut WorkStealingBackend::new(threads), iters);
+        assert_matches(&ws, &format!("worksteal({threads})"));
 
-            let barrier = run_from_seeded_state(problem, &mut BarrierBackend::new(threads), iters);
-            assert_matches(&barrier, &format!("barrier({threads})"));
+        // Tiny chunks force real chunk contention on every pass.
+        let ws_tiny = run_from_seeded_state(
+            problem,
+            &mut WorkStealingBackend::with_chunk(threads, 2),
+            iters,
+        );
+        assert_matches(&ws_tiny, &format!("worksteal({threads}, chunk=2)"));
 
-            let ws = run_from_seeded_state(problem, &mut WorkStealingBackend::new(threads), iters);
-            assert_matches(&ws, &format!("worksteal({threads})"));
+        // The barrier-free fleet scheduler (single-instance
+        // degenerate form): watermarked chunk claims instead of
+        // barriers, with and without forced chunk contention.
+        let fleet = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
+        assert_matches(&fleet, &format!("fleet({threads})"));
 
-            // Tiny chunks force real chunk contention on every pass.
-            let ws_tiny = run_from_seeded_state(
-                problem,
-                &mut WorkStealingBackend::with_chunk(threads, 2),
-                iters,
-            );
-            assert_matches(&ws_tiny, &format!("worksteal({threads}, chunk=2)"));
-
-            // The barrier-free fleet scheduler (single-instance
-            // degenerate form): watermarked chunk claims instead of
-            // barriers, with and without forced chunk contention.
-            let fleet = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
-            assert_matches(&fleet, &format!("fleet({threads})"));
-
-            let fleet_tiny =
-                run_from_seeded_state(problem, &mut FleetBackend::with_chunk(threads, 2), iters);
-            assert_matches(&fleet_tiny, &format!("fleet({threads}, chunk=2)"));
-        }
-        // Sharded execution: partition-local stores with a real halo
-        // exchange per iteration must replay the serial fold exactly, for
-        // both the BFS-grown partition and a contiguous one (whose halo
-        // variables interleave their edges across shards — the hard case
-        // for an ordered reduce).
-        for parts in [1usize, 2, 4] {
-            let mut sharded = BackendSpec::Sharded { parts: Some(parts) }.to_backend();
-            let sharded = run_from_seeded_state(problem, sharded.as_mut(), iters);
-            assert_matches(&sharded, &format!("sharded({parts})"));
-
-            let contiguous = Partition::contiguous(problem.graph(), parts);
-            let sharded_cont = run_from_seeded_state(
-                problem,
-                &mut StaleBoundedBackend::with_partition(contiguous, 0),
-                iters,
-            );
-            assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
-        }
-        // AutoBackend probes all six sync candidates on a clone and locks
-        // in one of them — whichever wins, iterates must match serial
-        // bitwise.
-        let mut auto = AutoBackend::new(2);
-        let auto_store = run_from_seeded_state(problem, &mut auto, iters);
-        let selected = auto.selected().expect("auto probe must run");
-        assert_matches(&auto_store, &format!("auto→{selected}"));
+        let fleet_tiny =
+            run_from_seeded_state(problem, &mut FleetBackend::with_chunk(threads, 2), iters);
+        assert_matches(&fleet_tiny, &format!("fleet({threads}, chunk=2)"));
     }
-    problem.clear_plan();
+    // Sharded execution: partition-local stores with a real halo
+    // exchange per iteration must replay the serial fold exactly, for
+    // both the BFS-grown partition and a contiguous one (whose halo
+    // variables interleave their edges across shards — the hard case
+    // for an ordered reduce).
+    for parts in [1usize, 2, 4] {
+        let mut sharded = BackendSpec::Sharded { parts: Some(parts) }.to_backend();
+        let sharded = run_from_seeded_state(problem, sharded.as_mut(), iters);
+        assert_matches(&sharded, &format!("sharded({parts})"));
+
+        let contiguous = Partition::contiguous(problem.graph(), parts);
+        let sharded_cont = run_from_seeded_state(
+            problem,
+            &mut StaleBoundedBackend::with_partition(contiguous, 0),
+            iters,
+        );
+        assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
+    }
+    // AutoBackend probes all six sync candidates on a clone and locks
+    // in one of them — whichever wins, iterates must match serial
+    // bitwise.
+    let mut auto = AutoBackend::new(2);
+    let auto_store = run_from_seeded_state(problem, &mut auto, iters);
+    let selected = auto.selected().expect("auto probe must run");
+    assert_matches(&auto_store, &format!("auto→{selected}"));
 }
 
 #[test]
 fn packing_generator_bit_identical() {
-    let (_, mut problem) = PackingProblem::build(PackingConfig::new(10));
-    assert_bit_identical_across_sync_backends(&mut problem, 60, "packing");
+    let (_, problem) = PackingProblem::build(PackingConfig::new(10));
+    assert_bit_identical_across_sync_backends(&problem, 60, "packing");
 }
 
 #[test]
 fn mpc_generator_bit_identical() {
-    let (_, mut problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
-    assert_bit_identical_across_sync_backends(&mut problem, 60, "mpc");
+    let (_, problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
+    assert_bit_identical_across_sync_backends(&problem, 60, "mpc");
 }
 
 #[test]
 fn svm_generator_bit_identical() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     let data = gaussian_mixture(60, 2, 4.0, &mut rng);
-    let (_, mut problem) = SvmProblem::build(&data, SvmConfig::default());
-    assert_bit_identical_across_sync_backends(&mut problem, 60, "svm");
+    let (_, problem) = SvmProblem::build(&data, SvmConfig::default());
+    assert_bit_identical_across_sync_backends(&problem, 60, "svm");
 }
 
 #[test]
@@ -168,8 +166,8 @@ fn imbalanced_degree_graph_bit_identical() {
     // may never leak into iterates. 7 hubs of degree 23: indivisible
     // heavy z-tasks, plus leaf counts that don't divide evenly into
     // chunks or thread counts.
-    let mut problem = paradmm_bench::imbalanced_problem(7, 23);
-    assert_bit_identical_across_sync_backends(&mut problem, 60, "imbalanced");
+    let problem = paradmm_bench::imbalanced_problem(7, 23);
+    assert_bit_identical_across_sync_backends(&problem, 60, "imbalanced");
 }
 
 #[test]

@@ -9,16 +9,15 @@
 //! functions of the other arrays (`m = x + u`, `n = z − u`), so a change
 //! that stops storing them need not re-bless these hashes.
 //!
-//! Both `KernelDispatch` modes must reproduce the same hashes. The mode
-//! is process-global, so the modes run one after the other inside one
-//! `#[test]`.
+//! CI also runs this test in a `target-cpu=native` release build: Rust
+//! never contracts `a * b + c` into an FMA, so the hashes must hold there
+//! too.
 //!
 //! A change that alters the serial trajectory on purpose re-blesses the
 //! constants below and says why in `CHANGES.md`.
 
 use paradmm::core::{
-    set_kernel_dispatch, AdmmProblem, KernelDispatch, SerialBackend, Solver, SolverOptions,
-    StopReason, StoppingCriteria,
+    AdmmProblem, SerialBackend, Solver, SolverOptions, StopReason, StoppingCriteria,
 };
 use paradmm::graph::io::fingerprint_fold;
 use paradmm::graph::VarStore;
@@ -175,20 +174,16 @@ const GOLDEN: [Golden; 4] = [
 ];
 
 #[test]
-fn serial_trajectories_match_golden_bits_under_both_dispatch_modes() {
-    for mode in [KernelDispatch::Specialized, KernelDispatch::Scalar] {
-        set_kernel_dispatch(mode);
-        for golden in &GOLDEN {
-            let got = (golden.solve)();
-            assert_eq!(
-                got,
-                (golden.iterations, golden.hash),
-                "{} under {mode:?}: (iterations, hash) = ({}, {:#018x})",
-                golden.family,
-                got.0,
-                got.1
-            );
-        }
+fn serial_trajectories_match_golden_bits() {
+    for golden in &GOLDEN {
+        let got = (golden.solve)();
+        assert_eq!(
+            got,
+            (golden.iterations, golden.hash),
+            "{}: (iterations, hash) = ({}, {:#018x})",
+            golden.family,
+            got.0,
+            got.1
+        );
     }
-    set_kernel_dispatch(KernelDispatch::Specialized);
 }

@@ -5,8 +5,8 @@
 //! reads may consume neighbor state up to `k` iterations stale. The
 //! contract this suite pins:
 //!
-//! * **`k = 0` is bit-identical** to [`SerialBackend`] running the
-//!   five-sweep reference on every problem — with the waits tightened to
+//! * **`k = 0` is bit-identical** to the paper's literal five sweeps
+//!   (`NaiveAdmm`) on every problem — with the waits tightened to
 //!   "neighbor finished this iteration", the barrier-free protocol
 //!   replays the exact synchronous fold, on all three paper generators
 //!   plus the degree-imbalanced hub graph, for BFS-grown and contiguous
@@ -20,7 +20,7 @@
 
 use paradmm::core::{
     watermark, AdmmProblem, BackendSpec, SerialBackend, StaleBoundedBackend, SweepExecutor,
-    SweepPlan, UpdateTimings,
+    UpdateTimings,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -29,12 +29,8 @@ use paradmm::svm::{gaussian_mixture, SvmConfig, SvmProblem};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-/// Runs `iters` iterations from a deterministic non-zero state.
-fn run_from_seeded_state(
-    problem: &AdmmProblem,
-    backend: &mut dyn SweepExecutor,
-    iters: usize,
-) -> VarStore {
+/// A deterministic non-zero start.
+fn seeded_state(problem: &AdmmProblem) -> VarStore {
     let mut store = VarStore::zeros(problem.graph());
     for (i, v) in store.n.iter_mut().enumerate() {
         *v = (i as f64 * 0.37).sin();
@@ -43,70 +39,68 @@ fn run_from_seeded_state(
         *v = (i as f64 * 0.11).cos();
     }
     store.snapshot_z();
+    store
+}
+
+/// Runs `iters` iterations from [`seeded_state`].
+fn run_from_seeded_state(
+    problem: &AdmmProblem,
+    backend: &mut dyn SweepExecutor,
+    iters: usize,
+) -> VarStore {
+    let mut store = seeded_state(problem);
     let mut t = UpdateTimings::new();
     backend.run_block(problem, &mut store, iters, &mut t);
     assert_eq!(t.iterations, iters, "backend must account its iterations");
     store
 }
 
-/// Asserts k=0 stale execution is bit-identical to the serial reference
-/// across part counts and partition styles, under fused and unfused
-/// plans.
-fn assert_k0_bit_identical(problem: &mut AdmmProblem, iters: usize, label: &str) {
-    problem.set_plan(SweepPlan::unfused(problem));
-    let serial = run_from_seeded_state(problem, &mut SerialBackend, iters);
-    problem.clear_plan();
+/// Asserts k=0 stale execution is bit-identical to the literal five
+/// sweeps across part counts and partition styles.
+fn assert_k0_bit_identical(problem: &AdmmProblem, iters: usize, label: &str) {
+    let oracle = paradmm_bench::naive_reference(problem, &seeded_state(problem), iters);
+    for parts in [1usize, 2, 4] {
+        let mut stale = StaleBoundedBackend::new(parts, 0);
+        let got = run_from_seeded_state(problem, &mut stale, iters);
+        let which = format!("{label} stale({parts}, k=0)");
+        assert_eq!(oracle.z, got.z, "{which}: z diverged");
+        assert_eq!(oracle.x, got.x, "{which}: x diverged");
+        assert_eq!(oracle.m, got.m, "{which}: m diverged");
+        assert_eq!(oracle.u, got.u, "{which}: u diverged");
+        assert_eq!(oracle.n, got.n, "{which}: n diverged");
+        assert_eq!(oracle.z_prev, got.z_prev, "{which}: z_prev diverged");
+        assert_eq!(stale.max_observed_skew(), 0, "{which}: k=0 must not skew");
 
-    for fused in [true, false] {
-        if fused {
-            problem.clear_plan();
-        } else {
-            problem.set_plan(SweepPlan::unfused(problem));
-        }
-        let plan_label = if fused { "fused" } else { "unfused" };
-        for parts in [1usize, 2, 4] {
-            let mut stale = StaleBoundedBackend::new(parts, 0);
-            let got = run_from_seeded_state(problem, &mut stale, iters);
-            let which = format!("{label}[{plan_label}] stale({parts}, k=0)");
-            assert_eq!(serial.z, got.z, "{which}: z diverged");
-            assert_eq!(serial.x, got.x, "{which}: x diverged");
-            assert_eq!(serial.u, got.u, "{which}: u diverged");
-            assert_eq!(serial.n, got.n, "{which}: n diverged");
-            assert_eq!(serial.z_prev, got.z_prev, "{which}: z_prev diverged");
-            assert_eq!(stale.max_observed_skew(), 0, "{which}: k=0 must not skew");
-
-            // Contiguous partitions interleave a halo variable's edges
-            // across shards — the hard case for the ordered reduce.
-            let contiguous = Partition::contiguous(problem.graph(), parts);
-            let mut stale_cont = StaleBoundedBackend::with_partition(contiguous, 0);
-            let got_cont = run_from_seeded_state(problem, &mut stale_cont, iters);
-            let which = format!("{label}[{plan_label}] stale({parts}, contiguous, k=0)");
-            assert_eq!(serial.z, got_cont.z, "{which}: z diverged");
-            assert_eq!(serial.u, got_cont.u, "{which}: u diverged");
-            assert_eq!(serial.n, got_cont.n, "{which}: n diverged");
-        }
+        // Contiguous partitions interleave a halo variable's edges
+        // across shards — the hard case for the ordered reduce.
+        let contiguous = Partition::contiguous(problem.graph(), parts);
+        let mut stale_cont = StaleBoundedBackend::with_partition(contiguous, 0);
+        let got_cont = run_from_seeded_state(problem, &mut stale_cont, iters);
+        let which = format!("{label} stale({parts}, contiguous, k=0)");
+        assert_eq!(oracle.z, got_cont.z, "{which}: z diverged");
+        assert_eq!(oracle.u, got_cont.u, "{which}: u diverged");
+        assert_eq!(oracle.n, got_cont.n, "{which}: n diverged");
     }
-    problem.clear_plan();
 }
 
 #[test]
 fn packing_k0_bit_identical() {
-    let (_, mut problem) = PackingProblem::build(PackingConfig::new(10));
-    assert_k0_bit_identical(&mut problem, 60, "packing");
+    let (_, problem) = PackingProblem::build(PackingConfig::new(10));
+    assert_k0_bit_identical(&problem, 60, "packing");
 }
 
 #[test]
 fn mpc_k0_bit_identical() {
-    let (_, mut problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
-    assert_k0_bit_identical(&mut problem, 60, "mpc");
+    let (_, problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
+    assert_k0_bit_identical(&problem, 60, "mpc");
 }
 
 #[test]
 fn svm_k0_bit_identical() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     let data = gaussian_mixture(60, 2, 4.0, &mut rng);
-    let (_, mut problem) = SvmProblem::build(&data, SvmConfig::default());
-    assert_k0_bit_identical(&mut problem, 60, "svm");
+    let (_, problem) = SvmProblem::build(&data, SvmConfig::default());
+    assert_k0_bit_identical(&problem, 60, "svm");
 }
 
 #[test]
@@ -114,8 +108,8 @@ fn imbalanced_hub_k0_bit_identical() {
     // Hub variables sit at the front of the variable order, so static
     // partitions straggle — exactly the shape the barrier-free protocol
     // exists for; at k=0 it must still replay the synchronous fold.
-    let mut problem = paradmm_bench::imbalanced_problem(7, 23);
-    assert_k0_bit_identical(&mut problem, 60, "imbalanced");
+    let problem = paradmm_bench::imbalanced_problem(7, 23);
+    assert_k0_bit_identical(&problem, 60, "imbalanced");
 }
 
 #[test]
