@@ -4,9 +4,8 @@
 //! Every strategy for executing an ADMM iteration — serial loops, rayon
 //! data-parallel loops, persistent barrier-synchronized workers, atomic
 //! work-stealing workers, partition-local shard workers with a halo
-//! exchange ([`crate::StaleBoundedBackend`]), probe-and-lock auto
-//! selection, the simulated GPU in `paradmm-gpusim`, and any future
-//! backend (real CUDA) — implements
+//! exchange ([`crate::StaleBoundedBackend`]), fleet workers and
+//! probe-and-lock auto selection — implements
 //! [`SweepExecutor`]. The [`crate::Solver`] drives whichever backend it
 //! is given through the same convergence loop, so a new backend is a
 //! drop-in `impl`, not another enum arm.
@@ -42,7 +41,7 @@ use crate::timing::UpdateTimings;
 /// and report how long each update kind took.
 ///
 /// Implementations own whatever execution resources they need (thread
-/// pools, device handles, simulated clocks); the [`crate::Solver`] owns
+/// pools, partitions, shard stores); the [`crate::Solver`] owns
 /// one backend and calls [`SweepExecutor::run_block`] between residual
 /// checks.
 ///
@@ -78,16 +77,6 @@ pub trait SweepExecutor: Send {
     /// Short stable label for reports and bench tables (e.g. `"serial"`,
     /// `"rayon"`).
     fn name(&self) -> &'static str;
-
-    /// Whether this backend can execute `problem` at all. Defaults to
-    /// `true`; backends priced or compiled for one specific problem
-    /// (e.g. `paradmm-gpusim`'s adapter, whose kernel prices come from a
-    /// profiled workload) return `false` on a mismatch so probing
-    /// drivers like [`AutoBackend`] can fall through to a general
-    /// backend instead of panicking mid-probe.
-    fn supports(&self, _problem: &AdmmProblem) -> bool {
-        true
-    }
 
     /// Runs exactly `iters` complete iterations on `store`, adding
     /// per-update-kind durations into `timings`. Implementations must not
@@ -853,34 +842,27 @@ fn run_worksteal(
 /// concrete for backend selection.
 ///
 /// The first [`SweepExecutor::run_block`] call triggers the probe: each
-/// candidate that [`SweepExecutor::supports`] the problem runs a few
-/// iterations on a **clone** of the state (so probing never perturbs the
-/// caller's iterates) through the standard [`UpdateTimings`]-accounted
-/// block path, ranked by **wall-clock** seconds per iteration — the cost
-/// the caller will actually pay on subsequent blocks. (Ranking on each
-/// backend's own [`UpdateTimings`] would compare incommensurable clocks:
-/// a simulated-device candidate like `paradmm-gpusim`'s reports device
-/// time there, which says nothing about its real host cost.) The fastest
-/// candidate wins and owns all subsequent blocks; the choice is
-/// permanent for the backend's lifetime. If no candidate supports the
-/// problem, the probe falls through to [`SerialBackend`], which supports
-/// everything.
+/// candidate runs a few iterations on a **clone** of the state (so
+/// probing never perturbs the caller's iterates) through the standard
+/// [`UpdateTimings`]-accounted block path, ranked by **wall-clock**
+/// seconds per iteration — the cost the caller will actually pay on
+/// subsequent blocks. The fastest candidate wins and owns all subsequent
+/// blocks; the choice is permanent for the backend's lifetime.
 ///
-/// The default candidate set ([`AutoBackend::new`]) is the six
-/// synchronous CPU backends — Serial, Rayon, Barrier, WorkStealing, the
-/// halo executor at `k = 0` (shard workers synchronized by watermark
-/// waits, labelled `sharded`), and Fleet (whose single-instance
-/// degenerate form is a barrier-free chunk-claiming executor) — all
-/// bit-identical by construction, so whichever one wins, the iterates
-/// match [`SerialBackend`] exactly.
-/// Custom candidate sets ([`AutoBackend::with_candidates`]) carry
-/// whatever equivalence their members guarantee.
+/// The candidates are the six synchronous CPU backends — Serial, Rayon,
+/// Barrier, WorkStealing, the halo executor at `k = 0` (shard workers
+/// synchronized by watermark waits, labelled `sharded`), and Fleet
+/// (whose single-instance degenerate form is a barrier-free
+/// chunk-claiming executor) — all bit-identical by construction, so
+/// whichever one wins, the iterates match [`SerialBackend`] exactly.
 pub struct AutoBackend {
-    probe_iters: usize,
     candidates: Vec<Box<dyn SweepExecutor>>,
     chosen: Option<Box<dyn SweepExecutor>>,
     probe_report: Vec<(&'static str, f64)>,
 }
+
+/// Iterations each candidate runs during the probe.
+const PROBE_ITERS: usize = 6;
 
 impl AutoBackend {
     /// Auto-selection over the six synchronous CPU backends, each
@@ -890,36 +872,18 @@ impl AutoBackend {
     /// # Panics
     /// If `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self::with_candidates(vec![
-            Box::new(SerialBackend),
-            Box::new(RayonBackend::new(Some(threads))),
-            Box::new(BarrierBackend::new(threads)),
-            Box::new(WorkStealingBackend::new(threads)),
-            Box::new(StaleBoundedBackend::new(threads, 0)),
-            Box::new(crate::fleet::FleetBackend::new(threads)),
-        ])
-    }
-
-    /// Auto-selection over an arbitrary candidate set. Candidates that
-    /// don't [`SweepExecutor::supports`] the probed problem are skipped;
-    /// an empty or fully-unsupported set falls through to
-    /// [`SerialBackend`].
-    pub fn with_candidates(candidates: Vec<Box<dyn SweepExecutor>>) -> Self {
         AutoBackend {
-            probe_iters: 6,
-            candidates,
+            candidates: vec![
+                Box::new(SerialBackend),
+                Box::new(RayonBackend::new(Some(threads))),
+                Box::new(BarrierBackend::new(threads)),
+                Box::new(WorkStealingBackend::new(threads)),
+                Box::new(StaleBoundedBackend::new(threads, 0)),
+                Box::new(crate::fleet::FleetBackend::new(threads)),
+            ],
             chosen: None,
             probe_report: Vec::new(),
         }
-    }
-
-    /// Sets how many iterations each candidate runs during the probe.
-    ///
-    /// # Panics
-    /// If `iters == 0`.
-    pub fn set_probe_iters(&mut self, iters: usize) {
-        assert!(iters >= 1, "probe needs at least one iteration");
-        self.probe_iters = iters;
     }
 
     /// Name of the backend the probe locked in, or `None` before the
@@ -929,8 +893,7 @@ impl AutoBackend {
     }
 
     /// Probe measurements as `(backend name, wall-clock seconds per
-    /// iteration)`, in candidate order (skipped candidates absent). Empty
-    /// until the first block runs.
+    /// iteration)`, in candidate order. Empty until the first block runs.
     pub fn probe_report(&self) -> &[(&'static str, f64)] {
         &self.probe_report
     }
@@ -938,28 +901,20 @@ impl AutoBackend {
     fn probe(&mut self, problem: &AdmmProblem, store: &VarStore) {
         let mut best: Option<(usize, f64)> = None;
         for (i, cand) in self.candidates.iter_mut().enumerate() {
-            if !cand.supports(problem) {
-                continue;
-            }
-            // Probe on a clone: candidate iterations must not advance (or
-            // corrupt, for non-bit-identical candidates) the real state.
+            // Probe on a clone: candidate iterations must not advance the
+            // real state.
             let mut scratch = store.clone();
             let mut timings = UpdateTimings::new();
             let wall = Instant::now();
-            cand.run_block(problem, &mut scratch, self.probe_iters, &mut timings);
-            // Rank by wall clock — the cost the caller pays — never by the
-            // candidate's own accounting, which for simulated-device
-            // backends reports a different clock entirely.
-            let s_per_iter = wall.elapsed().as_secs_f64() / self.probe_iters as f64;
+            cand.run_block(problem, &mut scratch, PROBE_ITERS, &mut timings);
+            let s_per_iter = wall.elapsed().as_secs_f64() / PROBE_ITERS as f64;
             self.probe_report.push((cand.name(), s_per_iter));
             if best.is_none_or(|(_, b)| s_per_iter < b) {
                 best = Some((i, s_per_iter));
             }
         }
-        self.chosen = Some(match best {
-            Some((i, _)) => self.candidates.swap_remove(i),
-            None => Box::new(SerialBackend),
-        });
+        let (i, _) = best.expect("AutoBackend::new always probes six candidates");
+        self.chosen = Some(self.candidates.swap_remove(i));
         self.candidates.clear(); // losing candidates release their pools
     }
 }
@@ -1132,63 +1087,6 @@ mod tests {
         SerialBackend.run_block(&problem, &mut serial_store, 13, &mut t);
         assert_eq!(auto_store.z, serial_store.z);
         assert_eq!(auto_store.u, serial_store.u);
-    }
-
-    #[test]
-    fn auto_backend_empty_candidates_falls_back_to_serial() {
-        let mut auto = AutoBackend::with_candidates(Vec::new());
-        let a = solve_with(&mut SerialBackend, 50);
-        let b = solve_with(&mut auto, 50);
-        assert_eq!(a, b);
-        assert_eq!(auto.selected(), Some("serial"));
-        assert!(auto.probe_report().is_empty());
-    }
-
-    /// A backend that supports nothing — exercises the probe's skip path.
-    struct UnsupportedBackend;
-
-    impl SweepExecutor for UnsupportedBackend {
-        fn name(&self) -> &'static str {
-            "unsupported"
-        }
-
-        fn supports(&self, _problem: &AdmmProblem) -> bool {
-            false
-        }
-
-        fn execute(
-            &mut self,
-            _problem: &AdmmProblem,
-            _store: &mut VarStore,
-            _iters: usize,
-            _timings: &mut UpdateTimings,
-        ) {
-            panic!("unsupported backend must never execute");
-        }
-    }
-
-    #[test]
-    fn auto_backend_skips_unsupported_candidates() {
-        let mut auto = AutoBackend::with_candidates(vec![
-            Box::new(UnsupportedBackend),
-            Box::new(SerialBackend),
-        ]);
-        let a = solve_with(&mut SerialBackend, 50);
-        let b = solve_with(&mut auto, 50);
-        assert_eq!(a, b);
-        assert_eq!(auto.selected(), Some("serial"));
-        assert!(auto
-            .probe_report()
-            .iter()
-            .all(|&(name, _)| name != "unsupported"));
-    }
-
-    #[test]
-    fn auto_backend_all_unsupported_falls_back_to_serial() {
-        let mut auto = AutoBackend::with_candidates(vec![Box::new(UnsupportedBackend)]);
-        let z = solve_with(&mut auto, 300);
-        assert!((z - 5.0).abs() < 1e-6, "z = {z}");
-        assert_eq!(auto.selected(), Some("serial"));
     }
 
     #[test]

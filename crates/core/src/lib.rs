@@ -43,9 +43,7 @@
 //!   runs whole heterogeneous fleets through [`FleetSolver`],
 //! * [`AutoBackend`] — probes the synchronous backends on the actual
 //!   problem and locks in the fastest (the paper's "automatic tuning"
-//!   future-work made concrete),
-//! * `paradmm-gpusim`'s adapter — the same numerics against a simulated
-//!   SIMT device clock, one kernel launch per pass.
+//!   future-work made concrete).
 //!
 //! [`BackendSpec`] is the one descriptor that names and constructs the
 //! built-in backends (and parses their text form); new execution

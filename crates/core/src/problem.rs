@@ -124,10 +124,10 @@ impl AdmmProblem {
         self.plan = None;
     }
 
-    /// Decomposes into parts (used by the GPU simulator, which re-wraps the
-    /// problem with device-side bookkeeping, and by batch repacks). Any
-    /// installed [`SweepPlan`] is dropped — it was compiled for this
-    /// problem and must be rebuilt for whatever the parts become.
+    /// Decomposes into parts (used by [`AdmmProblem::reordered`] and by
+    /// the batch repacks of [`crate::BatchSolver`] and the serving
+    /// engine). Any installed [`SweepPlan`] is dropped — it was compiled
+    /// for this problem and must be rebuilt for whatever the parts become.
     pub fn into_parts(self) -> (FactorGraph, Vec<Box<dyn ProxOp>>, EdgeParams) {
         (self.graph, self.proxes, self.params)
     }

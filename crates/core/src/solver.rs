@@ -15,7 +15,8 @@ use crate::timing::UpdateTimings;
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
     /// Which built-in backend to construct (ignored by
-    /// [`Solver::with_backend`], which receives one directly).
+    /// [`Solver::from_problem_with_backend`], which receives one
+    /// directly).
     pub backend: BackendSpec,
     /// Uniform penalty weight ρ (ignored by
     /// [`Solver::from_problem`], which takes parameters from the problem).
@@ -73,17 +74,11 @@ impl SolverReport {
 }
 
 /// Owns the problem, the ADMM state, and the execution backend.
-///
-/// Generic over the backend so callers that need a concrete one (e.g.
-/// `paradmm-gpusim`'s engine querying its simulated clock) keep typed
-/// access via [`Solver::backend`]; the default `dyn SweepExecutor` form
-/// is what [`Solver::new`] / [`Solver::from_problem`] build from the
-/// [`SolverOptions::backend`] descriptor.
-pub struct Solver<B: SweepExecutor + ?Sized = dyn SweepExecutor> {
+pub struct Solver {
     problem: AdmmProblem,
     store: VarStore,
     options: SolverOptions,
-    backend: Box<B>,
+    backend: Box<dyn SweepExecutor>,
 }
 
 impl Solver {
@@ -129,31 +124,10 @@ impl Solver {
     pub fn set_backend(&mut self, backend: Box<dyn SweepExecutor>) {
         self.backend = backend;
     }
-}
 
-impl<B: SweepExecutor> Solver<B> {
-    /// Builds a solver around a concrete backend, keeping typed access to
-    /// it through [`Solver::backend`] / [`Solver::backend_mut`].
-    pub fn with_backend(problem: AdmmProblem, options: SolverOptions, backend: B) -> Solver<B> {
-        let store = VarStore::zeros(problem.graph());
-        Solver {
-            problem,
-            store,
-            options,
-            backend: Box::new(backend),
-        }
-    }
-}
-
-impl<B: SweepExecutor + ?Sized> Solver<B> {
     /// The execution backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Mutable backend access (tuning knobs on concrete backends).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+    pub fn backend(&self) -> &dyn SweepExecutor {
+        self.backend.as_ref()
     }
 
     /// The ADMM state.
@@ -324,7 +298,7 @@ impl<B: SweepExecutor + ?Sized> Solver<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BarrierBackend, RayonBackend, SerialBackend};
+    use crate::backend::{BarrierBackend, SerialBackend};
     use paradmm_graph::{GraphBuilder, VarId};
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -447,20 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn with_backend_keeps_typed_access() {
-        let (g, p) = two_quadratics();
-        let problem = AdmmProblem::new(g, p, 1.0, 1.0);
-        let mut solver = Solver::with_backend(
-            problem,
-            SolverOptions::default(),
-            RayonBackend::new(Some(2)),
-        );
-        assert_eq!(solver.backend().threads(), Some(2));
-        let report = solver.run(500);
-        assert_eq!(report.stop_reason, StopReason::Converged);
-    }
-
-    #[test]
     fn set_backend_swaps_execution_strategy() {
         let (g, p) = two_quadratics();
         let mut solver = Solver::new(g, p, SolverOptions::default());
@@ -533,14 +493,15 @@ mod tests {
         use crate::backend::AutoBackend;
         let (g, p) = two_quadratics();
         let problem = AdmmProblem::new(g, p, 1.0, 1.0);
-        let mut solver =
-            Solver::with_backend(problem, SolverOptions::default(), AutoBackend::new(2));
-        assert_eq!(solver.backend().selected(), None);
-        let report = solver.run(500);
-        assert_eq!(report.stop_reason, StopReason::Converged);
-        let selected = solver.backend().selected().expect("probe ran");
-        assert!(solver
-            .backend()
+        let mut auto = AutoBackend::new(2);
+        assert_eq!(auto.selected(), None);
+        let mut store = VarStore::zeros(problem.graph());
+        let mut t = UpdateTimings::new();
+        auto.run_block(&problem, &mut store, 500, &mut t);
+        assert_eq!(t.iterations, 500);
+        assert!((store.z[0] - 3.0).abs() < 1e-5, "z = {}", store.z[0]);
+        let selected = auto.selected().expect("probe ran");
+        assert!(auto
             .probe_report()
             .iter()
             .any(|&(name, _)| name == selected));
@@ -551,10 +512,10 @@ mod tests {
         use crate::backend::WorkStealingBackend;
         let (g, p) = two_quadratics();
         let problem = AdmmProblem::new(g, p, 1.0, 1.0);
-        let mut solver = Solver::with_backend(
+        let mut solver = Solver::from_problem_with_backend(
             problem,
             SolverOptions::default(),
-            WorkStealingBackend::new(3),
+            Box::new(WorkStealingBackend::new(3)),
         );
         solver.run(25);
         let snapshot = solver.save_checkpoint();
@@ -563,10 +524,10 @@ mod tests {
 
         let (g2, p2) = two_quadratics();
         let problem2 = AdmmProblem::new(g2, p2, 1.0, 1.0);
-        let mut resumed = Solver::with_backend(
+        let mut resumed = Solver::from_problem_with_backend(
             problem2,
             SolverOptions::default(),
-            WorkStealingBackend::new(3),
+            Box::new(WorkStealingBackend::new(3)),
         );
         resumed.load_checkpoint(&snapshot).unwrap();
         resumed.run(25);

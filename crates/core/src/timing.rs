@@ -89,14 +89,6 @@ impl UpdateTimings {
         self.seconds[kind.index()] += dur.as_secs_f64();
     }
 
-    /// Adds raw seconds to the accumulator of `kind` — for simulated
-    /// clocks, which would lose sub-nanosecond precision round-tripping
-    /// through [`Duration`].
-    #[inline]
-    pub fn add_seconds(&mut self, kind: UpdateKind, seconds: f64) {
-        self.seconds[kind.index()] += seconds;
-    }
-
     /// Total seconds spent in `kind`.
     #[inline]
     pub fn seconds(&self, kind: UpdateKind) -> f64 {
@@ -110,10 +102,7 @@ impl UpdateTimings {
 
     /// Seconds per covered iteration (0 if no iterations recorded) — the
     /// paper's primary metric, computed from the accumulated per-kind
-    /// times. Note this is the *backend-reported* clock (a simulated
-    /// device reports device seconds here), which is why
-    /// [`crate::backend::AutoBackend`] ranks probe candidates by wall
-    /// clock instead.
+    /// times.
     pub fn seconds_per_iteration(&self) -> f64 {
         if self.iterations == 0 {
             0.0

@@ -15,26 +15,23 @@
 //!   (m/u/n), and a cross-socket penalty past one socket — the effects
 //!   behind Figures 8/11/14's sub-linear scaling.
 //!
-//! Numerics are **never** simulated: [`GpuAdmmEngine`] executes the real
-//! update kernels on the host (bit-identical to `SerialBackend`, which
-//! tests assert) and only the *clock* is modeled. Timing constants are
-//! calibrated against a measured serial run so the modeled serial-CPU time
-//! matches reality, making speedup = modeled-CPU / modeled-GPU a
-//! like-for-like ratio.
+//! The models price; they do not execute. Each is a pure function of a
+//! problem's [`WorkloadProfile`], the pass or sweep being launched, the
+//! device and `ntb` — the fused `x+m | z | u+n` launches come from
+//! [`WorkloadProfile::pass_tasks`]. Iterates are computed only by the
+//! `paradmm-core` executors. Timing constants are calibrated against a
+//! measured serial run so the modeled serial-CPU time matches reality,
+//! making speedup = modeled-CPU / modeled-GPU a like-for-like ratio.
 
-pub mod backend;
 pub mod balance;
 pub mod cpu;
 pub mod device;
-pub mod engine;
 pub mod multi;
 pub mod tasks;
 pub mod transfer;
 
-pub use backend::{GpuIterationBreakdown, GpuSimBackend};
 pub use cpu::CpuModel;
 pub use device::{KernelStats, SimtDevice};
-pub use engine::GpuAdmmEngine;
 pub use multi::{MultiDevice, MultiIteration};
 pub use tasks::{SweepProfile, TaskCost, WorkloadProfile};
 pub use transfer::PcieLink;

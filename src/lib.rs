@@ -9,9 +9,11 @@
 //! sweeps (x, m, z, u, n) over a bipartite factor-graph; users write only
 //! *serial* proximal operators and the engine parallelizes the sweeps.
 //! Execution strategies are pluggable [`core::SweepExecutor`] backends:
-//! serial, rayon data-parallel, persistent barrier workers, shard workers
-//! with a halo exchange (synchronous or bounded-stale), or a simulated
-//! SIMT GPU device — all driven by the same [`core::Solver`] loop.
+//! serial, rayon data-parallel, persistent barrier workers, work-stealing
+//! workers, shard workers with a halo exchange (synchronous or
+//! bounded-stale), fleet workers, or probe-and-lock auto selection — all
+//! driven by the same [`core::Solver`] loop. [`gpusim`] prices the same
+//! passes on analytic GPU and multicore machine models.
 //!
 //! ## Quick start
 //!
@@ -60,7 +62,6 @@ pub mod prelude {
         SolverReport, StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor,
         SweepPlan, UpdateKind, UpdateTimings, WorkStealingBackend,
     };
-    pub use paradmm_gpusim::GpuSimBackend;
     pub use paradmm_graph::{
         AlignedVec, BatchInstance, BatchLayout, BatchStore, EdgeId, EdgeParams, EdgeStream,
         FactorGraph, FactorId, GraphBuilder, GraphStats, Reordering, VarId, VarStore,

@@ -400,15 +400,3 @@ fn fleet_serves_mixed_dims_fleets_batching_cannot_fuse() {
         "telemetry must record the fleet's claims"
     );
 }
-
-#[test]
-fn gpusim_backend_bit_identical_to_serial_on_packing() {
-    use paradmm::gpusim::{GpuSimBackend, SimtDevice};
-    let (_, problem) = PackingProblem::build(PackingConfig::new(8));
-    let serial = run_from_seeded_state(&problem, &mut SerialBackend, 40);
-    let mut gpusim = GpuSimBackend::new(&problem, SimtDevice::tesla_k40());
-    let gpu = run_from_seeded_state(&problem, &mut gpusim, 40);
-    assert_eq!(serial.z, gpu.z);
-    assert_eq!(serial.x, gpu.x);
-    assert!(gpusim.simulated_seconds() > 0.0);
-}

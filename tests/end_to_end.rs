@@ -1,12 +1,7 @@
 //! Cross-crate integration tests: the full pipeline (problem construction
-//! → engine → extraction) for all three paper domains, across all
-//! schedulers and the simulated GPU.
+//! → solver → extraction) for all three paper domains, across backends.
 
-use paradmm::core::{
-    subnormal_count, BackendSpec, SerialBackend, Solver, SolverOptions, StoppingCriteria,
-    SweepExecutor, UpdateTimings,
-};
-use paradmm::gpusim::{GpuAdmmEngine, SimtDevice};
+use paradmm::core::{subnormal_count, BackendSpec, Solver, SolverOptions, StoppingCriteria};
 use paradmm::graph::VarStore;
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
 use paradmm::packing::{PackingConfig, PackingProblem, Polygon};
@@ -28,21 +23,6 @@ fn packing_all_schedulers_identical() {
         assert_eq!(serial.disks[i].c, barrier.disks[i].c);
         assert_eq!(serial.disks[i].r, barrier.disks[i].r);
     }
-}
-
-#[test]
-fn gpu_engine_matches_serial_on_mpc() {
-    let (_, admm_a) = MpcProblem::build(MpcConfig::new(12), paper_plant());
-    let mut gpu = GpuAdmmEngine::new(admm_a, SimtDevice::tesla_k40());
-    gpu.run(100);
-
-    let (_, admm_b) = MpcProblem::build(MpcConfig::new(12), paper_plant());
-    let mut store = VarStore::zeros(admm_b.graph());
-    let mut t = UpdateTimings::new();
-    SerialBackend.run_block(&admm_b, &mut store, 100, &mut t);
-
-    assert_eq!(gpu.store().z, store.z);
-    assert!(gpu.simulated_seconds() > 0.0);
 }
 
 #[test]
