@@ -2,28 +2,27 @@
 //! compiled [`SweepPlan`].
 //!
 //! Every strategy for executing an ADMM iteration — serial loops, rayon
-//! data-parallel loops, persistent barrier-synchronized workers, atomic
-//! work-stealing workers, partition-local shard workers with a halo
-//! exchange ([`crate::StaleBoundedBackend`]), fleet workers and
-//! probe-and-lock auto selection — implements
+//! data-parallel loops, persistent barrier-synchronized workers,
+//! partition-local shard workers with a halo exchange
+//! ([`crate::StaleBoundedBackend`]), chunk-claiming fleet workers
+//! ([`crate::FleetBackend`]) and probe-and-lock auto selection —
+//! implements
 //! [`SweepExecutor`]. The [`crate::Solver`] drives whichever backend it
 //! is given through the same convergence loop, so a new backend is a
 //! drop-in `impl`, not another enum arm.
 //!
 //! Every backend runs the same three-pass schedule, `x+m | z | u+n`
 //! (see [`SweepPlan`]), one synchronization point per pass, on the
-//! kernels of [`crate::kernels`]. The barrier, work-stealing and fleet
-//! workers share one unsafe pass dispatcher (`SweepArrays::run_pass`),
-//! so each fusion exists exactly once.
+//! kernels of [`crate::kernels`]. The barrier and fleet workers share
+//! one unsafe pass dispatcher (`SweepArrays::run_pass`), so each fusion
+//! exists exactly once.
 //!
-//! The synchronous backends (serial, rayon, barrier, work-stealing,
-//! fleet, the halo executor at `k = 0`, and auto, which locks in one of
-//! them) are *bit-identical* to each other by construction (the
+//! The synchronous backends (serial, rayon, barrier, fleet, the halo
+//! executor at `k = 0`, and auto, which locks in one of them) are *bit-identical* to each other by construction (the
 //! z-average is deterministic per variable regardless of scheduling);
 //! the halo executor at `k ≥ 1` (the `async` spec) is not, and converges
 //! instead — see [`StaleBoundedBackend`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -56,7 +55,8 @@ use crate::timing::UpdateTimings;
 /// * **chunk size** trades claim overhead against load balance — a chunk
 ///   is the unit of work a worker acquires at once, so larger chunks
 ///   amortize coordination while smaller chunks let slow/unlucky workers
-///   shed load (see [`WorkStealingBackend::with_chunk`]);
+///   shed load; claim-based executors take it from the plan
+///   ([`Pass::chunk`]), the only source of chunk granularity;
 /// * **fairness** is not required — a backend may give one worker all
 ///   the work (as [`SerialBackend`] trivially does) or rebalance every
 ///   sweep; correctness never depends on who executed which chunk;
@@ -337,9 +337,11 @@ fn run_pass_rayon(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass, stre
     }
 }
 
-/// Persistent threads + barrier per update kind — the paper's OpenMP
-/// approach #2, implemented to reproduce the finding that it is *slower*
-/// than approach #1 on all three problems.
+/// Persistent threads + barrier per pass — the paper's OpenMP approach
+/// #2. The paper found it slower than approach #1; here its static
+/// split, which keeps each worker's range in that worker's cache, was
+/// the fastest executor on the packing and SVM families on a 2-vCPU
+/// guest (see the README's executor table).
 #[derive(Debug, Clone, Copy)]
 pub struct BarrierBackend {
     threads: usize,
@@ -378,13 +380,13 @@ impl SweepExecutor for BarrierBackend {
     }
 }
 
-/// Raw shared view of an `f64` array, handed to barrier / work-stealing
-/// / fleet workers.
+/// Raw shared view of an `f64` array, handed to barrier and fleet
+/// workers.
 ///
 /// # Safety contract
 /// Each pass writes a set of per-worker ranges that are pairwise disjoint
 /// (static [`Pass::split`] partitions for the barrier backend; unique
-/// atomically-claimed chunks for the work-stealing and fleet workers),
+/// atomically-claimed chunks for the fleet workers),
 /// and never reads data that another worker writes in the same pass
 /// (verified against Algorithm 2's data flow per [`PassKind`]: the X+M
 /// pass reads n,u/writes x,m, and each factor's m reads only `u` — not
@@ -432,8 +434,8 @@ impl RawArray {
 /// The shared state a persistent-worker backend hands every worker: raw
 /// views of all six ADMM arrays plus the problem context, with one method
 /// per pass kind executing an element *range*. The barrier backend
-/// calls these with its static per-thread splits, the work-stealing and
-/// fleet workers with atomically claimed chunks — the unsafe bodies (and
+/// calls these with its static per-thread splits, the fleet workers
+/// with atomically claimed chunks — the unsafe bodies (and
 /// their aliasing reasoning, see [`RawArray`]) exist exactly once, and
 /// every fusion they dispatch to lives in [`crate::kernels`].
 ///
@@ -634,208 +636,6 @@ fn run_barrier(
     t.merge(&collected);
 }
 
-/// Default chunk size (graph elements per claim) for
-/// [`WorkStealingBackend`] — small enough that a straggling worker sheds
-/// load mid-sweep, large enough that the claim `fetch_add` is noise.
-pub const DEFAULT_STEAL_CHUNK: usize = 64;
-
-/// Persistent workers that *claim* fixed-size chunks of every pass from
-/// a shared atomic work index instead of owning a static range — the
-/// dynamic-scheduling answer to the straggler problem the paper pins on
-/// approach #2 (static per-thread ranges leave cores idle whenever the
-/// factor graph's degree distribution is lumpy).
-///
-/// Each iteration runs the plan's three passes, x+m, z and u+n. Within a
-/// pass, every worker repeatedly
-/// `fetch_add`s a shared chunk counter and executes the claimed chunk of
-/// factors / edges / variables, so a worker stuck on a heavy chunk simply
-/// claims fewer chunks while the others drain the rest — the atomic
-/// work-index idiom of work-assisting runtimes, applied per pass. The
-/// claim granularity is each pass's [`Pass::chunk`] unless an explicit
-/// [`WorkStealingBackend::with_chunk`] override is set.
-///
-/// Iterates are **bit-identical** to [`SerialBackend`]: chunks partition
-/// each pass exactly, every task runs exactly once, and Algorithm 2's
-/// Jacobi data flow makes the result independent of which worker ran
-/// which chunk (see the trait-level scheduling contract).
-///
-/// Fused passes are accounted under their first constituent in the
-/// timings (x+m under [`crate::UpdateKind::X`], u+n under
-/// [`crate::UpdateKind::U`])
-/// since the constituents are no longer separable.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkStealingBackend {
-    threads: usize,
-    chunk: Option<usize>,
-}
-
-impl WorkStealingBackend {
-    /// Backend with `threads` workers claiming each pass's
-    /// [`Pass::chunk`]-sized chunks ([`DEFAULT_STEAL_CHUNK`] under an
-    /// unmeasured plan).
-    ///
-    /// # Panics
-    /// If `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(
-            threads >= 1,
-            "work-stealing backend needs at least one thread"
-        );
-        WorkStealingBackend {
-            threads,
-            chunk: None,
-        }
-    }
-
-    /// Backend with an explicit chunk size (graph elements per claim)
-    /// overriding every pass's own granularity. Smaller chunks rebalance
-    /// harder; larger chunks claim less often.
-    ///
-    /// # Panics
-    /// If `threads == 0` or `chunk == 0`.
-    pub fn with_chunk(threads: usize, chunk: usize) -> Self {
-        assert!(
-            threads >= 1,
-            "work-stealing backend needs at least one thread"
-        );
-        assert!(chunk >= 1, "chunk size must be positive");
-        WorkStealingBackend {
-            threads,
-            chunk: Some(chunk),
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Graph elements claimed per atomic increment ([`DEFAULT_STEAL_CHUNK`]
-    /// when no override is set — the per-pass plan granularity applies).
-    pub fn chunk(&self) -> usize {
-        self.chunk.unwrap_or(DEFAULT_STEAL_CHUNK)
-    }
-}
-
-impl SweepExecutor for WorkStealingBackend {
-    fn name(&self) -> &'static str {
-        "worksteal"
-    }
-
-    fn execute(
-        &mut self,
-        problem: &AdmmProblem,
-        store: &mut VarStore,
-        iters: usize,
-        t: &mut UpdateTimings,
-    ) {
-        run_worksteal(problem, store, iters, self.threads, self.chunk, t);
-    }
-}
-
-/// How many synchronization points per iteration a barrier-style backend
-/// pays for `problem` — the plan's pass count (see
-/// [`SweepPlan::barriers_per_iteration`]). Exposed so gates and benches
-/// can assert the schedule's 3 barriers without re-deriving the
-/// resolution rule.
-pub fn barriers_per_iteration(problem: &AdmmProblem) -> usize {
-    SweepPlan::resolve(problem).barriers_per_iteration()
-}
-
-fn run_worksteal(
-    problem: &AdmmProblem,
-    store: &mut VarStore,
-    iters: usize,
-    threads: usize,
-    chunk_override: Option<usize>,
-    t: &mut UpdateTimings,
-) {
-    let plan = SweepPlan::resolve(problem);
-    let plan = plan.as_ref();
-    // Per-pass claim granularity: the plan's (possibly measured) chunk
-    // size unless the backend was built with an explicit override.
-    let chunks: Vec<usize> = plan
-        .passes()
-        .iter()
-        .map(|p| chunk_override.unwrap_or_else(|| p.chunk()))
-        .collect();
-
-    let arrays = SweepArrays::new(problem, store);
-    let barrier = Barrier::new(threads);
-    // One claim counter per pass, double-buffered by iteration parity:
-    // iteration k claims from buffer `k & 1` while the barrier leader
-    // zeroes buffer `k+1 & 1` for the next iteration. The buffer being
-    // reset was last claimed from in iteration k−1, and its next use (in
-    // k+1) is separated from the reset by at least one full barrier, so
-    // the reset never races a claim.
-    let counters: Vec<[AtomicUsize; 2]> =
-        plan.passes().iter().map(|_| Default::default()).collect();
-    let mut collected = UpdateTimings::new();
-
-    // Claims chunk after chunk of `n_items` from `counter` and runs
-    // `body(lo, hi)` on each; the unique `fetch_add` ticket makes claimed
-    // ranges pairwise disjoint across workers — the disjointness the
-    // SweepArrays pass methods require.
-    let steal =
-        |counter: &AtomicUsize, n_items: usize, chunk: usize, body: &dyn Fn(usize, usize)| loop {
-            let c = counter.fetch_add(1, Ordering::Relaxed);
-            let lo = c * chunk;
-            if lo >= n_items {
-                break;
-            }
-            body(lo, (lo + chunk).min(n_items));
-        };
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for tid in 0..threads {
-            let barrier = &barrier;
-            let counters = &counters;
-            let chunks = &chunks;
-            let arrays = &arrays;
-            let steal = &steal;
-            handles.push(scope.spawn(move || {
-                let mut local = UpdateTimings::new();
-                for k in 0..iters {
-                    let buf = k & 1;
-                    // SAFETY (all passes): chunk claims are disjoint (see
-                    // `steal`), every element of a pass is claimed exactly
-                    // once per iteration, every worker derives the same
-                    // z-buffer parity from the shared iteration counter,
-                    // and a barrier separates passes.
-                    for (pi, pass) in plan.passes().iter().enumerate() {
-                        let t0 = Instant::now();
-                        steal(
-                            &counters[pi][buf],
-                            pass.items(),
-                            chunks[pi],
-                            &|lo, hi| unsafe { arrays.run_pass(pass, k, lo, hi) },
-                        );
-                        if barrier.wait().is_leader() {
-                            counters[pi][buf ^ 1].store(0, Ordering::Relaxed);
-                        }
-                        if tid == 0 {
-                            local.add(pass.kind().timing_kind(), t0.elapsed());
-                        }
-                    }
-                }
-                local
-            }));
-        }
-        for h in handles {
-            let local = h.join().expect("work-stealing worker panicked");
-            collected.merge(&local);
-        }
-    });
-    // Odd iteration counts leave the final iterate in the z_prev Vec —
-    // normalize, as in run_barrier.
-    if iters % 2 == 1 {
-        store.swap_z();
-    }
-    collected.iterations = 0; // accounted centrally by run_block
-    t.merge(&collected);
-}
-
 /// Self-tuning backend: probes every candidate on a short warmup of the
 /// *actual* problem, locks in the fastest, and runs it from then on —
 /// the paper's "automatic per-operator tuning" future-work item made
@@ -849,12 +649,13 @@ fn run_worksteal(
 /// subsequent blocks. The fastest candidate wins and owns all subsequent
 /// blocks; the choice is permanent for the backend's lifetime.
 ///
-/// The candidates are the six synchronous CPU backends — Serial, Rayon,
-/// Barrier, WorkStealing, the halo executor at `k = 0` (shard workers
-/// synchronized by watermark waits, labelled `sharded`), and Fleet
-/// (whose single-instance degenerate form is a barrier-free
-/// chunk-claiming executor) — all bit-identical by construction, so
-/// whichever one wins, the iterates match [`SerialBackend`] exactly.
+/// The candidates are the five synchronous CPU backends — Serial, Rayon,
+/// Barrier, the halo executor at `k = 0` (shard workers synchronized by
+/// watermark waits, labelled `sharded`), and Fleet (whose
+/// single-instance degenerate form is a barrier-free chunk-claiming
+/// executor, and which the `worksteal` spec also names) — all
+/// bit-identical by construction, so whichever one wins, the iterates
+/// match [`SerialBackend`] exactly.
 pub struct AutoBackend {
     candidates: Vec<Box<dyn SweepExecutor>>,
     chosen: Option<Box<dyn SweepExecutor>>,
@@ -865,7 +666,7 @@ pub struct AutoBackend {
 const PROBE_ITERS: usize = 6;
 
 impl AutoBackend {
-    /// Auto-selection over the six synchronous CPU backends, each
+    /// Auto-selection over the five synchronous CPU backends, each
     /// configured for `threads` workers (the halo executor runs one
     /// shard per worker at `k = 0`, its bit-identical configuration).
     ///
@@ -877,7 +678,6 @@ impl AutoBackend {
                 Box::new(SerialBackend),
                 Box::new(RayonBackend::new(Some(threads))),
                 Box::new(BarrierBackend::new(threads)),
-                Box::new(WorkStealingBackend::new(threads)),
                 Box::new(StaleBoundedBackend::new(threads, 0)),
                 Box::new(crate::fleet::FleetBackend::new(threads)),
             ],
@@ -913,7 +713,7 @@ impl AutoBackend {
                 best = Some((i, s_per_iter));
             }
         }
-        let (i, _) = best.expect("AutoBackend::new always probes six candidates");
+        let (i, _) = best.expect("AutoBackend::new always probes five candidates");
         self.chosen = Some(self.candidates.swap_remove(i));
         self.candidates.clear(); // losing candidates release their pools
     }
@@ -1012,44 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn worksteal_matches_serial_exactly() {
-        for threads in [1, 2, 3, 5] {
-            let a = solve_with(&mut SerialBackend, 50);
-            let b = solve_with(&mut WorkStealingBackend::new(threads), 50);
-            assert_eq!(a, b, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn worksteal_tiny_chunks_force_real_stealing() {
-        // chunk = 1 on a 3-factor problem with more threads than work:
-        // every chunk is contended, empty claims abound, and iterates must
-        // still be bit-identical to serial.
-        let a = solve_with(&mut SerialBackend, 50);
-        let b = solve_with(&mut WorkStealingBackend::with_chunk(8, 1), 50);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn worksteal_odd_iteration_counts_reset_counters_correctly() {
-        // Blocks of odd length exercise the double-buffered claim
-        // counters across run_block boundaries (parity restarts at 0 each
-        // block).
-        let problem = consensus_problem(&[1.0, 5.0, 9.0]);
-        let mut serial_store = VarStore::zeros(problem.graph());
-        let mut ws_store = VarStore::zeros(problem.graph());
-        let mut t = UpdateTimings::new();
-        let mut ws = WorkStealingBackend::with_chunk(3, 1);
-        for block in [1usize, 3, 7, 2, 5] {
-            SerialBackend.run_block(&problem, &mut serial_store, block, &mut t);
-            ws.run_block(&problem, &mut ws_store, block, &mut t);
-            assert_eq!(serial_store.z, ws_store.z, "after block {block}");
-            assert_eq!(serial_store.u, ws_store.u, "after block {block}");
-            assert_eq!(serial_store.n, ws_store.n, "after block {block}");
-        }
-    }
-
-    #[test]
     fn auto_backend_locks_in_a_candidate_and_matches_serial() {
         let mut auto = AutoBackend::new(2);
         assert_eq!(auto.selected(), None);
@@ -1057,7 +819,7 @@ mod tests {
         let b = solve_with(&mut auto, 50);
         assert_eq!(a, b);
         let name = auto.selected().expect("probe must lock in");
-        assert_eq!(auto.probe_report().len(), 6, "one row per candidate");
+        assert_eq!(auto.probe_report().len(), 5, "one row per candidate");
         assert!(auto.probe_report().iter().any(|&(n, _)| n == name));
         assert!(auto.probe_report().iter().all(|&(_, s)| s > 0.0));
         // The probe picks the argmin of its own report.
@@ -1138,17 +900,8 @@ mod tests {
         assert_eq!(RayonBackend::new(None).name(), "rayon");
         assert_eq!(BarrierBackend::new(2).name(), "barrier");
         assert_eq!(StaleBoundedBackend::new(2, 1).name(), "async");
-        assert_eq!(WorkStealingBackend::new(2).name(), "worksteal");
         assert_eq!(AutoBackend::new(2).name(), "auto");
         assert_eq!(StaleBoundedBackend::new(2, 0).name(), "sharded");
         assert_eq!(crate::fleet::FleetBackend::new(2).name(), "fleet");
-    }
-
-    #[test]
-    fn worksteal_accessors() {
-        let b = WorkStealingBackend::with_chunk(3, 17);
-        assert_eq!(b.threads(), 3);
-        assert_eq!(b.chunk(), 17);
-        assert_eq!(WorkStealingBackend::new(2).chunk(), DEFAULT_STEAL_CHUNK);
     }
 }

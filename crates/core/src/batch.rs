@@ -573,7 +573,7 @@ impl BatchSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::WorkStealingBackend;
+    use crate::fleet::FleetBackend;
     use crate::residuals::StoppingCriteria;
     use crate::solver::Solver;
     use paradmm_graph::GraphBuilder;
@@ -709,7 +709,7 @@ mod tests {
             BackendSpec::Serial,
             BackendSpec::Rayon { threads: Some(2) },
             BackendSpec::Barrier { threads: Some(2) },
-            BackendSpec::WorkSteal { threads: Some(2) },
+            BackendSpec::Fleet { threads: Some(2) },
             BackendSpec::Sharded { parts: Some(2) },
             BackendSpec::Auto { threads: Some(2) },
         ] {
@@ -776,12 +776,9 @@ mod tests {
     #[test]
     fn explicit_backend_is_used() {
         let options = SolverOptions::default();
-        let mut batch = BatchSolver::with_backend(
-            mixed_instances(),
-            options,
-            Box::new(WorkStealingBackend::new(2)),
-        );
-        assert_eq!(batch.backend_name(), "worksteal");
+        let mut batch =
+            BatchSolver::with_backend(mixed_instances(), options, Box::new(FleetBackend::new(2)));
+        assert_eq!(batch.backend_name(), "fleet");
         let report = batch.run(1000);
         assert!(report.all_converged());
         let (solo, _, _) = solo_solve(consensus_problem(&[1.0, 5.0, 9.0]), options, 1000);

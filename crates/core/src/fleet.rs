@@ -24,12 +24,11 @@
 //!
 //! The per-instance scheduling state is one `AtomicU64` encoding
 //! `(seq << 32) | next_chunk`, where `seq = iter · n_passes + pass`
-//! is the instance's watermark. Claims CAS the low half (the
-//! work-stealing chunk-counter idiom lifted from per-pass to
-//! per-instance-per-pass; the sequence number in the same word kills
-//! the ABA hazard a stalled worker would otherwise pose), and a pair
-//! of parity-indexed completion counters detects the last chunk of a
-//! pass, whose finisher advances the watermark with a release store —
+//! is the instance's watermark. Claims CAS the low half (a per-pass
+//! shared chunk counter, with the sequence number in the same word
+//! killing the ABA hazard a stalled worker would otherwise pose), and a
+//! pair of parity-indexed completion counters detects the last chunk of
+//! a pass, whose finisher advances the watermark with a release store —
 //! cross-pass happens-before without any barrier. See the
 //! `InstanceExec` internals for the full protocol argument.
 //!
@@ -107,7 +106,8 @@ struct InstanceExec<'a> {
     arrays: SweepArrays<'a>,
     plan: std::borrow::Cow<'a, SweepPlan>,
     n_passes: usize,
-    /// Per-pass claim granularity (graph elements per chunk).
+    /// Per-pass claim granularity (graph elements per chunk), from the
+    /// plan's [`crate::Pass::chunk`].
     chunks: Vec<usize>,
     /// Per-pass chunk count (`≥ 1` even for empty passes).
     n_chunks: Vec<usize>,
@@ -267,12 +267,11 @@ fn worker_loop(
 /// Each instance resolves its own [`SweepPlan`] and advances through it
 /// independently; an odd `iters` leaves every instance's iterate in the
 /// `z_prev` buffer (the parity rotation's other half), which is
-/// normalized here per instance, as the barrier/worksteal drivers do.
+/// normalized here per instance, as the barrier driver does.
 pub(crate) fn run_round(
     instances: &mut [RoundInstance<'_>],
     iters: usize,
     threads: usize,
-    chunk_override: Option<usize>,
     diag: &mut FleetDiagnostics,
 ) {
     if instances.is_empty() || iters == 0 {
@@ -287,11 +286,7 @@ pub(crate) fn run_round(
             let plan = SweepPlan::resolve(problem);
             let arrays = SweepArrays::new(problem, ri.store);
             let n_passes = plan.passes().len();
-            let chunks: Vec<usize> = plan
-                .passes()
-                .iter()
-                .map(|p| chunk_override.unwrap_or_else(|| p.chunk()))
-                .collect();
+            let chunks: Vec<usize> = plan.passes().iter().map(|p| p.chunk()).collect();
             let n_chunks: Vec<usize> = plan
                 .passes()
                 .iter()
@@ -353,7 +348,6 @@ pub(crate) fn run_round(
 #[derive(Debug)]
 pub struct FleetBackend {
     threads: usize,
-    chunk: Option<usize>,
     diagnostics: FleetDiagnostics,
 }
 
@@ -367,22 +361,6 @@ impl FleetBackend {
         assert!(threads >= 1, "fleet backend needs at least one thread");
         FleetBackend {
             threads,
-            chunk: None,
-            diagnostics: FleetDiagnostics::new(),
-        }
-    }
-
-    /// Backend with an explicit chunk size overriding every pass's own
-    /// granularity (smaller chunks rebalance harder).
-    ///
-    /// # Panics
-    /// If `threads == 0` or `chunk == 0`.
-    pub fn with_chunk(threads: usize, chunk: usize) -> Self {
-        assert!(threads >= 1, "fleet backend needs at least one thread");
-        assert!(chunk >= 1, "chunk size must be positive");
-        FleetBackend {
-            threads,
-            chunk: Some(chunk),
             diagnostics: FleetDiagnostics::new(),
         }
     }
@@ -417,13 +395,7 @@ impl SweepExecutor for FleetBackend {
             problem,
             store,
         }];
-        run_round(
-            &mut round,
-            iters,
-            self.threads,
-            self.chunk,
-            &mut self.diagnostics,
-        );
+        run_round(&mut round, iters, self.threads, &mut self.diagnostics);
         t.add(UpdateKind::X, t0.elapsed());
     }
 }
@@ -452,6 +424,10 @@ struct FleetSlot {
 ///   stalls the others at a pack-wide barrier — idle workers assist it
 ///   instead.
 ///
+/// Each instance claims chunks at its own plan's granularity
+/// ([`crate::Pass::chunk`]; install one with [`AdmmProblem::set_plan`]
+/// before handing the problem over).
+///
 /// The block schedule mirrors [`crate::Solver::run`] exactly (blocks of
 /// `check_every`, residual check after each), which is what makes
 /// per-instance iteration counts, stop reasons, and final states
@@ -461,7 +437,6 @@ struct FleetSlot {
 pub struct FleetSolver {
     options: SolverOptions,
     threads: usize,
-    chunk: Option<usize>,
     slots: Vec<FleetSlot>,
     /// Largest-cost-first instance order for round construction: big
     /// instances open first, so early claims land where assistance
@@ -526,7 +501,6 @@ impl FleetSolver {
         FleetSolver {
             options,
             threads,
-            chunk: None,
             slots,
             order,
             layout,
@@ -584,16 +558,6 @@ impl FleetSolver {
                 }
             })
             .collect()
-    }
-
-    /// Overrides every pass's claim granularity (the
-    /// [`FleetBackend::with_chunk`] knob for the whole fleet).
-    ///
-    /// # Panics
-    /// If `chunk == 0`.
-    pub fn set_chunk(&mut self, chunk: usize) {
-        assert!(chunk >= 1, "chunk size must be positive");
-        self.chunk = Some(chunk);
     }
 
     /// Number of fleet instances.
@@ -694,13 +658,7 @@ impl FleetSolver {
             // that will need assistance.
             round.sort_by_key(|ri| rank[ri.global]);
             let t0 = Instant::now();
-            run_round(
-                &mut round,
-                block,
-                self.threads,
-                self.chunk,
-                &mut self.diagnostics,
-            );
+            run_round(&mut round, block, self.threads, &mut self.diagnostics);
             drop(round);
             self.timings.add(UpdateKind::X, t0.elapsed());
             self.timings.iterations += block;
@@ -773,11 +731,23 @@ mod tests {
         ]
     }
 
+    /// [`consensus_problem`] over targets 1, 5, 9 with a plan claiming
+    /// one item per chunk: with more workers than items, every claim
+    /// contends.
+    fn chunk_one_consensus() -> AdmmProblem {
+        let mut problem = consensus_problem(&[1.0, 5.0, 9.0]);
+        problem.set_plan(SweepPlan::fused_chunked(&problem, 1));
+        problem
+    }
+
     fn solve_with(backend: &mut dyn SweepExecutor, iters: usize) -> f64 {
-        let problem = consensus_problem(&[1.0, 5.0, 9.0]);
+        solve_on(&consensus_problem(&[1.0, 5.0, 9.0]), backend, iters)
+    }
+
+    fn solve_on(problem: &AdmmProblem, backend: &mut dyn SweepExecutor, iters: usize) -> f64 {
         let mut store = VarStore::zeros(problem.graph());
         let mut t = UpdateTimings::new();
-        backend.run_block(&problem, &mut store, iters, &mut t);
+        backend.run_block(problem, &mut store, iters, &mut t);
         assert_eq!(t.iterations, iters);
         store.z[0]
     }
@@ -812,7 +782,7 @@ mod tests {
     #[test]
     fn fleet_backend_tiny_chunks_force_contention() {
         let a = solve_with(&mut SerialBackend, 50);
-        let b = solve_with(&mut FleetBackend::with_chunk(8, 1), 50);
+        let b = solve_on(&chunk_one_consensus(), &mut FleetBackend::new(8), 50);
         assert_eq!(a, b);
     }
 
@@ -820,11 +790,11 @@ mod tests {
     fn fleet_backend_odd_blocks_keep_parity() {
         // Odd block lengths exercise the watermark/parity rotation
         // across run_block boundaries (the round restarts at seq 0).
-        let problem = consensus_problem(&[1.0, 5.0, 9.0]);
+        let problem = chunk_one_consensus();
         let mut serial_store = VarStore::zeros(problem.graph());
         let mut fleet_store = VarStore::zeros(problem.graph());
         let mut t = UpdateTimings::new();
-        let mut fleet = FleetBackend::with_chunk(3, 1);
+        let mut fleet = FleetBackend::new(3);
         for block in [1usize, 3, 7, 2, 5] {
             SerialBackend.run_block(&problem, &mut serial_store, block, &mut t);
             fleet.run_block(&problem, &mut fleet_store, block, &mut t);

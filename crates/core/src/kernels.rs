@@ -3,7 +3,7 @@
 //! Every kernel is a *range* function with block-relative write slices,
 //! so the same code drives every executor: the serial baseline passes
 //! the full range, the barrier backend each worker's static partition,
-//! the work-stealing and fleet workers their claimed chunks, the rayon
+//! the fleet workers their claimed chunks, the rayon
 //! backend its chunk iterators, and the halo executor each shard's local
 //! arrays. One iteration runs three of them — the fused `x+m`, the `z`
 //! average on swapped buffers, and the fused `u+n` — in that order.
@@ -36,7 +36,7 @@
 //! `Fn(usize) -> &dyn ProxOp`, so a shard-local graph can map its factor
 //! ids to the global operators. Every executor's x pass is this body:
 //! [`xm_update_range`] (serial), `SweepArrays::xm_phase` (barrier,
-//! work-stealing, fleet), the rayon backend's factor grains, and the
+//! fleet), the rayon backend's factor grains, and the
 //! staging phase of the halo executor.
 //!
 //! # Subnormals
@@ -87,7 +87,7 @@ pub fn flush_subnormal(v: f64) -> f64 {
 // Write slices are *block-relative*: `u_block`/`n_block`/`z_block` cover
 // exactly the range `[lo, hi)` being updated, so the same bodies serve
 // full-array calls (serial, the halo executor's shards), static
-// partitions (barrier), claimed chunks (work-stealing, fleet) and rayon
+// partitions (barrier), claimed chunks (fleet) and rayon
 // chunk iterators without aliasing whole arrays. Read arrays are always
 // the full flat arrays.
 // ---------------------------------------------------------------------------

@@ -25,12 +25,8 @@
 //!   measures speedups against,
 //! * [`RayonBackend`] — one parallel loop per pass (the paper's
 //!   faster OpenMP approach #1),
-//! * [`BarrierBackend`] — persistent workers with barrier
-//!   synchronization between passes (OpenMP approach #2,
-//!   implemented to reproduce the paper's finding that it is slower),
-//! * [`WorkStealingBackend`] — persistent workers claiming each pass's
-//!   chunks from a shared atomic work index (fixes approach #2's
-//!   static-range straggler problem),
+//! * [`BarrierBackend`] — persistent workers with a static split and
+//!   barrier synchronization between passes (OpenMP approach #2),
 //! * [`StaleBoundedBackend`] — partition-local stores with one worker
 //!   per shard and a real per-iteration halo exchange (the paper's
 //!   multi-device future-work item 3, executed instead of priced),
@@ -39,7 +35,9 @@
 //!   spec runs it at `k = 0`, bit-identical to serial; the `async` spec
 //!   at `k = 1`, which converges instead,
 //! * [`FleetBackend`] — barrier-free work-assisting workers claiming
-//!   chunks from a per-instance watermarked counter; the same scheduler
+//!   each pass's chunks (sized by the plan) from a per-instance
+//!   watermarked counter, the dynamic answer to a static split's
+//!   stragglers (the `worksteal` spec names it too); the same scheduler
 //!   runs whole heterogeneous fleets through [`FleetSolver`],
 //! * [`AutoBackend`] — probes the synchronous backends on the actual
 //!   problem and locks in the fastest (the paper's "automatic tuning"
@@ -81,10 +79,7 @@ pub mod timing;
 pub mod twa;
 
 pub use adaptive::ResidualBalancing;
-pub use backend::{
-    barriers_per_iteration, AutoBackend, BarrierBackend, RayonBackend, SerialBackend,
-    SweepExecutor, WorkStealingBackend, DEFAULT_STEAL_CHUNK,
-};
+pub use backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
 pub use batch::{BatchReport, BatchSolver, InstanceReport};
 pub use diagnostics::{
     fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,

@@ -174,11 +174,9 @@ impl<'p> NaiveAdmm<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{
-        AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor,
-        WorkStealingBackend,
-    };
+    use crate::backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
     use crate::fleet::FleetBackend;
+    use crate::plan::SweepPlan;
     use crate::stale::StaleBoundedBackend;
     use crate::timing::UpdateTimings;
     use paradmm_graph::{GraphBuilder, VarStore};
@@ -234,7 +232,11 @@ mod tests {
                 .map(|a| a.iter().map(|v| v.to_bits()).collect())
                 .collect()
         };
-        for (label, problem) in [("mixed", mixed_problem()), ("hub", hub_problem())] {
+        for (label, make) in [("mixed", mixed_problem as fn() -> _), ("hub", hub_problem)] {
+            let problem = make();
+            // The fleet claims one item per chunk, so every claim contends.
+            let mut chunk_one = make();
+            chunk_one.set_plan(SweepPlan::fused_chunked(&chunk_one, 1));
             let mut seed = VarStore::zeros(problem.graph());
             for (i, v) in seed.n.iter_mut().enumerate() {
                 *v = (i as f64 * 0.7).sin();
@@ -242,22 +244,21 @@ mod tests {
             for (i, v) in seed.z.iter_mut().enumerate() {
                 *v = (i as f64 * 0.3).cos();
             }
-            let executors: Vec<Box<dyn SweepExecutor>> = vec![
-                Box::new(SerialBackend),
-                Box::new(RayonBackend::new(Some(2))),
-                Box::new(BarrierBackend::new(3)),
-                Box::new(WorkStealingBackend::with_chunk(2, 1)),
-                Box::new(StaleBoundedBackend::new(2, 0)),
-                Box::new(FleetBackend::with_chunk(2, 1)),
-                Box::new(AutoBackend::new(2)),
+            let executors: Vec<(Box<dyn SweepExecutor>, &AdmmProblem)> = vec![
+                (Box::new(SerialBackend), &problem),
+                (Box::new(RayonBackend::new(Some(2))), &problem),
+                (Box::new(BarrierBackend::new(3)), &problem),
+                (Box::new(StaleBoundedBackend::new(2, 0)), &problem),
+                (Box::new(FleetBackend::new(2)), &chunk_one),
+                (Box::new(AutoBackend::new(2)), &problem),
             ];
-            for mut exec in executors {
-                let mut naive = NaiveAdmm::new(&problem);
+            for (mut exec, problem) in executors {
+                let mut naive = NaiveAdmm::new(problem);
                 naive.load_from(&seed);
                 let (mut store, mut want) = (seed.clone(), seed.clone());
                 let mut t = UpdateTimings::new();
                 for block in [1usize, 4, 7, 13] {
-                    exec.run_block(&problem, &mut store, block, &mut t);
+                    exec.run_block(problem, &mut store, block, &mut t);
                     for _ in 0..block {
                         naive.iterate();
                     }

@@ -14,8 +14,9 @@
 //! * passes are separated by implicit barriers, so
 //!   [`SweepPlan::barriers_per_iteration`] *is* the pass count: 3
 //!   synchronization points per iteration instead of the paper's 5;
-//! * each pass carries a **chunk size** (the claim granularity of
-//!   dynamic backends) and an optional **measured cost profile** from
+//! * each pass carries a **chunk size** (the claim granularity of the
+//!   chunk-claiming fleet executor, [`crate::FleetBackend`]; the plan is
+//!   its only source) and an optional **measured cost profile** from
 //!   which static backends derive cost-balanced per-worker splits
 //!   ([`Pass::split`]) — the paper's future-work item 2 ("automatic
 //!   per-operator tuning") made concrete. A [`Planner`] measures once and
@@ -101,7 +102,7 @@ impl PassKind {
 }
 
 /// One pass of a [`SweepPlan`]: the fused kernel, its index-space size,
-/// the chunk granularity for dynamic (claim-based) backends, and an
+/// the chunk granularity for the claim-based fleet executor, and an
 /// optional measured per-item cost profile for static splits.
 #[derive(Debug, Clone)]
 pub struct Pass {
@@ -168,7 +169,7 @@ impl Pass {
         self.items
     }
 
-    /// Items a dynamic backend claims per atomic increment.
+    /// Items a fleet worker claims per atomic increment.
     #[inline]
     pub fn chunk(&self) -> usize {
         self.chunk
@@ -238,12 +239,12 @@ impl SweepPlan {
         sweeps.eq(&UpdateKind::ALL).then_some(SweepPlan { passes })
     }
 
-    /// The default schedule: `x+m | z | u+n` with uniform chunks. This is
-    /// what every backend executes when the problem carries no explicit
-    /// plan.
+    /// The default schedule: `x+m | z | u+n` with uniform chunks of 64
+    /// items. This is what every backend executes when the problem
+    /// carries no explicit plan.
     pub fn fused(problem: &AdmmProblem) -> Self {
         let g = problem.graph();
-        let c = crate::backend::DEFAULT_STEAL_CHUNK;
+        let c = DEFAULT_CHUNK;
         SweepPlan {
             passes: vec![
                 Pass::uniform(PassKind::Xm, g.num_factors(), c),
@@ -309,9 +310,24 @@ impl SweepPlan {
     }
 }
 
+#[cfg(test)]
+impl SweepPlan {
+    /// [`SweepPlan::fused`] with every pass claimed `chunk` items at a
+    /// time — the plan unit tests install to force fleet claim
+    /// contention.
+    pub(crate) fn fused_chunked(problem: &AdmmProblem, chunk: usize) -> Self {
+        let passes = SweepPlan::fused(problem)
+            .passes
+            .into_iter()
+            .map(|p| Pass::uniform(p.kind, p.items, chunk))
+            .collect();
+        SweepPlan { passes }
+    }
+}
+
 /// Builds measured-cost [`SweepPlan`]s: times every proximal operator
 /// and every element-wise sweep on scratch state, then chooses chunk
-/// sizes (so one dynamic claim costs roughly
+/// sizes (so one fleet claim costs roughly
 /// [`Planner::target_chunk_seconds`]) and attaches per-factor cost
 /// profiles so static backends split the x+m pass by cumulative operator
 /// cost instead of factor count — the difference between one worker
@@ -322,7 +338,7 @@ pub struct Planner {
     /// Timing repetitions per factor; the minimum is kept (noise on a
     /// shared machine is strictly additive).
     pub reps: usize,
-    /// Desired cost of one dynamically claimed chunk, in seconds.
+    /// Desired cost of one claimed chunk, in seconds.
     pub target_chunk_seconds: f64,
 }
 
@@ -335,8 +351,13 @@ impl Default for Planner {
     }
 }
 
+/// Chunk size (graph elements per claim) of the default fused plan and
+/// of unmeasurable passes: small enough that a straggling worker sheds
+/// load mid-pass, large enough that the claim CAS is noise.
+const DEFAULT_CHUNK: usize = 64;
+
 /// Chunk-size clamp: small enough that stragglers shed load, large
-/// enough that the claim `fetch_add` stays noise.
+/// enough that the claim CAS stays noise.
 const MIN_CHUNK_ITEMS: usize = 4;
 const MAX_CHUNK_ITEMS: usize = 16_384;
 
@@ -506,7 +527,7 @@ impl Planner {
     /// average-cost items, clamped to sane bounds.
     fn chunk_for(&self, total_seconds: f64, items: usize) -> usize {
         if items == 0 || total_seconds <= 0.0 {
-            return crate::backend::DEFAULT_STEAL_CHUNK;
+            return DEFAULT_CHUNK;
         }
         let per_item = total_seconds / items as f64;
         let raw = (self.target_chunk_seconds / per_item.max(MIN_ITEM_COST)) as usize;

@@ -449,7 +449,6 @@ mod tests {
         for spec in [
             BackendSpec::Rayon { threads: Some(2) },
             BackendSpec::Barrier { threads: Some(2) },
-            BackendSpec::WorkSteal { threads: Some(2) },
             BackendSpec::Sharded { parts: Some(2) },
             BackendSpec::Fleet { threads: Some(2) },
             BackendSpec::Auto { threads: Some(2) },
@@ -509,14 +508,13 @@ mod tests {
 
     #[test]
     fn worksteal_solver_converges_and_checkpoints() {
-        use crate::backend::WorkStealingBackend;
+        // `worksteal` names the fleet executor: a solver built from the
+        // old spec still checkpoints and resumes bit-identically.
+        let worksteal = || BackendSpec::WorkSteal { threads: Some(3) }.to_backend();
         let (g, p) = two_quadratics();
         let problem = AdmmProblem::new(g, p, 1.0, 1.0);
-        let mut solver = Solver::from_problem_with_backend(
-            problem,
-            SolverOptions::default(),
-            Box::new(WorkStealingBackend::new(3)),
-        );
+        let mut solver =
+            Solver::from_problem_with_backend(problem, SolverOptions::default(), worksteal());
         solver.run(25);
         let snapshot = solver.save_checkpoint();
         solver.run(25);
@@ -524,11 +522,8 @@ mod tests {
 
         let (g2, p2) = two_quadratics();
         let problem2 = AdmmProblem::new(g2, p2, 1.0, 1.0);
-        let mut resumed = Solver::from_problem_with_backend(
-            problem2,
-            SolverOptions::default(),
-            Box::new(WorkStealingBackend::new(3)),
-        );
+        let mut resumed =
+            Solver::from_problem_with_backend(problem2, SolverOptions::default(), worksteal());
         resumed.load_checkpoint(&snapshot).unwrap();
         resumed.run(25);
         assert_eq!(resumed.store().z, z_final);

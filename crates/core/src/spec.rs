@@ -12,13 +12,17 @@
 //! An omitted `:N` means "backend default" (rayon's global pool, or the
 //! host's available parallelism), and `Display` preserves the omission,
 //! so `parse ∘ to_string` is the identity.
+//!
+//! Three families are aliases that name one executor at a fixed
+//! setting: `sharded` and `async` build [`StaleBoundedBackend`] at
+//! staleness `k = 0` and `k = 1`, and `worksteal` builds
+//! [`FleetBackend`], the one chunk-claiming executor. They keep their
+//! own text so stored specs and wire frames naming them still decode.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::backend::{
-    AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor, WorkStealingBackend,
-};
+use crate::backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
 use crate::fleet::FleetBackend;
 use crate::stale::StaleBoundedBackend;
 
@@ -54,7 +58,8 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::WorkStealingBackend`].
+    /// [`crate::FleetBackend`] under its older name: workers claiming
+    /// each pass's chunks from a shared counter.
     WorkSteal {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -130,9 +135,10 @@ impl BackendSpec {
             BackendSpec::Rayon { threads } => Box::new(RayonBackend::new(threads)),
             BackendSpec::Barrier { threads } => Box::new(BarrierBackend::new(n(threads))),
             BackendSpec::Async { threads } => Box::new(StaleBoundedBackend::new(n(threads), 1)),
-            BackendSpec::WorkSteal { threads } => Box::new(WorkStealingBackend::new(n(threads))),
             BackendSpec::Sharded { parts } => Box::new(StaleBoundedBackend::new(n(parts), 0)),
-            BackendSpec::Fleet { threads } => Box::new(FleetBackend::new(n(threads))),
+            BackendSpec::WorkSteal { threads } | BackendSpec::Fleet { threads } => {
+                Box::new(FleetBackend::new(n(threads)))
+            }
             BackendSpec::Auto { threads } => Box::new(AutoBackend::new(n(threads))),
         }
     }
@@ -249,9 +255,21 @@ mod tests {
 
     #[test]
     fn resolves_to_matching_backend() {
+        // Aliases build an executor that reports its own name: the halo
+        // executor names itself after its staleness, and `worksteal`
+        // builds the fleet.
+        let aliases = [
+            ("sharded", "sharded"),
+            ("async", "async"),
+            ("worksteal", "fleet"),
+        ];
         for family in BACKEND_FAMILIES {
             let spec: BackendSpec = family.parse().unwrap();
-            assert_eq!(spec.to_backend().name(), family);
+            let want = aliases
+                .iter()
+                .find(|&&(alias, _)| alias == family)
+                .map_or(family, |&(_, name)| name);
+            assert_eq!(spec.to_backend().name(), want, "{family}");
         }
     }
 }

@@ -1216,9 +1216,9 @@ mod tests {
     }
 
     #[test]
-    fn worksteal_backend_pack_stays_bit_identical() {
+    fn fleet_backend_pack_stays_bit_identical() {
         let config = EngineConfig {
-            backend: "worksteal:2".parse().unwrap(),
+            backend: "fleet:2".parse().unwrap(),
             ..EngineConfig::default()
         };
         let mut engine = Engine::new(config);

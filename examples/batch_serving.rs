@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run --release --example batch_serving [backend]` where
 //! `backend` is a `BackendSpec` string (`serial`, `rayon:2`,
-//! `worksteal:4`, `auto`, …); the default is `worksteal:2`.
+//! `fleet:4`, `auto`, …); the default is `fleet:2`.
 
 use std::time::Instant;
 
@@ -39,9 +39,7 @@ fn build_instances(n: usize) -> Vec<(MpcProblem, AdmmProblem)> {
 }
 
 fn main() {
-    let spec = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "worksteal:2".into());
+    let spec = std::env::args().nth(1).unwrap_or_else(|| "fleet:2".into());
     let backend = match spec.parse::<BackendSpec>() {
         Ok(spec) => spec,
         Err(e) => {

@@ -9,8 +9,8 @@
 //! `barrier[:N]`, `async[:N]`, `worksteal[:N]`, `sharded[:N]`,
 //! `fleet[:N]`, or `auto[:N]`.
 //!
-//! `worksteal` claims chunks of every sweep from a shared atomic work
-//! index; `sharded` splits the factor graph into partition-local stores
+//! `fleet` (also named `worksteal`) claims chunks of every pass from a
+//! shared atomic claim word; `sharded` splits the factor graph into partition-local stores
 //! (one worker per shard) with a real halo exchange per iteration —
 //! note packing's all-pairs collision factors put nearly every variable
 //! in the halo, the worst case for sharding; `auto` probes all five
@@ -21,7 +21,7 @@ use paradmm::core::{BackendSpec, SweepExecutor};
 use paradmm::packing::{PackingConfig, PackingProblem, Polygon};
 
 /// Picks an execution backend from its [`BackendSpec`] text form
-/// (`serial`, `rayon:4`, `worksteal`, `auto`, …).
+/// (`serial`, `rayon:4`, `fleet`, `auto`, …).
 fn backend_by_name(name: &str) -> Box<dyn SweepExecutor> {
     match name.parse::<BackendSpec>() {
         Ok(spec) => spec.to_backend(),

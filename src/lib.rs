@@ -9,9 +9,9 @@
 //! sweeps (x, m, z, u, n) over a bipartite factor-graph; users write only
 //! *serial* proximal operators and the engine parallelizes the sweeps.
 //! Execution strategies are pluggable [`core::SweepExecutor`] backends:
-//! serial, rayon data-parallel, persistent barrier workers, work-stealing
-//! workers, shard workers with a halo exchange (synchronous or
-//! bounded-stale), fleet workers, or probe-and-lock auto selection — all
+//! serial, rayon data-parallel, persistent barrier workers, shard
+//! workers with a halo exchange (synchronous or bounded-stale),
+//! chunk-claiming fleet workers, or probe-and-lock auto selection — all
 //! driven by the same [`core::Solver`] loop. [`gpusim`] prices the same
 //! passes on analytic GPU and multicore machine models.
 //!
@@ -60,7 +60,7 @@ pub mod prelude {
         FleetSolver, InstanceReport, Pass, PassKind, Planner, Priority, ProxCtx, ProxOp,
         RayonBackend, Residuals, SerialBackend, SolveOutcome, SolveRequest, Solver, SolverOptions,
         SolverReport, StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor,
-        SweepPlan, UpdateKind, UpdateTimings, WorkStealingBackend,
+        SweepPlan, UpdateKind, UpdateTimings,
     };
     pub use paradmm_graph::{
         AlignedVec, BatchInstance, BatchLayout, BatchStore, EdgeId, EdgeParams, EdgeStream,

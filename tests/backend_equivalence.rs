@@ -1,13 +1,12 @@
 //! Backend-equivalence suite.
 //!
-//! The synchronous backends (serial, rayon, barrier, work-stealing,
-//! sharded, fleet, and auto — which locks in one of the former six)
-//! implement
-//! the same Jacobi-style Algorithm 2 schedule, so their iterates must be
+//! The synchronous backends (serial, rayon, barrier, sharded, fleet,
+//! and auto — which locks in one of the former five) implement the same
+//! Jacobi-style Algorithm 2 schedule, so their iterates must be
 //! **bit-identical** on every problem — the z-average per variable is
-//! deterministic regardless of how the sweeps are scheduled, the
-//! work-stealing backend's fused u+n sweep is edge-local, so fusion
-//! cannot change results, and the sharded backend's halo exchange folds
+//! deterministic regardless of how the sweeps are scheduled or how the
+//! fleet claims its chunks, the fused u+n sweep is edge-local, so
+//! fusion cannot change results, and the sharded backend's halo exchange folds
 //! staged messages in ascending global edge order, replaying the serial
 //! z-update's exact floating-point association. This suite pins that contract on all
 //! three paper problem generators (packing, MPC, SVM) and on a
@@ -21,9 +20,9 @@
 //! convex instance, not bitwise equality.
 
 use paradmm::core::{
-    barriers_per_iteration, AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver,
-    FleetBackend, FleetSolver, RayonBackend, SerialBackend, Solver, SolverOptions,
-    StaleBoundedBackend, StoppingCriteria, SweepExecutor, UpdateTimings, WorkStealingBackend,
+    AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver, FleetBackend, FleetSolver,
+    Pass, RayonBackend, SerialBackend, Solver, SolverOptions, StaleBoundedBackend,
+    StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -44,6 +43,17 @@ fn seeded_state(problem: &AdmmProblem) -> VarStore {
     store
 }
 
+/// The problem's resolved plan with every pass claimed `chunk` items at
+/// a time — small chunks force real claim contention in the fleet.
+fn chunked_plan(problem: &AdmmProblem, chunk: usize) -> SweepPlan {
+    let passes = SweepPlan::resolve(problem)
+        .passes()
+        .iter()
+        .map(|p| Pass::uniform(p.kind(), p.items(), chunk))
+        .collect();
+    SweepPlan::from_passes(passes).expect("same passes, new chunk")
+}
+
 /// Runs `iters` iterations of `problem` from [`seeded_state`] on
 /// `backend`, returning the full final state.
 fn run_from_seeded_state(
@@ -58,13 +68,13 @@ fn run_from_seeded_state(
     store
 }
 
-fn assert_bit_identical_across_sync_backends(problem: &AdmmProblem, iters: usize, label: &str) {
+fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: usize, label: &str) {
     // The reference is the paper's literal five sweeps, run from the same
     // seeded state: an oracle that shares no schedule code with any
     // executor.
     let oracle = paradmm_bench::naive_reference(problem, &seeded_state(problem), iters);
     assert!(
-        barriers_per_iteration(problem) <= 3,
+        SweepPlan::resolve(problem).barriers_per_iteration() <= 3,
         "{label}: the plan must cost ≤ 3 barriers/iteration"
     );
     let assert_matches = |got: &VarStore, which: &str| {
@@ -89,25 +99,15 @@ fn assert_bit_identical_across_sync_backends(problem: &AdmmProblem, iters: usize
         let barrier = run_from_seeded_state(problem, &mut BarrierBackend::new(threads), iters);
         assert_matches(&barrier, &format!("barrier({threads})"));
 
-        let ws = run_from_seeded_state(problem, &mut WorkStealingBackend::new(threads), iters);
-        assert_matches(&ws, &format!("worksteal({threads})"));
-
-        // Tiny chunks force real chunk contention on every pass.
-        let ws_tiny = run_from_seeded_state(
-            problem,
-            &mut WorkStealingBackend::with_chunk(threads, 2),
-            iters,
-        );
-        assert_matches(&ws_tiny, &format!("worksteal({threads}, chunk=2)"));
-
         // The barrier-free fleet scheduler (single-instance
         // degenerate form): watermarked chunk claims instead of
         // barriers, with and without forced chunk contention.
         let fleet = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
         assert_matches(&fleet, &format!("fleet({threads})"));
 
-        let fleet_tiny =
-            run_from_seeded_state(problem, &mut FleetBackend::with_chunk(threads, 2), iters);
+        problem.set_plan(chunked_plan(problem, 2));
+        let fleet_tiny = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
+        problem.clear_plan();
         assert_matches(&fleet_tiny, &format!("fleet({threads}, chunk=2)"));
     }
     // Sharded execution: partition-local stores with a real halo
@@ -128,7 +128,7 @@ fn assert_bit_identical_across_sync_backends(problem: &AdmmProblem, iters: usize
         );
         assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
     }
-    // AutoBackend probes all six sync candidates on a clone and locks
+    // AutoBackend probes all five sync candidates on a clone and locks
     // in one of them — whichever wins, iterates must match serial
     // bitwise.
     let mut auto = AutoBackend::new(2);
@@ -139,22 +139,22 @@ fn assert_bit_identical_across_sync_backends(problem: &AdmmProblem, iters: usize
 
 #[test]
 fn packing_generator_bit_identical() {
-    let (_, problem) = PackingProblem::build(PackingConfig::new(10));
-    assert_bit_identical_across_sync_backends(&problem, 60, "packing");
+    let (_, mut problem) = PackingProblem::build(PackingConfig::new(10));
+    assert_bit_identical_across_sync_backends(&mut problem, 60, "packing");
 }
 
 #[test]
 fn mpc_generator_bit_identical() {
-    let (_, problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
-    assert_bit_identical_across_sync_backends(&problem, 60, "mpc");
+    let (_, mut problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
+    assert_bit_identical_across_sync_backends(&mut problem, 60, "mpc");
 }
 
 #[test]
 fn svm_generator_bit_identical() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     let data = gaussian_mixture(60, 2, 4.0, &mut rng);
-    let (_, problem) = SvmProblem::build(&data, SvmConfig::default());
-    assert_bit_identical_across_sync_backends(&problem, 60, "svm");
+    let (_, mut problem) = SvmProblem::build(&data, SvmConfig::default());
+    assert_bit_identical_across_sync_backends(&mut problem, 60, "svm");
 }
 
 #[test]
@@ -166,8 +166,8 @@ fn imbalanced_degree_graph_bit_identical() {
     // may never leak into iterates. 7 hubs of degree 23: indivisible
     // heavy z-tasks, plus leaf counts that don't divide evenly into
     // chunks or thread counts.
-    let problem = paradmm_bench::imbalanced_problem(7, 23);
-    assert_bit_identical_across_sync_backends(&problem, 60, "imbalanced");
+    let mut problem = paradmm_bench::imbalanced_problem(7, 23);
+    assert_bit_identical_across_sync_backends(&mut problem, 60, "imbalanced");
 }
 
 #[test]
@@ -245,7 +245,6 @@ fn batched_solves_bit_identical_to_solo_serial_on_every_sync_backend() {
         BackendSpec::Serial,
         BackendSpec::Rayon { threads: Some(2) },
         BackendSpec::Barrier { threads: Some(3) },
-        BackendSpec::WorkSteal { threads: Some(2) },
         BackendSpec::Sharded { parts: Some(2) },
         BackendSpec::Fleet { threads: Some(2) },
         BackendSpec::Auto { threads: Some(2) },
@@ -270,22 +269,20 @@ fn batched_solves_bit_identical_to_solo_serial_on_every_sync_backend() {
         }
     }
 
-    // Tiny work-stealing chunks force contended claims over the fused
-    // sweeps — bit-identity must survive real stealing too.
+    // An explicit fleet backend with three workers claiming chunks of
+    // the fused pack, whose chunks span instance boundaries. Each pack
+    // installs its own default plan, so the claims are 64 items wide;
+    // the chunk-2 fleet cases above force contention.
     let options = SolverOptions {
         stopping,
         ..SolverOptions::default()
     };
-    let mut batch = BatchSolver::with_backend(
-        instances(),
-        options,
-        Box::new(WorkStealingBackend::with_chunk(3, 2)),
-    );
+    let mut batch = BatchSolver::with_backend(instances(), options, Box::new(FleetBackend::new(3)));
     let report = batch.run(stopping.max_iters);
     for (i, (store, solo_iters, _)) in solo.iter().enumerate() {
         assert_eq!(report.instances[i].iterations, *solo_iters);
-        assert_eq!(batch.store(i).z, store.z, "worksteal-chunk2 instance {i}");
-        assert_eq!(batch.store(i).u, store.u, "worksteal-chunk2 instance {i}");
+        assert_eq!(batch.store(i).z, store.z, "fleet(3) instance {i}");
+        assert_eq!(batch.store(i).u, store.u, "fleet(3) instance {i}");
     }
 }
 
@@ -335,10 +332,13 @@ fn fleet_solves_bit_identical_to_solo_serial_across_shapes() {
                 stopping,
                 ..SolverOptions::default()
             };
-            let mut fleet = FleetSolver::new(instances(), options);
+            let mut problems = instances();
             if let Some(c) = chunk {
-                fleet.set_chunk(c);
+                for p in &mut problems {
+                    p.set_plan(chunked_plan(p, c));
+                }
             }
+            let mut fleet = FleetSolver::new(problems, options);
             let report = fleet.run(stopping.max_iters);
             for (i, (store, solo_iters, solo_reason)) in solo.iter().enumerate() {
                 let label = format!("fleet({threads}, chunk={chunk:?}) instance {i}");

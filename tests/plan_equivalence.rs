@@ -7,14 +7,16 @@
 //! any synchronous backend, must produce iterates bit-identical to the
 //! paper's literal five sweeps (`NaiveAdmm`). This suite property-tests
 //! that contract on the paper's problem families (MPC, packing) and on a
-//! degree-imbalanced hub graph, across the serial, barrier,
-//! work-stealing, rayon, and sharded executors.
+//! degree-imbalanced hub graph, across the serial, barrier, rayon,
+//! sharded and fleet executors. The fleet is the one executor that reads
+//! a pass's chunk size; the others prove a plan's chunking never leaks
+//! into their iterates.
 
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, BarrierBackend, Pass, PassKind, Planner, RayonBackend, SerialBackend,
-    SweepExecutor, SweepPlan, UpdateTimings, WorkStealingBackend,
+    AdmmProblem, BackendSpec, BarrierBackend, FleetBackend, Pass, PassKind, Planner, RayonBackend,
+    SerialBackend, SweepExecutor, SweepPlan, UpdateTimings,
 };
 use paradmm::graph::VarStore;
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -110,7 +112,7 @@ proptest! {
                 ("serial", Box::new(SerialBackend)),
                 ("rayon", Box::new(RayonBackend::new(Some(2)))),
                 ("barrier", Box::new(BarrierBackend::new(3))),
-                ("worksteal", Box::new(WorkStealingBackend::new(2))),
+                ("fleet", Box::new(FleetBackend::new(2))),
                 ("sharded", BackendSpec::Sharded { parts: Some(2) }.to_backend()),
             ];
             for (name, backend) in backends.iter_mut() {
@@ -143,6 +145,9 @@ fn measured_planner_output_is_bit_identical() {
             let got = run(&problem, &mut BarrierBackend::new(threads), ITERS);
             assert_eq!(got.z, reference.z, "{label} barrier({threads})");
             assert_eq!(got.u, reference.u, "{label} barrier({threads})");
+            let got = run(&problem, &mut FleetBackend::new(threads), ITERS);
+            assert_eq!(got.z, reference.z, "{label} fleet({threads})");
+            assert_eq!(got.u, reference.u, "{label} fleet({threads})");
         }
         let got = run(&problem, &mut SerialBackend, ITERS);
         assert_eq!(got.n, reference.n, "{label} serial");
@@ -154,7 +159,7 @@ fn measured_planner_output_is_bit_identical() {
 /// z_prev between blocks) see exactly the literal loop's iterates.
 #[test]
 fn odd_block_lengths_keep_z_buffers_normalized() {
-    let (_, problem) = PackingProblem::build(PackingConfig::new(6));
+    let (_, mut problem) = PackingProblem::build(PackingConfig::new(6));
     let zeros = VarStore::zeros(problem.graph());
 
     let mut store = (VarStore::zeros(problem.graph()), UpdateTimings::new());
@@ -170,18 +175,17 @@ fn odd_block_lengths_keep_z_buffers_normalized() {
             "barrier z_prev after {block}"
         );
     }
-    let mut worksteal = WorkStealingBackend::with_chunk(2, 1);
-    let mut ws_store = VarStore::zeros(problem.graph());
+    // The fleet on a chunk-1 plan: every claim contends.
+    problem.set_plan(build_plan(&problem, &[1], false, 0));
+    let mut fleet = FleetBackend::new(2);
+    let mut fleet_store = VarStore::zeros(problem.graph());
     let mut t = UpdateTimings::new();
     let mut done = 0;
     for block in [1usize, 5, 2] {
-        worksteal.run_block(&problem, &mut ws_store, block, &mut t);
+        fleet.run_block(&problem, &mut fleet_store, block, &mut t);
         done += block;
         let reference = naive_reference(&problem, &zeros, done);
-        assert_eq!(reference.z, ws_store.z, "worksteal after {block}");
-        assert_eq!(
-            reference.z_prev, ws_store.z_prev,
-            "worksteal z_prev {block}"
-        );
+        assert_eq!(reference.z, fleet_store.z, "fleet after {block}");
+        assert_eq!(reference.z_prev, fleet_store.z_prev, "fleet z_prev {block}");
     }
 }

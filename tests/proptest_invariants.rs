@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, FleetSolver, Residuals, SerialBackend, Solver, SolverOptions,
-    StoppingCriteria, SweepExecutor, UpdateTimings,
+    AdmmProblem, BackendSpec, FleetSolver, Pass, Residuals, SerialBackend, Solver, SolverOptions,
+    StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
 };
 use paradmm::graph::{
     EdgeParams, FactorGraph, GraphBuilder, GraphStats, Partition, PartitionStats, VarId, VarStore,
@@ -142,11 +142,11 @@ proptest! {
         let z_serial = run(&pa, BackendSpec::Serial);
         let z_rayon = run(&pb, BackendSpec::Rayon { threads: Some(threads) });
         let z_barrier = run(&pc, BackendSpec::Barrier { threads: Some(threads) });
-        let z_worksteal = run(&pd, BackendSpec::WorkSteal { threads: Some(threads) });
+        let z_fleet = run(&pd, BackendSpec::Fleet { threads: Some(threads) });
         let z_sharded = run(&make(), BackendSpec::Sharded { parts: Some(threads) });
         prop_assert_eq!(&z_serial, &z_rayon);
         prop_assert_eq!(&z_serial, &z_barrier);
-        prop_assert_eq!(&z_serial, &z_worksteal);
+        prop_assert_eq!(&z_serial, &z_fleet);
         prop_assert_eq!(&z_serial, &z_sharded);
     }
 
@@ -186,8 +186,21 @@ proptest! {
             stopping,
             ..SolverOptions::default()
         };
-        let mut fleet = FleetSolver::new(graphs.iter().map(&make_problem).collect(), options);
-        fleet.set_chunk(chunk);
+        // Every instance claims `chunk` items at a time.
+        let problems = graphs
+            .iter()
+            .map(|g| {
+                let mut p = make_problem(g);
+                let passes = SweepPlan::fused(&p)
+                    .passes()
+                    .iter()
+                    .map(|pass| Pass::uniform(pass.kind(), pass.items(), chunk))
+                    .collect();
+                p.set_plan(SweepPlan::from_passes(passes).expect("fused passes"));
+                p
+            })
+            .collect();
+        let mut fleet = FleetSolver::new(problems, options);
         let report = fleet.run(stopping.max_iters);
         for (i, g) in graphs.iter().enumerate() {
             let solo_options = SolverOptions {

@@ -56,6 +56,8 @@ fn serial_solves_fixed_9x9_within_golden_window() {
     );
 }
 
+/// `worksteal` names the fleet executor: a solve requested under the
+/// old spec must still replay the serial trajectory exactly.
 #[test]
 fn worksteal_solves_fixed_9x9_identically_to_serial() {
     let givens = easy9();
