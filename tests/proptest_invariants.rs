@@ -4,13 +4,14 @@
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, FleetSolver, Pass, Residuals, SerialBackend, Solver, SolverOptions,
-    StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
+    AdmmProblem, BackendSpec, FleetSolver, Pass, Residuals, SerialBackend, SolveRequest, Solver,
+    SolverOptions, StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
 };
 use paradmm::graph::{
     EdgeParams, FactorGraph, GraphBuilder, GraphStats, Partition, PartitionStats, VarId, VarStore,
 };
 use paradmm::prox::{ConsensusEqualityProx, ProxCtx, ProxOp, QuadraticProx, ZeroProx};
+use paradmm::serve::{Engine, EngineConfig, EngineRequest};
 
 /// Strategy: a random factor graph with exactly `dims` components, up to
 /// `max_vars` variables and `max_factors` factors, each factor touching
@@ -71,6 +72,26 @@ fn zero_problem(graph: FactorGraph) -> AdmmProblem {
         .map(|_| Box::new(ZeroProx) as Box<dyn ProxOp>)
         .collect();
     AdmmProblem::new(graph, proxes, 1.0, 1.0)
+}
+
+/// Strategy: stopping criteria with every block-schedule shape —
+/// `check_every` of 0 (treated as 1), 1, odd, even, longer than the
+/// budget, or never (fixed iterations) — a budget of 0..=90, and an
+/// absolute tolerance that is either off or loose enough to converge.
+fn arb_stopping() -> impl Strategy<Value = StoppingCriteria> {
+    const CHECK_EVERY: [usize; 6] = [0, 1, 3, 10, 64, usize::MAX];
+    const EPS_ABS: [f64; 2] = [0.0, 1e-6];
+    (0usize..6, 0usize..=90, 0usize..2).prop_map(|(c, max_iters, e)| StoppingCriteria {
+        max_iters,
+        eps_abs: EPS_ABS[e],
+        eps_rel: 1e-4,
+        check_every: CHECK_EVERY[c],
+    })
+}
+
+/// Residual norms as raw bits, so `-0.0`/`NaN` differences count.
+fn residual_bits(r: Option<Residuals>) -> Option<[u64; 5]> {
+    r.map(|r| [r.primal, r.dual, r.x_norm, r.z_norm, r.u_norm].map(f64::to_bits))
 }
 
 proptest! {
@@ -150,24 +171,23 @@ proptest! {
         prop_assert_eq!(&z_serial, &z_sharded);
     }
 
-    /// The work-assisting fleet solver is bit-identical to solo serial
-    /// solves on random fleets: random shapes, random `dims` *per
-    /// instance* (no shared-dims constraint — nothing is fused), random
-    /// worker counts, and random claim-chunk sizes. Iterates, iteration
-    /// counts, and stop reasons must all match.
+    /// The work-assisting fleet solver and the serve engine are
+    /// bit-identical to solo serial solves on random fleets: random
+    /// shapes, random `dims` *per instance* (no shared-dims constraint —
+    /// nothing is fused), random worker counts, random claim-chunk
+    /// sizes, and random stopping schedules. Iterates, iteration counts,
+    /// stop reasons and final residuals must all match. The engine leg
+    /// gives every request its own schedule; mixed `dims` send some of
+    /// them down the fleet lane, so both lanes and mixed check schedules
+    /// in one pack are covered.
     #[test]
     fn fleet_solver_matches_solo_serial(
-        graphs in proptest::collection::vec(arb_graph(5, 6), 1..=4),
+        graphs in proptest::collection::vec((arb_graph(5, 6), arb_stopping()), 1..=4),
+        stopping in arb_stopping(),
         seed in 0u64..1000,
         threads in 1usize..4,
         chunk in 1usize..8,
     ) {
-        let stopping = StoppingCriteria {
-            max_iters: 60,
-            eps_abs: 1e-6,
-            eps_rel: 1e-4,
-            check_every: 10,
-        };
         let make_problem = |g: &FactorGraph| {
             let proxes: Vec<Box<dyn ProxOp>> = g
                 .factors()
@@ -189,7 +209,7 @@ proptest! {
         // Every instance claims `chunk` items at a time.
         let problems = graphs
             .iter()
-            .map(|g| {
+            .map(|(g, _)| {
                 let mut p = make_problem(g);
                 let passes = SweepPlan::fused(&p)
                     .passes()
@@ -202,7 +222,7 @@ proptest! {
             .collect();
         let mut fleet = FleetSolver::new(problems, options);
         let report = fleet.run(stopping.max_iters);
-        for (i, g) in graphs.iter().enumerate() {
+        for (i, (g, _)) in graphs.iter().enumerate() {
             let solo_options = SolverOptions {
                 stopping,
                 ..SolverOptions::default()
@@ -211,11 +231,41 @@ proptest! {
             let solo_report = solver.run(stopping.max_iters);
             prop_assert_eq!(report.instances[i].iterations, solo_report.iterations);
             prop_assert_eq!(report.instances[i].stop_reason, solo_report.stop_reason);
+            prop_assert_eq!(
+                residual_bits(report.instances[i].final_residuals),
+                residual_bits(solo_report.final_residuals)
+            );
             prop_assert_eq!(&fleet.store(i).z, &solver.store().z);
             prop_assert_eq!(&fleet.store(i).x, &solver.store().x);
             prop_assert_eq!(&fleet.store(i).u, &solver.store().u);
             prop_assert_eq!(&fleet.store(i).n, &solver.store().n);
             prop_assert_eq!(&fleet.store(i).m, &solver.store().m);
+        }
+
+        let mut engine = Engine::new(EngineConfig::default());
+        for (i, (g, s)) in graphs.iter().enumerate() {
+            engine.submit(EngineRequest {
+                id: i as u64,
+                request: SolveRequest::new(make_problem(g)).with_stopping(*s),
+                use_cache: false,
+            });
+        }
+        let completions = engine.run_until_idle();
+        prop_assert_eq!(completions.len(), graphs.len());
+        for c in &completions {
+            let (g, s) = &graphs[c.id as usize];
+            let solo = SolveRequest::new(make_problem(g)).with_stopping(*s).solve();
+            prop_assert_eq!(c.outcome.iterations, solo.iterations);
+            prop_assert_eq!(c.outcome.stop_reason, solo.stop_reason);
+            prop_assert_eq!(
+                residual_bits(c.outcome.final_residuals),
+                residual_bits(solo.final_residuals)
+            );
+            prop_assert_eq!(&c.outcome.store.z, &solo.store.z);
+            prop_assert_eq!(&c.outcome.store.x, &solo.store.x);
+            prop_assert_eq!(&c.outcome.store.u, &solo.store.u);
+            prop_assert_eq!(&c.outcome.store.n, &solo.store.n);
+            prop_assert_eq!(&c.outcome.store.m, &solo.store.m);
         }
     }
 
