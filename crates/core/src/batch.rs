@@ -16,8 +16,8 @@
 //!   instance's iterates equal a solo serial solve of that instance,
 //!   bit for bit, including residual checks and stop iterations
 //!   (pinned by `tests/backend_equivalence.rs`).
-//! * **Early-exit freezing** — residuals are tracked *per instance*
-//!   every `check_every` iterations; converged instances are frozen
+//! * **Early-exit freezing** — each instance runs its own
+//!   [`crate::RunState`] check schedule; converged instances are frozen
 //!   (state extracted, later sweeps never touch them) and the
 //!   survivors are repacked into a smaller dense batch, so backends
 //!   keep their ordinary `assign_range` / chunk-claim scheduling with
@@ -48,22 +48,11 @@ use paradmm_prox::ProxOp;
 use crate::backend::SweepExecutor;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
-use crate::residuals::Residuals;
-use crate::solver::{SolverOptions, StopReason};
+use crate::residuals::{InstanceReport, Residuals, RunState, StopReason};
+use crate::solver::SolverOptions;
 use crate::spec::{default_threads, BackendSpec};
 use crate::stale::StaleBoundedBackend;
 use crate::timing::UpdateTimings;
-
-/// Per-instance outcome of a batched solve.
-#[derive(Debug, Clone)]
-pub struct InstanceReport {
-    /// Iterations this instance executed before freezing or stopping.
-    pub iterations: usize,
-    /// Why this instance stopped.
-    pub stop_reason: StopReason,
-    /// Residuals at the instance's final check (if any check ran).
-    pub final_residuals: Option<Residuals>,
-}
 
 /// Outcome of [`BatchSolver::run`].
 #[derive(Debug, Clone)]
@@ -119,9 +108,7 @@ struct Slot {
     params: EdgeParams,
     proxes: Option<Vec<Box<dyn ProxOp>>>,
     initial_store: Option<VarStore>,
-    iterations: usize,
-    stop_reason: Option<StopReason>,
-    final_residuals: Option<Residuals>,
+    run: RunState,
     result_store: Option<VarStore>,
 }
 
@@ -162,7 +149,6 @@ pub struct BatchSolver {
     /// skip path.
     plans_built: usize,
     started: bool,
-    done: usize,
     timings: UpdateTimings,
     elapsed: Duration,
 }
@@ -227,13 +213,11 @@ impl BatchSolver {
                 );
                 let (graph, proxes, params) = p.into_parts();
                 Slot {
+                    run: RunState::new(options.stopping, options.stopping.max_iters, &graph),
                     graph,
                     params,
                     proxes: Some(proxes),
                     initial_store: None,
-                    iterations: 0,
-                    stop_reason: None,
-                    final_residuals: None,
                     result_store: None,
                 }
             })
@@ -247,60 +231,9 @@ impl BatchSolver {
             plan_cache: None,
             plans_built: 0,
             started: false,
-            done: 0,
             timings: UpdateTimings::new(),
             elapsed: Duration::ZERO,
         }
-    }
-
-    /// Batches a group of [`crate::SolveRequest`]s: the unified-API
-    /// entry point. The group must agree on stopping criteria and
-    /// backend (one fused execution has one of each — the serving
-    /// layer's admission queue groups requests accordingly); warm
-    /// starts are applied per request, and deadline/priority hints are
-    /// scheduling metadata for the caller, not this engine. Plan
-    /// overrides are ignored: the fused problem resolves its own fused
-    /// plan (identical numerics either way).
-    ///
-    /// # Panics
-    /// As [`BatchSolver::new`], plus if the group disagrees on
-    /// stopping criteria or backend.
-    pub fn from_requests(requests: Vec<crate::SolveRequest>) -> Self {
-        let (problems, warm, stopping, backend) = crate::request::group_parts(requests);
-        let options = SolverOptions {
-            backend,
-            stopping,
-            ..SolverOptions::default()
-        };
-        let mut batch = Self::new(problems, options);
-        for (i, ws) in warm.into_iter().enumerate() {
-            if let Some(store) = ws {
-                batch.warm_start(i, store);
-            }
-        }
-        batch
-    }
-
-    /// Runs a request group to completion and returns one
-    /// [`crate::SolveOutcome`] per request, in order — the thin-adapter
-    /// form of batched execution ([`BatchSolver::from_requests`] +
-    /// [`BatchSolver::run_default`] + per-instance readback).
-    pub fn solve_requests(requests: Vec<crate::SolveRequest>) -> Vec<crate::SolveOutcome> {
-        let mut batch = Self::from_requests(requests);
-        let report = batch.run_default();
-        (0..batch.num_instances())
-            .map(|i| {
-                let r = &report.instances[i];
-                crate::SolveOutcome {
-                    store: batch.store(i).clone(),
-                    iterations: r.iterations,
-                    stop_reason: r.stop_reason,
-                    final_residuals: r.final_residuals,
-                    residual_trace: Vec::new(),
-                    elapsed: report.elapsed,
-                }
-            })
-            .collect()
     }
 
     /// Number of batched instances.
@@ -350,88 +283,78 @@ impl BatchSolver {
 
     /// Report for instance `i` (available after [`BatchSolver::run`]).
     pub fn report(&self, i: usize) -> InstanceReport {
-        let s = &self.slots[i];
-        InstanceReport {
-            iterations: s.iterations,
-            stop_reason: s.stop_reason.unwrap_or(StopReason::MaxIterations),
-            final_residuals: s.final_residuals,
-        }
+        self.slots[i].run.report()
     }
 
-    /// Runs every instance for at most `max_iters` iterations, checking
-    /// per-instance residuals every
-    /// [`crate::StoppingCriteria::check_every`] iterations and freezing
-    /// converged instances (they stop contributing work; stragglers
-    /// keep the backend saturated). Mirrors [`crate::Solver::run`]'s
-    /// block schedule exactly, which is what makes per-instance
-    /// iteration counts and final states bit-identical to solo solves.
+    /// Runs every instance for at most `max_iters` iterations on its
+    /// [`RunState`] schedule, freezing each instance as it stops
+    /// (frozen instances stop contributing work; stragglers keep the
+    /// backend saturated). Every block runs to the nearest member's
+    /// next check point, which is what makes per-instance iteration
+    /// counts and final states bit-identical to solo solves.
     pub fn run(&mut self, max_iters: usize) -> BatchReport {
         let start = Instant::now();
         if !self.started {
             self.started = true;
-            let members: Vec<usize> = (0..self.slots.len()).collect();
-            let mut states = Vec::with_capacity(members.len());
-            let mut proxes = Vec::with_capacity(members.len());
-            for slot in self.slots.iter_mut() {
+            let (mut members, mut states, mut proxes) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, slot) in self.slots.iter_mut().enumerate() {
+                slot.run = RunState::new(self.options.stopping, max_iters, &slot.graph);
                 let state = slot
                     .initial_store
                     .take()
                     .unwrap_or_else(|| VarStore::zeros(&slot.graph));
-                states.push(state);
-                proxes.push(slot.proxes.take().expect("proxes present before start"));
+                let slot_proxes = slot.proxes.take().expect("proxes present before start");
+                if slot.run.is_stopped() {
+                    // A zero budget: the instance never packs.
+                    slot.result_store = Some(state);
+                } else {
+                    members.push(i);
+                    states.push(state);
+                    proxes.push(slot_proxes);
+                }
             }
-            self.pack(members, states, proxes);
+            if !members.is_empty() {
+                self.pack(members, states, proxes);
+            }
         }
-        let stopping = self.options.stopping;
-        let check_every = stopping.check_every;
 
         while let Some(active) = self.active.as_mut() {
-            if self.done >= max_iters {
-                break;
-            }
-            let block = if check_every == usize::MAX {
-                max_iters - self.done
-            } else {
-                check_every.max(1).min(max_iters - self.done)
-            };
+            let slots = &mut self.slots;
+            let block = active
+                .members
+                .iter()
+                .map(|&m| slots[m].run.next_block())
+                .min()
+                .expect("the active set is never empty");
             self.backend
                 .run_block(&active.problem, &mut active.store, block, &mut self.timings);
-            self.done += block;
-
-            let mut to_freeze: Vec<usize> = Vec::new();
-            if check_every != usize::MAX {
-                let d = active.layout.dims();
-                for pos in 0..active.members.len() {
-                    let er = active.layout.edge_range(pos);
-                    let r = Residuals::compute_edge_range(
+            let mut stopped: Vec<usize> = Vec::new();
+            for (pos, &m) in active.members.iter().enumerate() {
+                let er = active.layout.edge_range(pos);
+                let run = &mut slots[m].run;
+                run.after_block(block, || {
+                    Residuals::compute_edge_range(
                         active.problem.graph(),
                         active.problem.params(),
                         &active.store,
                         er.start,
                         er.end,
-                    );
-                    let conv = r.converged(er.len() * d, stopping.eps_abs, stopping.eps_rel);
-                    let slot = &mut self.slots[active.members[pos]];
-                    slot.iterations = self.done;
-                    slot.final_residuals = Some(r);
-                    if conv {
-                        slot.stop_reason = Some(StopReason::Converged);
-                        to_freeze.push(pos);
-                    }
-                }
-            } else {
-                for &m in &active.members {
-                    self.slots[m].iterations = self.done;
+                    )
+                });
+                if run.is_stopped() {
+                    stopped.push(pos);
                 }
             }
-            if !to_freeze.is_empty() {
-                self.freeze_and_repack(&to_freeze);
+            if !stopped.is_empty() {
+                self.freeze_and_repack(&stopped);
             }
         }
 
-        self.finalize();
         self.elapsed += start.elapsed();
-        self.build_report()
+        BatchReport {
+            instances: (0..self.slots.len()).map(|i| self.report(i)).collect(),
+            elapsed: self.elapsed,
+        }
     }
 
     /// Runs with the options' own `max_iters` budget.
@@ -541,31 +464,6 @@ impl BatchSolver {
         debug_assert!(prox_iter.next().is_none());
         if !surv_members.is_empty() {
             self.pack(surv_members, surv_states, surv_proxes);
-        }
-    }
-
-    /// Extracts every still-active instance and stamps its stop reason.
-    fn finalize(&mut self) {
-        if let Some(active) = self.active.take() {
-            for (pos, &member) in active.members.iter().enumerate() {
-                let slot = &mut self.slots[member];
-                slot.result_store = Some(active.layout.extract_store(&active.store, pos));
-                if slot.stop_reason.is_none() {
-                    slot.stop_reason = Some(StopReason::MaxIterations);
-                }
-            }
-        }
-        for slot in &mut self.slots {
-            if slot.stop_reason.is_none() {
-                slot.stop_reason = Some(StopReason::MaxIterations);
-            }
-        }
-    }
-
-    fn build_report(&self) -> BatchReport {
-        BatchReport {
-            instances: (0..self.slots.len()).map(|i| self.report(i)).collect(),
-            elapsed: self.elapsed,
         }
     }
 }
@@ -811,35 +709,6 @@ mod tests {
         assert_eq!(report.converged_count(), 3);
         assert!(report.instances_per_second() > 0.0);
         assert!(batch.timings().iterations > 0);
-    }
-
-    #[test]
-    fn request_group_adapter_matches_solo_requests() {
-        use crate::request::SolveRequest;
-        let outcomes = BatchSolver::solve_requests(
-            mixed_instances()
-                .into_iter()
-                .map(SolveRequest::new)
-                .collect(),
-        );
-        assert_eq!(outcomes.len(), 3);
-        for (i, problem) in mixed_instances().into_iter().enumerate() {
-            let solo = SolveRequest::new(problem).solve();
-            assert_eq!(outcomes[i].iterations, solo.iterations, "instance {i}");
-            assert_eq!(outcomes[i].stop_reason, solo.stop_reason);
-            assert_eq!(outcomes[i].store.z, solo.store.z, "instance {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees on stopping")]
-    fn request_group_requires_uniform_stopping() {
-        use crate::request::SolveRequest;
-        let _ = BatchSolver::from_requests(vec![
-            SolveRequest::new(consensus_problem(&[1.0])),
-            SolveRequest::new(consensus_problem(&[2.0]))
-                .with_stopping(StoppingCriteria::fixed_iterations(5)),
-        ]);
     }
 
     #[test]

@@ -53,13 +53,13 @@ use std::time::{Duration, Instant};
 use paradmm_graph::{FleetLayout, VarStore};
 
 use crate::backend::{SweepArrays, SweepExecutor};
-use crate::batch::{BatchReport, InstanceReport};
+use crate::batch::BatchReport;
 use crate::diagnostics::{FleetDiagnostics, FleetWorkerStats};
 use crate::kernels::UpdateKind;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
-use crate::residuals::Residuals;
-use crate::solver::{SolverOptions, StopReason};
+use crate::residuals::{InstanceReport, Residuals, RunState};
+use crate::solver::SolverOptions;
 use crate::spec::{default_threads, BackendSpec};
 use crate::timing::UpdateTimings;
 
@@ -404,10 +404,7 @@ impl SweepExecutor for FleetBackend {
 struct FleetSlot {
     problem: AdmmProblem,
     store: VarStore,
-    active: bool,
-    iterations: usize,
-    stop_reason: Option<StopReason>,
-    final_residuals: Option<Residuals>,
+    run: RunState,
 }
 
 /// Drives a fleet of independent [`AdmmProblem`]s to convergence with
@@ -428,10 +425,10 @@ struct FleetSlot {
 /// ([`crate::Pass::chunk`]; install one with [`AdmmProblem::set_plan`]
 /// before handing the problem over).
 ///
-/// The block schedule mirrors [`crate::Solver::run`] exactly (blocks of
-/// `check_every`, residual check after each), which is what makes
-/// per-instance iteration counts, stop reasons, and final states
-/// bit-identical to solo serial solves. Returns the same
+/// Each instance follows its own [`RunState`] schedule, as
+/// [`crate::Solver::run`] does, which is what makes per-instance
+/// iteration counts, stop reasons, and final states bit-identical to
+/// solo serial solves. Returns the same
 /// [`BatchReport`] shape as batching, so harnesses compare the two
 /// directly.
 pub struct FleetSolver {
@@ -444,7 +441,6 @@ pub struct FleetSolver {
     order: Vec<usize>,
     layout: FleetLayout,
     started: bool,
-    done: usize,
     timings: UpdateTimings,
     diagnostics: FleetDiagnostics,
     elapsed: Duration,
@@ -453,16 +449,15 @@ pub struct FleetSolver {
 impl FleetSolver {
     /// Builds a fleet over `problems` with zero-initialized state. The
     /// worker count comes from [`BackendSpec::Fleet`] when the options
-    /// name it, else from the host's available parallelism.
+    /// name it, else the same default as a bare `fleet` spec (the
+    /// host's available parallelism, 2 if unknown).
     ///
     /// # Panics
     /// If `problems` is empty.
     pub fn new(problems: Vec<AdmmProblem>, options: SolverOptions) -> Self {
         let threads = match options.backend {
             BackendSpec::Fleet { threads } => threads.unwrap_or_else(default_threads),
-            _ => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            _ => default_threads(),
         };
         Self::with_threads(problems, options, threads)
     }
@@ -488,13 +483,15 @@ impl FleetSolver {
             .into_iter()
             .map(|problem| {
                 let store = VarStore::zeros(problem.graph());
+                let run = RunState::new(
+                    options.stopping,
+                    options.stopping.max_iters,
+                    problem.graph(),
+                );
                 FleetSlot {
                     problem,
                     store,
-                    active: true,
-                    iterations: 0,
-                    stop_reason: None,
-                    final_residuals: None,
+                    run,
                 }
             })
             .collect();
@@ -505,59 +502,10 @@ impl FleetSolver {
             order,
             layout,
             started: false,
-            done: 0,
             timings: UpdateTimings::new(),
             diagnostics: FleetDiagnostics::new(),
             elapsed: Duration::ZERO,
         }
-    }
-
-    /// Builds a fleet from a group of [`crate::SolveRequest`]s: the
-    /// unified-API entry point. The group must agree on stopping
-    /// criteria and backend; unlike [`crate::BatchSolver`] the
-    /// instances may disagree on `dims` (nothing is fused). Warm
-    /// starts are applied per request; deadline/priority hints are
-    /// scheduling metadata for the caller; plan overrides are ignored
-    /// (each instance resolves its own plan — identical numerics).
-    ///
-    /// # Panics
-    /// As [`FleetSolver::new`], plus if the group disagrees on
-    /// stopping criteria or backend.
-    pub fn from_requests(requests: Vec<crate::SolveRequest>) -> Self {
-        let (problems, warm, stopping, backend) = crate::request::group_parts(requests);
-        let options = SolverOptions {
-            backend,
-            stopping,
-            ..SolverOptions::default()
-        };
-        let mut fleet = Self::new(problems, options);
-        for (i, ws) in warm.into_iter().enumerate() {
-            if let Some(store) = ws {
-                fleet.warm_start(i, store);
-            }
-        }
-        fleet
-    }
-
-    /// Runs a request group to completion and returns one
-    /// [`crate::SolveOutcome`] per request, in order — the thin-adapter
-    /// form of fleet execution.
-    pub fn solve_requests(requests: Vec<crate::SolveRequest>) -> Vec<crate::SolveOutcome> {
-        let mut fleet = Self::from_requests(requests);
-        let report = fleet.run_default();
-        (0..fleet.num_instances())
-            .map(|i| {
-                let r = &report.instances[i];
-                crate::SolveOutcome {
-                    store: fleet.store(i).clone(),
-                    iterations: r.iterations,
-                    stop_reason: r.stop_reason,
-                    final_residuals: r.final_residuals,
-                    residual_trace: Vec::new(),
-                    elapsed: report.elapsed,
-                }
-            })
-            .collect()
     }
 
     /// Number of fleet instances.
@@ -613,41 +561,39 @@ impl FleetSolver {
 
     /// Report for instance `i`.
     pub fn report(&self, i: usize) -> InstanceReport {
-        let s = &self.slots[i];
-        InstanceReport {
-            iterations: s.iterations,
-            stop_reason: s.stop_reason.unwrap_or(StopReason::MaxIterations),
-            final_residuals: s.final_residuals,
-        }
+        self.slots[i].run.report()
     }
 
-    /// Runs every instance for at most `max_iters` iterations, checking
-    /// per-instance residuals every
-    /// [`crate::StoppingCriteria::check_every`] iterations; converged
-    /// instances retire from the assist index (no repack) and the
-    /// stragglers keep every worker. Mirrors [`crate::Solver::run`]'s
-    /// block schedule exactly — the bit-identity contract.
+    /// Runs every instance for at most `max_iters` iterations on its
+    /// [`RunState`] schedule; stopped instances retire from the assist
+    /// index (no repack) and the stragglers keep every worker. Every
+    /// round runs to the nearest instance's next check point — the
+    /// bit-identity contract.
     pub fn run(&mut self, max_iters: usize) -> BatchReport {
         let start = Instant::now();
-        self.started = true;
-        let stopping = self.options.stopping;
-        let check_every = stopping.check_every;
-
-        while self.done < max_iters && self.slots.iter().any(|s| s.active) {
-            let block = if check_every == usize::MAX {
-                max_iters - self.done
-            } else {
-                check_every.max(1).min(max_iters - self.done)
-            };
-            let mut rank = vec![0usize; self.order.len()];
-            for (pos, &i) in self.order.iter().enumerate() {
-                rank[i] = pos;
+        if !self.started {
+            self.started = true;
+            for slot in &mut self.slots {
+                slot.run = RunState::new(self.options.stopping, max_iters, slot.problem.graph());
             }
+        }
+        let mut rank = vec![0usize; self.order.len()];
+        for (pos, &i) in self.order.iter().enumerate() {
+            rank[i] = pos;
+        }
+
+        while let Some(block) = self
+            .slots
+            .iter()
+            .map(|s| s.run.next_block())
+            .filter(|&b| b > 0)
+            .min()
+        {
             let mut round: Vec<RoundInstance<'_>> = self
                 .slots
                 .iter_mut()
                 .enumerate()
-                .filter(|(_, s)| s.active)
+                .filter(|(_, s)| !s.run.is_stopped())
                 .map(|(i, slot)| RoundInstance {
                     global: i,
                     problem: &slot.problem,
@@ -662,34 +608,15 @@ impl FleetSolver {
             drop(round);
             self.timings.add(UpdateKind::X, t0.elapsed());
             self.timings.iterations += block;
-            self.done += block;
 
-            if check_every != usize::MAX {
-                for slot in self.slots.iter_mut().filter(|s| s.active) {
-                    let g = slot.problem.graph();
-                    let r = Residuals::compute(g, slot.problem.params(), &slot.store);
-                    let conv =
-                        r.converged(g.num_edges() * g.dims(), stopping.eps_abs, stopping.eps_rel);
-                    slot.iterations = self.done;
-                    slot.final_residuals = Some(r);
-                    if conv {
-                        slot.stop_reason = Some(StopReason::Converged);
-                        slot.active = false; // retires — no repack
-                    }
-                }
-            } else {
-                for slot in self.slots.iter_mut().filter(|s| s.active) {
-                    slot.iterations = self.done;
-                }
+            for slot in self.slots.iter_mut().filter(|s| !s.run.is_stopped()) {
+                let (problem, store) = (&slot.problem, &slot.store);
+                slot.run.after_block(block, || {
+                    Residuals::compute(problem.graph(), problem.params(), store)
+                });
             }
         }
 
-        for slot in &mut self.slots {
-            if slot.stop_reason.is_none() {
-                slot.stop_reason = Some(StopReason::MaxIterations);
-            }
-            slot.active = false;
-        }
         self.elapsed += start.elapsed();
         BatchReport {
             instances: (0..self.slots.len()).map(|i| self.report(i)).collect(),
@@ -707,7 +634,7 @@ impl FleetSolver {
 mod tests {
     use super::*;
     use crate::backend::SerialBackend;
-    use crate::residuals::StoppingCriteria;
+    use crate::residuals::{StopReason, StoppingCriteria};
     use crate::solver::Solver;
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, QuadraticProx};
@@ -750,24 +677,6 @@ mod tests {
         backend.run_block(problem, &mut store, iters, &mut t);
         assert_eq!(t.iterations, iters);
         store.z[0]
-    }
-
-    #[test]
-    fn request_group_adapter_matches_solo_requests() {
-        use crate::request::SolveRequest;
-        let backend: crate::BackendSpec = "fleet:2".parse().unwrap();
-        let outcomes = FleetSolver::solve_requests(
-            mixed_instances()
-                .into_iter()
-                .map(|p| SolveRequest::new(p).with_backend(backend))
-                .collect(),
-        );
-        assert_eq!(outcomes.len(), 3);
-        for (i, problem) in mixed_instances().into_iter().enumerate() {
-            let solo = SolveRequest::new(problem).solve();
-            assert_eq!(outcomes[i].iterations, solo.iterations, "instance {i}");
-            assert_eq!(outcomes[i].store.z, solo.store.z, "instance {i}");
-        }
     }
 
     #[test]

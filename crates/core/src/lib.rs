@@ -80,7 +80,7 @@ pub mod twa;
 
 pub use adaptive::ResidualBalancing;
 pub use backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
-pub use batch::{BatchReport, BatchSolver, InstanceReport};
+pub use batch::{BatchReport, BatchSolver};
 pub use diagnostics::{
     fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,
     FleetWorkerStats, ProxKindCost, Trace, TracePoint,
@@ -91,8 +91,8 @@ pub use paradmm_prox::{ProxCtx, ProxOp};
 pub use plan::{Pass, PassKind, PassSpace, Planner, SweepPlan};
 pub use problem::AdmmProblem;
 pub use request::{Priority, SolveOutcome, SolveRequest, SolveRequestParts};
-pub use residuals::{Residuals, StoppingCriteria};
-pub use solver::{Solver, SolverOptions, SolverReport, StopReason};
+pub use residuals::{InstanceReport, Residuals, RunState, StopReason, StoppingCriteria};
+pub use solver::{Solver, SolverOptions, SolverReport};
 pub use spec::{BackendSpec, ParseBackendSpecError, BACKEND_FAMILIES};
 pub use stale::{watermark, StaleBoundedBackend};
 pub use timing::{SweepCosts, UpdateTimings};

@@ -1,11 +1,11 @@
 //! The unified solve-request API: one description of "solve this
 //! problem, this way" shared by every execution path.
 //!
-//! [`Solver`] (solo), [`crate::BatchSolver`] (block-diagonal fusion),
-//! [`crate::FleetSolver`] (work-assisting fleets) and the
-//! `paradmm-serve` service all consume the same [`SolveRequest`] and
-//! produce the same [`SolveOutcome`], so callers pick an execution
-//! strategy without changing how they describe work:
+//! [`SolveRequest::solve`] (solo, through [`Solver`]) and the
+//! `paradmm-serve` engine (fused packs and [`crate::FleetSolver`]
+//! rounds) consume the same [`SolveRequest`] and produce the same
+//! [`SolveOutcome`], so callers pick an execution path without
+//! changing how they describe work:
 //!
 //! ```
 //! use paradmm_core::{AdmmProblem, SolveRequest, StopReason, StoppingCriteria};
@@ -40,8 +40,8 @@ use paradmm_graph::VarStore;
 
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
-use crate::residuals::{Residuals, StoppingCriteria};
-use crate::solver::{Solver, SolverOptions, StopReason};
+use crate::residuals::{Residuals, StopReason, StoppingCriteria};
+use crate::solver::{Solver, SolverOptions};
 use crate::spec::BackendSpec;
 
 /// Scheduling urgency of a request — a hint consumed by the serving
@@ -87,9 +87,7 @@ impl Priority {
 
 /// One unit of solve work: a problem plus every option that shapes how
 /// it is executed. Built with `with_*` chaining; consumed by
-/// [`SolveRequest::solve`] (solo), the batch/fleet adapters
-/// ([`crate::BatchSolver::solve_requests`],
-/// [`crate::FleetSolver::solve_requests`]), or the serving engine.
+/// [`SolveRequest::solve`] (solo) or the serving engine.
 pub struct SolveRequest {
     problem: AdmmProblem,
     stopping: StoppingCriteria,
@@ -254,46 +252,6 @@ impl SolveRequest {
             elapsed: report.elapsed,
         }
     }
-}
-
-/// Destructures a request group into the inputs a multi-instance
-/// engine needs, enforcing that the group agrees on stopping criteria
-/// and backend (one fused/fleet execution has one of each). Returns
-/// `(problems, warm_starts, stopping, backend)`.
-///
-/// # Panics
-/// If `requests` is empty or any request disagrees with the first on
-/// stopping criteria or backend.
-pub(crate) fn group_parts(
-    requests: Vec<SolveRequest>,
-) -> (
-    Vec<AdmmProblem>,
-    Vec<Option<VarStore>>,
-    StoppingCriteria,
-    BackendSpec,
-) {
-    assert!(
-        !requests.is_empty(),
-        "request group needs at least one request"
-    );
-    let stopping = requests[0].stopping;
-    let backend = requests[0].backend;
-    let mut problems = Vec::with_capacity(requests.len());
-    let mut warm = Vec::with_capacity(requests.len());
-    for (i, request) in requests.into_iter().enumerate() {
-        assert_eq!(
-            request.stopping, stopping,
-            "request {i} disagrees on stopping criteria with the group"
-        );
-        assert_eq!(
-            request.backend, backend,
-            "request {i} disagrees on backend with the group"
-        );
-        let parts = request.into_parts();
-        problems.push(parts.problem);
-        warm.push(parts.warm_start);
-    }
-    (problems, warm, stopping, backend)
 }
 
 /// What came back from executing a [`SolveRequest`], whichever engine

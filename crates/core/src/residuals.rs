@@ -1,8 +1,15 @@
-//! Primal/dual residuals and stopping criteria.
+//! Primal/dual residuals, stopping criteria, and the one stopping loop.
 //!
 //! Standard ADMM convergence monitoring (Boyd et al. §3.3) adapted to the
 //! factor-graph form: the primal residual stacks the per-edge consensus
 //! gaps `x(a,b) − z_b`, and the dual residual stacks `ρ(a,b)·(z_b − z_b⁻)`.
+//!
+//! [`RunState`] is Algorithm 2's outer loop — sweep a block, check
+//! residuals, stop — for one instance. Every driver ([`crate::Solver`],
+//! [`crate::BatchSolver`], [`crate::FleetSolver`] and the serve engine)
+//! asks it how far to run and hands it residuals over its own store or
+//! edge range, so each instance's check schedule and stop iteration are
+//! the same whichever driver ran it.
 
 use paradmm_graph::{EdgeParams, FactorGraph, VarStore};
 
@@ -119,6 +126,138 @@ impl StoppingCriteria {
     }
 }
 
+/// Why an instance stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// Residuals fell below tolerance.
+    Converged,
+    /// The iteration budget was exhausted.
+    MaxIterations,
+}
+
+/// One instance's outcome: what a [`RunState`] reports.
+#[derive(Debug, Clone)]
+pub struct InstanceReport {
+    /// Iterations this instance executed.
+    pub iterations: usize,
+    /// Why this instance stopped.
+    pub stop_reason: StopReason,
+    /// Residuals at the instance's final check (if any check ran).
+    pub final_residuals: Option<Residuals>,
+}
+
+/// One instance's progress through its block schedule: run
+/// [`RunState::next_block`] iterations, then report them with
+/// [`RunState::after_block`], until the next block is 0.
+///
+/// Check points fall at multiples of `check_every` (0 counts as 1) and
+/// at the budget; with `check_every == usize::MAX` (fixed iterations)
+/// there are none and the whole budget is one block. A driver may run
+/// fewer iterations than `next_block` — a pack runs the minimum over
+/// its members — and residuals are computed only when `done` lands on a
+/// check point, so the schedule does not depend on how blocks are cut.
+#[derive(Debug, Clone)]
+pub struct RunState {
+    criteria: StoppingCriteria,
+    budget: usize,
+    done: usize,
+    n_components: usize,
+    final_residuals: Option<Residuals>,
+    stop_reason: Option<StopReason>,
+}
+
+impl RunState {
+    /// A fresh instance over `graph` that may run `budget` iterations
+    /// under `criteria` (the budget, not `criteria.max_iters`, caps
+    /// it). A zero budget is stopped from the start.
+    pub fn new(criteria: StoppingCriteria, budget: usize, graph: &FactorGraph) -> Self {
+        RunState {
+            criteria,
+            budget,
+            done: 0,
+            n_components: graph.num_edges() * graph.dims(),
+            final_residuals: None,
+            stop_reason: (budget == 0).then_some(StopReason::MaxIterations),
+        }
+    }
+
+    /// Iterations to the next check point or to the budget; 0 once
+    /// stopped.
+    pub fn next_block(&self) -> usize {
+        if self.stop_reason.is_some() {
+            return 0;
+        }
+        let left = self.budget - self.done;
+        match self.criteria.check_every {
+            usize::MAX => left,
+            every => {
+                let every = every.max(1);
+                (every - self.done % every).min(left)
+            }
+        }
+    }
+
+    /// Records `iters` more iterations. At a check point, calls
+    /// `residuals` and stops on convergence; at the budget, stops with
+    /// [`StopReason::MaxIterations`]. Returns the residuals of this
+    /// check, if one ran.
+    ///
+    /// # Panics
+    /// Unless `1 <= iters <= next_block()`.
+    pub fn after_block(
+        &mut self,
+        iters: usize,
+        residuals: impl FnOnce() -> Residuals,
+    ) -> Option<Residuals> {
+        let to_next = self.next_block();
+        assert!(
+            (1..=to_next).contains(&iters),
+            "block of {iters} iterations overruns the schedule ({to_next} to the next stop)"
+        );
+        // A block that reaches `next_block` lands on a check point,
+        // unless the schedule has none.
+        let at_check = self.criteria.check_every != usize::MAX && iters == to_next;
+        self.done += iters;
+        let checked = at_check.then(residuals);
+        if let Some(r) = checked {
+            self.final_residuals = Some(r);
+            let c = &self.criteria;
+            if r.converged(self.n_components, c.eps_abs, c.eps_rel) {
+                self.stop_reason = Some(StopReason::Converged);
+            }
+        }
+        if self.stop_reason.is_none() && self.done == self.budget {
+            self.stop_reason = Some(StopReason::MaxIterations);
+        }
+        checked
+    }
+
+    /// The stopping criteria this instance runs under.
+    pub fn criteria(&self) -> &StoppingCriteria {
+        &self.criteria
+    }
+
+    /// Iterations run so far.
+    pub fn done(&self) -> usize {
+        self.done
+    }
+
+    /// Whether the instance has stopped (converged or out of budget).
+    pub fn is_stopped(&self) -> bool {
+        self.stop_reason.is_some()
+    }
+
+    /// The outcome so far; an instance that has not stopped reports
+    /// [`StopReason::MaxIterations`].
+    pub fn report(&self) -> InstanceReport {
+        InstanceReport {
+            iterations: self.done,
+            stop_reason: self.stop_reason.unwrap_or(StopReason::MaxIterations),
+            final_residuals: self.final_residuals,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,5 +321,78 @@ mod tests {
         let sc = StoppingCriteria::fixed_iterations(100);
         assert_eq!(sc.max_iters, 100);
         assert_eq!(sc.check_every, usize::MAX);
+    }
+
+    /// Steps `run` by its own blocks with fixed `residuals`: the
+    /// `(done, checked)` of every block, then the final report.
+    fn schedule(mut run: RunState, residuals: Residuals) -> (Vec<(usize, bool)>, InstanceReport) {
+        let mut blocks = Vec::new();
+        while run.next_block() > 0 {
+            let checked = run.after_block(run.next_block(), || residuals).is_some();
+            blocks.push((run.done(), checked));
+        }
+        (blocks, run.report())
+    }
+
+    #[test]
+    fn run_state_follows_the_solo_schedule() {
+        let (g, p, mut s) = setup();
+        s.x[0] = 3.0; // never converges
+        let far = Residuals::compute(&g, &p, &s);
+        let s25 = StoppingCriteria {
+            max_iters: 60,
+            eps_abs: 0.0,
+            eps_rel: 0.0,
+            check_every: 25,
+        };
+        let mut run = RunState::new(s25, 60, &g);
+        assert_eq!(run.next_block(), 25);
+        let (blocks, report) = schedule(run.clone(), far);
+        assert_eq!(
+            blocks,
+            vec![(25, true), (50, true), (60, true)],
+            "checks at 25, 50, and a final partial block checked at max"
+        );
+        assert_eq!(report.iterations, 60);
+        assert_eq!(report.stop_reason, StopReason::MaxIterations);
+        assert_eq!(report.final_residuals, Some(far));
+        assert!(run.after_block(3, || far).is_none());
+        assert_eq!(run.next_block(), 22, "a shorter block keeps the schedule");
+
+        let fixed = StoppingCriteria::fixed_iterations(40);
+        let mut run = RunState::new(fixed, 40, &g);
+        assert_eq!(run.next_block(), 40, "fixed iterations run as one block");
+        assert_eq!(schedule(run.clone(), far).0, vec![(40, false)]);
+        assert!(run.after_block(17, || far).is_none());
+        assert_eq!(run.next_block(), 23);
+
+        let every = |check_every| StoppingCriteria { check_every, ..s25 };
+        let (blocks, _) = schedule(RunState::new(every(0), 5, &g), far);
+        assert_eq!(blocks.len(), 5);
+        assert_eq!(
+            blocks,
+            schedule(RunState::new(every(1), 5, &g), far).0,
+            "check_every = 0 behaves as 1"
+        );
+
+        let empty = RunState::new(s25, 0, &g);
+        assert_eq!(empty.next_block(), 0);
+        let report = empty.report();
+        assert_eq!(report.iterations, 0);
+        assert_eq!(report.stop_reason, StopReason::MaxIterations);
+        assert!(report.final_residuals.is_none());
+    }
+
+    #[test]
+    fn run_state_stops_at_the_first_converged_check() {
+        let (g, p, s) = setup();
+        let zero = Residuals::compute(&g, &p, &s);
+        let mut run = RunState::new(StoppingCriteria::default(), 1000, &g);
+        assert_eq!(run.after_block(10, || zero), Some(zero));
+        assert!(run.is_stopped());
+        assert_eq!(run.next_block(), 0);
+        let report = run.report();
+        assert_eq!(report.iterations, 10);
+        assert_eq!(report.stop_reason, StopReason::Converged);
     }
 }

@@ -7,7 +7,7 @@ use paradmm_prox::ProxOp;
 
 use crate::backend::SweepExecutor;
 use crate::problem::AdmmProblem;
-use crate::residuals::{Residuals, StoppingCriteria};
+use crate::residuals::{Residuals, RunState, StopReason, StoppingCriteria};
 use crate::spec::BackendSpec;
 use crate::timing::UpdateTimings;
 
@@ -38,15 +38,6 @@ impl Default for SolverOptions {
     }
 }
 
-/// Why the solver stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// Residuals fell below tolerance.
-    Converged,
-    /// The iteration budget was exhausted.
-    MaxIterations,
-}
-
 /// Outcome of a solve.
 #[derive(Debug, Clone)]
 pub struct SolverReport {
@@ -54,7 +45,8 @@ pub struct SolverReport {
     pub iterations: usize,
     /// Why iteration stopped.
     pub stop_reason: StopReason,
-    /// Total wall-clock time inside update sweeps.
+    /// Total wall-clock time of the run: update sweeps plus residual
+    /// checks.
     pub elapsed: Duration,
     /// Per-update-kind timing breakdown.
     pub timings: UpdateTimings,
@@ -204,8 +196,8 @@ impl Solver {
         Residuals::compute(self.problem.graph(), self.problem.params(), &self.store)
     }
 
-    /// Runs at most `max_iters` iterations, checking the configured
-    /// stopping criteria every `check_every` iterations.
+    /// Runs at most `max_iters` more iterations on the configured
+    /// stopping criteria's [`RunState`] schedule.
     pub fn run(&mut self, max_iters: usize) -> SolverReport {
         self.run_impl(max_iters, None)
     }
@@ -226,43 +218,26 @@ impl Solver {
         max_iters: usize,
         mut trace: Option<&mut Vec<(usize, Residuals)>>,
     ) -> SolverReport {
-        let stopping = self.options.stopping;
-        let check_every = stopping.check_every;
-        let n_components = self.problem.graph().num_edges() * self.problem.graph().dims();
+        let mut run = RunState::new(self.options.stopping, max_iters, self.problem.graph());
         let mut timings = UpdateTimings::new();
-        let mut done = 0usize;
-        let mut final_residuals = None;
         let start = Instant::now();
-        let mut stop_reason = StopReason::MaxIterations;
-
-        while done < max_iters {
-            let block = if check_every == usize::MAX {
-                max_iters - done
-            } else {
-                check_every.max(1).min(max_iters - done)
-            };
+        while !run.is_stopped() {
+            let block = run.next_block();
             self.backend
                 .run_block(&self.problem, &mut self.store, block, &mut timings);
-            done += block;
-            if check_every != usize::MAX {
-                let r = self.residuals();
-                let conv = r.converged(n_components, stopping.eps_abs, stopping.eps_rel);
+            if let Some(r) = run.after_block(block, || self.residuals()) {
                 if let Some(t) = trace.as_deref_mut() {
-                    t.push((done, r));
-                }
-                final_residuals = Some(r);
-                if conv {
-                    stop_reason = StopReason::Converged;
-                    break;
+                    t.push((run.done(), r));
                 }
             }
         }
+        let report = run.report();
         SolverReport {
-            iterations: done,
-            stop_reason,
+            iterations: report.iterations,
+            stop_reason: report.stop_reason,
             elapsed: start.elapsed(),
             timings,
-            final_residuals,
+            final_residuals: report.final_residuals,
         }
     }
 

@@ -17,35 +17,35 @@
 //! # Continuous batching and the per-instance block rule
 //!
 //! Unlike [`paradmm_core::BatchSolver`] — which runs a *closed* batch
-//! with one global iteration counter — pack members here carry their
-//! own `done` counters so requests can join mid-flight. Each
-//! [`Engine::step`]:
+//! whose members start together — pack members here join mid-flight,
+//! each carrying its own [`RunState`]. Each [`Engine::step`]:
 //!
 //! 1. splices queued compatible requests into the pack (a *join*, at a
 //!    repack boundary only),
-//! 2. runs one fused block of `min over members of (next_event_i −
-//!    done_i)` iterations, where `next_event_i` is member *i*'s next
-//!    solo residual-check point (`check_every_i` multiples, capped at
-//!    `max_iters_i`; for fixed-iteration requests, `max_iters_i`),
-//! 3. checks per-member residuals exactly when `done_i` lands on a
-//!    check point, retiring converged/budget-exhausted members and
-//!    repacking the survivors.
+//! 2. runs one fused block of the minimum [`RunState::next_block`] over
+//!    the members — the iterations to the nearest member's next check
+//!    point or budget,
+//! 3. hands each member's [`RunState::after_block`] its residuals over
+//!    the member's edge range (computed only when that member is at a
+//!    check point), retiring stopped members and repacking the
+//!    survivors.
 //!
 //! Because the fused graph is block-diagonal, iterate sequences are
-//! unaffected by how iterations are partitioned into blocks; the rule
-//! above makes each member's *residual-check schedule* (and therefore
-//! its stop iteration) land exactly on its solo
-//! [`paradmm_core::Solver::run`] schedule. Together these give the
-//! serving bit-identity contract: every served request returns the
-//! bit-identical store and iteration count of a solo serial solve with
-//! the same warm start — regardless of who else was in the pack, when
-//! they joined, or which backend executed the fused blocks.
+//! unaffected by how iterations are partitioned into blocks, and a
+//! [`RunState`] checks at the same iterations however its blocks are
+//! cut; so each member's check schedule (and therefore its stop
+//! iteration) lands exactly on its solo [`paradmm_core::Solver::run`]
+//! schedule. Together these give the serving bit-identity contract:
+//! every served request returns the bit-identical store and iteration
+//! count of a solo serial solve with the same warm start — regardless
+//! of who else was in the pack, when they joined, or which backend
+//! executed the fused blocks.
 
 use std::time::Instant;
 
 use paradmm_core::{
-    AdmmProblem, BackendSpec, FleetSolver, Priority, Residuals, SolveOutcome, SolveRequest,
-    SolverOptions, StopReason, StoppingCriteria, SweepExecutor, UpdateTimings,
+    AdmmProblem, BackendSpec, FleetSolver, InstanceReport, Priority, Residuals, RunState,
+    SolveOutcome, SolveRequest, SolverOptions, StopReason, SweepExecutor, UpdateTimings,
 };
 use paradmm_graph::{BatchInstance, BatchLayout, BatchStore, EdgeParams, FactorGraph, VarStore};
 use paradmm_prox::ProxOp;
@@ -173,21 +173,9 @@ pub struct EngineStats {
     pub max_pack: usize,
 }
 
-/// An admitted request waiting for a lane.
-struct Pending {
+/// What a request's completion echoes back, whichever lane serves it.
+struct Ticket {
     id: u64,
-    seq: u64,
-    graph: FactorGraph,
-    params: EdgeParams,
-    proxes: Vec<Box<dyn ProxOp>>,
-    stopping: StoppingCriteria,
-    priority: Priority,
-    /// Absolute deadline (admission time + requested budget) — EDF
-    /// ordering must compare these, not raw budgets, or a request that
-    /// has already burned most of its budget waiting sorts behind a
-    /// fresh one with a nominally tighter budget.
-    deadline_at: Option<Instant>,
-    warm: Option<VarStore>,
     warm_started: bool,
     /// Warm-start cache key covering topology, ρ/α *and* the prox
     /// operators; `None` (closure-backed operator, no stable encoding)
@@ -196,18 +184,31 @@ struct Pending {
     admitted: Instant,
 }
 
+/// An admitted request waiting for a lane.
+struct Pending {
+    ticket: Ticket,
+    seq: u64,
+    graph: FactorGraph,
+    params: EdgeParams,
+    proxes: Vec<Box<dyn ProxOp>>,
+    /// The request's stopping schedule, not yet started.
+    run: RunState,
+    priority: Priority,
+    /// Absolute deadline (admission time + requested budget) — EDF
+    /// ordering must compare these, not raw budgets, or a request that
+    /// has already burned most of its budget waiting sorts behind a
+    /// fresh one with a nominally tighter budget.
+    deadline_at: Option<Instant>,
+    warm: Option<VarStore>,
+}
+
 /// A pack member's bookkeeping (graph/params retained for repacks; the
 /// proxes live inside the fused problem between repacks).
 struct Member {
-    id: u64,
+    ticket: Ticket,
     graph: FactorGraph,
     params: EdgeParams,
-    stopping: StoppingCriteria,
-    done: usize,
-    final_residuals: Option<Residuals>,
-    warm_started: bool,
-    fingerprint: Option<u64>,
-    admitted: Instant,
+    run: RunState,
 }
 
 /// The fused in-flight batch.
@@ -218,15 +219,59 @@ struct Pack {
     members: Vec<Member>,
 }
 
-/// Member `i`'s next solo-schedule event after `done` iterations: its
-/// next residual-check point, or `max_iters` for fixed-iteration
-/// requests (retire without a check).
-fn next_event(done: usize, s: &StoppingCriteria) -> usize {
-    if s.check_every == usize::MAX {
-        s.max_iters
-    } else {
-        let ce = s.check_every.max(1);
-        ((done / ce) + 1).saturating_mul(ce).min(s.max_iters)
+/// A member outside the fused pack: its state and proximal operators.
+type Seat = (Member, VarStore, Vec<Box<dyn ProxOp>>);
+
+impl Pack {
+    /// Fuses `seats` block-diagonally, in order.
+    fn new(seats: Vec<Seat>) -> Pack {
+        let batch = {
+            let views: Vec<BatchInstance<'_>> = seats
+                .iter()
+                .map(|(m, state, _)| BatchInstance {
+                    graph: &m.graph,
+                    params: &m.params,
+                    store: state,
+                })
+                .collect();
+            BatchStore::pack(&views).expect("members share dims by admission routing")
+        };
+        let (graph, params, store, layout) = batch.into_parts();
+        let (members, proxes): (Vec<Member>, Vec<_>) =
+            seats.into_iter().map(|(m, _, p)| (m, p)).unzip();
+        let problem =
+            AdmmProblem::with_params(graph, proxes.into_iter().flatten().collect(), params);
+        Pack {
+            problem,
+            store,
+            layout,
+            members,
+        }
+    }
+
+    /// Splits the pack back into its members' seats, in order.
+    fn into_seats(self) -> Vec<Seat> {
+        let Pack {
+            problem,
+            store,
+            layout,
+            members,
+        } = self;
+        let (_graph, proxes, _params) = problem.into_parts();
+        let mut proxes = proxes.into_iter();
+        let seats = members
+            .into_iter()
+            .enumerate()
+            .map(|(pos, member)| {
+                let segment = proxes
+                    .by_ref()
+                    .take(layout.factor_range(pos).len())
+                    .collect();
+                (member, layout.extract_store(&store, pos), segment)
+            })
+            .collect();
+        debug_assert!(proxes.next().is_none());
+        seats
     }
 }
 
@@ -317,19 +362,22 @@ impl Engine {
         self.seq += 1;
         self.stats.submitted += 1;
         let admitted = Instant::now();
+        let run = RunState::new(parts.stopping, parts.stopping.max_iters, &graph);
         self.queue.push(Pending {
-            id,
+            ticket: Ticket {
+                id,
+                warm_started,
+                fingerprint,
+                admitted,
+            },
             seq: self.seq,
             graph,
             params,
             proxes,
-            stopping: parts.stopping,
+            run,
             priority: parts.priority,
             deadline_at: parts.deadline.and_then(|d| admitted.checked_add(d)),
             warm,
-            warm_started,
-            fingerprint,
-            admitted,
         });
     }
 
@@ -380,14 +428,14 @@ impl Engine {
         let pending = std::mem::take(&mut self.queue);
         let mut completions = Vec::with_capacity(pending.len());
         for p in pending {
-            if p.stopping.max_iters == 0 {
-                completions.push(Self::empty_budget_completion(p, Lane::Solo));
+            if p.run.is_stopped() {
+                completions.push(self.empty_budget_completion(p, Lane::Solo));
                 continue;
             }
             let problem = AdmmProblem::with_params(p.graph, p.proxes, p.params);
             let options = SolverOptions {
                 backend: self.config.backend,
-                stopping: p.stopping,
+                stopping: *p.run.criteria(),
                 ..SolverOptions::default()
             };
             let mut solver = paradmm_core::Solver::from_problem(problem, options);
@@ -395,26 +443,13 @@ impl Engine {
                 *solver.store_mut() = ws;
             }
             let report = solver.run_default();
-            let store = solver.into_store();
-            if report.stop_reason == StopReason::Converged {
-                if let Some(fp) = p.fingerprint {
-                    self.cache.insert(fp, store.clone());
-                }
-            }
+            let report = InstanceReport {
+                iterations: report.iterations,
+                stop_reason: report.stop_reason,
+                final_residuals: report.final_residuals,
+            };
             self.stats.solo_served += 1;
-            completions.push(Completion {
-                id: p.id,
-                outcome: SolveOutcome {
-                    store,
-                    iterations: report.iterations,
-                    stop_reason: report.stop_reason,
-                    final_residuals: report.final_residuals,
-                    residual_trace: Vec::new(),
-                    elapsed: p.admitted.elapsed(),
-                },
-                lane: Lane::Solo,
-                warm_started: p.warm_started,
-            });
+            completions.push(self.complete(p.ticket, solver.into_store(), report, Lane::Solo));
         }
         completions
     }
@@ -436,8 +471,8 @@ impl Engine {
         let mut still_queued: Vec<Pending> = Vec::new();
         let room = self.config.max_batch.saturating_sub(self.pack_len());
         for p in std::mem::take(&mut self.queue) {
-            if p.stopping.max_iters == 0 {
-                completions.push(Self::empty_budget_completion(p, Lane::Batch));
+            if p.run.is_stopped() {
+                completions.push(self.empty_budget_completion(p, Lane::Batch));
             } else if p.priority == Priority::Critical || Some(p.graph.dims()) != pack_dims {
                 fleet.push(p);
             } else if joiners.len() < room {
@@ -467,21 +502,39 @@ impl Engine {
     }
 
     /// A request admitted with `max_iters == 0`: complete immediately
-    /// (the solo loop never enters its body either).
-    fn empty_budget_completion(p: Pending, lane: Lane) -> Completion {
+    /// with its initial state (the solo loop never enters its body
+    /// either).
+    fn empty_budget_completion(&mut self, p: Pending, lane: Lane) -> Completion {
         let store = p.warm.unwrap_or_else(|| VarStore::zeros(&p.graph));
+        self.complete(p.ticket, store, p.run.report(), lane)
+    }
+
+    /// `ticket`'s completion from its final state and report; a
+    /// converged state also seeds the warm-start cache.
+    fn complete(
+        &mut self,
+        ticket: Ticket,
+        store: VarStore,
+        report: InstanceReport,
+        lane: Lane,
+    ) -> Completion {
+        if report.stop_reason == StopReason::Converged {
+            if let Some(fp) = ticket.fingerprint {
+                self.cache.insert(fp, store.clone());
+            }
+        }
         Completion {
-            id: p.id,
+            id: ticket.id,
             outcome: SolveOutcome {
                 store,
-                iterations: 0,
-                stop_reason: StopReason::MaxIterations,
-                final_residuals: None,
+                iterations: report.iterations,
+                stop_reason: report.stop_reason,
+                final_residuals: report.final_residuals,
                 residual_trace: Vec::new(),
-                elapsed: p.admitted.elapsed(),
+                elapsed: ticket.admitted.elapsed(),
             },
             lane,
-            warm_started: p.warm_started,
+            warm_started: ticket.warm_started,
         }
     }
 
@@ -491,64 +544,35 @@ impl Engine {
     fn run_fleet_round(&mut self, mut batch: Vec<Pending>) -> Vec<Completion> {
         let mut completions = Vec::new();
         while !batch.is_empty() {
-            let stopping = batch[0].stopping;
-            let (round, rest): (Vec<_>, Vec<_>) =
-                batch.into_iter().partition(|p| p.stopping == stopping);
+            let stopping = *batch[0].run.criteria();
+            let (round, rest): (Vec<_>, Vec<_>) = batch
+                .into_iter()
+                .partition(|p| *p.run.criteria() == stopping);
             batch = rest;
 
             let options = SolverOptions {
                 stopping,
                 ..SolverOptions::default()
             };
-            struct FleetMeta {
-                id: u64,
-                warm: Option<VarStore>,
-                warm_started: bool,
-                fingerprint: Option<u64>,
-                admitted: Instant,
-            }
             let mut problems = Vec::with_capacity(round.len());
-            let mut meta = Vec::with_capacity(round.len());
+            let mut tickets = Vec::with_capacity(round.len());
+            let mut warm = Vec::with_capacity(round.len());
             for p in round {
                 problems.push(AdmmProblem::with_params(p.graph, p.proxes, p.params));
-                meta.push(FleetMeta {
-                    id: p.id,
-                    warm: p.warm,
-                    warm_started: p.warm_started,
-                    fingerprint: p.fingerprint,
-                    admitted: p.admitted,
-                });
+                tickets.push(p.ticket);
+                warm.push(p.warm);
             }
             let mut fleet =
                 FleetSolver::with_threads(problems, options, self.config.fleet_threads.max(1));
-            for (i, m) in meta.iter_mut().enumerate() {
-                if let Some(ws) = m.warm.take() {
+            for (i, ws) in warm.into_iter().enumerate() {
+                if let Some(ws) = ws {
                     fleet.warm_start(i, ws);
                 }
             }
             let report = fleet.run_default();
-            for (i, m) in meta.into_iter().enumerate() {
-                let r = &report.instances[i];
-                let store = fleet.store(i).clone();
-                if r.stop_reason == StopReason::Converged {
-                    if let Some(fp) = m.fingerprint {
-                        self.cache.insert(fp, store.clone());
-                    }
-                }
+            for ((i, ticket), r) in tickets.into_iter().enumerate().zip(report.instances) {
                 self.stats.fleet_served += 1;
-                completions.push(Completion {
-                    id: m.id,
-                    outcome: SolveOutcome {
-                        store,
-                        iterations: r.iterations,
-                        stop_reason: r.stop_reason,
-                        final_residuals: r.final_residuals,
-                        residual_trace: Vec::new(),
-                        elapsed: m.admitted.elapsed(),
-                    },
-                    lane: Lane::Fleet,
-                    warm_started: m.warm_started,
-                });
+                completions.push(self.complete(ticket, fleet.store(i).clone(), r, Lane::Fleet));
             }
         }
         completions
@@ -557,86 +581,35 @@ impl Engine {
     /// Rebuilds the fused pack from the current members' extracted
     /// states plus `joiners` (a repack boundary).
     fn repack_with(&mut self, joiners: Vec<Pending>) {
-        let mut members: Vec<Member> = Vec::new();
-        let mut states: Vec<VarStore> = Vec::new();
-        let mut proxes: Vec<Vec<Box<dyn ProxOp>>> = Vec::new();
-
-        if let Some(pack) = self.pack.take() {
-            let Pack {
-                problem,
-                store,
-                layout,
-                members: old,
-            } = pack;
-            let (_graph, fused_proxes, _params) = problem.into_parts();
-            let mut prox_iter = fused_proxes.into_iter();
-            for (pos, member) in old.into_iter().enumerate() {
-                let segment: Vec<Box<dyn ProxOp>> = prox_iter
-                    .by_ref()
-                    .take(layout.factor_range(pos).len())
-                    .collect();
-                states.push(layout.extract_store(&store, pos));
-                proxes.push(segment);
-                members.push(member);
+        let mut seats = match self.pack.take() {
+            Some(pack) => {
+                self.stats.repacks += 1;
+                pack.into_seats()
             }
-            debug_assert!(prox_iter.next().is_none());
-            self.stats.repacks += 1;
-        }
-
-        for p in joiners {
-            states.push(p.warm.unwrap_or_else(|| VarStore::zeros(&p.graph)));
-            proxes.push(p.proxes);
-            members.push(Member {
-                id: p.id,
+            None => Vec::new(),
+        };
+        seats.extend(joiners.into_iter().map(|p| {
+            let state = p.warm.unwrap_or_else(|| VarStore::zeros(&p.graph));
+            let member = Member {
+                ticket: p.ticket,
                 graph: p.graph,
                 params: p.params,
-                stopping: p.stopping,
-                done: 0,
-                final_residuals: None,
-                warm_started: p.warm_started,
-                fingerprint: p.fingerprint,
-                admitted: p.admitted,
-            });
-        }
-
-        if members.is_empty() {
-            return;
-        }
-        self.stats.max_pack = self.stats.max_pack.max(members.len());
-        self.pack = Some(Self::pack_members(members, states, proxes));
+                run: p.run,
+            };
+            (member, state, p.proxes)
+        }));
+        self.install(seats);
     }
 
-    fn pack_members(
-        members: Vec<Member>,
-        states: Vec<VarStore>,
-        proxes: Vec<Vec<Box<dyn ProxOp>>>,
-    ) -> Pack {
-        let batch = {
-            let views: Vec<BatchInstance<'_>> = members
-                .iter()
-                .zip(&states)
-                .map(|(m, state)| BatchInstance {
-                    graph: &m.graph,
-                    params: &m.params,
-                    store: state,
-                })
-                .collect();
-            BatchStore::pack(&views).expect("members share dims by admission routing")
-        };
-        let (graph, params, store, layout) = batch.into_parts();
-        let fused_proxes: Vec<Box<dyn ProxOp>> = proxes.into_iter().flatten().collect();
-        let problem = AdmmProblem::with_params(graph, fused_proxes, params);
-        Pack {
-            problem,
-            store,
-            layout,
-            members,
-        }
+    /// Fuses `seats` into the pack.
+    fn install(&mut self, seats: Vec<Seat>) {
+        self.stats.max_pack = self.stats.max_pack.max(seats.len());
+        self.pack = Some(Pack::new(seats));
     }
 
-    /// Runs one fused block sized to the nearest member event, then
-    /// checks/retires members whose `done` landed on their own solo
-    /// check schedule. Returns completions for retired members.
+    /// Runs one fused block of the minimum [`RunState::next_block`]
+    /// over the members, then retires the members that stopped.
+    /// Returns completions for retired members.
     fn run_pack_block(&mut self) -> Vec<Completion> {
         let mut completions = Vec::new();
         let Some(pack) = self.pack.as_mut() else {
@@ -646,98 +619,45 @@ impl Engine {
         let block = pack
             .members
             .iter()
-            .map(|m| next_event(m.done, &m.stopping) - m.done)
+            .map(|m| m.run.next_block())
             .min()
             .expect("pack is never empty");
-        debug_assert!(block >= 1, "members at max_iters retire before packing");
 
         self.backend
             .run_block(&pack.problem, &mut pack.store, block, &mut self.timings);
 
-        let d = pack.layout.dims();
-        let mut retired: Vec<(usize, StopReason)> = Vec::new();
-        for pos in 0..pack.members.len() {
-            let m = &mut pack.members[pos];
-            m.done += block;
-            let s = m.stopping;
-            let checks = s.check_every != usize::MAX;
-            let at_check = checks && (m.done % s.check_every.max(1) == 0 || m.done == s.max_iters);
-            let mut converged = false;
-            if at_check {
-                let er = pack.layout.edge_range(pos);
-                let r = Residuals::compute_edge_range(
+        for (pos, m) in pack.members.iter_mut().enumerate() {
+            let er = pack.layout.edge_range(pos);
+            m.run.after_block(block, || {
+                Residuals::compute_edge_range(
                     pack.problem.graph(),
                     pack.problem.params(),
                     &pack.store,
                     er.start,
                     er.end,
-                );
-                converged = r.converged(er.len() * d, s.eps_abs, s.eps_rel);
-                m.final_residuals = Some(r);
-            }
-            if converged {
-                retired.push((pos, StopReason::Converged));
-            } else if m.done >= s.max_iters {
-                retired.push((pos, StopReason::MaxIterations));
-            }
+                )
+            });
         }
-
-        if retired.is_empty() {
+        if !pack.members.iter().any(|m| m.run.is_stopped()) {
             return completions;
         }
 
         // Extract every member's state, complete the retired ones, and
         // repack the survivors (another repack boundary).
-        let Pack {
-            problem,
-            store,
-            layout,
-            members,
-        } = self.pack.take().expect("pack was just borrowed");
-        let (_graph, fused_proxes, _params) = problem.into_parts();
-        let mut prox_iter = fused_proxes.into_iter();
-        let mut retired_iter = retired.iter().peekable();
-        let mut surv_members = Vec::new();
-        let mut surv_states = Vec::new();
-        let mut surv_proxes = Vec::new();
-        for (pos, member) in members.into_iter().enumerate() {
-            let segment: Vec<Box<dyn ProxOp>> = prox_iter
-                .by_ref()
-                .take(layout.factor_range(pos).len())
-                .collect();
-            let state = layout.extract_store(&store, pos);
-            if retired_iter.peek().map(|(p, _)| *p) == Some(pos) {
-                let (_, stop_reason) = *retired_iter.next().expect("peeked");
-                if stop_reason == StopReason::Converged {
-                    if let Some(fp) = member.fingerprint {
-                        self.cache.insert(fp, state.clone());
-                    }
-                }
+        let pack = self.pack.take().expect("pack was just borrowed");
+        let mut survivors = Vec::new();
+        for (member, state, proxes) in pack.into_seats() {
+            if member.run.is_stopped() {
                 self.stats.batch_served += 1;
-                completions.push(Completion {
-                    id: member.id,
-                    outcome: SolveOutcome {
-                        store: state,
-                        iterations: member.done,
-                        stop_reason,
-                        final_residuals: member.final_residuals,
-                        residual_trace: Vec::new(),
-                        elapsed: member.admitted.elapsed(),
-                    },
-                    lane: Lane::Batch,
-                    warm_started: member.warm_started,
-                });
+                let report = member.run.report();
+                completions.push(self.complete(member.ticket, state, report, Lane::Batch));
             } else {
-                surv_members.push(member);
-                surv_states.push(state);
-                surv_proxes.push(segment);
+                survivors.push((member, state, proxes));
             }
         }
-        debug_assert!(prox_iter.next().is_none());
-        if !surv_members.is_empty() {
+        if !survivors.is_empty() {
             self.stats.repacks += 1;
-            self.stats.max_pack = self.stats.max_pack.max(surv_members.len());
-            self.pack = Some(Self::pack_members(surv_members, surv_states, surv_proxes));
+            self.install(survivors);
         }
         completions
     }
@@ -746,7 +666,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradmm_core::Solver;
+    use paradmm_core::{Solver, StoppingCriteria};
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::QuadraticProx;
     use std::time::Duration;
@@ -1235,23 +1155,6 @@ mod tests {
             assert_eq!(c.outcome.iterations, reference.iterations);
             assert_eq!(c.outcome.store.z, reference.store.z);
         }
-    }
-
-    #[test]
-    fn next_event_follows_the_solo_schedule() {
-        let s = StoppingCriteria {
-            max_iters: 60,
-            eps_abs: 0.0,
-            eps_rel: 0.0,
-            check_every: 25,
-        };
-        assert_eq!(next_event(0, &s), 25);
-        assert_eq!(next_event(3, &s), 25);
-        assert_eq!(next_event(25, &s), 50);
-        assert_eq!(next_event(50, &s), 60, "final partial block checks at max");
-        let fixed = StoppingCriteria::fixed_iterations(40);
-        assert_eq!(next_event(0, &fixed), 40);
-        assert_eq!(next_event(17, &fixed), 40);
     }
 
     #[test]

@@ -332,6 +332,15 @@ pub fn decode_request(buf: &[u8]) -> Result<DecodedRequest, WireError> {
         eps_abs: r.f64()?,
         eps_rel: r.f64()?,
     };
+    // A NaN or negative tolerance never converges: the request would
+    // silently run its whole budget.
+    for (name, eps) in [("eps_abs", stopping.eps_abs), ("eps_rel", stopping.eps_rel)] {
+        if !(eps.is_finite() && eps >= 0.0) {
+            return Err(WireError::Malformed(format!(
+                "{name} {eps} is not a finite non-negative tolerance"
+            )));
+        }
+    }
     let backend_str = std::str::from_utf8(r.blob()?)
         .map_err(|_| WireError::Malformed("backend spec is not UTF-8".to_string()))?;
     let backend = backend_str
@@ -562,6 +571,33 @@ mod tests {
         let decoded = decode_request(&bytes).unwrap();
         assert_eq!(decoded.request.stopping().check_every, usize::MAX);
         assert_eq!(decoded.request.stopping().max_iters, 17);
+    }
+
+    #[test]
+    fn malformed_tolerances_are_rejected() {
+        let with_eps = |eps_abs: f64, eps_rel: f64| {
+            let stopping = StoppingCriteria {
+                eps_abs,
+                eps_rel,
+                ..StoppingCriteria::default()
+            };
+            let req = SolveRequest::new(request().into_parts().problem).with_stopping(stopping);
+            decode_request(&encode_request(1, &req, false).unwrap())
+        };
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            assert!(
+                matches!(with_eps(bad, 1e-6), Err(WireError::Malformed(_))),
+                "eps_abs {bad}"
+            );
+            assert!(
+                matches!(with_eps(1e-8, bad), Err(WireError::Malformed(_))),
+                "eps_rel {bad}"
+            );
+        }
+        // Fixed-iteration requests carry zero tolerances.
+        let zero = with_eps(0.0, 0.0).unwrap();
+        assert_eq!(zero.request.stopping().eps_abs, 0.0);
+        assert_eq!(zero.request.stopping().eps_rel, 0.0);
     }
 
     #[test]
