@@ -84,6 +84,9 @@ impl Solver {
 
     /// Builds a solver from a fully-specified problem (custom per-edge
     /// parameters preserved), backend from [`SolverOptions::backend`].
+    /// The solver starts from a zero store, which costs no resident
+    /// memory until it is written: a caller that installs its own initial
+    /// state through [`Solver::store_mut`] pays for one store, not two.
     pub fn from_problem(problem: AdmmProblem, options: SolverOptions) -> Self {
         let store = VarStore::zeros(problem.graph());
         let backend = options.backend.to_backend();
@@ -97,7 +100,8 @@ impl Solver {
 
     /// Builds a solver from a problem and an already-boxed backend.
     /// [`SolverOptions::backend`] is ignored — `backend` is the
-    /// execution strategy.
+    /// execution strategy. The zero store is lazy, as in
+    /// [`Solver::from_problem`].
     pub fn from_problem_with_backend(
         problem: AdmmProblem,
         options: SolverOptions,

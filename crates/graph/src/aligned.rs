@@ -3,73 +3,156 @@
 //! `Vec<f64>` only guarantees 8-byte alignment, so a flat state array can
 //! start mid-cache-line and every SIMD load in the sweep kernels has to be
 //! unaligned. [`AlignedVec`] is a minimal fixed-length buffer whose
-//! allocation is aligned to [`CACHE_LINE`] (64 bytes — one x86-64 cache
+//! first element is aligned to [`CACHE_LINE`] (64 bytes — one x86-64 cache
 //! line, and wide enough for any AVX-512 vector). It dereferences to
 //! `[f64]`, so all existing slice-based code (kernels, accessors,
 //! serialization, `rayon` chunking) keeps working unchanged; only
 //! construction sites change.
 //!
+//! Memory is committed only where it is written:
+//!
+//! * [`AlignedVec::zeros`] asks for zeroed memory at the allocator's
+//!   natural 16-byte alignment plus one spare cache line, and aligns the
+//!   start to 64 bytes by hand. That is the `calloc` path: a large buffer
+//!   is fresh `mmap` pages that cost address space, not resident memory,
+//!   until they are written. A 64-byte-aligned zeroed request would go
+//!   through `posix_memalign` plus a full memset instead.
+//! * [`AlignedVec::from_slice`], [`AlignedVec::splat`] and `clone` write
+//!   every element exactly once into a 64-byte-aligned allocation, with
+//!   no zero fill first. They keep `posix_memalign`: moving them onto the
+//!   calloc layout makes glibc hand set-up arrays back to the kernel and
+//!   fault them in again on the next set-up.
+//!
 //! The buffer is deliberately *not* growable: sweep state is sized once
-//! from the graph and never reallocated mid-solve, and keeping length ==
-//! capacity makes the `Drop` layout trivially correct. [`AlignedVec::truncate`]
-//! exists for shape-corruption tests and keeps the original allocation.
+//! from the graph and never reallocated mid-solve. Each buffer remembers
+//! the base pointer and layout it was allocated with, and `Drop` frees
+//! exactly that. [`AlignedVec::truncate`] exists for shape-corruption
+//! tests and keeps the original allocation.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
-/// Alignment (bytes) of every [`AlignedVec`] allocation.
+/// Alignment (bytes) of the first element of every [`AlignedVec`].
 pub const CACHE_LINE: usize = 64;
+
+/// Alignment of the zeroed allocations: the allocator's own minimum on
+/// 64-bit targets, so the request takes the lazy `calloc` path.
+const ZEROED_ALIGN: usize = 16;
 
 /// A fixed-length, 64-byte-aligned `f64` buffer that derefs to `[f64]`.
 pub struct AlignedVec {
+    /// First element, 64-byte aligned (dangling when nothing is allocated).
     ptr: NonNull<f64>,
-    /// Visible length (`<= cap`; differs only after [`AlignedVec::truncate`]).
+    /// Visible length (differs from the allocated one only after
+    /// [`AlignedVec::truncate`]).
     len: usize,
-    /// Allocated length, remembered so `Drop` frees the original layout.
-    cap: usize,
+    /// Start and layout of the allocation, for `Drop`; `None` when empty.
+    alloc: Option<(NonNull<u8>, Layout)>,
 }
 
-// The buffer uniquely owns its allocation of plain `f64`s.
+// SAFETY: `ptr` and `alloc` point into one allocation that this buffer
+// alone owns and frees, holding plain `f64`s; shared access only reads
+// through `&self`, and writes need `&mut self`.
 unsafe impl Send for AlignedVec {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
-    fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f64>(), CACHE_LINE)
-            .expect("allocation size overflow")
+    /// Layout of `len` doubles plus `spare` bytes at `align`.
+    ///
+    /// # Panics
+    /// If the byte size overflows `usize` or exceeds what a `Layout` may
+    /// describe.
+    fn layout(len: usize, spare: usize, align: usize) -> Layout {
+        let bytes = len
+            .checked_mul(std::mem::size_of::<f64>())
+            .and_then(|b| b.checked_add(spare))
+            .expect("AlignedVec allocation size overflows usize");
+        Layout::from_size_align(bytes, align).expect("AlignedVec allocation size overflow")
     }
 
-    /// A zero-initialized buffer of `len` doubles.
+    fn empty() -> Self {
+        /// Zero-sized, cache-line aligned: its dangling pointer is 64-byte
+        /// aligned too.
+        #[repr(align(64))]
+        struct Line;
+        AlignedVec {
+            ptr: NonNull::<Line>::dangling().cast(),
+            len: 0,
+            alloc: None,
+        }
+    }
+
+    /// A zero-initialized buffer of `len` doubles. Pages of a large buffer
+    /// are not resident until first written (see the module docs).
     pub fn zeros(len: usize) -> Self {
         if len == 0 {
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: 0,
-                cap: 0,
-            };
+            return Self::empty();
         }
-        let layout = Self::layout(len);
+        let layout = Self::layout(len, CACHE_LINE, ZEROED_ALIGN);
         // SAFETY: layout has non-zero size (len > 0).
         let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<f64>()) else {
+        let Some(base) = NonNull::new(raw) else {
             handle_alloc_error(layout)
         };
-        AlignedVec { ptr, len, cap: len }
+        let offset = (CACHE_LINE - base.as_ptr() as usize % CACHE_LINE) % CACHE_LINE;
+        // SAFETY: `offset < CACHE_LINE`, the spare bytes of the layout, so
+        // `len` doubles from `base + offset` lie inside the allocation, and
+        // all of it is zeroed, which is `+0.0` for every double.
+        let ptr = unsafe { base.add(offset) }.cast::<f64>();
+        AlignedVec {
+            ptr,
+            len,
+            alloc: Some((base, layout)),
+        }
+    }
+
+    /// A 64-byte-aligned buffer of `len` doubles, filled by `init`.
+    ///
+    /// # Safety
+    /// `init` must write every slot it is given: the buffer is handed out
+    /// as `len` initialized doubles.
+    unsafe fn with_init(len: usize, init: impl FnOnce(&mut [MaybeUninit<f64>])) -> Self {
+        if len == 0 {
+            return Self::empty();
+        }
+        let layout = Self::layout(len, 0, CACHE_LINE);
+        // SAFETY: layout has non-zero size (len > 0).
+        let raw = unsafe { alloc(layout) };
+        let Some(base) = NonNull::new(raw) else {
+            handle_alloc_error(layout)
+        };
+        let ptr = base.cast::<f64>();
+        // SAFETY: the allocation holds `len` doubles at `ptr`, and
+        // `MaybeUninit` slots may be uninitialized.
+        let slots = unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr().cast(), len) };
+        init(slots);
+        AlignedVec {
+            ptr,
+            len,
+            alloc: Some((base, layout)),
+        }
     }
 
     /// A buffer of `len` copies of `value`.
     pub fn splat(value: f64, len: usize) -> Self {
-        let mut v = Self::zeros(len);
-        v.fill(value);
-        v
+        // SAFETY: `fill` writes every slot.
+        unsafe { Self::with_init(len, |slots| slots.fill(MaybeUninit::new(value))) }
     }
 
     /// An aligned copy of `values`.
     pub fn from_slice(values: &[f64]) -> Self {
-        let mut v = Self::zeros(values.len());
-        v.copy_from_slice(values);
-        v
+        // SAFETY: there are as many slots as values, and the zip writes
+        // one value into each.
+        unsafe {
+            Self::with_init(values.len(), |slots| {
+                for (slot, &v) in slots.iter_mut().zip(values) {
+                    slot.write(v);
+                }
+            })
+        }
     }
 
     /// Shortens the visible length to `len` (no-op if already shorter).
@@ -114,9 +197,10 @@ impl DerefMut for AlignedVec {
 
 impl Drop for AlignedVec {
     fn drop(&mut self) {
-        if self.cap > 0 {
-            // SAFETY: allocated in `zeros` with exactly this layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.cap)) }
+        if let Some((base, layout)) = self.alloc {
+            // SAFETY: `base` was returned by the global allocator for
+            // exactly this layout and is freed only here.
+            unsafe { dealloc(base.as_ptr(), layout) }
         }
     }
 }
@@ -129,7 +213,7 @@ impl Clone for AlignedVec {
 
 impl Default for AlignedVec {
     fn default() -> Self {
-        Self::zeros(0)
+        Self::empty()
     }
 }
 
@@ -261,6 +345,89 @@ mod tests {
         assert_eq!(v, vec![1.0, 2.0]);
         v.truncate(5); // no-op
         assert_eq!(v.len(), 2);
+    }
+
+    /// Lengths the constructor tests cover: empty, sub-line, one page
+    /// plus one double, and two sizes past glibc's `mmap` threshold.
+    const LENGTHS: [usize; 6] = [0, 1, 7, 4097, 1 << 17, 1 << 22];
+
+    /// Doubles whose bit patterns differ element to element, NaN
+    /// payloads and `-0.0` included, so a copy that normalises or skips
+    /// elements shows.
+    fn patterned(len: usize) -> Vec<f64> {
+        (0..len as u64)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => f64::from_bits(0x7ff8_0000_0000_0000 | i),
+                _ => f64::from_bits(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            })
+            .collect()
+    }
+
+    fn assert_aligned(v: &AlignedVec, len: usize, what: &str) {
+        assert_eq!(v.len(), len, "{what} len {len}");
+        assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0, "{what} len {len}");
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn zeros_is_aligned_positive_zero_at_every_length() {
+        for len in LENGTHS {
+            let mut v = AlignedVec::zeros(len);
+            assert_aligned(&v, len, "zeros");
+            assert!(v.iter().all(|x| x.to_bits() == 0), "zeros len {len}");
+            // Every element is writable, the last included.
+            v.fill(1.5);
+            assert!(v.iter().all(|&x| x == 1.5));
+            drop(v);
+        }
+    }
+
+    #[test]
+    fn copies_are_aligned_and_bit_equal_at_every_length() {
+        for len in LENGTHS {
+            let src = patterned(len);
+            let copy = AlignedVec::from_slice(&src);
+            assert_aligned(&copy, len, "from_slice");
+            assert!(same_bits(&copy, &src), "from_slice len {len}");
+            let twin = copy.clone();
+            assert_aligned(&twin, len, "clone");
+            assert!(same_bits(&twin, &src), "clone len {len}");
+            drop(copy);
+            drop(twin);
+            for value in [-0.0, f64::NAN, 3.25] {
+                let v = AlignedVec::splat(value, len);
+                assert_aligned(&v, len, "splat");
+                assert!(
+                    v.iter().all(|x| x.to_bits() == value.to_bits()),
+                    "splat len {len}"
+                );
+                drop(v);
+            }
+        }
+    }
+
+    #[test]
+    fn clone_of_truncated_buffer_copies_the_visible_prefix() {
+        for make in [AlignedVec::zeros, |n| AlignedVec::from_slice(&patterned(n))] {
+            let mut v = make(4097);
+            v.truncate(7);
+            let w = v.clone();
+            assert_aligned(&w, 7, "clone of truncated");
+            assert!(same_bits(&w, &v[..7]));
+            // Both free the layout they were allocated with.
+            drop(v);
+            drop(w);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn absurd_length_panics_before_allocating() {
+        let _ = AlignedVec::zeros(usize::MAX / 8);
     }
 
     #[test]

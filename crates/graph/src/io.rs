@@ -181,28 +181,19 @@ pub fn decode_store(mut buf: &[u8], graph: &FactorGraph) -> Result<VarStore, IoE
     if dims != graph.dims() || ne != graph.num_edges() || nv != graph.num_vars() {
         return Err(IoError::Corrupt("checkpoint shape mismatch".into()));
     }
-    let mut store = VarStore::zeros(graph);
-    let edge_len = ne * dims;
-    let var_len = nv * dims;
+    let (edge_len, var_len) = (ne * dims, nv * dims);
+    // Length check first: a truncated checkpoint allocates nothing.
     need(&buf, 8 * (4 * edge_len + 2 * var_len))?;
-    for len_arr in [
-        (edge_len, 0usize),
-        (edge_len, 1),
-        (edge_len, 2),
-        (edge_len, 3),
-        (var_len, 4),
-        (var_len, 5),
+    let mut store = VarStore::zeros(graph);
+    for target in [
+        &mut store.x,
+        &mut store.m,
+        &mut store.u,
+        &mut store.n,
+        &mut store.z,
+        &mut store.z_prev,
     ] {
-        let (len, which) = len_arr;
-        let target: &mut [f64] = match which {
-            0 => &mut store.x,
-            1 => &mut store.m,
-            2 => &mut store.u,
-            3 => &mut store.n,
-            4 => &mut store.z,
-            _ => &mut store.z_prev,
-        };
-        for slot in target.iter_mut().take(len) {
+        for slot in target.iter_mut() {
             *slot = buf.get_f64_le();
         }
     }
@@ -870,5 +861,19 @@ mod tests {
         b2.add_factor(&[v]);
         let g2 = b2.build();
         assert!(matches!(decode_store(&buf, &g2), Err(IoError::Corrupt(_))));
+    }
+
+    #[test]
+    fn truncated_store_rejected() {
+        let g = sample();
+        let mut buf = Vec::new();
+        encode_store(&VarStore::zeros(&g), &mut buf);
+        for cut in [0, 11, 12, 13, buf.len() - 8, buf.len() - 1] {
+            assert!(
+                matches!(decode_store(&buf[..cut], &g), Err(IoError::Truncated)),
+                "cut at {cut}"
+            );
+        }
+        assert!(decode_store(&buf, &g).is_ok());
     }
 }

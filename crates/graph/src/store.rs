@@ -34,14 +34,18 @@ pub struct VarStore {
 }
 
 impl VarStore {
-    /// Zero-initialized storage shaped for `graph`.
+    /// Zero-initialized storage shaped for `graph`. A large zero store
+    /// costs address space but no resident memory until it is written
+    /// ([`AlignedVec::zeros`] takes the lazy `calloc` path), so building
+    /// one only to replace it is cheap.
     pub fn zeros(graph: &FactorGraph) -> Self {
         Self::zeros_shape(graph.dims(), graph.num_edges(), graph.num_vars())
     }
 
     /// Zero-initialized storage for an explicit `(dims, edges, vars)`
     /// shape — used by batching code that slices instance stores out of a
-    /// fused store without holding the instance's graph.
+    /// fused store without holding the instance's graph. Lazy like
+    /// [`VarStore::zeros`].
     pub fn zeros_shape(dims: usize, num_edges: usize, num_vars: usize) -> Self {
         assert!(dims >= 1, "dims must be at least 1");
         let ne = num_edges * dims;

@@ -1,13 +1,14 @@
 //! Flat per-edge parameter stream for the u/n sweeps.
 //!
 //! The u- and n-updates are edge-local, but the natural way to write them
-//! walks `EdgeId` accessors (`params.rho(e)`, `graph.edge_var(e)`, then
+//! walks `EdgeId` accessors (`params.alpha(e)`, `graph.edge_var(e)`, then
 //! `b.idx() * dims`) — three indirections per edge that the optimizer
 //! cannot hoist because `EdgeParams` and `FactorGraph` live behind
-//! separate references. [`EdgeStream`] precomputes the whole per-edge
-//! tuple `(ρ, α, flat z-base index)` into three dense arrays, so the
-//! kernel inner loop is a pure streaming pass: sequential loads of
-//! `rho/alpha/z_base`, one gather into `z`, sequential updates of `u`/`n`.
+//! separate references. [`EdgeStream`] precomputes the per-edge pair
+//! `(α, flat z-base index)` into two dense arrays, so the kernel inner
+//! loop is a pure streaming pass: sequential loads of `alpha/z_base`,
+//! one gather into `z`, sequential updates of `u`/`n`. The u/n updates
+//! do not read ρ, so the stream does not copy it.
 //!
 //! A stream is a *snapshot* of `EdgeParams`, and params change between
 //! blocks, so executors rebuild the stream once per `run_block` call
@@ -19,10 +20,9 @@ use crate::aligned::AlignedVec;
 use crate::graph::FactorGraph;
 use crate::params::EdgeParams;
 
-/// Dense `(ρ, α, z-base)` per-edge stream (see module docs).
+/// Dense `(α, z-base)` per-edge stream (see module docs).
 #[derive(Debug, Clone)]
 pub struct EdgeStream {
-    rho: AlignedVec,
     alpha: AlignedVec,
     /// Flat start index of each edge's variable block in `z`
     /// (`edge_var(e).idx() * dims`), precomputed so kernels index `z`
@@ -52,7 +52,6 @@ impl EdgeStream {
             z_base.push((graph.edge_var(e).idx() * dims) as u32);
         }
         EdgeStream {
-            rho: AlignedVec::from_slice(&params.rho),
             alpha: AlignedVec::from_slice(&params.alpha),
             z_base,
             dims,
@@ -75,12 +74,6 @@ impl EdgeStream {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.z_base.is_empty()
-    }
-
-    /// Per-edge `ρ`, dense and aligned.
-    #[inline]
-    pub fn rho(&self) -> &[f64] {
-        &self.rho
     }
 
     /// Per-edge `α`, dense and aligned.
@@ -109,13 +102,12 @@ mod tests {
         b.add_factor(&[vs[3], vs[1], vs[2]]);
         let g = b.build();
         let mut p = EdgeParams::uniform(&g, 2.0, 0.5);
-        p.rho[3] = 9.0;
+        p.alpha[3] = 1.5;
         let s = EdgeStream::build(&g, &p);
         assert_eq!(s.len(), g.num_edges());
         assert_eq!(s.dims(), 3);
         assert!(!s.is_empty());
         for e in g.edges() {
-            assert_eq!(s.rho()[e.idx()], p.rho(e));
             assert_eq!(s.alpha()[e.idx()], p.alpha(e));
             assert_eq!(s.z_base()[e.idx()] as usize, g.edge_var(e).idx() * 3);
         }
