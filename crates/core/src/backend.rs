@@ -56,13 +56,13 @@ use crate::timing::UpdateTimings;
 ///   is the unit of work a worker acquires at once, so larger chunks
 ///   amortize coordination while smaller chunks let slow/unlucky workers
 ///   shed load; claim-based executors take it from the plan
-///   ([`Pass::chunk`]), the only source of chunk granularity;
+///   (`Pass::chunk`), the only source of chunk granularity;
 /// * **fairness** is not required — a backend may give one worker all
 ///   the work (as [`SerialBackend`] trivially does) or rebalance every
 ///   sweep; correctness never depends on who executed which chunk;
 /// * the only hard rules are that every task of a pass is executed
 ///   **exactly once** per iteration, passes execute in the plan's order
-///   `x+m | z | u+n` (see [`kernels::xm_update_block`] and
+///   `x+m | z | u+n` (see `kernels::xm_update_block` and
 ///   [`kernels::un_update_range_stream`] for why each fusion is exact),
 ///   and all writes of a pass are visible before the next pass reads
 ///   them.
@@ -70,7 +70,7 @@ use crate::timing::UpdateTimings;
 /// # Schedule resolution
 ///
 /// Backends execute the [`SweepPlan`] the problem carries
-/// ([`AdmmProblem::plan`]), falling back to [`SweepPlan::fused`] — use
+/// (`AdmmProblem::plan`), falling back to [`SweepPlan::fused`] — use
 /// [`SweepPlan::resolve`] for the shared rule. Every plan has the same
 /// three passes; chunk sizes and splits change throughput, never a bit.
 pub trait SweepExecutor: Send {
@@ -193,7 +193,6 @@ impl SweepExecutor for SerialBackend {
 /// OpenMP approach #1, one `#pragma omp parallel for` ≙ one parallel
 /// iterator.
 pub struct RayonBackend {
-    threads: Option<usize>,
     pool: Option<rayon::ThreadPool>,
 }
 
@@ -207,12 +206,7 @@ impl RayonBackend {
                 .build()
                 .expect("failed to build rayon pool")
         });
-        RayonBackend { threads, pool }
-    }
-
-    /// The configured worker count (`None` = rayon's default).
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
+        RayonBackend { pool }
     }
 }
 
@@ -356,11 +350,6 @@ impl BarrierBackend {
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "barrier backend needs at least one thread");
         BarrierBackend { threads }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -659,7 +648,6 @@ fn run_barrier(
 pub struct AutoBackend {
     candidates: Vec<Box<dyn SweepExecutor>>,
     chosen: Option<Box<dyn SweepExecutor>>,
-    probe_report: Vec<(&'static str, f64)>,
 }
 
 /// Iterations each candidate runs during the probe.
@@ -682,7 +670,6 @@ impl AutoBackend {
                 Box::new(crate::fleet::FleetBackend::new(threads)),
             ],
             chosen: None,
-            probe_report: Vec::new(),
         }
     }
 
@@ -690,12 +677,6 @@ impl AutoBackend {
     /// first block runs.
     pub fn selected(&self) -> Option<&'static str> {
         self.chosen.as_ref().map(|b| b.name())
-    }
-
-    /// Probe measurements as `(backend name, wall-clock seconds per
-    /// iteration)`, in candidate order. Empty until the first block runs.
-    pub fn probe_report(&self) -> &[(&'static str, f64)] {
-        &self.probe_report
     }
 
     fn probe(&mut self, problem: &AdmmProblem, store: &VarStore) {
@@ -708,7 +689,6 @@ impl AutoBackend {
             let wall = Instant::now();
             cand.run_block(problem, &mut scratch, PROBE_ITERS, &mut timings);
             let s_per_iter = wall.elapsed().as_secs_f64() / PROBE_ITERS as f64;
-            self.probe_report.push((cand.name(), s_per_iter));
             if best.is_none_or(|(_, b)| s_per_iter < b) {
                 best = Some((i, s_per_iter));
             }
@@ -818,22 +798,7 @@ mod tests {
         let a = solve_with(&mut SerialBackend, 50);
         let b = solve_with(&mut auto, 50);
         assert_eq!(a, b);
-        let name = auto.selected().expect("probe must lock in");
-        assert_eq!(auto.probe_report().len(), 5, "one row per candidate");
-        assert!(auto.probe_report().iter().any(|&(n, _)| n == name));
-        assert!(auto.probe_report().iter().all(|&(_, s)| s > 0.0));
-        // The probe picks the argmin of its own report.
-        let best = auto
-            .probe_report()
-            .iter()
-            .fold(f64::INFINITY, |acc, &(_, s)| acc.min(s));
-        let sel = auto
-            .probe_report()
-            .iter()
-            .find(|&&(n, _)| n == name)
-            .map(|&(_, s)| s)
-            .unwrap();
-        assert_eq!(sel, best, "selected candidate must be the fastest probed");
+        assert!(auto.selected().is_some(), "probe must lock in");
     }
 
     #[test]

@@ -107,7 +107,6 @@ struct Slot {
     graph: FactorGraph,
     params: EdgeParams,
     proxes: Option<Vec<Box<dyn ProxOp>>>,
-    initial_store: Option<VarStore>,
     run: RunState,
     result_store: Option<VarStore>,
 }
@@ -129,7 +128,7 @@ struct ActiveSet {
 /// [`BatchSolver::run`] is one-shot: it drives every instance to
 /// convergence or to the iteration budget, then finalizes. Per-instance
 /// results are read back with [`BatchSolver::store`] /
-/// [`BatchSolver::report`].
+/// `BatchSolver::report`.
 pub struct BatchSolver {
     options: SolverOptions,
     backend: Box<dyn SweepExecutor>,
@@ -217,7 +216,6 @@ impl BatchSolver {
                     graph,
                     params,
                     proxes: Some(proxes),
-                    initial_store: None,
                     result_store: None,
                 }
             })
@@ -236,38 +234,9 @@ impl BatchSolver {
         }
     }
 
-    /// Number of batched instances.
-    pub fn num_instances(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
-    }
-
-    /// Accumulated sweep timings over the fused execution.
-    pub fn timings(&self) -> &UpdateTimings {
-        &self.timings
-    }
-
     /// The executing backend's stable name.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
-    }
-
-    /// Seeds instance `i` with `store` instead of zeros (warm start).
-    ///
-    /// # Panics
-    /// If called after [`BatchSolver::run`] started, or the store is
-    /// not shaped for instance `i`.
-    pub fn warm_start(&mut self, i: usize, store: VarStore) {
-        assert!(!self.started, "warm starts must precede run()");
-        let g = &self.slots[i].graph;
-        assert_eq!(store.dims(), g.dims(), "warm start dims mismatch");
-        assert_eq!(store.num_edges(), g.num_edges(), "warm start edge count");
-        assert_eq!(store.num_vars(), g.num_vars(), "warm start var count");
-        self.slots[i].initial_store = Some(store);
     }
 
     /// Final state of instance `i`.
@@ -282,7 +251,7 @@ impl BatchSolver {
     }
 
     /// Report for instance `i` (available after [`BatchSolver::run`]).
-    pub fn report(&self, i: usize) -> InstanceReport {
+    pub(crate) fn report(&self, i: usize) -> InstanceReport {
         self.slots[i].run.report()
     }
 
@@ -299,10 +268,7 @@ impl BatchSolver {
             let (mut members, mut states, mut proxes) = (Vec::new(), Vec::new(), Vec::new());
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 slot.run = RunState::new(self.options.stopping, max_iters, &slot.graph);
-                let state = slot
-                    .initial_store
-                    .take()
-                    .unwrap_or_else(|| VarStore::zeros(&slot.graph));
+                let state = VarStore::zeros(&slot.graph);
                 let slot_proxes = slot.proxes.take().expect("proxes present before start");
                 if slot.run.is_stopped() {
                     // A zero budget: the instance never packs.
@@ -645,33 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_carries_into_the_fused_solve() {
-        let options = SolverOptions {
-            stopping: StoppingCriteria::fixed_iterations(25),
-            ..SolverOptions::default()
-        };
-        // Solo: seeded state, 25 iterations.
-        let problem = consensus_problem(&[1.0, 5.0]);
-        let mut seed = VarStore::zeros(problem.graph());
-        for (j, v) in seed.n.iter_mut().enumerate() {
-            *v = (j as f64 * 0.51).sin();
-        }
-        seed.snapshot_z();
-        let mut solo = Solver::from_problem(problem, options);
-        *solo.store_mut() = seed.clone();
-        solo.run(25);
-
-        let mut batch = BatchSolver::new(
-            vec![consensus_problem(&[1.0, 5.0]), consensus_problem(&[7.0])],
-            options,
-        );
-        batch.warm_start(0, seed);
-        batch.run(25);
-        assert_eq!(batch.store(0).z, solo.store().z);
-        assert_eq!(batch.store(0).n, solo.store().n);
-    }
-
-    #[test]
     fn explicit_backend_is_used() {
         let options = SolverOptions::default();
         let mut batch =
@@ -703,12 +642,10 @@ mod tests {
     #[test]
     fn report_throughput_accessors() {
         let mut batch = BatchSolver::new(mixed_instances(), SolverOptions::default());
-        assert_eq!(batch.num_instances(), 3);
         let report = batch.run(1000);
         assert_eq!(report.instances.len(), 3);
         assert_eq!(report.converged_count(), 3);
         assert!(report.instances_per_second() > 0.0);
-        assert!(batch.timings().iterations > 0);
     }
 
     #[test]

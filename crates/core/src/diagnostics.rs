@@ -107,7 +107,7 @@ pub struct ProxKindCost {
 /// 10–30 ns on the scoreboard host), so timing single calls — as
 /// [`crate::Planner::measure`] does for its per-factor weights — reads
 /// the clock, not the operator. Every row goes through
-/// [`kernels::x_update_block`] one factor at a time (a group's factors
+/// `kernels::x_update_block` one factor at a time (a group's factors
 /// are scattered over the graph), so rows compare with each other; the
 /// pass proper hands the kernel whole ranges and is a little cheaper per
 /// call.
@@ -243,7 +243,7 @@ pub struct FleetWorkerStats {
 
 impl FleetWorkerStats {
     /// Zeroed counters sized for `instances` fleet slots.
-    pub fn new(instances: usize) -> Self {
+    pub(crate) fn new(instances: usize) -> Self {
         FleetWorkerStats {
             chunks_by_instance: vec![0; instances],
             migrations: 0,
@@ -252,7 +252,7 @@ impl FleetWorkerStats {
     }
 
     /// Total chunks this worker executed across all instances.
-    pub fn total_chunks(&self) -> u64 {
+    pub(crate) fn total_chunks(&self) -> u64 {
         self.chunks_by_instance.iter().sum()
     }
 
@@ -291,7 +291,7 @@ impl FleetDiagnostics {
 
     /// Merges one round's per-worker stats (worker slot `i` of every
     /// round accumulates into entry `i`).
-    pub fn record_round(&mut self, per_worker: Vec<FleetWorkerStats>) {
+    pub(crate) fn record_round(&mut self, per_worker: Vec<FleetWorkerStats>) {
         if self.workers.len() < per_worker.len() {
             self.workers
                 .resize_with(per_worker.len(), FleetWorkerStats::default);
@@ -303,12 +303,12 @@ impl FleetDiagnostics {
     }
 
     /// Per-worker accumulated counters.
-    pub fn workers(&self) -> &[FleetWorkerStats] {
+    pub(crate) fn workers(&self) -> &[FleetWorkerStats] {
         &self.workers
     }
 
     /// Number of scheduling rounds recorded.
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         self.rounds
     }
 
@@ -328,7 +328,7 @@ impl FleetDiagnostics {
     }
 
     /// Chunks executed on instance `i` by all workers combined.
-    pub fn chunks_for_instance(&self, i: usize) -> u64 {
+    pub(crate) fn chunks_for_instance(&self, i: usize) -> u64 {
         self.workers
             .iter()
             .map(|w| w.chunks_by_instance.get(i).copied().unwrap_or(0))
@@ -376,7 +376,7 @@ pub fn fleet_report(diag: &FleetDiagnostics) -> String {
 /// A healthy run reads 0, or a handful while values decaying to zero
 /// cross the range. A count that *stays* above 0 means some kernel keeps
 /// subnormals alive and every sweep touching them pays the CPU's denormal
-/// assist — see [`crate::kernels::flush_subnormal`].
+/// assist — see `crate::kernels::flush_subnormal`.
 pub fn subnormal_count(store: &VarStore) -> usize {
     [
         &store.x,
@@ -429,46 +429,10 @@ impl Trace {
         &self.points
     }
 
-    /// Latest sample.
-    pub fn last(&self) -> Option<&TracePoint> {
-        self.points.last()
-    }
-
-    /// Whether the combined residual is (weakly) decreasing over the last
-    /// `window` samples — a cheap stall detector.
-    pub fn is_improving(&self, window: usize) -> bool {
-        if self.points.len() < window.max(2) {
-            return true;
-        }
-        let tail = &self.points[self.points.len() - window..];
-        let first = tail
-            .first()
-            .map(|p| p.residuals.primal + p.residuals.dual)
-            .unwrap();
-        let last = tail
-            .last()
-            .map(|p| p.residuals.primal + p.residuals.dual)
-            .unwrap();
-        last <= first
-    }
-
-    /// Renders the trace as CSV (`iteration,primal,dual,x_norm,z_norm,u_norm`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("iteration,primal,dual,x_norm,z_norm,u_norm\n");
-        for p in &self.points {
-            let r = &p.residuals;
-            out.push_str(&format!(
-                "{},{:.6e},{:.6e},{:.6e},{:.6e},{:.6e}\n",
-                p.iteration, r.primal, r.dual, r.x_norm, r.z_norm, r.u_norm
-            ));
-        }
-        out
-    }
-
     /// Renders the trace as a JSON array of samples (hand-rolled — the
     /// repo carries no serde), one object per recorded point: residuals,
     /// norms and `"subnormals"`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, p) in self.points.iter().enumerate() {
             if i > 0 {
@@ -486,7 +450,7 @@ impl Trace {
 }
 
 /// Structured per-run telemetry as one JSON document: the residual
-/// trajectory ([`Trace::to_json`], each sample with the state's
+/// trajectory (`Trace::to_json`, each sample with the state's
 /// [`subnormal_count`] as `"subnormals"`) plus the per-pass wall-clock
 /// breakdown from [`crate::UpdateTimings`] — what a long run leaves
 /// behind for later inspection.
@@ -555,25 +519,13 @@ mod tests {
             trace.record(done, &p, &store);
         }
         assert_eq!(trace.points().len(), 10);
-        assert_eq!(trace.last().unwrap().iteration, 200);
-        // Converging problem → residuals improve over the tail.
-        assert!(trace.is_improving(5));
-        let first = trace.points()[0].residuals.primal + trace.points()[0].residuals.dual;
-        let last = trace.last().unwrap().residuals.primal + trace.last().unwrap().residuals.dual;
-        assert!(last < first);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let p = problem();
-        let store = paradmm_graph::VarStore::zeros(p.graph());
-        let mut trace = Trace::new();
-        trace.record(0, &p, &store);
-        let csv = trace.to_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("iteration,primal"));
-        assert!(lines[1].starts_with("0,"));
+        let (first, last) = (&trace.points()[0], &trace.points()[9]);
+        assert_eq!(last.iteration, 200);
+        // Converging problem → residuals improve.
+        assert!(
+            last.residuals.primal + last.residuals.dual
+                < first.residuals.primal + first.residuals.dual
+        );
     }
 
     #[test]
@@ -635,7 +587,7 @@ mod tests {
         assert_eq!(subnormal_count(&store), 6);
         let mut trace = Trace::new();
         trace.record(0, &p, &store);
-        assert_eq!(trace.last().unwrap().subnormals, 6);
+        assert_eq!(trace.points()[0].subnormals, 6);
         let doc = run_trace_json("stalled", &trace, &UpdateTimings::new());
         assert!(doc.contains("\"subnormals\":6"), "{doc}");
     }
@@ -644,12 +596,6 @@ mod tests {
     fn empty_trace_serializes_to_empty_array() {
         let trace = Trace::new();
         assert_eq!(trace.to_json(), "[]");
-    }
-
-    #[test]
-    fn short_trace_counts_as_improving() {
-        let trace = Trace::new();
-        assert!(trace.is_improving(5));
     }
 
     #[test]

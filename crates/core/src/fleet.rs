@@ -353,7 +353,7 @@ pub struct FleetBackend {
 
 impl FleetBackend {
     /// Backend with `threads` work-assisting workers claiming each
-    /// pass's own [`crate::Pass::chunk`] granularity.
+    /// pass's own `crate::Pass::chunk` granularity.
     ///
     /// # Panics
     /// If `threads == 0`.
@@ -365,14 +365,10 @@ impl FleetBackend {
         }
     }
 
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Accumulated per-worker assist telemetry (chunks claimed,
     /// migrations, idle spins) — see [`crate::diagnostics::fleet_report`].
-    pub fn diagnostics(&self) -> &FleetDiagnostics {
+    #[cfg(test)]
+    pub(crate) fn diagnostics(&self) -> &FleetDiagnostics {
         &self.diagnostics
     }
 }
@@ -422,7 +418,7 @@ struct FleetSlot {
 ///   instead.
 ///
 /// Each instance claims chunks at its own plan's granularity
-/// ([`crate::Pass::chunk`]; install one with [`AdmmProblem::set_plan`]
+/// (`crate::Pass::chunk`; install one with [`AdmmProblem::set_plan`]
 /// before handing the problem over).
 ///
 /// Each instance follows its own [`RunState`] schedule, as
@@ -439,9 +435,7 @@ pub struct FleetSolver {
     /// instances open first, so early claims land where assistance
     /// will be needed.
     order: Vec<usize>,
-    layout: FleetLayout,
     started: bool,
-    timings: UpdateTimings,
     diagnostics: FleetDiagnostics,
     elapsed: Duration,
 }
@@ -500,38 +494,10 @@ impl FleetSolver {
             threads,
             slots,
             order,
-            layout,
             started: false,
-            timings: UpdateTimings::new(),
             diagnostics: FleetDiagnostics::new(),
             elapsed: Duration::ZERO,
         }
-    }
-
-    /// Number of fleet instances.
-    pub fn num_instances(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
-    }
-
-    /// Size statistics over the fleet (per-instance costs, imbalance).
-    pub fn layout(&self) -> &FleetLayout {
-        &self.layout
-    }
-
-    /// Accumulated sweep timings (fleet rounds are recorded under
-    /// [`UpdateKind::X`] — workers interleave passes).
-    pub fn timings(&self) -> &UpdateTimings {
-        &self.timings
     }
 
     /// Accumulated per-worker assist telemetry.
@@ -560,7 +526,7 @@ impl FleetSolver {
     }
 
     /// Report for instance `i`.
-    pub fn report(&self, i: usize) -> InstanceReport {
+    pub(crate) fn report(&self, i: usize) -> InstanceReport {
         self.slots[i].run.report()
     }
 
@@ -603,11 +569,8 @@ impl FleetSolver {
             // Largest-cost-first: early claims land on the instances
             // that will need assistance.
             round.sort_by_key(|ri| rank[ri.global]);
-            let t0 = Instant::now();
             run_round(&mut round, block, self.threads, &mut self.diagnostics);
             drop(round);
-            self.timings.add(UpdateKind::X, t0.elapsed());
-            self.timings.iterations += block;
 
             for slot in self.slots.iter_mut().filter(|s| !s.run.is_stopped()) {
                 let (problem, store) = (&slot.problem, &slot.store);
@@ -863,13 +826,9 @@ mod tests {
     #[test]
     fn fleet_solver_report_accessors() {
         let mut fleet = FleetSolver::with_threads(mixed_instances(), SolverOptions::default(), 2);
-        assert_eq!(fleet.num_instances(), 3);
-        assert_eq!(fleet.threads(), 2);
         let report = fleet.run(1000);
         assert_eq!(report.instances.len(), 3);
         assert!(report.instances_per_second() > 0.0);
-        assert!(fleet.timings().iterations > 0);
-        assert!(fleet.layout().imbalance() >= 1.0);
         assert!(fleet.diagnostics().total_chunks() > 0);
     }
 

@@ -26,9 +26,9 @@
 //! # The prox sweep
 //!
 //! The x pass has one body, `prox_sweep`, behind two block-relative entry
-//! points: [`x_update_block`] and the fused [`xm_update_block`]. It takes
+//! points: `x_update_block` and the fused `xm_update_block`. It takes
 //! a factor range and write slices covering exactly that range (as
-//! [`z_update_swapped_block`] and [`un_update_range_stream`] do), walks
+//! `z_update_swapped_block` and [`un_update_range_stream`] do), walks
 //! the factor offsets once, hands each operator a [`ProxCtx`] cut from the
 //! factor's CSR range without re-validating shapes the graph guarantees,
 //! and forms `m = x + u` once per [`PROX_TILE`] factors over the tile's
@@ -42,11 +42,13 @@
 //! # Subnormals
 //!
 //! Every write of the dual `u`, in every body, goes through
-//! [`flush_subnormal`]: `u` is the one array that carries its own value
+//! `flush_subnormal`: `u` is the one array that carries its own value
 //! from one iteration to the next, so it is the one place a subnormal
 //! can settle for good.
 
-use paradmm_graph::{EdgeParams, EdgeStream, FactorGraph, FactorId, VarId};
+#[cfg(test)]
+use paradmm_graph::FactorId;
+use paradmm_graph::{EdgeParams, EdgeStream, FactorGraph, VarId};
 use paradmm_prox::{ProxCtx, ProxOp};
 
 /// The rule every write of the scaled dual `u` goes through: a subnormal
@@ -69,7 +71,7 @@ use paradmm_prox::{ProxCtx, ProxOp};
 /// Exported so that the reference loop ([`crate::naive::NaiveAdmm`])
 /// applies the same rule from the same place.
 #[inline(always)]
-pub fn flush_subnormal(v: f64) -> f64 {
+pub(crate) fn flush_subnormal(v: f64) -> f64 {
     // One compare and one mask: below the normal range only the sign bit
     // survives. Also true for ±0, which the sign bit reproduces; false
     // for NaN.
@@ -395,8 +397,8 @@ impl UpdateKind {
     }
 }
 
-/// Factors per tile of the prox sweep ([`x_update_block`],
-/// [`xm_update_block`]): the operators of a tile run back to back and the
+/// Factors per tile of the prox sweep (`x_update_block`,
+/// `xm_update_block`): the operators of a tile run back to back and the
 /// `m = x + u` tail then covers the tile's whole flat range at once. At
 /// the paper families' 2–12 scalars per factor a tile's x, u, m and n
 /// blocks are a few KiB — still in L1 when the tail reads them back.
@@ -468,7 +470,7 @@ fn prox_sweep<'p>(
 /// operator — the identity into [`crate::AdmmProblem::proxes`] for most
 /// callers, a local → global lookup for the shard-local graphs.
 #[inline]
-pub fn x_update_block<'p>(
+pub(crate) fn x_update_block<'p>(
     graph: &FactorGraph,
     prox_of: impl Fn(usize) -> &'p dyn ProxOp,
     params: &EdgeParams,
@@ -494,7 +496,7 @@ pub fn x_update_block<'p>(
 /// fewer per iteration in barrier-style backends.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
-pub fn xm_update_block<'p>(
+pub(crate) fn xm_update_block<'p>(
     graph: &FactorGraph,
     prox_of: impl Fn(usize) -> &'p dyn ProxOp,
     params: &EdgeParams,
@@ -512,7 +514,11 @@ pub fn xm_update_block<'p>(
 /// The flat component range `[lo, hi)` the factors `[a_lo, a_hi)` own in
 /// every edge-ordered array.
 #[inline]
-pub fn factor_flat_range(graph: &FactorGraph, a_lo: usize, a_hi: usize) -> std::ops::Range<usize> {
+pub(crate) fn factor_flat_range(
+    graph: &FactorGraph,
+    a_lo: usize,
+    a_hi: usize,
+) -> std::ops::Range<usize> {
     let (offsets, d) = (graph.factor_offsets(), graph.dims());
     offsets[a_lo] as usize * d..offsets[a_hi] as usize * d
 }
@@ -522,7 +528,8 @@ pub fn factor_flat_range(graph: &FactorGraph, a_lo: usize, a_hi: usize) -> std::
 /// that factor's slice of the global x array). [`x_update_block`] over a
 /// range of one; sweeps call the block kernel directly.
 #[inline]
-pub fn x_update_factor(
+#[cfg(test)]
+pub(crate) fn x_update_factor(
     graph: &FactorGraph,
     prox: &dyn ProxOp,
     params: &EdgeParams,
@@ -563,7 +570,7 @@ pub fn m_update_range(x: &[f64], u: &[f64], m: &mut [f64], lo: usize, hi: usize)
 }
 
 /// Fused x+m over a contiguous factor range `[a_lo, a_hi)`; `x_all` and
-/// `m_all` are the full global arrays (see [`xm_update_block`]).
+/// `m_all` are the full global arrays (see `xm_update_block`).
 #[allow(clippy::too_many_arguments)] // mirrors the sweep signature family
 pub fn xm_update_range(
     graph: &FactorGraph,
@@ -603,7 +610,7 @@ const Z_STACK_DIMS: usize = 8;
 /// `acc · inv` is the very multiplication `*= inv` performed. Only the
 /// redundant memory traffic is gone.
 #[inline]
-pub fn z_update_var(
+pub(crate) fn z_update_var(
     graph: &FactorGraph,
     params: &EdgeParams,
     m_all: &[f64],
@@ -654,7 +661,7 @@ pub fn z_update_var(
 /// (its slice of the previous iterate), reproducing Algorithm 2's "left
 /// unchanged" semantics bit for bit.
 #[inline]
-pub fn z_update_swapped_var(
+pub(crate) fn z_update_swapped_var(
     graph: &FactorGraph,
     params: &EdgeParams,
     m_all: &[f64],
@@ -697,7 +704,7 @@ pub fn z_update_swapped_range(
 /// `z_block` covers exactly the variables `[b_lo, b_hi)` (`z_old` stays
 /// the full previous-iterate buffer), so parallel executors can pass the
 /// disjoint chunk they own.
-pub fn z_update_swapped_block(
+pub(crate) fn z_update_swapped_block(
     graph: &FactorGraph,
     params: &EdgeParams,
     m_all: &[f64],
@@ -813,7 +820,7 @@ pub fn n_update_range_stream(
 /// backend's per-thread sweep ranges use), so the front-loading
 /// regression tests below guard that call site.
 #[inline]
-pub fn assign_range(n_items: usize, part: usize, n_parts: usize) -> (usize, usize) {
+pub(crate) fn assign_range(n_items: usize, part: usize, n_parts: usize) -> (usize, usize) {
     debug_assert!(part < n_parts, "part {part} out of range for {n_parts}");
     let base = n_items / n_parts;
     let rem = n_items % n_parts;

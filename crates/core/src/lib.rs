@@ -11,7 +11,7 @@
 //! for (a,b) ∈ E:  n(a,b) ← z_b − u(a,b)                     // n-update
 //! ```
 //!
-//! Every executor runs one schedule: a [`SweepPlan`] (see [`plan`])
+//! Every executor runs one schedule: a [`SweepPlan`] of [`Pass`]es
 //! groups the five sweeps into three fused passes, `x+m | z | u+n` —
 //! three synchronization points instead of five, with a double-buffered
 //! `z`/`z_prev` swap in place of the per-iteration snapshot copy — and a
@@ -51,32 +51,32 @@
 //! For many *small independent* problems (batched serving), the
 //! [`BatchSolver`] packs instances into one block-diagonal fused store
 //! and drives it through any backend, with per-instance residual
-//! tracking and early-exit freezing — see [`batch`]. For
+//! tracking and early-exit freezing — see [`BatchSolver::run`]. For
 //! *heterogeneous* fleets (mixed sizes, even mixed `dims`), the
 //! work-assisting [`FleetSolver`] keeps instances separate and lets
 //! idle workers assist whichever instance still has sweep work — see
-//! [`fleet`].
+//! [`FleetSolver::run`].
 //!
 //! Users write only serial proximal operators ([`paradmm_prox::ProxOp`]);
 //! no parallel code is ever required — the paper's headline usability
 //! claim.
 
-pub mod adaptive;
-pub mod backend;
-pub mod batch;
-pub mod diagnostics;
-pub mod fleet;
+mod adaptive;
+mod backend;
+mod batch;
+mod diagnostics;
+mod fleet;
 pub mod kernels;
 pub mod naive;
-pub mod plan;
-pub mod problem;
-pub mod request;
-pub mod residuals;
-pub mod solver;
-pub mod spec;
-pub mod stale;
-pub mod timing;
-pub mod twa;
+mod plan;
+mod problem;
+mod request;
+mod residuals;
+mod solver;
+mod spec;
+mod stale;
+mod timing;
+mod twa;
 
 pub use adaptive::ResidualBalancing;
 pub use backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};

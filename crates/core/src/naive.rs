@@ -92,7 +92,8 @@ impl<'p> NaiveAdmm<'p> {
     }
 
     /// The consensus estimate of variable `b`.
-    pub fn z(&self, b: usize) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn z(&self, b: usize) -> &[f64] {
         &self.z[b]
     }
 

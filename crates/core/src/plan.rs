@@ -67,7 +67,7 @@ pub enum PassKind {
 
 impl PassKind {
     /// The index space this pass sweeps.
-    pub fn space(self) -> PassSpace {
+    pub(crate) fn space(self) -> PassSpace {
         match self {
             PassKind::Xm => PassSpace::Factors,
             PassKind::Z => PassSpace::Vars,
@@ -76,7 +76,7 @@ impl PassKind {
     }
 
     /// The constituent sweeps, in execution order.
-    pub fn kinds(self) -> &'static [UpdateKind] {
+    pub(crate) fn kinds(self) -> &'static [UpdateKind] {
         match self {
             PassKind::Xm => &[UpdateKind::X, UpdateKind::M],
             PassKind::Z => &[UpdateKind::Z],
@@ -87,7 +87,7 @@ impl PassKind {
     /// The [`UpdateKind`] a fused pass's time is accounted under in
     /// [`crate::UpdateTimings`] — the first constituent: x+m under `X`,
     /// u+n under `U`.
-    pub fn timing_kind(self) -> UpdateKind {
+    pub(crate) fn timing_kind(self) -> UpdateKind {
         self.kinds()[0]
     }
 
@@ -120,7 +120,7 @@ const MIN_ITEM_COST: f64 = 1e-12;
 
 impl Pass {
     /// A pass whose items all cost the same; static splits fall back to
-    /// the count-balanced [`kernels::assign_range`].
+    /// the count-balanced `kernels::assign_range`.
     ///
     /// # Panics
     /// If `chunk == 0`.
@@ -171,22 +171,14 @@ impl Pass {
 
     /// Items a fleet worker claims per atomic increment.
     #[inline]
-    pub fn chunk(&self) -> usize {
+    pub(crate) fn chunk(&self) -> usize {
         self.chunk
     }
 
     /// Whether the pass carries a measured cost profile.
     #[inline]
-    pub fn is_weighted(&self) -> bool {
+    pub(crate) fn is_weighted(&self) -> bool {
         self.cum_cost.is_some()
-    }
-
-    /// Total measured cost (items, when uniform).
-    pub fn total_cost(&self) -> f64 {
-        match &self.cum_cost {
-            Some(c) => *c.last().unwrap_or(&0.0),
-            None => self.items as f64,
-        }
     }
 
     /// The static range `[lo, hi)` worker `part` of `n_parts` owns:
@@ -196,7 +188,7 @@ impl Pass {
     ///
     /// # Panics
     /// If `part >= n_parts`.
-    pub fn split(&self, part: usize, n_parts: usize) -> (usize, usize) {
+    pub(crate) fn split(&self, part: usize, n_parts: usize) -> (usize, usize) {
         assert!(part < n_parts, "part {part} out of range for {n_parts}");
         match &self.cum_cost {
             None => kernels::assign_range(self.items, part, n_parts),
@@ -293,7 +285,7 @@ impl SweepPlan {
 
     /// One-line human summary, e.g.
     /// `x+m[n=12,chunk=64,weighted] | z[n=7,chunk=64] | u+n[n=24,chunk=64]`.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         self.passes
             .iter()
             .map(|p| {

@@ -101,7 +101,7 @@ impl AdmmProblem {
     /// The explicit iteration schedule, if one was installed. `None`
     /// means backends use the default [`SweepPlan::fused`] schedule.
     #[inline]
-    pub fn plan(&self) -> Option<&SweepPlan> {
+    pub(crate) fn plan(&self) -> Option<&SweepPlan> {
         self.plan.as_ref()
     }
 

@@ -38,7 +38,6 @@ use std::time::Duration;
 
 use paradmm_graph::VarStore;
 
-use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
 use crate::residuals::{Residuals, StopReason, StoppingCriteria};
 use crate::solver::{Solver, SolverOptions};
@@ -93,7 +92,6 @@ pub struct SolveRequest {
     stopping: StoppingCriteria,
     backend: BackendSpec,
     warm_start: Option<VarStore>,
-    plan: Option<SweepPlan>,
     deadline: Option<Duration>,
     priority: Priority,
 }
@@ -110,8 +108,6 @@ pub struct SolveRequestParts {
     pub backend: BackendSpec,
     /// Initial state instead of zeros.
     pub warm_start: Option<VarStore>,
-    /// Explicit iteration schedule override.
-    pub plan: Option<SweepPlan>,
     /// Completion deadline relative to admission (scheduling hint).
     pub deadline: Option<Duration>,
     /// Scheduling urgency (hint).
@@ -128,7 +124,6 @@ impl SolveRequest {
             stopping: StoppingCriteria::default(),
             backend: BackendSpec::Serial,
             warm_start: None,
-            plan: None,
             deadline: None,
             priority: Priority::Normal,
         }
@@ -156,13 +151,6 @@ impl SolveRequest {
         assert_eq!(store.num_edges(), g.num_edges(), "warm start edge count");
         assert_eq!(store.num_vars(), g.num_vars(), "warm start var count");
         self.warm_start = Some(store);
-        self
-    }
-
-    /// Installs an explicit iteration schedule (a measured
-    /// [`SweepPlan`]) instead of the default fused plan.
-    pub fn with_plan(mut self, plan: SweepPlan) -> Self {
-        self.plan = Some(plan);
         self
     }
 
@@ -217,7 +205,6 @@ impl SolveRequest {
             stopping: self.stopping,
             backend: self.backend,
             warm_start: self.warm_start,
-            plan: self.plan,
             deadline: self.deadline,
             priority: self.priority,
         }
@@ -233,11 +220,7 @@ impl SolveRequest {
             stopping: parts.stopping,
             ..SolverOptions::default()
         };
-        let mut problem = parts.problem;
-        if let Some(plan) = parts.plan {
-            problem.set_plan(plan);
-        }
-        let mut solver = Solver::from_problem(problem, options);
+        let mut solver = Solver::from_problem(parts.problem, options);
         if let Some(ws) = parts.warm_start {
             *solver.store_mut() = ws;
         }

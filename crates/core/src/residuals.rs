@@ -238,7 +238,7 @@ impl RunState {
     }
 
     /// Iterations run so far.
-    pub fn done(&self) -> usize {
+    pub(crate) fn done(&self) -> usize {
         self.done
     }
 

@@ -54,16 +54,7 @@ pub struct SolverReport {
     pub final_residuals: Option<Residuals>,
 }
 
-impl SolverReport {
-    /// Seconds per iteration, the paper's primary metric.
-    pub fn seconds_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.elapsed.as_secs_f64() / self.iterations as f64
-        }
-    }
-}
+impl SolverReport {}
 
 /// Owns the problem, the ADMM state, and the execution backend.
 pub struct Solver {
@@ -122,7 +113,8 @@ impl Solver {
     }
 
     /// The execution backend.
-    pub fn backend(&self) -> &dyn SweepExecutor {
+    #[cfg(test)]
+    pub(crate) fn backend(&self) -> &dyn SweepExecutor {
         self.backend.as_ref()
     }
 
@@ -136,16 +128,6 @@ impl Solver {
         &mut self.store
     }
 
-    /// The problem definition.
-    pub fn problem(&self) -> &AdmmProblem {
-        &self.problem
-    }
-
-    /// Mutable problem (adaptive-ρ schemes).
-    pub fn problem_mut(&mut self) -> &mut AdmmProblem {
-        &mut self.problem
-    }
-
     /// Simultaneous shared problem + mutable store access (custom
     /// initialization that reads the topology while writing state).
     pub fn problem_and_store_mut(&mut self) -> (&AdmmProblem, &mut VarStore) {
@@ -156,43 +138,6 @@ impl Solver {
     /// refresh + warm-start in one step, e.g. receding-horizon MPC).
     pub fn parts_mut(&mut self) -> (&mut AdmmProblem, &mut VarStore) {
         (&mut self.problem, &mut self.store)
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
-    }
-
-    /// Installs an explicit [`crate::SweepPlan`] on the problem; every
-    /// backend executes it from the next block on.
-    ///
-    /// # Panics
-    /// If the plan was built for a different graph shape.
-    pub fn set_plan(&mut self, plan: crate::SweepPlan) {
-        self.problem.set_plan(plan);
-    }
-
-    /// Measures this problem's per-operator and per-sweep costs with
-    /// `planner`, compiles the measured fused plan, installs it, and
-    /// returns the installed plan — the one-call route to cost-model
-    /// scheduling (the paper's future-work item 2).
-    pub fn plan_measured(&mut self, planner: &crate::Planner) -> &crate::SweepPlan {
-        let plan = planner.plan(&self.problem);
-        self.problem.set_plan(plan);
-        self.problem.plan().expect("plan was just installed")
-    }
-
-    /// Randomizes all state uniformly in `[lo, hi)` from a deterministic
-    /// seed — the analogue of the paper's `initialize_X_N_Z_M_U_rand`.
-    pub fn init_random(&mut self, lo: f64, hi: f64, seed: u64) {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
-        self.store.init_uniform(lo, hi, move || {
-            // xorshift64*: fast, deterministic, good enough for init noise.
-            s ^= s >> 12;
-            s ^= s << 25;
-            s ^= s >> 27;
-            (s.wrapping_mul(0x2545f4914f6cdd1d) >> 11) as f64 / (1_u64 << 53) as f64
-        });
     }
 
     /// Current residuals (an O(|E|·d) sweep).
@@ -209,7 +154,7 @@ impl Solver {
     /// Like [`Solver::run`], additionally appending `(iteration,
     /// residuals)` to `trace` at every convergence check — the residual
     /// trace a [`crate::SolveOutcome`] carries.
-    pub fn run_traced(
+    pub(crate) fn run_traced(
         &mut self,
         max_iters: usize,
         trace: &mut Vec<(usize, Residuals)>,
@@ -324,33 +269,19 @@ mod tests {
         let (g, p) = two_quadratics();
         let mut solver = Solver::new(g, p, SolverOptions::default());
         let report = solver.run(20);
-        assert!(report.seconds_per_iteration() >= 0.0);
         assert!(report.elapsed.as_secs_f64() < 10.0);
-    }
-
-    #[test]
-    fn init_random_is_deterministic() {
-        let (g, p) = two_quadratics();
-        let mut s1 = Solver::new(g, p, SolverOptions::default());
-        s1.init_random(-1.0, 1.0, 42);
-        let z1 = s1.store().z.clone();
-
-        let (g2, p2) = two_quadratics();
-        let mut s2 = Solver::new(g2, p2, SolverOptions::default());
-        s2.init_random(-1.0, 1.0, 42);
-        assert_eq!(z1, s2.store().z);
-
-        let (g3, p3) = two_quadratics();
-        let mut s3 = Solver::new(g3, p3, SolverOptions::default());
-        s3.init_random(-1.0, 1.0, 43);
-        assert_ne!(z1, s3.store().z);
     }
 
     #[test]
     fn random_init_still_converges_to_optimum() {
         let (g, p) = two_quadratics();
         let mut solver = Solver::new(g, p, SolverOptions::default());
-        solver.init_random(-10.0, 10.0, 7);
+        // Deterministic LCG draws in [0, 1).
+        let mut state = 7.0_f64;
+        solver.store_mut().init_uniform(-10.0, 10.0, move || {
+            state = (state * 9301.0 + 49297.0) % 233280.0;
+            state / 233280.0
+        });
         let report = solver.run(2000);
         assert_eq!(report.stop_reason, StopReason::Converged);
         assert!((solver.store().z_var(VarId(0))[0] - 3.0).abs() < 1e-4);
@@ -478,11 +409,7 @@ mod tests {
         auto.run_block(&problem, &mut store, 500, &mut t);
         assert_eq!(t.iterations, 500);
         assert!((store.z[0] - 3.0).abs() < 1e-5, "z = {}", store.z[0]);
-        let selected = auto.selected().expect("probe ran");
-        assert!(auto
-            .probe_report()
-            .iter()
-            .any(|&(name, _)| name == selected));
+        assert!(auto.selected().is_some(), "probe ran");
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub const BACKEND_FAMILIES: [&str; 8] = [
 
 impl BackendSpec {
     /// The spec's family name — the text form without any `:N` suffix.
-    pub fn family(&self) -> &'static str {
+    pub(crate) fn family(&self) -> &'static str {
         match self {
             BackendSpec::Serial => "serial",
             BackendSpec::Rayon { .. } => "rayon",
@@ -112,7 +112,7 @@ impl BackendSpec {
     }
 
     /// The explicit worker/shard count, if one was given.
-    pub fn count(&self) -> Option<usize> {
+    pub(crate) fn count(&self) -> Option<usize> {
         match *self {
             BackendSpec::Serial => None,
             BackendSpec::Rayon { threads }

@@ -172,6 +172,8 @@ struct StaleState {
     /// body. Built with the shards; the ρ/α fingerprint below rebuilds
     /// both when the parameters change.
     streams: Vec<EdgeStream>,
+    /// The partition the shards were cut from (read by the tests only).
+    #[cfg(test)]
     partition: Partition,
     dims: usize,
     num_vars: usize,
@@ -244,6 +246,7 @@ impl StaleState {
         StaleState {
             store,
             streams,
+            #[cfg(test)]
             partition,
             dims: g.dims(),
             num_vars: g.num_vars(),
@@ -273,7 +276,6 @@ pub struct StaleBoundedBackend {
     staleness: usize,
     explicit_partition: Option<Partition>,
     state: Option<StaleState>,
-    iterations: usize,
     max_observed_skew: usize,
 }
 
@@ -291,7 +293,6 @@ impl StaleBoundedBackend {
             staleness,
             explicit_partition: None,
             state: None,
-            iterations: 0,
             max_observed_skew: 0,
         }
     }
@@ -307,29 +308,14 @@ impl StaleBoundedBackend {
             explicit_partition: Some(partition),
             staleness,
             state: None,
-            iterations: 0,
             max_observed_skew: 0,
         }
     }
 
-    /// Number of shards (= worker threads).
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
-    /// The staleness bound `k`.
-    pub fn staleness(&self) -> usize {
-        self.staleness
-    }
-
     /// The partition in use, once the first block has built the shards.
-    pub fn partition(&self) -> Option<&Partition> {
+    #[cfg(test)]
+    pub(crate) fn partition(&self) -> Option<&Partition> {
         self.state.as_ref().map(|s| &s.partition)
-    }
-
-    /// Iterations executed so far.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// The largest `t − version` any cross-shard read actually consumed
@@ -386,7 +372,6 @@ impl SweepExecutor for StaleBoundedBackend {
         let skew = run_stale(problem, state, iters, self.staleness, t);
         state.store.gather(store);
         self.max_observed_skew = self.max_observed_skew.max(skew);
-        self.iterations += iters;
     }
 }
 

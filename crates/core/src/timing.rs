@@ -36,13 +36,13 @@ pub struct SweepCosts {
 
 impl SweepCosts {
     /// Total measured x-sweep seconds (sum over factors).
-    pub fn x_total(&self) -> f64 {
+    pub(crate) fn x_total(&self) -> f64 {
         self.factor_seconds.iter().sum()
     }
 
     /// Largest single proximal-operator cost — the indivisible task that
     /// bounds any schedule's critical path.
-    pub fn max_factor(&self) -> f64 {
+    pub(crate) fn max_factor(&self) -> f64 {
         self.factor_seconds.iter().fold(0.0f64, |m, &c| m.max(c))
     }
 
@@ -62,7 +62,7 @@ impl SweepCosts {
     }
 
     /// Predicted serial seconds of one full iteration (all five sweeps).
-    pub fn predicted_iteration_seconds(&self, num_edges: usize, num_vars: usize) -> f64 {
+    pub(crate) fn predicted_iteration_seconds(&self, num_edges: usize, num_vars: usize) -> f64 {
         self.x_total()
             + (self.m_per_edge + self.u_per_edge + self.n_per_edge) * num_edges as f64
             + self.z_per_var * num_vars as f64
@@ -85,13 +85,13 @@ impl UpdateTimings {
 
     /// Adds `dur` to the accumulator of `kind`.
     #[inline]
-    pub fn add(&mut self, kind: UpdateKind, dur: Duration) {
+    pub(crate) fn add(&mut self, kind: UpdateKind, dur: Duration) {
         self.seconds[kind.index()] += dur.as_secs_f64();
     }
 
     /// Total seconds spent in `kind`.
     #[inline]
-    pub fn seconds(&self, kind: UpdateKind) -> f64 {
+    pub(crate) fn seconds(&self, kind: UpdateKind) -> f64 {
         self.seconds[kind.index()]
     }
 
@@ -103,7 +103,7 @@ impl UpdateTimings {
     /// Seconds per covered iteration (0 if no iterations recorded) — the
     /// paper's primary metric, computed from the accumulated per-kind
     /// times.
-    pub fn seconds_per_iteration(&self) -> f64 {
+    pub(crate) fn seconds_per_iteration(&self) -> f64 {
         if self.iterations == 0 {
             0.0
         } else {
@@ -112,7 +112,7 @@ impl UpdateTimings {
     }
 
     /// Fraction of total time spent in `kind` (0 if nothing recorded).
-    pub fn fraction(&self, kind: UpdateKind) -> f64 {
+    pub(crate) fn fraction(&self, kind: UpdateKind) -> f64 {
         let t = self.total_seconds();
         if t > 0.0 {
             self.seconds(kind) / t
@@ -122,7 +122,7 @@ impl UpdateTimings {
     }
 
     /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &UpdateTimings) {
+    pub(crate) fn merge(&mut self, other: &UpdateTimings) {
         for i in 0..5 {
             self.seconds[i] += other.seconds[i];
         }

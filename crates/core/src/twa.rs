@@ -29,9 +29,9 @@ pub enum WeightClass {
 }
 
 /// Effective ρ used for a [`WeightClass::Zero`] edge.
-pub const ZERO_RHO: f64 = 1e-12;
+pub(crate) const ZERO_RHO: f64 = 1e-12;
 /// Effective ρ used for a [`WeightClass::Infinite`] edge.
-pub const INF_RHO: f64 = 1e12;
+pub(crate) const INF_RHO: f64 = 1e12;
 
 /// Per-edge weight-class assignment.
 #[derive(Debug, Clone)]
@@ -72,7 +72,8 @@ impl TwaWeights {
     }
 
     /// Number of edges in each class: `(zero, standard, infinite)`.
-    pub fn census(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn census(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
         for c in &self.classes {
             match c {

@@ -20,8 +20,6 @@
 //! scale nearly linearly, which is why the *combined* speedup lands in the
 //! paper's 5–9× band rather than 32×.
 
-use paradmm_core::UpdateKind;
-
 use crate::tasks::{SweepProfile, WorkloadProfile};
 
 /// Multicore CPU machine model.
@@ -72,7 +70,7 @@ impl CpuModel {
     }
 
     /// Aggregate bandwidth available to `cores` cooperating cores.
-    pub fn bandwidth(&self, cores: usize) -> f64 {
+    pub(crate) fn bandwidth(&self, cores: usize) -> f64 {
         let per_socket_cores = cores.min(self.cores_per_socket);
         let frac = (per_socket_cores as f64 / self.bw_sat_cores as f64).min(1.0);
         let one_socket = self.bw_single + (self.bw_socket - self.bw_single) * frac;
@@ -128,14 +126,9 @@ impl CpuModel {
     }
 
     /// Modeled speedup of `cores` cores over one core.
-    pub fn speedup(&self, profile: &WorkloadProfile, cores: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn speedup(&self, profile: &WorkloadProfile, cores: usize) -> f64 {
         self.iteration_time(profile, 1) / self.iteration_time(profile, cores)
-    }
-
-    /// Per-sweep speedup breakdown (for the figures' "individual updates").
-    pub fn sweep_speedup(&self, profile: &WorkloadProfile, kind: UpdateKind, cores: usize) -> f64 {
-        let s = profile.sweep(kind);
-        self.sweep_time(s, 1) / self.sweep_time(s, cores)
     }
 }
 

@@ -124,7 +124,7 @@ impl SimtDevice {
     }
 
     /// Resident blocks per SM for a given block size.
-    pub fn concurrent_blocks(&self, ntb: usize) -> usize {
+    pub(crate) fn concurrent_blocks(&self, ntb: usize) -> usize {
         let warps_per_block = ntb.div_ceil(self.warp_size);
         let by_warps = (self.max_warps_per_sm / warps_per_block).max(1);
         self.max_blocks_per_sm.min(by_warps).max(1)

@@ -23,12 +23,11 @@
 //! measured serial run so the modeled serial-CPU time matches reality,
 //! making speedup = modeled-CPU / modeled-GPU a like-for-like ratio.
 
-pub mod balance;
-pub mod cpu;
-pub mod device;
-pub mod multi;
-pub mod tasks;
-pub mod transfer;
+mod cpu;
+mod device;
+mod multi;
+mod tasks;
+mod transfer;
 
 pub use cpu::CpuModel;
 pub use device::{KernelStats, SimtDevice};

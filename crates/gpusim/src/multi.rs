@@ -50,7 +50,7 @@ pub struct MultiIteration {
 
 impl MultiIteration {
     /// Total seconds per iteration.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.compute_seconds + self.exchange_seconds
     }
 }
@@ -137,13 +137,6 @@ impl MultiDevice {
             exchange_bytes: plan.bytes_per_iteration(),
             per_part,
         }
-    }
-
-    /// Exchange bytes per iteration this model predicts for `partition`
-    /// on `graph` — derived from the same [`HaloExchangePlan`] the real
-    /// sharded backend counts its measured bytes against.
-    pub fn predicted_exchange_bytes(&self, graph: &FactorGraph, partition: &Partition) -> usize {
-        HaloExchangePlan::build(graph, partition).bytes_per_iteration()
     }
 
     /// Speedup of this device group over a single device of the same kind.
@@ -257,8 +250,7 @@ mod tests {
         let part = Partition::grow(g, 2);
         let md = MultiDevice::k40s(2);
         let plan = HaloExchangePlan::build(g, &part);
-        let predicted = md.predicted_exchange_bytes(g, &part);
-        assert_eq!(predicted, plan.bytes_per_iteration());
+        let predicted = plan.bytes_per_iteration();
         let it = md.iteration_time(g, &profile, &part);
         assert_eq!(it.exchange_bytes, predicted);
         assert!(it.exchange_seconds > 0.0);

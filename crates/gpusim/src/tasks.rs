@@ -36,7 +36,7 @@ impl TaskCost {
     /// partially amortized by locality), not the GPU's full 128-byte
     /// transaction.
     #[inline]
-    pub fn cpu_bytes(&self) -> f64 {
+    pub(crate) fn cpu_bytes(&self) -> f64 {
         self.coalesced_bytes + 16.0 * self.scattered_transactions
     }
 
@@ -44,7 +44,7 @@ impl TaskCost {
     /// bodies back to back (kernel fusion adds work per thread, it does
     /// not change what each body reads or writes).
     #[inline]
-    pub fn fused_with(&self, other: &TaskCost) -> TaskCost {
+    pub(crate) fn fused_with(&self, other: &TaskCost) -> TaskCost {
         TaskCost {
             compute: self.compute + other.compute,
             coalesced_bytes: self.coalesced_bytes + other.coalesced_bytes,
@@ -66,13 +66,14 @@ pub struct SweepProfile {
 
 impl SweepProfile {
     /// Total compute units across tasks.
-    pub fn total_compute(&self) -> f64 {
+    pub(crate) fn total_compute(&self) -> f64 {
         self.tasks.iter().map(|t| t.compute).sum()
     }
 
     /// Total bytes moved on a 128-byte-transaction device (coalesced +
     /// scattered·128 B).
-    pub fn total_bytes(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_bytes(&self) -> f64 {
         self.tasks
             .iter()
             .map(|t| t.coalesced_bytes + 128.0 * t.scattered_transactions)
@@ -80,12 +81,12 @@ impl SweepProfile {
     }
 
     /// Total effective bytes through a CPU cache hierarchy.
-    pub fn total_cpu_bytes(&self) -> f64 {
+    pub(crate) fn total_cpu_bytes(&self) -> f64 {
         self.tasks.iter().map(TaskCost::cpu_bytes).sum()
     }
 
     /// Largest single-task compute cost (drives warp divergence).
-    pub fn max_compute(&self) -> f64 {
+    pub(crate) fn max_compute(&self) -> f64 {
         self.tasks.iter().fold(0.0_f64, |m, t| m.max(t.compute))
     }
 }
@@ -228,12 +229,14 @@ impl WorkloadProfile {
     }
 
     /// Total compute units per full iteration.
-    pub fn total_compute(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_compute(&self) -> f64 {
         self.sweeps.iter().map(|s| s.total_compute()).sum()
     }
 
     /// Total bytes moved per full iteration.
-    pub fn total_bytes(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_bytes(&self) -> f64 {
         self.sweeps.iter().map(|s| s.total_bytes()).sum()
     }
 }

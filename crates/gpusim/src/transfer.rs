@@ -32,7 +32,7 @@ impl PcieLink {
     }
 
     /// Time to move `bytes` across the link.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.bandwidth
     }
 

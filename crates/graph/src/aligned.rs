@@ -35,7 +35,7 @@ use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
 /// Alignment (bytes) of the first element of every [`AlignedVec`].
-pub const CACHE_LINE: usize = 64;
+pub(crate) const CACHE_LINE: usize = 64;
 
 /// Alignment of the zeroed allocations: the allocator's own minimum on
 /// 64-bit targets, so the request takes the lazy `calloc` path.
@@ -137,13 +137,13 @@ impl AlignedVec {
     }
 
     /// A buffer of `len` copies of `value`.
-    pub fn splat(value: f64, len: usize) -> Self {
+    pub(crate) fn splat(value: f64, len: usize) -> Self {
         // SAFETY: `fill` writes every slot.
         unsafe { Self::with_init(len, |slots| slots.fill(MaybeUninit::new(value))) }
     }
 
     /// An aligned copy of `values`.
-    pub fn from_slice(values: &[f64]) -> Self {
+    pub(crate) fn from_slice(values: &[f64]) -> Self {
         // SAFETY: there are as many slots as values, and the zip writes
         // one value into each.
         unsafe {
@@ -158,7 +158,8 @@ impl AlignedVec {
     /// Shortens the visible length to `len` (no-op if already shorter).
     /// The allocation is retained, so this is O(1) and exact-inverse-free —
     /// it exists for tests that corrupt shapes on purpose.
-    pub fn truncate(&mut self, len: usize) {
+    #[cfg(test)]
+    pub(crate) fn truncate(&mut self, len: usize) {
         if len < self.len {
             self.len = len;
         }

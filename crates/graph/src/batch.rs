@@ -19,7 +19,9 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::FactorGraph;
-use crate::ids::{EdgeId, FactorId, VarId};
+#[cfg(test)]
+use crate::ids::FactorId;
+use crate::ids::{EdgeId, VarId};
 use crate::params::EdgeParams;
 use crate::partition::Partition;
 use crate::store::VarStore;
@@ -87,7 +89,7 @@ impl BatchLayout {
 
     /// Number of packed instances.
     #[inline]
-    pub fn num_instances(&self) -> usize {
+    pub(crate) fn num_instances(&self) -> usize {
         self.var_offsets.len() - 1
     }
 
@@ -99,19 +101,19 @@ impl BatchLayout {
 
     /// Total variables across the batch.
     #[inline]
-    pub fn total_vars(&self) -> usize {
+    pub(crate) fn total_vars(&self) -> usize {
         *self.var_offsets.last().unwrap() as usize
     }
 
     /// Total factors across the batch.
     #[inline]
-    pub fn total_factors(&self) -> usize {
+    pub(crate) fn total_factors(&self) -> usize {
         *self.factor_offsets.last().unwrap() as usize
     }
 
     /// Total edges across the batch.
     #[inline]
-    pub fn total_edges(&self) -> usize {
+    pub(crate) fn total_edges(&self) -> usize {
         *self.edge_offsets.last().unwrap() as usize
     }
 
@@ -135,14 +137,16 @@ impl BatchLayout {
 
     /// Global id of instance `i`'s local variable `b`.
     #[inline]
-    pub fn global_var(&self, i: usize, b: VarId) -> VarId {
+    #[cfg(test)]
+    pub(crate) fn global_var(&self, i: usize, b: VarId) -> VarId {
         debug_assert!(b.idx() < self.var_range(i).len());
         VarId(self.var_offsets[i] + b.0)
     }
 
     /// Global id of instance `i`'s local factor `a`.
     #[inline]
-    pub fn global_factor(&self, i: usize, a: FactorId) -> FactorId {
+    #[cfg(test)]
+    pub(crate) fn global_factor(&self, i: usize, a: FactorId) -> FactorId {
         debug_assert!(a.idx() < self.factor_range(i).len());
         FactorId(self.factor_offsets[i] + a.0)
     }
@@ -161,7 +165,8 @@ impl BatchLayout {
     }
 
     /// `(instance, local id)` of a global factor id.
-    pub fn instance_of_factor(&self, a: FactorId) -> (usize, FactorId) {
+    #[cfg(test)]
+    pub(crate) fn instance_of_factor(&self, a: FactorId) -> (usize, FactorId) {
         let i = Self::locate(&self.factor_offsets, a.0);
         (i, FactorId(a.0 - self.factor_offsets[i]))
     }
@@ -234,7 +239,7 @@ impl BatchLayout {
     ///
     /// # Panics
     /// If shapes disagree.
-    pub fn write_store(&self, fused: &mut VarStore, i: usize, instance: &VarStore) {
+    pub(crate) fn write_store(&self, fused: &mut VarStore, i: usize, instance: &VarStore) {
         self.assert_fused_shape(fused);
         let d = self.dims;
         let er = self.edge_range(i);
@@ -347,16 +352,11 @@ impl BatchStore {
         &self.params
     }
 
-    /// The fused ADMM state.
-    #[inline]
-    pub fn store(&self) -> &VarStore {
-        &self.store
-    }
-
     /// Mutable fused state (warm starts through
     /// [`BatchLayout::write_store`]).
     #[inline]
-    pub fn store_mut(&mut self) -> &mut VarStore {
+    #[cfg(test)]
+    pub(crate) fn store_mut(&mut self) -> &mut VarStore {
         &mut self.store
     }
 
@@ -368,12 +368,12 @@ impl BatchStore {
 
     /// Number of packed instances.
     #[inline]
-    pub fn num_instances(&self) -> usize {
+    pub(crate) fn num_instances(&self) -> usize {
         self.layout.num_instances()
     }
 
     /// Copies instance `i`'s state out of the fused store.
-    pub fn extract(&self, i: usize) -> VarStore {
+    pub(crate) fn extract(&self, i: usize) -> VarStore {
         self.layout.extract_store(&self.store, i)
     }
 

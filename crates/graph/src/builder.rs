@@ -78,21 +78,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Number of variables declared so far.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of factors appended so far.
-    pub fn num_factors(&self) -> usize {
-        self.factor_offsets.len() - 1
-    }
-
-    /// Number of edges appended so far.
-    pub fn num_edges(&self) -> usize {
-        self.edge_var.len()
-    }
-
     /// Finalizes into an immutable [`FactorGraph`], building the reverse
     /// adjacency.
     pub fn build(self) -> FactorGraph {
@@ -128,7 +113,7 @@ mod tests {
         assert_eq!(b.add_factor(&[vs[0]]), FactorId(0));
         assert_eq!(b.add_factor(&[vs[1]]), FactorId(1));
         assert_eq!(b.add_factor(&[vs[0], vs[1]]), FactorId(2));
-        assert_eq!(b.num_edges(), 4);
+        assert_eq!(b.build().num_edges(), 4);
     }
 
     #[test]

@@ -5,101 +5,35 @@
 //! fused graph; this helper deliberately does not — the fleet scheduler
 //! keeps every instance separate (instances may even disagree on
 //! `dims`) and only needs per-instance costs to order work
-//! largest-first and to report how skewed the fleet is.
+//! largest-first.
 
 use crate::graph::FactorGraph;
 
-/// Per-instance shape summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetInstance {
-    /// Factors in the instance's graph.
-    pub factors: usize,
-    /// Variables in the instance's graph.
-    pub vars: usize,
-    /// Edges in the instance's graph.
-    pub edges: usize,
-    /// Per-component dimensionality.
-    pub dims: usize,
-}
-
 /// Size statistics over a fleet of independent instances: per-instance
-/// costs, totals, a largest-first schedule order, and an imbalance
-/// ratio. No fusion, no state — shapes only.
+/// costs and a largest-first schedule order. No fusion, no state —
+/// shapes only.
 #[derive(Debug, Clone, Default)]
 pub struct FleetLayout {
-    instances: Vec<FleetInstance>,
+    /// Per instance, in fleet order: edge-components (`edges · dims`),
+    /// the unit every element-wise sweep is linear in.
+    costs: Vec<usize>,
 }
 
 impl FleetLayout {
     /// Builds the layout from the fleet's graphs (any mix of shapes
     /// and dims).
     pub fn new(graphs: &[&FactorGraph]) -> Self {
-        let instances = graphs
-            .iter()
-            .map(|g| FleetInstance {
-                factors: g.num_factors(),
-                vars: g.num_vars(),
-                edges: g.num_edges(),
-                dims: g.dims(),
-            })
-            .collect();
-        FleetLayout { instances }
-    }
-
-    /// Number of instances.
-    pub fn num_instances(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Per-instance summaries, in fleet order.
-    pub fn instances(&self) -> &[FleetInstance] {
-        &self.instances
-    }
-
-    /// Sweep cost proxy for instance `i`: edge-components
-    /// (`edges · dims`), the unit every element-wise sweep is linear
-    /// in.
-    pub fn cost(&self, i: usize) -> usize {
-        let inst = &self.instances[i];
-        inst.edges * inst.dims
-    }
-
-    /// Total edge-components across the fleet.
-    pub fn total_cost(&self) -> usize {
-        (0..self.instances.len()).map(|i| self.cost(i)).sum()
-    }
-
-    /// Total edges across the fleet.
-    pub fn total_edges(&self) -> usize {
-        self.instances.iter().map(|i| i.edges).sum()
+        let costs = graphs.iter().map(|g| g.num_edges() * g.dims()).collect();
+        FleetLayout { costs }
     }
 
     /// Instance indices sorted by descending cost (stable: equal-cost
     /// instances keep fleet order). Opening big instances first puts
     /// early chunk claims where assistance will be needed most.
     pub fn schedule_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.instances.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.cost(i)));
+        let mut order: Vec<usize> = (0..self.costs.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(self.costs[i]));
         order
-    }
-
-    /// Max-over-mean cost ratio (`1.0` for a uniform fleet, `1.0` for
-    /// an empty one). The scheduler's headline input: batch fusion is
-    /// fine near 1, assist scheduling pays off as this grows.
-    pub fn imbalance(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 1.0;
-        }
-        let max = (0..self.instances.len())
-            .map(|i| self.cost(i))
-            .max()
-            .unwrap_or(0);
-        let mean = self.total_cost() as f64 / self.instances.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max as f64 / mean
-        }
     }
 }
 
@@ -123,13 +57,7 @@ mod tests {
         let big = chain(1, 20);
         let mid = chain(2, 5);
         let layout = FleetLayout::new(&[&small, &big, &mid]);
-        assert_eq!(layout.num_instances(), 3);
         assert_eq!(layout.schedule_order(), vec![1, 2, 0]);
-        assert_eq!(
-            layout.total_cost(),
-            layout.cost(0) + layout.cost(1) + layout.cost(2)
-        );
-        assert!(layout.imbalance() > 1.0);
     }
 
     #[test]
@@ -137,9 +65,7 @@ mod tests {
         let one_d = chain(1, 4);
         let three_d = chain(3, 4);
         let layout = FleetLayout::new(&[&one_d, &three_d]);
-        assert_eq!(layout.instances()[0].dims, 1);
-        assert_eq!(layout.instances()[1].dims, 3);
-        assert_eq!(layout.cost(1), 3 * layout.cost(0));
+        assert_eq!(layout.costs[1], 3 * layout.costs[0]);
     }
 
     #[test]
@@ -147,16 +73,12 @@ mod tests {
         let a = chain(2, 6);
         let b = chain(2, 6);
         let layout = FleetLayout::new(&[&a, &b]);
-        assert_eq!(layout.imbalance(), 1.0);
         assert_eq!(layout.schedule_order(), vec![0, 1]);
     }
 
     #[test]
     fn empty_fleet_degenerates() {
         let layout = FleetLayout::new(&[]);
-        assert_eq!(layout.num_instances(), 0);
-        assert_eq!(layout.total_cost(), 0);
-        assert_eq!(layout.imbalance(), 1.0);
         assert!(layout.schedule_order().is_empty());
     }
 }

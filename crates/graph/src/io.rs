@@ -65,8 +65,24 @@ pub fn encode_graph(graph: &FactorGraph, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a graph, validating structure.
-pub fn decode_graph(mut buf: &[u8]) -> Result<FactorGraph, IoError> {
+/// The fixed header of an encoded graph: its shape, which sizes
+/// everything built from the graph (its store, a reply carrying that
+/// store) before any of it is allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphHeader {
+    /// Components per edge vector.
+    pub dims: usize,
+    /// Variable nodes.
+    pub num_vars: usize,
+    /// Factor nodes.
+    pub num_factors: usize,
+    /// Edges.
+    pub num_edges: usize,
+}
+
+/// Reads the header of an [`encode_graph`] blob without decoding (or
+/// allocating for) the body.
+pub fn decode_graph_header(mut buf: &[u8]) -> Result<GraphHeader, IoError> {
     need(&buf, 8)?;
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
@@ -74,13 +90,30 @@ pub fn decode_graph(mut buf: &[u8]) -> Result<FactorGraph, IoError> {
         return Err(IoError::BadHeader);
     }
     need(&buf, 16)?;
-    let dims = buf.get_u32_le() as usize;
-    let num_vars = buf.get_u32_le() as usize;
-    let num_factors = buf.get_u32_le() as usize;
-    let num_edges = buf.get_u32_le() as usize;
-    if dims == 0 {
+    let header = GraphHeader {
+        dims: buf.get_u32_le() as usize,
+        num_vars: buf.get_u32_le() as usize,
+        num_factors: buf.get_u32_le() as usize,
+        num_edges: buf.get_u32_le() as usize,
+    };
+    if header.dims == 0 {
         return Err(IoError::Corrupt("dims must be positive".into()));
     }
+    Ok(header)
+}
+
+/// Bytes [`encode_graph`] writes before the factor offsets.
+const GRAPH_HEADER_LEN: usize = 24;
+
+/// Decodes a graph, validating structure.
+pub fn decode_graph(buf: &[u8]) -> Result<FactorGraph, IoError> {
+    let GraphHeader {
+        dims,
+        num_vars,
+        num_factors,
+        num_edges,
+    } = decode_graph_header(buf)?;
+    let mut buf = &buf[GRAPH_HEADER_LEN..];
     need(&buf, 4 * (num_factors + 1))?;
     let offsets: Vec<u32> = (0..=num_factors).map(|_| buf.get_u32_le()).collect();
     need(&buf, 4 * num_edges)?;
@@ -172,6 +205,21 @@ pub fn encode_store(store: &VarStore, out: &mut Vec<u8>) {
     }
 }
 
+/// Length of [`encode_store`]'s output for a state of `dims`
+/// components over `num_edges` edges and `num_vars` variables, or `None`
+/// if it does not fit in `usize`.
+pub fn encoded_store_len(dims: usize, num_edges: usize, num_vars: usize) -> Option<usize> {
+    let values = num_edges
+        .checked_mul(4)?
+        .checked_add(num_vars.checked_mul(2)?)?
+        .checked_mul(dims)?;
+    values.checked_mul(8)?.checked_add(STORE_HEADER_LEN)
+}
+
+/// Bytes [`encode_store`] writes before the values: `dims`, edge and
+/// variable counts.
+const STORE_HEADER_LEN: usize = 12;
+
 /// Decodes an ADMM state checkpoint shaped for `graph`.
 pub fn decode_store(mut buf: &[u8], graph: &FactorGraph) -> Result<VarStore, IoError> {
     need(&buf, 12)?;
@@ -181,9 +229,9 @@ pub fn decode_store(mut buf: &[u8], graph: &FactorGraph) -> Result<VarStore, IoE
     if dims != graph.dims() || ne != graph.num_edges() || nv != graph.num_vars() {
         return Err(IoError::Corrupt("checkpoint shape mismatch".into()));
     }
-    let (edge_len, var_len) = (ne * dims, nv * dims);
     // Length check first: a truncated checkpoint allocates nothing.
-    need(&buf, 8 * (4 * edge_len + 2 * var_len))?;
+    let len = encoded_store_len(dims, ne, nv).ok_or(IoError::Truncated)?;
+    need(&buf, len - STORE_HEADER_LEN)?;
     let mut store = VarStore::zeros(graph);
     for target in [
         &mut store.x,
@@ -380,7 +428,7 @@ pub fn fingerprint_fold(hash: &mut u64, bytes: &[u8]) {
 
 /// Deterministic 64-bit fingerprint of a problem's shape and weights:
 /// `dims`, variable count, factor offsets, edge targets, and the ρ/α
-/// vectors bit-for-bit — the same identity [`crate::shard`]'s rebuild
+/// vectors bit-for-bit — the same identity `crate::shard`'s rebuild
 /// detection compares field-by-field, folded into one key.
 ///
 /// This hashes *structure only*: the proximal operators (the
@@ -445,6 +493,31 @@ mod tests {
         for a in g.factors() {
             assert_eq!(back.factor_edge_range(a), g.factor_edge_range(a));
         }
+    }
+
+    #[test]
+    fn header_and_store_length_match_the_encoders() {
+        let g = sample();
+        let mut buf = Vec::new();
+        encode_graph(&g, &mut buf);
+        let header = decode_graph_header(&buf).unwrap();
+        assert_eq!(
+            header,
+            GraphHeader {
+                dims: 3,
+                num_vars: 4,
+                num_factors: 3,
+                num_edges: 6
+            }
+        );
+        assert_eq!(
+            decode_graph_header(&buf[..GRAPH_HEADER_LEN - 1]),
+            Err(IoError::Truncated)
+        );
+        buf.clear();
+        encode_store(&VarStore::zeros(&g), &mut buf);
+        assert_eq!(encoded_store_len(3, 6, 4), Some(buf.len()));
+        assert_eq!(encoded_store_len(usize::MAX / 2, 1, 1), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   zero-cut shard partition) for batched multi-instance serving,
 //! * [`FleetLayout`] — size statistics over a fleet of *unfused*
 //!   independent instances (per-instance costs, largest-first schedule
-//!   order, imbalance) for the work-assisting fleet scheduler,
+//!   order) for the work-assisting fleet scheduler,
 //! * [`GraphStats`] — degree statistics (the paper's conclusion discusses
 //!   how degree imbalance throttles the z-update).
 //!
@@ -29,26 +29,26 @@
 //! engine crate (`paradmm-core`) pairs a `FactorGraph` with one prox per
 //! factor.
 
-pub mod aligned;
-pub mod batch;
-pub mod builder;
+mod aligned;
+mod batch;
+mod builder;
 pub(crate) mod byteio;
-pub mod fleet;
-pub mod graph;
-pub mod ids;
+mod fleet;
+mod graph;
+mod ids;
 pub mod io;
-pub mod params;
-pub mod partition;
-pub mod reorder;
-pub mod shard;
-pub mod stats;
-pub mod store;
-pub mod stream;
+mod params;
+mod partition;
+mod reorder;
+mod shard;
+mod stats;
+mod store;
+mod stream;
 
 pub use aligned::AlignedVec;
 pub use batch::{BatchInstance, BatchLayout, BatchStore};
 pub use builder::GraphBuilder;
-pub use fleet::{FleetInstance, FleetLayout};
+pub use fleet::FleetLayout;
 pub use graph::FactorGraph;
 pub use ids::{EdgeId, FactorId, VarId};
 pub use params::EdgeParams;

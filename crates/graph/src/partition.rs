@@ -148,7 +148,7 @@ impl Partition {
     }
 
     /// Load imbalance: max part edge-load over mean.
-    pub fn imbalance(&self, graph: &FactorGraph) -> f64 {
+    pub(crate) fn imbalance(&self, graph: &FactorGraph) -> f64 {
         let loads = self.edge_loads(graph);
         let max = *loads.iter().max().unwrap_or(&0) as f64;
         let mean = graph.num_edges() as f64 / self.parts as f64;

@@ -373,15 +373,9 @@ impl ShardedStore {
         self.dims
     }
 
-    /// Exchange bytes one iteration moves (gather + broadcast) — the
-    /// same number the multi-device model predicts from the shared plan.
-    pub fn halo_bytes_per_iteration(&self) -> usize {
-        self.plan.bytes_per_iteration()
-    }
-
     /// Whether `store` has the global shape this decomposition was built
     /// for.
-    pub fn matches_store(&self, store: &VarStore) -> bool {
+    pub(crate) fn matches_store(&self, store: &VarStore) -> bool {
         store.dims() == self.dims
             && store.num_vars() == self.num_global_vars
             && store.num_edges() == self.num_global_edges
@@ -614,7 +608,7 @@ mod tests {
         let g = chain(30, 2);
         let (s, _) = sharded(&g, 1);
         assert_eq!(s.plan.halo_var_count(), 0);
-        assert_eq!(s.halo_bytes_per_iteration(), 0);
+        assert_eq!(s.plan.bytes_per_iteration(), 0);
         assert!(s.shards[0].stage.is_empty());
         assert_eq!(
             s.shards[0].interior_vars.len(),

@@ -2,7 +2,9 @@
 
 use crate::aligned::AlignedVec;
 use crate::graph::FactorGraph;
-use crate::ids::{EdgeId, FactorId, VarId};
+use crate::ids::VarId;
+#[cfg(test)]
+use crate::ids::{EdgeId, FactorId};
 
 /// ADMM state vectors, stored exactly as the paper stores GPU global memory:
 ///
@@ -81,7 +83,8 @@ impl VarStore {
 
     /// Flat index range of edge `e` within the per-edge arrays.
     #[inline]
-    pub fn edge_range(&self, e: EdgeId) -> std::ops::Range<usize> {
+    #[cfg(test)]
+    pub(crate) fn edge_range(&self, e: EdgeId) -> std::ops::Range<usize> {
         let lo = e.idx() * self.dims;
         lo..lo + self.dims
     }
@@ -95,33 +98,10 @@ impl VarStore {
 
     /// The contiguous flat range covering all edges of factor `a`.
     #[inline]
-    pub fn factor_range(&self, graph: &FactorGraph, a: FactorId) -> std::ops::Range<usize> {
+    #[cfg(test)]
+    pub(crate) fn factor_range(&self, graph: &FactorGraph, a: FactorId) -> std::ops::Range<usize> {
         let r = graph.factor_edge_range(a);
         r.start * self.dims..r.end * self.dims
-    }
-
-    /// `x` sub-vector of edge `e`.
-    #[inline]
-    pub fn x_edge(&self, e: EdgeId) -> &[f64] {
-        &self.x[self.edge_range(e)]
-    }
-
-    /// `n` sub-vector of edge `e`.
-    #[inline]
-    pub fn n_edge(&self, e: EdgeId) -> &[f64] {
-        &self.n[self.edge_range(e)]
-    }
-
-    /// `u` sub-vector of edge `e`.
-    #[inline]
-    pub fn u_edge(&self, e: EdgeId) -> &[f64] {
-        &self.u[self.edge_range(e)]
-    }
-
-    /// `m` sub-vector of edge `e`.
-    #[inline]
-    pub fn m_edge(&self, e: EdgeId) -> &[f64] {
-        &self.m[self.edge_range(e)]
     }
 
     /// `z` sub-vector of variable `b`.
@@ -277,11 +257,11 @@ mod tests {
         let g = small_graph(2);
         let mut s = VarStore::zeros(&g);
         s.x[2] = 9.0; // edge 1, component 0
-        assert_eq!(s.x_edge(EdgeId(1)), &[9.0, 0.0]);
+        assert_eq!(&s.x[s.edge_range(EdgeId(1))], &[9.0, 0.0]);
         s.z[4] = 3.0; // var 2, component 0
         assert_eq!(s.z_var(VarId(2)), &[3.0, 0.0]);
-        assert_eq!(s.n_edge(EdgeId(0)), &[0.0, 0.0]);
-        assert_eq!(s.u_edge(EdgeId(3)), &[0.0, 0.0]);
-        assert_eq!(s.m_edge(EdgeId(3)), &[0.0, 0.0]);
+        assert_eq!(&s.n[s.edge_range(EdgeId(0))], &[0.0, 0.0]);
+        assert_eq!(&s.u[s.edge_range(EdgeId(3))], &[0.0, 0.0]);
+        assert_eq!(&s.m[s.edge_range(EdgeId(3))], &[0.0, 0.0]);
     }
 }

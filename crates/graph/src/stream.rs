@@ -64,18 +64,6 @@ impl EdgeStream {
         self.dims
     }
 
-    /// Number of edges covered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.z_base.len()
-    }
-
-    /// Whether the stream covers zero edges.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.z_base.is_empty()
-    }
-
     /// Per-edge `α`, dense and aligned.
     #[inline]
     pub fn alpha(&self) -> &[f64] {
@@ -104,9 +92,8 @@ mod tests {
         let mut p = EdgeParams::uniform(&g, 2.0, 0.5);
         p.alpha[3] = 1.5;
         let s = EdgeStream::build(&g, &p);
-        assert_eq!(s.len(), g.num_edges());
+        assert_eq!(s.z_base().len(), g.num_edges());
         assert_eq!(s.dims(), 3);
-        assert!(!s.is_empty());
         for e in g.edges() {
             assert_eq!(s.alpha()[e.idx()], p.alpha(e));
             assert_eq!(s.z_base()[e.idx()] as usize, g.edge_var(e).idx() * 3);

@@ -41,7 +41,7 @@ impl Cholesky {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
     }
 
@@ -72,15 +72,6 @@ impl Cholesky {
             y[i] = acc / self.l[(i, i)];
         }
         y
-    }
-
-    /// Log-determinant of `A` (always finite for a PD matrix).
-    pub fn log_det(&self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.dim() {
-            acc += self.l[(i, i)].ln();
-        }
-        2.0 * acc
     }
 }
 
@@ -124,14 +115,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(LinalgError::NotPositiveDefinite(_))
         ));
-    }
-
-    #[test]
-    fn log_det_matches_lu_det() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ld = Cholesky::factor(&a).unwrap().log_det();
-        let d = crate::Lu::factor(&a).unwrap().det();
-        assert!((ld - d.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!
 //! Everything is `f64`; the paper's engine stores all ADMM state as doubles.
 
-pub mod chol;
-pub mod lu;
-pub mod matrix;
+mod chol;
+mod lu;
+mod matrix;
 pub mod ops;
-pub mod project;
+mod project;
 
 pub use chol::Cholesky;
 pub use lu::Lu;

@@ -61,7 +61,7 @@ impl Lu {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -91,7 +91,7 @@ impl Lu {
     }
 
     /// Solves for several right-hand sides given as matrix columns.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Matrix {
         assert_eq!(b.rows(), self.dim(), "rhs row dimension mismatch");
         let mut out = Matrix::zeros(b.rows(), b.cols());
         let mut col = vec![0.0; b.rows()];

@@ -1,7 +1,5 @@
 //! Row-major dense matrix.
 
-use crate::LinalgError;
-
 /// Row-major dense `f64` matrix.
 ///
 /// Sized for the small systems parADMM proximal operators solve (the MPC
@@ -52,19 +50,10 @@ impl Matrix {
     }
 
     /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Diagonal matrix from a slice.
-    pub fn diag(d: &[f64]) -> Self {
-        let mut m = Matrix::zeros(d.len(), d.len());
-        for (i, &v) in d.iter().enumerate() {
-            m[(i, i)] = v;
         }
         m
     }
@@ -93,12 +82,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -122,7 +105,7 @@ impl Matrix {
     }
 
     /// Matrix–vector product into a pre-allocated output.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
         for i in 0..self.rows {
@@ -166,7 +149,7 @@ impl Matrix {
     }
 
     /// `A Aᵀ` (used by affine projections).
-    pub fn aat(&self) -> Matrix {
+    pub(crate) fn aat(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.rows);
         for i in 0..self.rows {
             for j in i..self.rows {
@@ -178,27 +161,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise sum.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.rows * self.cols,
-                got: other.rows * other.cols,
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Scales every entry by `a`.
     pub fn scaled(&self, a: f64) -> Matrix {
         Matrix {
@@ -206,11 +168,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|v| v * a).collect(),
         }
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        crate::ops::norm2(&self.data)
     }
 
     /// Maximum absolute entry difference against another matrix.
@@ -265,8 +222,6 @@ mod tests {
         let i3 = Matrix::identity(3);
         assert_eq!(i3[(1, 1)], 1.0);
         assert_eq!(i3[(0, 1)], 0.0);
-        let d = Matrix::diag(&[2.0, 5.0]);
-        assert_eq!(d[(1, 1)], 5.0);
     }
 
     #[test]
@@ -319,17 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn add_and_scale() {
-        let a = abc();
-        let s = a.add(&a).unwrap();
-        assert_eq!(s, a.scaled(2.0));
-        assert!(a.add(&Matrix::identity(3)).is_err());
-    }
-
-    #[test]
     fn norms_and_diff() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.norm_fro(), 5.0);
         let b = Matrix::from_rows(&[&[3.0, 1.0]]);
         assert_eq!(a.max_abs_diff(&b), 3.0);
     }

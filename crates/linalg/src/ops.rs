@@ -54,57 +54,6 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← a·x`.
-#[inline]
-pub fn scale(a: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= a;
-    }
-}
-
-/// `out ← x + y`, element-wise.
-#[inline]
-pub fn add_into(x: &[f64], y: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), out.len());
-    for i in 0..out.len() {
-        out[i] = x[i] + y[i];
-    }
-}
-
-/// `out ← x − y`, element-wise.
-#[inline]
-pub fn sub_into(x: &[f64], y: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), out.len());
-    for i in 0..out.len() {
-        out[i] = x[i] - y[i];
-    }
-}
-
-/// Copies `src` into `dst`.
-#[inline]
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    dst.copy_from_slice(src);
-}
-
-/// Infinity norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
-/// Normalizes `x` in place, returning the original norm. Leaves `x`
-/// untouched if its norm is below `eps`.
-#[inline]
-pub fn normalize(x: &mut [f64], eps: f64) -> f64 {
-    let n = norm2(x);
-    if n > eps {
-        scale(1.0 / n, x);
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +68,6 @@ mod tests {
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
-        assert_eq!(norm_inf(&[-7.0, 3.0, 5.0]), 7.0);
     }
 
     #[test]
@@ -133,37 +81,5 @@ mod tests {
         let mut y = [1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, [7.0, 9.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut x = [1.0, -2.0];
-        scale(-3.0, &mut x);
-        assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn add_sub_into() {
-        let mut out = [0.0; 2];
-        add_into(&[1.0, 2.0], &[10.0, 20.0], &mut out);
-        assert_eq!(out, [11.0, 22.0]);
-        sub_into(&[1.0, 2.0], &[10.0, 20.0], &mut out);
-        assert_eq!(out, [-9.0, -18.0]);
-    }
-
-    #[test]
-    fn normalize_unit_vector() {
-        let mut x = [3.0, 4.0];
-        let n = normalize(&mut x, 1e-12);
-        assert_eq!(n, 5.0);
-        assert!((norm2(&x) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_zero_vector_untouched() {
-        let mut x = [0.0, 0.0];
-        let n = normalize(&mut x, 1e-12);
-        assert_eq!(n, 0.0);
-        assert_eq!(x, [0.0, 0.0]);
     }
 }

@@ -21,7 +21,7 @@ use crate::problem::MpcConfig;
 /// `(q(0), u(0), …, q(K), u(K))` of length `(K+1)·(n+m)`.
 ///
 /// Only intended for small `K` (dense O(((K+1)(n+m))³) solve).
-pub fn solve_exact(config: &MpcConfig, sys: &LinearSystem) -> Vec<f64> {
+pub(crate) fn solve_exact(config: &MpcConfig, sys: &LinearSystem) -> Vec<f64> {
     let n = sys.state_dim();
     let m = sys.input_dim();
     let blk = n + m;

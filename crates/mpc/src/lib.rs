@@ -17,13 +17,13 @@
 //! linear-dynamics equality factor per adjacent pair, and one
 //! initial-condition factor — everything grows linearly in `K`.
 //!
-//! For small horizons the module also solves the same QP *exactly* via its
-//! KKT system ([`kkt::solve_exact`]) so tests can verify the ADMM fixed
-//! point is the true optimum.
+//! For small horizons the tests also solve the same QP *exactly* via its
+//! KKT system (`kkt::solve_exact`, compiled for tests only) to verify the
+//! ADMM fixed point is the true optimum.
 
-pub mod kkt;
+#[cfg(test)]
+mod kkt;
 pub mod pendulum;
-pub mod problem;
+mod problem;
 
-pub use pendulum::{discretize, inverted_pendulum, LinearSystem};
 pub use problem::{MpcConfig, MpcProblem, Trajectory};

@@ -15,12 +15,12 @@ pub struct LinearSystem {
 
 impl LinearSystem {
     /// State dimension.
-    pub fn state_dim(&self) -> usize {
+    pub(crate) fn state_dim(&self) -> usize {
         self.a.rows()
     }
 
     /// Input dimension.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.b.cols()
     }
 
@@ -33,7 +33,7 @@ impl LinearSystem {
 
     /// Residual of the dynamics constraint for a transition, `‖q⁺ − q −
     /// Aq − Bu‖∞`.
-    pub fn residual(&self, q: &[f64], u: &[f64], q_next: &[f64]) -> f64 {
+    pub(crate) fn residual(&self, q: &[f64], u: &[f64], q_next: &[f64]) -> f64 {
         let pred = self.step(q, u);
         q_next
             .iter()
@@ -47,7 +47,7 @@ impl LinearSystem {
 /// States `(x, ẋ, θ, θ̇)`, input = horizontal force on the cart.
 /// Cart mass `m_cart`, pendulum mass `m_pole`, pole half-length `l`,
 /// gravity 9.8 m/s².
-pub fn inverted_pendulum(m_cart: f64, m_pole: f64, l: f64) -> (Matrix, Matrix) {
+pub(crate) fn inverted_pendulum(m_cart: f64, m_pole: f64, l: f64) -> (Matrix, Matrix) {
     assert!(m_cart > 0.0 && m_pole > 0.0 && l > 0.0);
     let g = 9.8;
     let a = Matrix::from_rows(&[
@@ -62,7 +62,7 @@ pub fn inverted_pendulum(m_cart: f64, m_pole: f64, l: f64) -> (Matrix, Matrix) {
 
 /// Forward-Euler discretization into the paper's increment form:
 /// `A = A_c·dt`, `B = B_c·dt`.
-pub fn discretize(a_c: &Matrix, b_c: &Matrix, dt: f64) -> LinearSystem {
+pub(crate) fn discretize(a_c: &Matrix, b_c: &Matrix, dt: f64) -> LinearSystem {
     assert!(dt > 0.0);
     LinearSystem {
         a: a_c.scaled(dt),

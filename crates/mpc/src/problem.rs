@@ -212,7 +212,8 @@ impl MpcProblem {
 
     /// Convenience: build and solve for `iters` iterations on one of the
     /// built-in backends.
-    pub fn solve(
+    #[cfg(test)]
+    pub(crate) fn solve(
         config: MpcConfig,
         sys: LinearSystem,
         iters: usize,

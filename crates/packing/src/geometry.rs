@@ -12,14 +12,14 @@ pub struct Disk {
 
 impl Disk {
     /// Signed gap to another disk: positive means separated.
-    pub fn gap(&self, other: &Disk) -> f64 {
+    pub(crate) fn gap(&self, other: &Disk) -> f64 {
         let dx = self.c[0] - other.c[0];
         let dy = self.c[1] - other.c[1];
         (dx * dx + dy * dy).sqrt() - self.r - other.r
     }
 
     /// Area `π r²` (0 if the radius is negative).
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         if self.r > 0.0 {
             std::f64::consts::PI * self.r * self.r
         } else {
@@ -40,7 +40,7 @@ pub struct HalfPlane {
 
 impl HalfPlane {
     /// Constructs, normalizing `q`.
-    pub fn new(q: [f64; 2], v: [f64; 2]) -> Self {
+    pub(crate) fn new(q: [f64; 2], v: [f64; 2]) -> Self {
         let norm = (q[0] * q[0] + q[1] * q[1]).sqrt();
         assert!(norm > 0.0, "half-plane normal must be non-zero");
         HalfPlane {
@@ -50,7 +50,7 @@ impl HalfPlane {
     }
 
     /// Signed clearance of a disk: `Qᵀ(c − V) − r`, ≥ 0 when inside.
-    pub fn clearance(&self, d: &Disk) -> f64 {
+    pub(crate) fn clearance(&self, d: &Disk) -> f64 {
         self.q[0] * (d.c[0] - self.v[0]) + self.q[1] * (d.c[1] - self.v[1]) - d.r
     }
 }
@@ -67,7 +67,7 @@ pub struct Polygon {
 
 impl Polygon {
     /// Builds from CCW vertices, deriving one wall per edge.
-    pub fn from_vertices(vertices: Vec<[f64; 2]>) -> Self {
+    pub(crate) fn from_vertices(vertices: Vec<[f64; 2]>) -> Self {
         assert!(vertices.len() >= 3, "polygon needs at least 3 vertices");
         let n = vertices.len();
         let mut walls = Vec::with_capacity(n);
@@ -108,7 +108,8 @@ impl Polygon {
     }
 
     /// Centroid of the vertex set.
-    pub fn centroid(&self) -> [f64; 2] {
+    #[cfg(test)]
+    pub(crate) fn centroid(&self) -> [f64; 2] {
         let n = self.vertices.len() as f64;
         let mut c = [0.0, 0.0];
         for v in &self.vertices {
@@ -125,7 +126,7 @@ impl Polygon {
     }
 
     /// Worst (most negative) wall clearance over all disks.
-    pub fn min_clearance(&self, disks: &[Disk]) -> f64 {
+    pub(crate) fn min_clearance(&self, disks: &[Disk]) -> f64 {
         disks
             .iter()
             .flat_map(|d| self.walls.iter().map(move |w| w.clearance(d)))

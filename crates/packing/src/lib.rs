@@ -20,10 +20,10 @@
 //! (with the collision operator's radius sign corrected to the actual KKT
 //! solution, which tests verify variationally).
 
-pub mod geometry;
-pub mod problem;
-pub mod prox;
-pub mod svg;
+mod geometry;
+mod problem;
+mod prox;
+mod svg;
 
 pub use geometry::{Disk, HalfPlane, Polygon};
 pub use problem::{PackingConfig, PackingProblem, PackingSolution};

@@ -36,18 +36,6 @@ impl<'a> ProxCtx<'a> {
         self.rho.len()
     }
 
-    /// The `n` sub-vector of edge `i`.
-    #[inline]
-    pub fn n_block(&self, i: usize) -> &[f64] {
-        &self.n[i * self.dims..(i + 1) * self.dims]
-    }
-
-    /// Writes the `x` sub-vector of edge `i`.
-    #[inline]
-    pub fn x_block_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.x[i * self.dims..(i + 1) * self.dims]
-    }
-
     /// Copies `n` into `x` (identity prox), the starting point of many
     /// operators.
     #[inline]
@@ -98,11 +86,9 @@ mod tests {
         let n = [1.0, 2.0, 3.0, 4.0];
         let rho = [1.0, 2.0];
         let mut x = [0.0; 4];
-        let mut ctx = ProxCtx::new(&n, &rho, &mut x, 2);
+        let ctx = ProxCtx::new(&n, &rho, &mut x, 2);
         assert_eq!(ctx.degree(), 2);
-        assert_eq!(ctx.n_block(1), &[3.0, 4.0]);
-        ctx.x_block_mut(0)[1] = 9.0;
-        assert_eq!(x[1], 9.0);
+        assert_eq!(ctx.dims, 2);
     }
 
     #[test]

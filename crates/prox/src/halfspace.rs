@@ -99,7 +99,6 @@ impl ProxOp for HalfspaceProx {
 #[derive(Debug, Clone)]
 pub struct HingeProx {
     inner: HalfspaceProx,
-    data_dim: usize,
 }
 
 impl HingeProx {
@@ -117,13 +116,7 @@ impl HingeProx {
         a[2 * dims] = 1.0; // ξ block, component 0
         HingeProx {
             inner: HalfspaceProx::new(a, 1.0),
-            data_dim: x.len(),
         }
-    }
-
-    /// Dimension of the stored data point.
-    pub fn data_dim(&self) -> usize {
-        self.data_dim
     }
 }
 

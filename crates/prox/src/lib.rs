@@ -18,22 +18,20 @@
 //! Operator state is immutable during a solve (`&self`), which is what
 //! makes the x-update embarrassingly parallel.
 
-pub mod ctx;
-pub mod equality;
-pub mod halfspace;
-pub mod numeric;
-pub mod projections;
-pub mod simple;
-pub mod spec;
+mod ctx;
+mod equality;
+mod halfspace;
+mod numeric;
+mod projections;
+mod simple;
+mod spec;
 pub mod testing;
 
 pub use ctx::ProxCtx;
 pub use equality::{AffineEqualityProx, ConsensusEqualityProx};
 pub use halfspace::{HalfspaceProx, HingeProx};
 pub use numeric::NumericProx;
-pub use projections::{
-    max_assignment, project_simplex, NormBallProx, PermutationProx, SimplexProx,
-};
+pub use projections::{NormBallProx, PermutationProx, SimplexProx};
 pub use simple::{BoxProx, L1Prox, LinearProx, QuadraticProx, SemiLassoProx, ZeroProx};
 pub use spec::{specs_for, ProxSpec};
 

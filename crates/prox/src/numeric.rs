@@ -12,7 +12,7 @@
 use crate::{ProxCtx, ProxOp};
 
 /// Objective function type for [`NumericProx`].
-pub type Objective = dyn Fn(&[f64]) -> f64 + Send + Sync;
+pub(crate) type Objective = dyn Fn(&[f64]) -> f64 + Send + Sync;
 
 /// Gradient-descent proximal operator for a black-box smooth objective.
 pub struct NumericProx {
@@ -32,13 +32,6 @@ impl NumericProx {
             grad_eps: 1e-7,
             tol: 1e-10,
         }
-    }
-
-    /// Overrides iteration and tolerance settings.
-    pub fn with_settings(mut self, max_iters: usize, tol: f64) -> Self {
-        self.max_iters = max_iters;
-        self.tol = tol;
-        self
     }
 
     fn augmented(&self, s: &[f64], n: &[f64], rho: &[f64], dims: usize) -> f64 {

@@ -15,7 +15,7 @@ use crate::{ProxCtx, ProxOp};
 pub struct SimplexProx;
 
 /// Projects `v` onto the probability simplex in place.
-pub fn project_simplex(v: &mut [f64]) {
+pub(crate) fn project_simplex(v: &mut [f64]) {
     let n = v.len();
     assert!(n > 0);
     let mut sorted = v.to_vec();
@@ -125,16 +125,11 @@ impl PermutationProx {
         assert!((1..=64).contains(&n), "assignment size out of range");
         PermutationProx { n }
     }
-
-    /// Dimension `n`.
-    pub fn size(&self) -> usize {
-        self.n
-    }
 }
 
 /// Solves max-weight perfect matching on an `n×n` score matrix, returning
 /// `assignment[row] = col` (Hungarian algorithm, O(n³)).
-pub fn max_assignment(scores: &[f64], n: usize) -> Vec<usize> {
+pub(crate) fn max_assignment(scores: &[f64], n: usize) -> Vec<usize> {
     assert_eq!(scores.len(), n * n);
     // Standard O(n³) Hungarian on the cost matrix c = max − score.
     let max_s = scores.iter().cloned().fold(f64::MIN, f64::max);

@@ -18,43 +18,21 @@ use paradmm_graph::VarStore;
 
 /// Bounded LRU map from problem fingerprint to final solver state.
 #[derive(Debug, Default)]
-pub struct WarmStartCache {
+pub(crate) struct WarmStartCache {
     capacity: usize,
     map: HashMap<u64, VarStore>,
     /// Keys from least- to most-recently used.
     order: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl WarmStartCache {
     /// A cache holding at most `capacity` entries (`0` disables caching:
     /// every lookup misses and inserts are dropped).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         WarmStartCache {
             capacity,
             ..WarmStartCache::default()
         }
-    }
-
-    /// Number of cached solutions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     fn touch(&mut self, key: u64) {
@@ -63,23 +41,15 @@ impl WarmStartCache {
     }
 
     /// The cached solution for `key`, bumping its recency.
-    pub fn get(&mut self, key: u64) -> Option<VarStore> {
-        match self.map.get(&key).cloned() {
-            Some(store) => {
-                self.hits += 1;
-                self.touch(key);
-                Some(store)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    pub(crate) fn get(&mut self, key: u64) -> Option<VarStore> {
+        let store = self.map.get(&key).cloned()?;
+        self.touch(key);
+        Some(store)
     }
 
     /// Caches `store` under `key`, evicting the least-recently-used
     /// entry if the cache is full.
-    pub fn insert(&mut self, key: u64, store: VarStore) {
+    pub(crate) fn insert(&mut self, key: u64, store: VarStore) {
         if self.capacity == 0 {
             return;
         }
@@ -111,8 +81,6 @@ mod tests {
         c.insert(7, store(1.5));
         let hit = c.get(7).expect("cached");
         assert_eq!(hit.x[0], 1.5);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -122,7 +90,7 @@ mod tests {
         c.insert(2, store(2.0));
         let _ = c.get(1); // 2 is now the LRU entry
         c.insert(3, store(3.0));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert!(c.get(2).is_none(), "LRU entry evicted");
         assert!(c.get(1).is_some());
         assert!(c.get(3).is_some());
@@ -132,7 +100,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut c = WarmStartCache::new(0);
         c.insert(1, store(1.0));
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
         assert!(c.get(1).is_none());
     }
 
@@ -142,7 +110,7 @@ mod tests {
         c.insert(1, store(1.0));
         c.insert(2, store(2.0));
         c.insert(1, store(9.0));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert_eq!(c.get(1).unwrap().x[0], 9.0);
         assert!(c.get(2).is_some());
     }

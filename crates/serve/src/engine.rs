@@ -68,7 +68,7 @@ pub enum Lane {
 
 impl Lane {
     /// Stable wire encoding.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Lane::Solo => 0,
             Lane::Batch => 1,
@@ -77,7 +77,7 @@ impl Lane {
     }
 
     /// Inverse of [`Lane::as_u8`].
-    pub fn from_u8(v: u8) -> Option<Lane> {
+    pub(crate) fn from_u8(v: u8) -> Option<Lane> {
         match v {
             0 => Some(Lane::Solo),
             1 => Some(Lane::Batch),
@@ -308,19 +308,9 @@ impl Engine {
         &self.stats
     }
 
-    /// The warm-start cache (hit/miss counters, size).
-    pub fn cache(&self) -> &WarmStartCache {
-        &self.cache
-    }
-
     /// Whether no work is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.pack.is_none()
-    }
-
-    /// Queued requests not yet in any lane.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Instances currently fused in the pack.
@@ -991,7 +981,6 @@ mod tests {
         });
         let first = engine.run_until_idle();
         assert_eq!(first.len(), 1);
-        assert!(engine.cache().is_empty(), "no key, nothing cached");
 
         engine.submit(EngineRequest {
             id: 2,

@@ -25,7 +25,7 @@
 //!   [`paradmm_core::FleetSolver`] round instead of waiting for batch
 //!   coalescing.
 //! * **Warm-start cache** — completed solutions are cached keyed by
-//!   [`protocol::request_fingerprint`], which covers topology, ρ/α
+//!   `protocol::request_fingerprint`, which covers topology, ρ/α
 //!   *and* every factor's prox-operator encoding; an exactly
 //!   re-submitted problem starts from the cached state instead of
 //!   zeros, while a same-shaped problem with different objectives gets
@@ -36,7 +36,7 @@
 //! iterates — and its residual-check schedule, hence its stop iteration
 //! — are bit-identical to a solo serial [`paradmm_core::Solver`] run of
 //! the same request (same warm start included). Deadlines are
-//! scheduling hints, never mid-solve aborts. See [`engine`] for the
+//! scheduling hints, never mid-solve aborts. See [`Engine`] for the
 //! block-scheduling rule that preserves this.
 //!
 //! The wire protocol ([`protocol`]) is a hand-rolled length-prefixed
@@ -44,14 +44,13 @@
 //! [`ServeClient`] as the blocking client and [`ServerHandle`] running
 //! the accept loop plus engine thread.
 
-pub mod cache;
-pub mod client;
-pub mod engine;
+mod cache;
+mod client;
+mod engine;
 pub mod protocol;
-pub mod server;
+mod server;
 mod wire;
 
-pub use cache::WarmStartCache;
 pub use client::{ClientError, ServeClient};
 pub use engine::{Completion, Engine, EngineConfig, EngineRequest, EngineStats, Lane, ServeMode};
 pub use paradmm_core::{Priority, SolveOutcome, SolveRequest};

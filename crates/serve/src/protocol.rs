@@ -17,6 +17,16 @@
 //! parameters, and per-factor operator shapes are checked against the
 //! decoded graph — a malformed frame yields [`WireError`], never a
 //! panic in the serving process.
+//!
+//! A request's graph header also sizes its reply: a shape whose reply
+//! store ([`io::encoded_store_len`]) would not fit in one frame
+//! ([`io::MAX_FRAME_LEN`]) is rejected before the graph is decoded, so
+//! nothing is allocated per variable or component for it.
+//!
+//! The [`paradmm_core::BackendSpec`] a request carries travels and
+//! decodes, but a served request runs on the engine's own
+//! [`crate::EngineConfig::backend`]; the spec applies only when the
+//! request is solved solo with [`SolveRequest::solve`].
 
 use std::time::Duration;
 
@@ -102,13 +112,6 @@ pub struct ServedOutcome {
     pub lane: Lane,
     /// Whether the solve was seeded from the warm-start cache.
     pub warm_started: bool,
-}
-
-impl ServedOutcome {
-    /// Whether the solve converged.
-    pub fn converged(&self) -> bool {
-        self.stop_reason == StopReason::Converged
-    }
 }
 
 fn stop_reason_u8(r: StopReason) -> u8 {
@@ -238,7 +241,7 @@ fn spec_span(spec: &ProxSpec) -> Option<usize> {
 /// distinct keys. This is the warm-start cache key; returns `None`
 /// when any operator has no [`ProxSpec`] (a closure-backed operator
 /// has no stable identity, so such requests are never cache-keyed).
-pub fn request_fingerprint(
+pub(crate) fn request_fingerprint(
     graph: &FactorGraph,
     params: &EdgeParams,
     proxes: &[Box<dyn ProxOp>],
@@ -347,7 +350,23 @@ pub fn decode_request(buf: &[u8]) -> Result<DecodedRequest, WireError> {
         .parse()
         .map_err(|e| WireError::Malformed(format!("{e}")))?;
 
-    let graph = io::decode_graph(r.blob()?)?;
+    let graph_blob = r.blob()?;
+    // The reply carries the solved store, so the graph's shape alone
+    // says whether it can be framed: refuse before anything is
+    // allocated per variable or per component.
+    let shape = io::decode_graph_header(graph_blob)?;
+    let reply_len = io::encoded_store_len(shape.dims, shape.num_edges, shape.num_vars)
+        .and_then(|store| store.checked_add(RESPONSE_FIXED_LEN));
+    if reply_len.is_none_or(|len| len > io::MAX_FRAME_LEN) {
+        return Err(WireError::Malformed(format!(
+            "the reply for {} variables and {} edges at dims {} exceeds the {} byte frame cap",
+            shape.num_vars,
+            shape.num_edges,
+            shape.dims,
+            io::MAX_FRAME_LEN
+        )));
+    }
+    let graph = io::decode_graph(graph_blob)?;
     let params = io::decode_params(r.blob()?, &graph)?;
     let num_specs = r.u32()? as usize;
     if num_specs != graph.num_factors() {
@@ -401,6 +420,12 @@ pub fn decode_request(buf: &[u8]) -> Result<DecodedRequest, WireError> {
         request,
     })
 }
+
+/// Bytes of the longest `Ok` response besides its store blob: header
+/// (magic, version, kind), id, status, lane, warm start, stop reason,
+/// iterations, elapsed, the residual presence byte and five residuals,
+/// and the store blob's length prefix.
+const RESPONSE_FIXED_LEN: usize = 4 + 4 + 1 + 8 + 1 + 1 + 1 + 1 + 8 + 8 + 1 + 5 * 8 + 4;
 
 /// Encodes a response-frame payload: the served outcome, or a
 /// server-side error message.
@@ -703,6 +728,70 @@ mod tests {
         assert!(matches!(
             decode_request(&bad).err().unwrap(),
             WireError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn response_fixed_len_is_the_ok_frame_minus_its_store() {
+        let o = request().solve();
+        let store_len =
+            io::encoded_store_len(o.store.dims(), o.store.num_edges(), o.store.num_vars());
+        assert!(o.final_residuals.is_some());
+        let outcome = ServedOutcome {
+            store: o.store,
+            iterations: o.iterations,
+            stop_reason: o.stop_reason,
+            final_residuals: o.final_residuals,
+            elapsed: Duration::ZERO,
+            lane: Lane::Batch,
+            warm_started: false,
+        };
+        let bytes = encode_response(1, &Ok(outcome));
+        assert_eq!(Some(bytes.len()), store_len.map(|n| n + RESPONSE_FIXED_LEN));
+    }
+
+    /// A one-variable, one-factor, `dims = 1` request frame with its
+    /// graph header's `(dims, num_vars)` overwritten — a shape the
+    /// builder would never produce, as a hostile client could send it.
+    fn frame_with_shape(dims: u32, num_vars: u32) -> Vec<u8> {
+        let mut b = GraphBuilder::new(1);
+        let v = b.add_var();
+        b.add_factor(&[v]);
+        let proxes: Vec<Box<dyn ProxOp>> = vec![Box::new(paradmm_prox::ZeroProx)];
+        let req = SolveRequest::new(AdmmProblem::new(b.build(), proxes, 1.0, 1.0));
+        let mut bytes = encode_request(1, &req, false).unwrap();
+        let graph_at = bytes
+            .windows(4)
+            .position(|w| w == b"PADM")
+            .expect("graph blob");
+        bytes[graph_at + 8..graph_at + 12].copy_from_slice(&dims.to_le_bytes());
+        bytes[graph_at + 12..graph_at + 16].copy_from_slice(&num_vars.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn shapes_whose_reply_cannot_be_framed_are_rejected() {
+        assert!(decode_request(&frame_with_shape(1, 1)).is_ok());
+        // 128 MiB and 768 MiB reply stores against a 64 MiB frame cap.
+        for (dims, num_vars) in [(1, 1 << 23), (1 << 24, 1)] {
+            match decode_request(&frame_with_shape(dims, num_vars)).err() {
+                Some(WireError::Malformed(m)) => assert!(m.contains("frame cap"), "{m}"),
+                other => panic!("dims {dims}, {num_vars} vars: expected rejection, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shape_whose_reply_fills_the_frame_cap_still_decodes() {
+        // One edge at dims 1: the store is 12 + 8·(4 + 2·num_vars) bytes.
+        let fits = (io::MAX_FRAME_LEN - RESPONSE_FIXED_LEN - 12 - 32) / 16;
+        let reply = RESPONSE_FIXED_LEN + io::encoded_store_len(1, 1, fits).unwrap();
+        assert!(reply <= io::MAX_FRAME_LEN && reply + 16 > io::MAX_FRAME_LEN);
+        let decoded = decode_request(&frame_with_shape(1, fits as u32)).unwrap();
+        assert_eq!(decoded.request.problem().graph().num_vars(), fits);
+        assert!(matches!(
+            decode_request(&frame_with_shape(1, fits as u32 + 1)).err(),
+            Some(WireError::Malformed(_))
         ));
     }
 

@@ -47,11 +47,11 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len()
     }
 
@@ -64,32 +64,32 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Length-prefixed byte blob; the claimed length is validated
     /// against the remaining buffer before any slicing.
-    pub fn blob(&mut self) -> Result<&'a [u8], WireError> {
+    pub(crate) fn blob(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         self.take(len)
     }
 
     /// Length-prefixed `f64` vector; the claimed count is validated
     /// against the remaining buffer before allocating.
-    pub fn vec_f64(&mut self) -> Result<Vec<f64>, WireError> {
+    pub(crate) fn vec_f64(&mut self) -> Result<Vec<f64>, WireError> {
         let count = self.u32()? as usize;
         if self.remaining() < count.checked_mul(8).ok_or(WireError::Truncated)? {
             return Err(WireError::Truncated);

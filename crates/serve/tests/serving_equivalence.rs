@@ -207,6 +207,44 @@ fn undecodable_frame_reports_error_and_keeps_connection() {
     assert_eq!(engine.stats().completed, 1);
 }
 
+#[test]
+fn request_whose_reply_cannot_be_framed_reports_error_and_keeps_connection() {
+    let server = ServerHandle::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+
+    // A decodable frame whose graph header claims 2^23 variables: the
+    // reply store (128 MiB) could never be framed, so the server must
+    // refuse the request up front instead of solving it.
+    let mut b = GraphBuilder::new(1);
+    let v = b.add_var();
+    b.add_factor(&[v]);
+    let proxes: Vec<Box<dyn ProxOp>> = vec![Box::new(paradmm_prox::ZeroProx)];
+    let small = SolveRequest::new(AdmmProblem::new(b.build(), proxes, 1.0, 1.0));
+    let mut payload = encode_request(7, &small, false).unwrap();
+    let graph_at = payload.windows(4).position(|w| w == b"PADM").unwrap();
+    payload[graph_at + 12..graph_at + 16].copy_from_slice(&(1u32 << 23).to_le_bytes());
+    write_frame(&mut stream, &payload).unwrap();
+    let reply = read_frame(&mut stream).unwrap().expect("error response");
+    let (id, result) = decode_response(&reply, None).unwrap();
+    assert_eq!(id, u64::MAX, "bad-request reports carry the sentinel id");
+    let message = result.unwrap_err();
+    assert!(message.contains("frame cap"), "{message}");
+
+    // The same connection still serves valid requests afterwards.
+    let req = request(1, &[3.0, -1.0], tight());
+    let graph = req.problem().graph().clone();
+    write_frame(&mut stream, &encode_request(42, &req, false).unwrap()).unwrap();
+    let reply = read_frame(&mut stream).unwrap().expect("ok response");
+    let (id, result) = decode_response(&reply, Some(&graph)).unwrap();
+    assert_eq!(id, 42);
+    let reference = request(1, &[3.0, -1.0], tight()).solve();
+    assert_eq!(result.unwrap().store.z, reference.store.z);
+
+    drop(stream);
+    let engine = server.shutdown();
+    assert_eq!(engine.stats().completed, 1);
+}
+
 /// Median, in milliseconds, of `samples` back-to-back calls of
 /// `round_trip` on an established connection: one call is made first and
 /// discarded (connection set-up, first-touch allocation).

@@ -39,7 +39,7 @@ impl Grid {
     ///
     /// # Panics
     /// If the length is not `b⁴` or any value exceeds `b²`.
-    pub fn new(box_side: usize, cells: Vec<u8>) -> Self {
+    pub(crate) fn new(box_side: usize, cells: Vec<u8>) -> Self {
         let n = box_side * box_side;
         assert_eq!(cells.len(), n * n, "grid must have n² cells");
         assert!(
@@ -101,7 +101,7 @@ impl Grid {
 }
 
 /// Cell indices of every row, column and box group (3n groups of n).
-pub fn group_indices(box_side: usize) -> Vec<Vec<usize>> {
+pub(crate) fn group_indices(box_side: usize) -> Vec<Vec<usize>> {
     let n = box_side * box_side;
     let mut groups = Vec::with_capacity(3 * n);
     for r in 0..n {

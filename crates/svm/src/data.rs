@@ -16,12 +16,12 @@ pub struct Dataset {
 
 impl Dataset {
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
     /// True if empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 

@@ -14,18 +14,18 @@
 //! split into `N` equal parts — the paper does this deliberately "to make
 //! the distribution of the number of edges-per-node in the factor-graph
 //! more equilibrated", which is what keeps the z-update balanced on the
-//! GPU. [`SvmProblem::build`] implements that replicated topology;
-//! [`SvmProblem::build_star`] builds the naive single-`w` star topology so
-//! the two can be compared (conclusion / Figure 12 discussion).
+//! GPU. [`SvmProblem::build`] implements that replicated topology; the
+//! tests compare it against the naive single-`w` star topology
+//! (conclusion / Figure 12 discussion).
 //!
 //! A Pegasos-style subgradient reference (`reference`) provides an
 //! independent baseline for accuracy tests, and `data` generates the
 //! paper's two-Gaussian synthetic datasets.
 
-pub mod data;
-pub mod problem;
-pub mod reference;
+mod data;
+mod problem;
+mod reference;
 
 pub use data::{gaussian_mixture, Dataset};
-pub use problem::{SvmConfig, SvmModel, SvmProblem, SvmTopology};
+pub use problem::{SvmConfig, SvmModel, SvmProblem};
 pub use reference::pegasos_train;

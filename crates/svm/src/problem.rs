@@ -31,7 +31,7 @@ impl Default for SvmConfig {
 
 /// Which factor-graph topology to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SvmTopology {
+pub(crate) enum SvmTopology {
     /// The paper's replicated topology: one `(wᵢ, bᵢ)` copy per data point
     /// chained by equality factors — "more equilibrated" degrees, better
     /// GPU balance.
@@ -39,7 +39,8 @@ pub enum SvmTopology {
     /// A naive star: one shared `(w, b)` node touched by every hinge
     /// factor. Semantically identical optimum, but the plane node's degree
     /// is `N + 1` — the imbalance pathology the paper's conclusion
-    /// discusses.
+    /// discusses. The tests' reference for the replicated topology.
+    #[cfg(test)]
     Star,
 }
 
@@ -54,7 +55,7 @@ pub struct SvmModel {
 
 impl SvmModel {
     /// Decision value `wᵀx + b`.
-    pub fn score(&self, x: &[f64]) -> f64 {
+    pub(crate) fn score(&self, x: &[f64]) -> f64 {
         self.w.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f64>() + self.b
     }
 
@@ -118,11 +119,9 @@ impl ProxOp for SlackProx {
 
 /// A built SVM training instance.
 pub struct SvmProblem {
-    topology: SvmTopology,
     plane_vars: Vec<VarId>,
     dim: usize,
     config: SvmConfig,
-    n_points: usize,
 }
 
 impl SvmProblem {
@@ -133,13 +132,8 @@ impl SvmProblem {
         Self::build_with_topology(data, config, SvmTopology::Replicated)
     }
 
-    /// Builds the naive star topology (one shared plane node).
-    pub fn build_star(data: &Dataset, config: SvmConfig) -> (Self, AdmmProblem) {
-        Self::build_with_topology(data, config, SvmTopology::Star)
-    }
-
     /// Builds either topology.
-    pub fn build_with_topology(
+    pub(crate) fn build_with_topology(
         data: &Dataset,
         config: SvmConfig,
         topology: SvmTopology,
@@ -182,6 +176,7 @@ impl SvmProblem {
                 }
                 (plane_vars, b.build())
             }
+            #[cfg(test)]
             SvmTopology::Star => {
                 let mut b = GraphBuilder::with_capacity(dims, 2 * n + 1, 3 * n + 1);
                 let plane = b.add_var();
@@ -210,29 +205,12 @@ impl SvmProblem {
         let problem = AdmmProblem::new(graph, proxes, config.rho, config.alpha);
         (
             SvmProblem {
-                topology,
                 plane_vars,
                 dim: d,
                 config,
-                n_points: n,
             },
             problem,
         )
-    }
-
-    /// The topology this instance uses.
-    pub fn topology(&self) -> SvmTopology {
-        self.topology
-    }
-
-    /// The instance parameters.
-    pub fn config(&self) -> &SvmConfig {
-        &self.config
-    }
-
-    /// Number of training points.
-    pub fn n_points(&self) -> usize {
-        self.n_points
     }
 
     /// Extracts the model: the mean of the plane copies' consensus values
@@ -359,8 +337,8 @@ mod tests {
     #[test]
     fn star_graph_has_hub() {
         let data = small_data(50, 2, 4.0, 1);
-        let (svm, admm) = SvmProblem::build_star(&data, SvmConfig::default());
-        assert_eq!(svm.topology(), SvmTopology::Star);
+        let (_, admm) =
+            SvmProblem::build_with_topology(&data, SvmConfig::default(), SvmTopology::Star);
         let g = admm.graph();
         assert_eq!(g.num_vars(), 51);
         assert_eq!(g.var_degree(paradmm_graph::VarId(0)), 51); // hub
@@ -413,7 +391,8 @@ mod tests {
         let config = SvmConfig::default();
         let (rep_model, _) = SvmProblem::train(&data, config.clone(), 4000, BackendSpec::Serial);
 
-        let (star, admm) = SvmProblem::build_star(&data, config.clone());
+        let (star, admm) =
+            SvmProblem::build_with_topology(&data, config.clone(), SvmTopology::Star);
         let options = SolverOptions {
             backend: BackendSpec::Serial,
             rho: config.rho,
