@@ -5,40 +5,40 @@
 //! serving workload is the opposite shape — many *small* independent
 //! instances, where per-instance sweep-launch overhead (thread spawns,
 //! barriers, kernel launches on a real device) dominates the math.
-//! [`BatchSolver`] packs the instances with
-//! [`paradmm_graph::BatchStore`] and drives the fused problem through
-//! one backend, so every launch is amortized over the whole batch.
+//! [`FusedPack`] packs instances with [`paradmm_graph::BatchStore`] and
+//! drives the fused problem through one backend, so every launch is
+//! amortized over the whole pack. It is the one multi-instance block
+//! rule: [`BatchSolver`] runs a closed batch on it, and the serve
+//! engine runs its continuously-batched lane on it, splicing joiners
+//! in at repack boundaries.
 //!
 //! Two contracts:
 //!
 //! * **Bit-identity** — the fused graph is block-diagonal, so under any
 //!   backend that is bit-identical to [`crate::SerialBackend`] each
-//!   instance's iterates equal a solo serial solve of that instance,
+//!   member's iterates equal a solo serial solve of that instance,
 //!   bit for bit, including residual checks and stop iterations
-//!   (pinned by `tests/backend_equivalence.rs`).
-//! * **Early-exit freezing** — each instance runs its own
-//!   [`crate::RunState`] check schedule; converged instances are frozen
-//!   (state extracted, later sweeps never touch them) and the
-//!   survivors are repacked into a smaller dense batch, so backends
-//!   keep their ordinary `assign_range` / chunk-claim scheduling with
-//!   no holes to skip — stragglers get the whole machine.
+//!   (pinned by `tests/backend_equivalence.rs`). Each member runs its
+//!   own [`crate::RunState`] check schedule and a block runs to the
+//!   nearest member's next check point, so every member is checked at
+//!   exactly its solo iterations however its blocks are cut.
+//! * **Early-exit freezing** — a stopped member is retired (state
+//!   extracted, later sweeps never touch it) and the survivors are
+//!   repacked into a smaller dense pack, so backends keep their
+//!   ordinary `assign_range` / chunk-claim scheduling with no holes to
+//!   skip — stragglers get the whole machine.
 //!
-//! Instances are natural shards: with [`BackendSpec::Sharded`], each
-//! (re)pack installs a fresh [`StaleBoundedBackend`] at `k = 0` over the
-//! layout's **zero-cut** partition (whole instances per shard, empty
-//! halo).
+//! Instances are natural shards: with [`BackendSpec::Sharded`],
+//! [`BatchSolver`] installs a fresh [`StaleBoundedBackend`] at `k = 0`
+//! over each pack's **zero-cut** partition (whole instances per shard,
+//! empty halo).
 //!
-//! Each (re)pack installs the default fused three-pass
-//! [`crate::SweepPlan`] on the fused problem at pack time, cached by
-//! the pass-shape fingerprint `(num_factors, num_vars, num_edges)`: a
-//! repack whose fused topology keeps the same pass shape reuses the
-//! previous plan outright, and either way per-block resolution borrows
-//! the installed plan instead of re-deriving the default every block.
-//! The plan is the same one solo solves resolve, so bit-identity is
+//! Every pack installs the default fused three-pass [`SweepPlan`] once,
+//! so per-block resolution borrows it instead of re-deriving it. The
+//! plan is the same one solo solves resolve, so bit-identity is
 //! unaffected, and the fused store's `z_prev` stays materialized under
-//! the buffer-swap z pass, so
-//! [`paradmm_graph::BatchLayout::extract_store`] / `write_store`
-//! slicing is unaffected.
+//! the buffer-swap z pass, so [`FusedPack::retire`]'s state extraction
+//! is unaffected.
 
 use std::time::{Duration, Instant};
 
@@ -53,6 +53,159 @@ use crate::solver::SolverOptions;
 use crate::spec::{default_threads, BackendSpec};
 use crate::stale::StaleBoundedBackend;
 use crate::timing::UpdateTimings;
+
+/// One instance outside a [`FusedPack`]: its problem, stopping
+/// schedule and state. `tag` is the owner's name for the instance.
+pub struct Seat<T> {
+    /// The owner's name for this instance.
+    pub tag: T,
+    /// The instance's graph.
+    pub graph: FactorGraph,
+    /// The instance's `ρ/α`.
+    pub params: EdgeParams,
+    /// The instance's stopping schedule.
+    pub run: RunState,
+    /// The instance's state.
+    pub state: VarStore,
+    /// The instance's proximal operators, one per factor.
+    pub proxes: Vec<Box<dyn ProxOp>>,
+}
+
+/// A pack member's bookkeeping; its state and proximal operators live
+/// in the fused store and problem until the next [`FusedPack::retire`].
+struct Member<T> {
+    tag: T,
+    graph: FactorGraph,
+    params: EdgeParams,
+    run: RunState,
+}
+
+/// Instances sharing `dims`, fused block-diagonally into one problem
+/// and driven one block at a time. See the module docs for the
+/// bit-identity and freezing contracts.
+pub struct FusedPack<T> {
+    problem: AdmmProblem,
+    store: VarStore,
+    layout: BatchLayout,
+    members: Vec<Member<T>>,
+}
+
+impl<T> FusedPack<T> {
+    /// Fuses `seats` block-diagonally, in order, and installs the
+    /// fused plan.
+    ///
+    /// # Panics
+    /// If `seats` is empty, the seats disagree on `dims`, or a seat's
+    /// state or parameters are not shaped for its graph.
+    pub fn new(seats: Vec<Seat<T>>) -> Self {
+        let batch = {
+            let views: Vec<BatchInstance<'_>> = seats
+                .iter()
+                .map(|s| BatchInstance {
+                    graph: &s.graph,
+                    params: &s.params,
+                    store: &s.state,
+                })
+                .collect();
+            BatchStore::pack(&views).expect("seats share dims and each state fits its graph")
+        };
+        let (graph, params, store, layout) = batch.into_parts();
+        let mut proxes = Vec::new();
+        let members = seats
+            .into_iter()
+            .map(|s| {
+                proxes.extend(s.proxes);
+                Member {
+                    tag: s.tag,
+                    graph: s.graph,
+                    params: s.params,
+                    run: s.run,
+                }
+            })
+            .collect();
+        let mut problem = AdmmProblem::with_params(graph, proxes, params);
+        problem.set_plan(SweepPlan::fused(&problem));
+        FusedPack {
+            problem,
+            store,
+            layout,
+            members,
+        }
+    }
+
+    /// Where each member sits in the fused problem.
+    pub fn layout(&self) -> &BatchLayout {
+        &self.layout
+    }
+
+    /// Runs one fused block of the minimum [`RunState::next_block`]
+    /// over the members — the iterations to the nearest member's next
+    /// check point or budget — then hands each member's
+    /// [`RunState::after_block`] its residuals over its own edge range.
+    /// Returns whether any member stopped.
+    pub fn run_block(
+        &mut self,
+        backend: &mut dyn SweepExecutor,
+        timings: &mut UpdateTimings,
+    ) -> bool {
+        let block = self
+            .members
+            .iter()
+            .map(|m| m.run.next_block())
+            .min()
+            .expect("a pack is never empty");
+        backend.run_block(&self.problem, &mut self.store, block, timings);
+        let mut any_stopped = false;
+        for (pos, m) in self.members.iter_mut().enumerate() {
+            let er = self.layout.edge_range(pos);
+            m.run.after_block(block, || {
+                Residuals::compute_edge_range(
+                    self.problem.graph(),
+                    self.problem.params(),
+                    &self.store,
+                    er.start,
+                    er.end,
+                )
+            });
+            any_stopped |= m.run.is_stopped();
+        }
+        any_stopped
+    }
+
+    /// Extracts every member's seat, splits off the stopped ones, and
+    /// repacks the rest followed by `joiners` (a repack boundary).
+    /// Returns the stopped seats in pack order and the new pack, if
+    /// anything is left to run.
+    pub fn retire(self, joiners: Vec<Seat<T>>) -> (Vec<Seat<T>>, Option<FusedPack<T>>) {
+        let FusedPack {
+            problem,
+            store,
+            layout,
+            members,
+        } = self;
+        let (_graph, proxes, _params) = problem.into_parts();
+        let mut proxes = proxes.into_iter();
+        let (stopped, mut running): (Vec<_>, Vec<_>) = members
+            .into_iter()
+            .enumerate()
+            .map(|(pos, m)| Seat {
+                tag: m.tag,
+                graph: m.graph,
+                params: m.params,
+                run: m.run,
+                state: layout.extract_store(&store, pos),
+                proxes: proxes
+                    .by_ref()
+                    .take(layout.factor_range(pos).len())
+                    .collect(),
+            })
+            .partition(|s| s.run.is_stopped());
+        debug_assert!(proxes.next().is_none());
+        running.extend(joiners);
+        let pack = (!running.is_empty()).then(|| FusedPack::new(running));
+        (stopped, pack)
+    }
+}
 
 /// Outcome of [`BatchSolver::run`].
 #[derive(Debug, Clone)]
@@ -99,36 +252,14 @@ impl BatchReport {
     }
 }
 
-/// One packed instance's bookkeeping. The graph and parameters stay
-/// here for the lifetime of the solver (repacks re-read them); the
-/// proximal operators migrate into the fused [`AdmmProblem`] and come
-/// back through `into_parts` on every repack.
-struct Slot {
-    graph: FactorGraph,
-    params: EdgeParams,
-    proxes: Option<Vec<Box<dyn ProxOp>>>,
-    run: RunState,
-    result_store: Option<VarStore>,
-}
-
-/// The currently executing fused batch (only non-frozen instances).
-struct ActiveSet {
-    problem: AdmmProblem,
-    store: VarStore,
-    layout: BatchLayout,
-    /// Slot index of each packed position.
-    members: Vec<usize>,
-}
-
-/// Packs N independent [`AdmmProblem`]s into one fused store and runs
+/// Packs N independent [`AdmmProblem`]s into one [`FusedPack`] and runs
 /// them to convergence through a single backend, with per-instance
 /// residual tracking and early-exit freezing. See the module docs for
 /// the two contracts (bit-identity, freezing).
 ///
 /// [`BatchSolver::run`] is one-shot: it drives every instance to
 /// convergence or to the iteration budget, then finalizes. Per-instance
-/// results are read back with [`BatchSolver::store`] /
-/// `BatchSolver::report`.
+/// results are read back with [`BatchSolver::store`].
 pub struct BatchSolver {
     options: SolverOptions,
     backend: Box<dyn SweepExecutor>,
@@ -136,16 +267,11 @@ pub struct BatchSolver {
     /// each (re)pack installs a fresh backend over the layout's
     /// zero-cut partition.
     sharded_parts: Option<usize>,
-    slots: Vec<Slot>,
-    active: Option<ActiveSet>,
-    /// Fused [`SweepPlan`] keyed by the pass-shape fingerprint
-    /// `(num_factors, num_vars, num_edges)` of the fused graph it was
-    /// built for — the only inputs [`SweepPlan::fused`] reads. Repacks
-    /// whose fused topology keeps the same pass shape reuse the cached
-    /// plan instead of rebuilding it.
-    plan_cache: Option<((usize, usize, usize), SweepPlan)>,
-    /// Plans actually constructed (cache misses) — telemetry for the
-    /// skip path.
+    /// Every instance's seat, tagged and ordered by instance index,
+    /// whenever no pack holds them: before and after
+    /// [`BatchSolver::run`].
+    seats: Vec<Seat<usize>>,
+    /// Fused plans built, one per pack.
     plans_built: usize,
     started: bool,
     timings: UpdateTimings,
@@ -201,7 +327,7 @@ impl BatchSolver {
     ) -> Self {
         assert!(!problems.is_empty(), "batch needs at least one instance");
         let dims = problems[0].graph().dims();
-        let slots: Vec<Slot> = problems
+        let seats = problems
             .into_iter()
             .enumerate()
             .map(|(i, p)| {
@@ -211,12 +337,13 @@ impl BatchSolver {
                     "instance {i} disagrees on dims with the batch"
                 );
                 let (graph, proxes, params) = p.into_parts();
-                Slot {
+                Seat {
+                    tag: i,
                     run: RunState::new(options.stopping, options.stopping.max_iters, &graph),
+                    state: VarStore::zeros(&graph),
                     graph,
                     params,
-                    proxes: Some(proxes),
-                    result_store: None,
+                    proxes,
                 }
             })
             .collect();
@@ -224,9 +351,7 @@ impl BatchSolver {
             options,
             backend,
             sharded_parts,
-            slots,
-            active: None,
-            plan_cache: None,
+            seats,
             plans_built: 0,
             started: false,
             timings: UpdateTimings::new(),
@@ -244,15 +369,8 @@ impl BatchSolver {
     /// # Panics
     /// If [`BatchSolver::run`] has not completed.
     pub fn store(&self, i: usize) -> &VarStore {
-        self.slots[i]
-            .result_store
-            .as_ref()
-            .expect("instance state is available after run()")
-    }
-
-    /// Report for instance `i` (available after [`BatchSolver::run`]).
-    pub(crate) fn report(&self, i: usize) -> InstanceReport {
-        self.slots[i].run.report()
+        assert!(self.started, "instance state is available after run()");
+        &self.seats[i].state
     }
 
     /// Runs every instance for at most `max_iters` iterations on its
@@ -265,60 +383,38 @@ impl BatchSolver {
         let start = Instant::now();
         if !self.started {
             self.started = true;
-            let (mut members, mut states, mut proxes) = (Vec::new(), Vec::new(), Vec::new());
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                slot.run = RunState::new(self.options.stopping, max_iters, &slot.graph);
-                let state = VarStore::zeros(&slot.graph);
-                let slot_proxes = slot.proxes.take().expect("proxes present before start");
-                if slot.run.is_stopped() {
-                    // A zero budget: the instance never packs.
-                    slot.result_store = Some(state);
+            let mut running = Vec::new();
+            for mut seat in std::mem::take(&mut self.seats) {
+                seat.run = RunState::new(self.options.stopping, max_iters, &seat.graph);
+                // A zero budget: the instance never packs.
+                if seat.run.is_stopped() {
+                    self.seats.push(seat);
                 } else {
-                    members.push(i);
-                    states.push(state);
-                    proxes.push(slot_proxes);
+                    running.push(seat);
                 }
             }
-            if !members.is_empty() {
-                self.pack(members, states, proxes);
-            }
-        }
-
-        while let Some(active) = self.active.as_mut() {
-            let slots = &mut self.slots;
-            let block = active
-                .members
-                .iter()
-                .map(|&m| slots[m].run.next_block())
-                .min()
-                .expect("the active set is never empty");
-            self.backend
-                .run_block(&active.problem, &mut active.store, block, &mut self.timings);
-            let mut stopped: Vec<usize> = Vec::new();
-            for (pos, &m) in active.members.iter().enumerate() {
-                let er = active.layout.edge_range(pos);
-                let run = &mut slots[m].run;
-                run.after_block(block, || {
-                    Residuals::compute_edge_range(
-                        active.problem.graph(),
-                        active.problem.params(),
-                        &active.store,
-                        er.start,
-                        er.end,
-                    )
-                });
-                if run.is_stopped() {
-                    stopped.push(pos);
+            if !running.is_empty() {
+                let mut pack = FusedPack::new(running);
+                self.adopt(&pack);
+                loop {
+                    if !pack.run_block(self.backend.as_mut(), &mut self.timings) {
+                        continue;
+                    }
+                    let (stopped, rest) = pack.retire(Vec::new());
+                    self.seats.extend(stopped);
+                    match rest {
+                        Some(next) => pack = next,
+                        None => break,
+                    }
+                    self.adopt(&pack);
                 }
             }
-            if !stopped.is_empty() {
-                self.freeze_and_repack(&stopped);
-            }
+            self.seats.sort_by_key(|s| s.tag);
         }
 
         self.elapsed += start.elapsed();
         BatchReport {
-            instances: (0..self.slots.len()).map(|i| self.report(i)).collect(),
+            instances: self.seats.iter().map(|s| s.run.report()).collect(),
             elapsed: self.elapsed,
         }
     }
@@ -328,109 +424,22 @@ impl BatchSolver {
         self.run(self.options.stopping.max_iters)
     }
 
-    /// Builds the fused problem over `members` (slot indices, ascending)
-    /// with the given per-member states and proximal operators, and
-    /// installs it as the active set.
-    fn pack(
-        &mut self,
-        members: Vec<usize>,
-        states: Vec<VarStore>,
-        proxes: Vec<Vec<Box<dyn ProxOp>>>,
-    ) {
-        let batch = {
-            let views: Vec<BatchInstance<'_>> = members
-                .iter()
-                .zip(&states)
-                .map(|(&m, state)| BatchInstance {
-                    graph: &self.slots[m].graph,
-                    params: &self.slots[m].params,
-                    store: state,
-                })
-                .collect();
-            BatchStore::pack(&views).expect("instances were validated at construction")
-        };
-        let (graph, params, store, layout) = batch.into_parts();
-        let fused_proxes: Vec<Box<dyn ProxOp>> = proxes.into_iter().flatten().collect();
-        let mut problem = AdmmProblem::with_params(graph, fused_proxes, params);
-        problem.set_plan(self.fused_plan_for(&problem));
+    /// Counts `pack`'s plan and, under the sharded descriptor, rebuilds
+    /// the backend over its zero-cut instance partition (the fused
+    /// topology changes on every repack).
+    fn adopt(&mut self, pack: &FusedPack<usize>) {
+        self.plans_built += 1;
         if let Some(parts) = self.sharded_parts {
-            // Instances are natural shards: a fresh backend over the
-            // zero-cut instance partition, rebuilt because the fused
-            // topology changes on every repack.
             self.backend = Box::new(StaleBoundedBackend::with_partition(
-                layout.partition(parts),
+                pack.layout().partition(parts),
                 0,
             ));
         }
-        self.active = Some(ActiveSet {
-            problem,
-            store,
-            layout,
-            members,
-        });
     }
 
-    /// The fused plan for `problem`'s pass shape, reusing the cached
-    /// plan when the fingerprint matches (a repack that kept the fused
-    /// topology's pass shape skips the rebuild entirely). Installing
-    /// the plan at pack time also means every subsequent block's
-    /// resolve borrows it instead of re-deriving the default.
-    fn fused_plan_for(&mut self, problem: &AdmmProblem) -> SweepPlan {
-        let g = problem.graph();
-        let fingerprint = (g.num_factors(), g.num_vars(), g.num_edges());
-        match &self.plan_cache {
-            Some((fp, plan)) if *fp == fingerprint => plan.clone(),
-            _ => {
-                self.plans_built += 1;
-                let plan = SweepPlan::fused(problem);
-                self.plan_cache = Some((fingerprint, plan.clone()));
-                plan
-            }
-        }
-    }
-
-    /// Fused plans constructed so far (plan-cache misses); packs whose
-    /// pass shape matched the previous pack reuse the cached plan and
-    /// do not count.
+    /// Fused plans built so far, one per pack.
     pub fn plans_built(&self) -> usize {
         self.plans_built
-    }
-
-    /// Extracts the state of the given active positions (ascending) into
-    /// their slots and repacks the survivors into a smaller dense batch.
-    fn freeze_and_repack(&mut self, frozen_positions: &[usize]) {
-        let ActiveSet {
-            problem,
-            store,
-            layout,
-            members,
-        } = self.active.take().expect("freeze requires an active set");
-        let (_graph, all_proxes, _params) = problem.into_parts();
-
-        let mut prox_iter = all_proxes.into_iter();
-        let mut frozen = frozen_positions.iter().copied().peekable();
-        let mut surv_members = Vec::new();
-        let mut surv_states = Vec::new();
-        let mut surv_proxes = Vec::new();
-        for (pos, &member) in members.iter().enumerate() {
-            let segment: Vec<Box<dyn ProxOp>> = prox_iter
-                .by_ref()
-                .take(layout.factor_range(pos).len())
-                .collect();
-            let state = layout.extract_store(&store, pos);
-            if frozen.peek() == Some(&pos) {
-                frozen.next();
-                self.slots[member].result_store = Some(state);
-            } else {
-                surv_members.push(member);
-                surv_states.push(state);
-                surv_proxes.push(segment);
-            }
-        }
-        debug_assert!(prox_iter.next().is_none());
-        if !surv_members.is_empty() {
-            self.pack(surv_members, surv_states, surv_proxes);
-        }
     }
 }
 
@@ -479,32 +488,63 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_skips_rebuild_for_matching_pass_shape() {
-        // Two same-shape instances: packing either one alone produces
-        // the same fused fingerprint, so the second pack must hit the
-        // cache; a different shape must miss it.
-        let mut batch = BatchSolver::new(
-            vec![consensus_problem(&[1.0, 5.0])],
-            SolverOptions::default(),
-        );
-        let p1 = consensus_problem(&[1.0, 5.0]);
+    fn plans_built_counts_one_plan_per_pack() {
+        // One budget for all: every instance retires at once, one pack.
+        let options = SolverOptions {
+            stopping: StoppingCriteria::fixed_iterations(12),
+            ..SolverOptions::default()
+        };
+        let mut batch = BatchSolver::new(mixed_instances(), options);
         assert_eq!(batch.plans_built(), 0);
-        batch.fused_plan_for(&p1);
+        batch.run(12);
         assert_eq!(batch.plans_built(), 1);
-        batch.fused_plan_for(&p1); // same fingerprint → cache hit
-        assert_eq!(batch.plans_built(), 1);
-        let bigger = consensus_problem(&[1.0, 5.0, 9.0]);
-        batch.fused_plan_for(&bigger); // new shape → rebuild
-        assert_eq!(batch.plans_built(), 2);
+
+        // Staggered stops: the first pack, then one repack per stop
+        // point that leaves survivors.
+        let options = SolverOptions {
+            stopping: StoppingCriteria {
+                max_iters: 2000,
+                eps_abs: 1e-10,
+                eps_rel: 1e-9,
+                check_every: 5,
+            },
+            ..SolverOptions::default()
+        };
+        let instances = vec![
+            consensus_problem(&[2.0, 2.0]),
+            consensus_problem(&[1.0, 5.0]),
+            consensus_problem(&[1.0, 5.0, 9.0, -7.0, 3.0]),
+        ];
+        let mut batch = BatchSolver::new(instances, options);
+        let report = batch.run(2000);
+        let mut stops: Vec<usize> = report.instances.iter().map(|r| r.iterations).collect();
+        stops.sort_unstable();
+        stops.dedup();
+        assert!(stops.len() > 1, "the instances stop at distinct iterations");
+        assert_eq!(batch.plans_built(), stops.len());
     }
 
     #[test]
     fn packed_problem_carries_the_fused_plan() {
-        let mut batch = BatchSolver::new(mixed_instances(), SolverOptions::default());
-        batch.run(5);
-        assert!(batch.plans_built() >= 1);
-        // Every pack so far had a distinct shrinking topology, but the
-        // plan itself must be installed (resolution borrows it).
+        let seats = mixed_instances()
+            .into_iter()
+            .enumerate()
+            .map(|(tag, p)| {
+                let (graph, proxes, params) = p.into_parts();
+                Seat {
+                    tag,
+                    run: RunState::new(StoppingCriteria::default(), 10, &graph),
+                    state: VarStore::zeros(&graph),
+                    graph,
+                    params,
+                    proxes,
+                }
+            })
+            .collect();
+        let pack = FusedPack::new(seats);
+        // Installed once at pack time; every block's resolve borrows it.
+        assert!(pack.problem.plan().is_some());
+        assert_eq!(pack.layout().num_instances(), 3);
     }
 
     #[test]

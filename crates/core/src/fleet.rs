@@ -50,7 +50,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use paradmm_graph::{FleetLayout, VarStore};
+use paradmm_graph::VarStore;
 
 use crate::backend::{SweepArrays, SweepExecutor};
 use crate::batch::BatchReport;
@@ -467,12 +467,14 @@ impl FleetSolver {
     ) -> Self {
         assert!(!problems.is_empty(), "fleet needs at least one instance");
         assert!(threads >= 1, "fleet needs at least one worker");
-        let layout = {
-            let graphs: Vec<&paradmm_graph::FactorGraph> =
-                problems.iter().map(|p| p.graph()).collect();
-            FleetLayout::new(&graphs)
-        };
-        let order = layout.schedule_order();
+        // Cost in edge-components (`edges · dims`), the unit every
+        // element-wise sweep is linear in; the sort is stable, so
+        // equal-cost instances keep fleet order.
+        let mut order: Vec<usize> = (0..problems.len()).collect();
+        order.sort_by_key(|&i| {
+            let g = problems[i].graph();
+            std::cmp::Reverse(g.num_edges() * g.dims())
+        });
         let slots: Vec<FleetSlot> = problems
             .into_iter()
             .map(|problem| {
@@ -543,10 +545,6 @@ impl FleetSolver {
                 slot.run = RunState::new(self.options.stopping, max_iters, slot.problem.graph());
             }
         }
-        let mut rank = vec![0usize; self.order.len()];
-        for (pos, &i) in self.order.iter().enumerate() {
-            rank[i] = pos;
-        }
 
         while let Some(block) = self
             .slots
@@ -555,20 +553,21 @@ impl FleetSolver {
             .filter(|&b| b > 0)
             .min()
         {
-            let mut round: Vec<RoundInstance<'_>> = self
-                .slots
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, s)| !s.run.is_stopped())
-                .map(|(i, slot)| RoundInstance {
-                    global: i,
-                    problem: &slot.problem,
-                    store: &mut slot.store,
-                })
-                .collect();
             // Largest-cost-first: early claims land on the instances
             // that will need assistance.
-            round.sort_by_key(|ri| rank[ri.global]);
+            let mut slots: Vec<Option<&mut FleetSlot>> = self.slots.iter_mut().map(Some).collect();
+            let mut round: Vec<RoundInstance<'_>> = self
+                .order
+                .iter()
+                .filter_map(|&i| {
+                    let slot = slots[i].take().filter(|s| !s.run.is_stopped())?;
+                    Some(RoundInstance {
+                        global: i,
+                        problem: &slot.problem,
+                        store: &mut slot.store,
+                    })
+                })
+                .collect();
             run_round(&mut round, block, self.threads, &mut self.diagnostics);
             drop(round);
 
@@ -830,6 +829,45 @@ mod tests {
         assert_eq!(report.instances.len(), 3);
         assert!(report.instances_per_second() > 0.0);
         assert!(fleet.diagnostics().total_chunks() > 0);
+    }
+
+    /// A chain of `vars` variables in `dims` dimensions: `vars - 1`
+    /// pairwise factors, so `2 · (vars - 1) · dims` edge-components.
+    fn chain(dims: usize, vars: usize) -> AdmmProblem {
+        let mut b = GraphBuilder::new(dims);
+        let ids: Vec<_> = (0..vars).map(|_| b.add_var()).collect();
+        let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        for w in ids.windows(2) {
+            b.add_factor(w);
+            proxes.push(Box::new(paradmm_prox::ZeroProx));
+        }
+        AdmmProblem::new(b.build(), proxes, 1.0, 1.0)
+    }
+
+    fn order_of(problems: Vec<AdmmProblem>) -> Vec<usize> {
+        FleetSolver::with_threads(problems, SolverOptions::default(), 1).order
+    }
+
+    #[test]
+    fn layout_orders_largest_first() {
+        // Costs 4, 38 and 16 edge-components.
+        assert_eq!(
+            order_of(vec![chain(1, 3), chain(1, 20), chain(2, 5)]),
+            vec![1, 2, 0]
+        );
+    }
+
+    #[test]
+    fn mixed_dims_are_first_class() {
+        // Same topology, three times the components: the 3-D one is
+        // larger.
+        assert_eq!(order_of(vec![chain(1, 4), chain(3, 4)]), vec![1, 0]);
+    }
+
+    #[test]
+    fn uniform_fleet_is_balanced() {
+        // Equal costs keep fleet order.
+        assert_eq!(order_of(vec![chain(2, 6), chain(2, 6)]), vec![0, 1]);
     }
 
     #[test]

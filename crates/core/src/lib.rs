@@ -49,9 +49,11 @@
 //! [`Solver`] loop.
 //!
 //! For many *small independent* problems (batched serving), the
-//! [`BatchSolver`] packs instances into one block-diagonal fused store
-//! and drives it through any backend, with per-instance residual
-//! tracking and early-exit freezing — see [`BatchSolver::run`]. For
+//! [`BatchSolver`] packs instances into one block-diagonal
+//! [`FusedPack`] and drives it through any backend, with per-instance
+//! residual tracking and early-exit freezing — see
+//! [`BatchSolver::run`]; the serve engine's batch lane runs the same
+//! pack. For
 //! *heterogeneous* fleets (mixed sizes, even mixed `dims`), the
 //! work-assisting [`FleetSolver`] keeps instances separate and lets
 //! idle workers assist whichever instance still has sweep work — see
@@ -80,7 +82,7 @@ mod twa;
 
 pub use adaptive::ResidualBalancing;
 pub use backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
-pub use batch::{BatchReport, BatchSolver};
+pub use batch::{BatchReport, BatchSolver, FusedPack, Seat};
 pub use diagnostics::{
     fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,
     FleetWorkerStats, ProxKindCost, Trace, TracePoint,

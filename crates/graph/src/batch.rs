@@ -89,7 +89,7 @@ impl BatchLayout {
 
     /// Number of packed instances.
     #[inline]
-    pub(crate) fn num_instances(&self) -> usize {
+    pub fn num_instances(&self) -> usize {
         self.var_offsets.len() - 1
     }
 

@@ -19,9 +19,6 @@
 //! * [`BatchStore`] / [`BatchLayout`] — N independent instances packed
 //!   into one block-diagonal fused store (offset-translated id maps,
 //!   zero-cut shard partition) for batched multi-instance serving,
-//! * [`FleetLayout`] — size statistics over a fleet of *unfused*
-//!   independent instances (per-instance costs, largest-first schedule
-//!   order) for the work-assisting fleet scheduler,
 //! * [`GraphStats`] — degree statistics (the paper's conclusion discusses
 //!   how degree imbalance throttles the z-update).
 //!
@@ -33,7 +30,6 @@ mod aligned;
 mod batch;
 mod builder;
 pub(crate) mod byteio;
-mod fleet;
 mod graph;
 mod ids;
 pub mod io;
@@ -48,7 +44,6 @@ mod stream;
 pub use aligned::AlignedVec;
 pub use batch::{BatchInstance, BatchLayout, BatchStore};
 pub use builder::GraphBuilder;
-pub use fleet::FleetLayout;
 pub use graph::FactorGraph;
 pub use ids::{EdgeId, FactorId, VarId};
 pub use params::EdgeParams;

@@ -151,34 +151,12 @@ impl GraphStats {
         }
         h
     }
-
-    /// Groups variables into chunks whose total edge count is as uniform as
-    /// possible (greedy first-fit by descending degree) — the scheduling
-    /// scheme the paper's conclusion proposes for robust z-updates. Returns
-    /// `groups` lists of variable indices.
-    pub fn balanced_var_groups(graph: &FactorGraph, groups: usize) -> Vec<Vec<u32>> {
-        assert!(groups > 0);
-        let mut order: Vec<u32> = (0..graph.num_vars() as u32).collect();
-        order.sort_by_key(|&b| std::cmp::Reverse(graph.var_degree(crate::ids::VarId(b))));
-        let mut buckets: Vec<(usize, Vec<u32>)> = vec![(0, Vec::new()); groups];
-        for b in order {
-            // Place into the currently lightest bucket.
-            let (load, bucket) = buckets
-                .iter_mut()
-                .min_by_key(|(load, _)| *load)
-                .expect("groups > 0");
-            bucket.push(b);
-            *load += graph.var_degree(crate::ids::VarId(b)).max(1);
-        }
-        buckets.into_iter().map(|(_, v)| v).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::ids::VarId;
 
     fn star(leaves: usize) -> FactorGraph {
         // One hub variable touched by `leaves` factors, each also touching
@@ -220,39 +198,6 @@ mod tests {
         let h = GraphStats::var_degree_histogram(&g);
         // 3 leaves with degree 1, hub with degree 3.
         assert_eq!(h, vec![0, 3, 0, 1]);
-    }
-
-    #[test]
-    fn balanced_groups_cover_all_vars() {
-        let g = star(7);
-        let groups = GraphStats::balanced_var_groups(&g, 3);
-        let mut all: Vec<u32> = groups.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn balanced_groups_put_hub_alone_ish() {
-        // Hub has degree 8; leaves have degree 1. With 2 groups the greedy
-        // packer must put the hub in one bucket and all leaves in the other
-        // (loads 8 vs 8).
-        let g = star(8);
-        let groups = GraphStats::balanced_var_groups(&g, 2);
-        let loads: Vec<usize> = groups
-            .iter()
-            .map(|grp| grp.iter().map(|&b| g.var_degree(VarId(b)).max(1)).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
-        assert!(max - min <= 1, "loads should be near-equal, got {loads:?}");
-    }
-
-    #[test]
-    fn single_group_is_everything() {
-        let g = star(3);
-        let groups = GraphStats::balanced_var_groups(&g, 1);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 4);
     }
 
     #[test]

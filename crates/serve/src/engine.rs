@@ -6,29 +6,28 @@
 //!
 //! * an **admission queue** ordered by ([`Priority`] descending,
 //!   earliest deadline, arrival order),
-//! * one **fused batch** ("the pack") of in-flight instances sharing
-//!   `dims`, block-diagonally fused with
-//!   [`paradmm_graph::BatchStore::pack`] and driven through a single
-//!   backend, and
+//! * one **fused pack** of in-flight instances sharing `dims`: a
+//!   [`FusedPack`], the block-diagonal pack [`paradmm_core::BatchSolver`]
+//!   runs too, driven through a single backend, and
 //! * a **fleet lane**: [`FleetSolver`] rounds for requests that cannot
 //!   join the pack (mismatched `dims`) or should not wait for it
 //!   ([`Priority::Critical`]).
 //!
 //! # Continuous batching and the per-instance block rule
 //!
-//! Unlike [`paradmm_core::BatchSolver`] — which runs a *closed* batch
-//! whose members start together — pack members here join mid-flight,
-//! each carrying its own [`RunState`]. Each [`Engine::step`]:
+//! [`FusedPack`] owns the block rule; the engine only decides who
+//! joins. Unlike a [`paradmm_core::BatchSolver`] batch, whose members
+//! start together, pack members here join mid-flight, each carrying
+//! its own [`RunState`]. Each [`Engine::step`]:
 //!
-//! 1. splices queued compatible requests into the pack (a *join*, at a
-//!    repack boundary only),
-//! 2. runs one fused block of the minimum [`RunState::next_block`] over
-//!    the members — the iterations to the nearest member's next check
-//!    point or budget,
-//! 3. hands each member's [`RunState::after_block`] its residuals over
-//!    the member's edge range (computed only when that member is at a
-//!    check point), retiring stopped members and repacking the
-//!    survivors.
+//! 1. splices queued compatible requests into the pack
+//!    ([`FusedPack::retire`] with joiners: a *join*, at a repack
+//!    boundary only),
+//! 2. runs one fused block ([`FusedPack::run_block`]) to the nearest
+//!    member's next check point or budget, after which each member
+//!    checks its residuals over its own edge range,
+//! 3. when a member stopped, retires the stopped members and repacks
+//!    the survivors ([`FusedPack::retire`] without joiners).
 //!
 //! Because the fused graph is block-diagonal, iterate sequences are
 //! unaffected by how iterations are partitioned into blocks, and a
@@ -44,11 +43,11 @@
 use std::time::Instant;
 
 use paradmm_core::{
-    AdmmProblem, BackendSpec, FleetSolver, InstanceReport, Priority, Residuals, RunState,
-    SolveOutcome, SolveRequest, SolverOptions, StopReason, SweepExecutor, UpdateTimings,
+    AdmmProblem, BackendSpec, FleetSolver, FusedPack, InstanceReport, Priority, RunState, Seat,
+    SolveOutcome, SolveRequest, SolverOptions, StopReason, StoppingCriteria, SweepExecutor,
+    UpdateTimings,
 };
-use paradmm_graph::{BatchInstance, BatchLayout, BatchStore, EdgeParams, FactorGraph, VarStore};
-use paradmm_prox::ProxOp;
+use paradmm_graph::VarStore;
 
 use crate::cache::WarmStartCache;
 use crate::protocol::request_fingerprint;
@@ -184,95 +183,17 @@ struct Ticket {
     admitted: Instant,
 }
 
-/// An admitted request waiting for a lane.
+/// An admitted request waiting for a lane: its seat (state = warm
+/// start or zeros) plus the queue's ordering keys.
 struct Pending {
-    ticket: Ticket,
+    seat: Seat<Ticket>,
     seq: u64,
-    graph: FactorGraph,
-    params: EdgeParams,
-    proxes: Vec<Box<dyn ProxOp>>,
-    /// The request's stopping schedule, not yet started.
-    run: RunState,
     priority: Priority,
     /// Absolute deadline (admission time + requested budget) — EDF
     /// ordering must compare these, not raw budgets, or a request that
     /// has already burned most of its budget waiting sorts behind a
     /// fresh one with a nominally tighter budget.
     deadline_at: Option<Instant>,
-    warm: Option<VarStore>,
-}
-
-/// A pack member's bookkeeping (graph/params retained for repacks; the
-/// proxes live inside the fused problem between repacks).
-struct Member {
-    ticket: Ticket,
-    graph: FactorGraph,
-    params: EdgeParams,
-    run: RunState,
-}
-
-/// The fused in-flight batch.
-struct Pack {
-    problem: AdmmProblem,
-    store: VarStore,
-    layout: BatchLayout,
-    members: Vec<Member>,
-}
-
-/// A member outside the fused pack: its state and proximal operators.
-type Seat = (Member, VarStore, Vec<Box<dyn ProxOp>>);
-
-impl Pack {
-    /// Fuses `seats` block-diagonally, in order.
-    fn new(seats: Vec<Seat>) -> Pack {
-        let batch = {
-            let views: Vec<BatchInstance<'_>> = seats
-                .iter()
-                .map(|(m, state, _)| BatchInstance {
-                    graph: &m.graph,
-                    params: &m.params,
-                    store: state,
-                })
-                .collect();
-            BatchStore::pack(&views).expect("members share dims by admission routing")
-        };
-        let (graph, params, store, layout) = batch.into_parts();
-        let (members, proxes): (Vec<Member>, Vec<_>) =
-            seats.into_iter().map(|(m, _, p)| (m, p)).unzip();
-        let problem =
-            AdmmProblem::with_params(graph, proxes.into_iter().flatten().collect(), params);
-        Pack {
-            problem,
-            store,
-            layout,
-            members,
-        }
-    }
-
-    /// Splits the pack back into its members' seats, in order.
-    fn into_seats(self) -> Vec<Seat> {
-        let Pack {
-            problem,
-            store,
-            layout,
-            members,
-        } = self;
-        let (_graph, proxes, _params) = problem.into_parts();
-        let mut proxes = proxes.into_iter();
-        let seats = members
-            .into_iter()
-            .enumerate()
-            .map(|(pos, member)| {
-                let segment = proxes
-                    .by_ref()
-                    .take(layout.factor_range(pos).len())
-                    .collect();
-                (member, layout.extract_store(&store, pos), segment)
-            })
-            .collect();
-        debug_assert!(proxes.next().is_none());
-        seats
-    }
 }
 
 /// The deterministic, steppable continuous-batching core. See the
@@ -281,7 +202,7 @@ pub struct Engine {
     config: EngineConfig,
     cache: WarmStartCache,
     queue: Vec<Pending>,
-    pack: Option<Pack>,
+    pack: Option<FusedPack<Ticket>>,
     backend: Box<dyn SweepExecutor>,
     timings: UpdateTimings,
     seq: u64,
@@ -315,7 +236,7 @@ impl Engine {
 
     /// Instances currently fused in the pack.
     pub fn pack_len(&self) -> usize {
-        self.pack.as_ref().map_or(0, |p| p.members.len())
+        self.pack.as_ref().map_or(0, |p| p.layout().num_instances())
     }
 
     /// Admits a request: resolves its warm start (explicit beats
@@ -354,20 +275,22 @@ impl Engine {
         let admitted = Instant::now();
         let run = RunState::new(parts.stopping, parts.stopping.max_iters, &graph);
         self.queue.push(Pending {
-            ticket: Ticket {
-                id,
-                warm_started,
-                fingerprint,
-                admitted,
+            seat: Seat {
+                tag: Ticket {
+                    id,
+                    warm_started,
+                    fingerprint,
+                    admitted,
+                },
+                state: warm.unwrap_or_else(|| VarStore::zeros(&graph)),
+                graph,
+                params,
+                run,
+                proxes,
             },
             seq: self.seq,
-            graph,
-            params,
-            proxes,
-            run,
             priority: parts.priority,
             deadline_at: parts.deadline.and_then(|d| admitted.checked_add(d)),
-            warm,
         });
     }
 
@@ -417,21 +340,19 @@ impl Engine {
         self.sort_queue();
         let pending = std::mem::take(&mut self.queue);
         let mut completions = Vec::with_capacity(pending.len());
-        for p in pending {
-            if p.run.is_stopped() {
-                completions.push(self.empty_budget_completion(p, Lane::Solo));
+        for Pending { seat, .. } in pending {
+            if seat.run.is_stopped() {
+                completions.push(self.complete(seat, Lane::Solo));
                 continue;
             }
-            let problem = AdmmProblem::with_params(p.graph, p.proxes, p.params);
+            let problem = AdmmProblem::with_params(seat.graph, seat.proxes, seat.params);
             let options = SolverOptions {
                 backend: self.config.backend,
-                stopping: *p.run.criteria(),
+                stopping: *seat.run.criteria(),
                 ..SolverOptions::default()
             };
             let mut solver = paradmm_core::Solver::from_problem(problem, options);
-            if let Some(ws) = p.warm {
-                *solver.store_mut() = ws;
-            }
+            *solver.store_mut() = seat.state;
             let report = solver.run_default();
             let report = InstanceReport {
                 iterations: report.iterations,
@@ -439,7 +360,7 @@ impl Engine {
                 final_residuals: report.final_residuals,
             };
             self.stats.solo_served += 1;
-            completions.push(self.complete(p.ticket, solver.into_store(), report, Lane::Solo));
+            completions.push(self.completion(seat.tag, solver.into_store(), report, Lane::Solo));
         }
         completions
     }
@@ -454,19 +375,19 @@ impl Engine {
         let pack_dims = self
             .pack
             .as_ref()
-            .map(|p| p.layout.dims())
-            .or_else(|| self.queue.first().map(|p| p.graph.dims()));
-        let mut joiners: Vec<Pending> = Vec::new();
-        let mut fleet: Vec<Pending> = Vec::new();
+            .map(|p| p.layout().dims())
+            .or_else(|| self.queue.first().map(|p| p.seat.graph.dims()));
+        let mut joiners: Vec<Seat<Ticket>> = Vec::new();
+        let mut fleet: Vec<Seat<Ticket>> = Vec::new();
         let mut still_queued: Vec<Pending> = Vec::new();
         let room = self.config.max_batch.saturating_sub(self.pack_len());
         for p in std::mem::take(&mut self.queue) {
-            if p.run.is_stopped() {
-                completions.push(self.empty_budget_completion(p, Lane::Batch));
-            } else if p.priority == Priority::Critical || Some(p.graph.dims()) != pack_dims {
-                fleet.push(p);
+            if p.seat.run.is_stopped() {
+                completions.push(self.complete(p.seat, Lane::Batch));
+            } else if p.priority == Priority::Critical || Some(p.seat.graph.dims()) != pack_dims {
+                fleet.push(p.seat);
             } else if joiners.len() < room {
-                joiners.push(p);
+                joiners.push(p.seat);
             } else {
                 still_queued.push(p);
             }
@@ -478,30 +399,62 @@ impl Engine {
         }
 
         if !joiners.is_empty() {
-            if self.pack.is_some() {
-                self.stats.joins += joiners.len() as u64;
+            match self.pack.take() {
+                Some(pack) => {
+                    self.stats.joins += joiners.len() as u64;
+                    self.repack(pack, joiners, &mut completions);
+                }
+                None => self.install(Some(FusedPack::new(joiners))),
             }
-            self.repack_with(joiners);
         }
 
-        if self.pack.is_some() {
-            completions.extend(self.run_pack_block());
+        if let Some(pack) = self.pack.as_mut() {
+            if pack.run_block(self.backend.as_mut(), &mut self.timings) {
+                let pack = self.pack.take().expect("pack was just borrowed");
+                self.repack(pack, Vec::new(), &mut completions);
+            }
         }
 
         completions
     }
 
-    /// A request admitted with `max_iters == 0`: complete immediately
-    /// with its initial state (the solo loop never enters its body
-    /// either).
-    fn empty_budget_completion(&mut self, p: Pending, lane: Lane) -> Completion {
-        let store = p.warm.unwrap_or_else(|| VarStore::zeros(&p.graph));
-        self.complete(p.ticket, store, p.run.report(), lane)
+    /// Completes `pack`'s stopped members and repacks the rest followed
+    /// by `joiners` (a repack boundary).
+    fn repack(
+        &mut self,
+        pack: FusedPack<Ticket>,
+        joiners: Vec<Seat<Ticket>>,
+        completions: &mut Vec<Completion>,
+    ) {
+        let (stopped, pack) = pack.retire(joiners);
+        if pack.is_some() {
+            self.stats.repacks += 1;
+        }
+        self.install(pack);
+        for seat in stopped {
+            self.stats.batch_served += 1;
+            completions.push(self.complete(seat, Lane::Batch));
+        }
+    }
+
+    /// Makes `pack` the running pack.
+    fn install(&mut self, pack: Option<FusedPack<Ticket>>) {
+        let len = pack.as_ref().map_or(0, |p| p.layout().num_instances());
+        self.stats.max_pack = self.stats.max_pack.max(len);
+        self.pack = pack;
+    }
+
+    /// `seat`'s completion from its current state and report. A seat
+    /// whose budget was zero completes with its initial state, as the
+    /// solo loop, which never enters its body, would.
+    fn complete(&mut self, seat: Seat<Ticket>, lane: Lane) -> Completion {
+        let report = seat.run.report();
+        self.completion(seat.tag, seat.state, report, lane)
     }
 
     /// `ticket`'s completion from its final state and report; a
     /// converged state also seeds the warm-start cache.
-    fn complete(
+    fn completion(
         &mut self,
         ticket: Ticket,
         store: VarStore,
@@ -531,13 +484,15 @@ impl Engine {
     /// Serves `batch` on dedicated [`FleetSolver`] rounds, one round
     /// per distinct stopping criteria (a fleet run has one stopping
     /// policy; fleets handle mixed graph shapes and `dims` natively).
-    fn run_fleet_round(&mut self, mut batch: Vec<Pending>) -> Vec<Completion> {
+    /// Criteria compare bit for bit, so a NaN tolerance still matches
+    /// itself and the first seat always leads its own round.
+    fn run_fleet_round(&mut self, mut batch: Vec<Seat<Ticket>>) -> Vec<Completion> {
         let mut completions = Vec::new();
         while !batch.is_empty() {
             let stopping = *batch[0].run.criteria();
             let (round, rest): (Vec<_>, Vec<_>) = batch
                 .into_iter()
-                .partition(|p| *p.run.criteria() == stopping);
+                .partition(|s| same_criteria(s.run.criteria(), &stopping));
             batch = rest;
 
             let options = SolverOptions {
@@ -546,111 +501,35 @@ impl Engine {
             };
             let mut problems = Vec::with_capacity(round.len());
             let mut tickets = Vec::with_capacity(round.len());
-            let mut warm = Vec::with_capacity(round.len());
-            for p in round {
-                problems.push(AdmmProblem::with_params(p.graph, p.proxes, p.params));
-                tickets.push(p.ticket);
-                warm.push(p.warm);
+            let mut states = Vec::with_capacity(round.len());
+            for s in round {
+                problems.push(AdmmProblem::with_params(s.graph, s.proxes, s.params));
+                tickets.push(s.tag);
+                states.push(s.state);
             }
             let mut fleet =
                 FleetSolver::with_threads(problems, options, self.config.fleet_threads.max(1));
-            for (i, ws) in warm.into_iter().enumerate() {
-                if let Some(ws) = ws {
-                    fleet.warm_start(i, ws);
-                }
+            for (i, state) in states.into_iter().enumerate() {
+                fleet.warm_start(i, state);
             }
             let report = fleet.run_default();
             for ((i, ticket), r) in tickets.into_iter().enumerate().zip(report.instances) {
                 self.stats.fleet_served += 1;
-                completions.push(self.complete(ticket, fleet.store(i).clone(), r, Lane::Fleet));
+                completions.push(self.completion(ticket, fleet.store(i).clone(), r, Lane::Fleet));
             }
         }
         completions
     }
+}
 
-    /// Rebuilds the fused pack from the current members' extracted
-    /// states plus `joiners` (a repack boundary).
-    fn repack_with(&mut self, joiners: Vec<Pending>) {
-        let mut seats = match self.pack.take() {
-            Some(pack) => {
-                self.stats.repacks += 1;
-                pack.into_seats()
-            }
-            None => Vec::new(),
-        };
-        seats.extend(joiners.into_iter().map(|p| {
-            let state = p.warm.unwrap_or_else(|| VarStore::zeros(&p.graph));
-            let member = Member {
-                ticket: p.ticket,
-                graph: p.graph,
-                params: p.params,
-                run: p.run,
-            };
-            (member, state, p.proxes)
-        }));
-        self.install(seats);
-    }
-
-    /// Fuses `seats` into the pack.
-    fn install(&mut self, seats: Vec<Seat>) {
-        self.stats.max_pack = self.stats.max_pack.max(seats.len());
-        self.pack = Some(Pack::new(seats));
-    }
-
-    /// Runs one fused block of the minimum [`RunState::next_block`]
-    /// over the members, then retires the members that stopped.
-    /// Returns completions for retired members.
-    fn run_pack_block(&mut self) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        let Some(pack) = self.pack.as_mut() else {
-            return completions;
-        };
-
-        let block = pack
-            .members
-            .iter()
-            .map(|m| m.run.next_block())
-            .min()
-            .expect("pack is never empty");
-
-        self.backend
-            .run_block(&pack.problem, &mut pack.store, block, &mut self.timings);
-
-        for (pos, m) in pack.members.iter_mut().enumerate() {
-            let er = pack.layout.edge_range(pos);
-            m.run.after_block(block, || {
-                Residuals::compute_edge_range(
-                    pack.problem.graph(),
-                    pack.problem.params(),
-                    &pack.store,
-                    er.start,
-                    er.end,
-                )
-            });
-        }
-        if !pack.members.iter().any(|m| m.run.is_stopped()) {
-            return completions;
-        }
-
-        // Extract every member's state, complete the retired ones, and
-        // repack the survivors (another repack boundary).
-        let pack = self.pack.take().expect("pack was just borrowed");
-        let mut survivors = Vec::new();
-        for (member, state, proxes) in pack.into_seats() {
-            if member.run.is_stopped() {
-                self.stats.batch_served += 1;
-                let report = member.run.report();
-                completions.push(self.complete(member.ticket, state, report, Lane::Batch));
-            } else {
-                survivors.push((member, state, proxes));
-            }
-        }
-        if !survivors.is_empty() {
-            self.stats.repacks += 1;
-            self.install(survivors);
-        }
-        completions
-    }
+/// Whether two stopping criteria are the same policy, bit for bit
+/// (`==` on the `f64` tolerances would make a NaN tolerance unequal to
+/// itself).
+fn same_criteria(a: &StoppingCriteria, b: &StoppingCriteria) -> bool {
+    a.max_iters == b.max_iters
+        && a.check_every == b.check_every
+        && a.eps_abs.to_bits() == b.eps_abs.to_bits()
+        && a.eps_rel.to_bits() == b.eps_rel.to_bits()
 }
 
 #[cfg(test)]
@@ -658,7 +537,7 @@ mod tests {
     use super::*;
     use paradmm_core::{Solver, StoppingCriteria};
     use paradmm_graph::GraphBuilder;
-    use paradmm_prox::QuadraticProx;
+    use paradmm_prox::{ProxOp, QuadraticProx};
     use std::time::Duration;
 
     /// Consensus of `k` quadratics over one variable (dims
@@ -871,6 +750,33 @@ mod tests {
         assert_eq!(first[0].outcome.store.z, reference.store.z);
         let rest = engine.run_until_idle();
         assert_eq!(rest.len(), 1);
+    }
+
+    #[test]
+    fn nan_tolerance_request_still_gets_a_fleet_round() {
+        // A NaN tolerance never converges. Criteria compare bit for
+        // bit, so the request still leads its own fleet round instead
+        // of an empty one.
+        let nan = StoppingCriteria {
+            max_iters: 40,
+            eps_abs: f64::NAN,
+            eps_rel: 1e-6,
+            check_every: 10,
+        };
+        let mut engine = Engine::new(EngineConfig::default());
+        engine.submit(EngineRequest {
+            id: 1,
+            request: request(1, &[1.0, 5.0], nan).with_priority(Priority::Critical),
+            use_cache: false,
+        });
+        let done = engine.run_until_idle();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].lane, Lane::Fleet);
+        let reference = solo(1, &[1.0, 5.0], nan);
+        assert_eq!(reference.stop_reason, StopReason::MaxIterations);
+        assert_eq!(done[0].outcome.stop_reason, reference.stop_reason);
+        assert_eq!(done[0].outcome.iterations, reference.iterations);
+        assert_eq!(done[0].outcome.store.z, reference.store.z);
     }
 
     #[test]

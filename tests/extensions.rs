@@ -125,16 +125,3 @@ fn sudoku_rayon_matches_serial_iterates() {
     let b = run_with(BackendSpec::Rayon { threads: Some(2) });
     assert_eq!(a, b);
 }
-
-#[test]
-fn balanced_grouping_preserves_z_semantics() {
-    // Grouped scheduling is a *device-model* optimization; the actual
-    // z-update math is unchanged. Verify GraphStats grouping covers
-    // everything on a real problem's graph.
-    let (_, admm) = PackingProblem::build(PackingConfig::new(8));
-    let groups = paradmm::graph::GraphStats::balanced_var_groups(admm.graph(), 4);
-    let mut seen: Vec<u32> = groups.into_iter().flatten().collect();
-    seen.sort_unstable();
-    let expect: Vec<u32> = (0..admm.graph().num_vars() as u32).collect();
-    assert_eq!(seen, expect);
-}

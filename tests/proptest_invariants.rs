@@ -119,16 +119,6 @@ proptest! {
         prop_assert_eq!(hist.iter().sum::<usize>(), g.num_vars());
     }
 
-    /// Balanced grouping is a partition of the variables.
-    #[test]
-    fn grouping_is_partition(g in arb_graph(10, 14), k in 1usize..6) {
-        let groups = GraphStats::balanced_var_groups(&g, k);
-        let mut seen: Vec<u32> = groups.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        let expect: Vec<u32> = (0..g.num_vars() as u32).collect();
-        prop_assert_eq!(seen, expect);
-    }
-
     /// All three schedulers produce bit-identical iterates on random
     /// problems (quadratic factors with random targets).
     #[test]
