@@ -456,7 +456,8 @@ impl FleetSolver {
         Self::with_threads(problems, options, threads)
     }
 
-    /// Builds a fleet with an explicit worker count.
+    /// Builds a fleet with an explicit worker count and zero-initialized
+    /// state.
     ///
     /// # Panics
     /// If `problems` is empty or `threads == 0`.
@@ -465,25 +466,45 @@ impl FleetSolver {
         options: SolverOptions,
         threads: usize,
     ) -> Self {
-        assert!(!problems.is_empty(), "fleet needs at least one instance");
+        let instances = problems
+            .into_iter()
+            .map(|problem| {
+                let store = VarStore::zeros(problem.graph());
+                (problem, store)
+            })
+            .collect();
+        Self::with_states(instances, options, threads)
+    }
+
+    /// Builds a fleet whose instances start from their own stores (warm
+    /// starts), with an explicit worker count.
+    ///
+    /// # Panics
+    /// If `instances` is empty, `threads == 0`, or a store is not shaped
+    /// for its problem.
+    pub fn with_states(
+        instances: Vec<(AdmmProblem, VarStore)>,
+        options: SolverOptions,
+        threads: usize,
+    ) -> Self {
+        assert!(!instances.is_empty(), "fleet needs at least one instance");
         assert!(threads >= 1, "fleet needs at least one worker");
         // Cost in edge-components (`edges · dims`), the unit every
         // element-wise sweep is linear in; the sort is stable, so
         // equal-cost instances keep fleet order.
-        let mut order: Vec<usize> = (0..problems.len()).collect();
+        let mut order: Vec<usize> = (0..instances.len()).collect();
         order.sort_by_key(|&i| {
-            let g = problems[i].graph();
+            let g = instances[i].0.graph();
             std::cmp::Reverse(g.num_edges() * g.dims())
         });
-        let slots: Vec<FleetSlot> = problems
+        let slots: Vec<FleetSlot> = instances
             .into_iter()
-            .map(|problem| {
-                let store = VarStore::zeros(problem.graph());
-                let run = RunState::new(
-                    options.stopping,
-                    options.stopping.max_iters,
-                    problem.graph(),
-                );
+            .map(|(problem, store)| {
+                let g = problem.graph();
+                assert_eq!(store.dims(), g.dims(), "store dims mismatch");
+                assert_eq!(store.num_edges(), g.num_edges(), "store edge count");
+                assert_eq!(store.num_vars(), g.num_vars(), "store var count");
+                let run = RunState::new(options.stopping, options.stopping.max_iters, g);
                 FleetSlot {
                     problem,
                     store,
@@ -505,20 +526,6 @@ impl FleetSolver {
     /// Accumulated per-worker assist telemetry.
     pub fn diagnostics(&self) -> &FleetDiagnostics {
         &self.diagnostics
-    }
-
-    /// Seeds instance `i` with `store` instead of zeros (warm start).
-    ///
-    /// # Panics
-    /// If called after [`FleetSolver::run`] started, or the store is
-    /// not shaped for instance `i`.
-    pub fn warm_start(&mut self, i: usize, store: VarStore) {
-        assert!(!self.started, "warm starts must precede run()");
-        let g = self.slots[i].problem.graph();
-        assert_eq!(store.dims(), g.dims(), "warm start dims mismatch");
-        assert_eq!(store.num_edges(), g.num_edges(), "warm start edge count");
-        assert_eq!(store.num_vars(), g.num_vars(), "warm start var count");
-        self.slots[i].store = store;
     }
 
     /// Current state of instance `i` (always accessible — nothing is
@@ -785,12 +792,13 @@ mod tests {
         *solo.store_mut() = seed.clone();
         solo.run(25);
 
-        let mut fleet = FleetSolver::with_threads(
-            vec![consensus_problem(&[1.0, 5.0]), consensus_problem(&[7.0])],
+        let other = consensus_problem(&[7.0]);
+        let other_store = VarStore::zeros(other.graph());
+        let mut fleet = FleetSolver::with_states(
+            vec![(consensus_problem(&[1.0, 5.0]), seed), (other, other_store)],
             options,
             2,
         );
-        fleet.warm_start(0, seed);
         fleet.run(25);
         assert_eq!(fleet.store(0).z, solo.store().z);
         assert_eq!(fleet.store(0).n, solo.store().n);

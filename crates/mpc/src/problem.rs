@@ -1,5 +1,7 @@
 //! Factor-graph construction for MPC (paper Figure 9).
 
+use std::sync::Arc;
+
 use paradmm_core::{
     AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
@@ -85,7 +87,9 @@ impl MpcProblem {
     /// Builds the factor graph of paper Figure 9: one variable node per
     /// time step holding `(q(t), u(t))` (`dims = 5`), `K+1` cost factors,
     /// `K` dynamics factors, one initial-condition factor —
-    /// `3K + 2` edges, linear in `K`.
+    /// `3K + 2` edges, linear in `K`. As in the paper, the horizon
+    /// repeats one stage-cost operator and one dynamics operator: the
+    /// factors of each kind share a single instance.
     pub fn build(config: MpcConfig, sys: LinearSystem) -> (Self, AdmmProblem) {
         assert!(config.horizon >= 1, "horizon must be at least 1");
         assert_eq!(sys.state_dim(), 4, "paper plant has 4 states");
@@ -96,31 +100,37 @@ impl MpcProblem {
         let step_vars = b.add_vars(k + 1);
         let mut proxes: Vec<Box<dyn ProxOp>> = Vec::with_capacity(2 * k + 2);
 
-        // Cost factors: q(t)ᵀQq(t) + R u(t)² = ½ sᵀ diag(2Q, 2R) s.
-        for t in 0..=k {
-            b.add_factor(&[step_vars[t]]);
-            let q = vec![
+        // Cost factors: q(t)ᵀQq(t) + R u(t)² = ½ sᵀ diag(2Q, 2R) s. Every
+        // step has the same cost, so the K+1 factors share one operator.
+        let stage_cost = Arc::new(QuadraticProx::diagonal(
+            vec![
                 2.0 * config.q_weight[0],
                 2.0 * config.q_weight[1],
                 2.0 * config.q_weight[2],
                 2.0 * config.q_weight[3],
                 2.0 * config.r_weight,
-            ];
-            proxes.push(Box::new(QuadraticProx::diagonal(q, vec![0.0; 5])));
+            ],
+            vec![0.0; 5],
+        ));
+        for t in 0..=k {
+            b.add_factor(&[step_vars[t]]);
+            proxes.push(Box::new(Arc::clone(&stage_cost)));
         }
         // Dynamics factors: (A+I) q_t + B u_t − q_{t+1} = 0 over the
-        // stacked block s = (q_t, u_t, q_{t+1}, u_{t+1}) ∈ R¹⁰.
+        // stacked block s = (q_t, u_t, q_{t+1}, u_{t+1}) ∈ R¹⁰, one
+        // operator shared by the K steps.
+        let mut m = Matrix::zeros(4, 10);
+        for row in 0..4 {
+            for col in 0..4 {
+                m[(row, col)] = sys.a[(row, col)] + if row == col { 1.0 } else { 0.0 };
+            }
+            m[(row, 4)] = sys.b[(row, 0)];
+            m[(row, 5 + row)] = -1.0;
+        }
+        let dynamics = Arc::new(AffineEqualityProx::new(m, vec![0.0; 4]));
         for t in 0..k {
             b.add_factor(&[step_vars[t], step_vars[t + 1]]);
-            let mut m = Matrix::zeros(4, 10);
-            for row in 0..4 {
-                for col in 0..4 {
-                    m[(row, col)] = sys.a[(row, col)] + if row == col { 1.0 } else { 0.0 };
-                }
-                m[(row, 4)] = sys.b[(row, 0)];
-                m[(row, 5 + row)] = -1.0;
-            }
-            proxes.push(Box::new(AffineEqualityProx::new(m, vec![0.0; 4])));
+            proxes.push(Box::new(Arc::clone(&dynamics)));
         }
         // Initial condition: q(0) = q₀ over block (q_0, u_0).
         let init_factor = {

@@ -1,5 +1,7 @@
 //! Factor-graph construction for the packing problem (paper Figure 6).
 
+use std::sync::Arc;
+
 use paradmm_core::{
     AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
@@ -104,21 +106,29 @@ impl PackingProblem {
                 proxes.push(Box::new(CollisionProx));
             }
         }
-        // Radius-maximization factors: f(r) = −½ r² on component 0.
+        // Radius-maximization factors: f(r) = −½ r² on component 0, one
+        // operator shared by the N radii.
+        let radius = Arc::new(QuadraticProx::diagonal(vec![-1.0, 0.0], vec![0.0, 0.0]));
         for i in 0..n {
             b.add_factor(&[radius_vars[i]]);
-            proxes.push(Box::new(QuadraticProx::diagonal(
-                vec![-1.0, 0.0],
-                vec![0.0, 0.0],
-            )));
+            proxes.push(Box::new(Arc::clone(&radius)));
         }
-        // Wall factors: Qᵀ(c − V) ≥ r ⇔ (Q, −1)·(c, r) ≥ QᵀV, blocks (c_i, r_i).
-        for i in 0..n {
-            for wall in &config.container.walls {
-                b.add_factor(&[center_vars[i], radius_vars[i]]);
+        // Wall factors: Qᵀ(c − V) ≥ r ⇔ (Q, −1)·(c, r) ≥ QᵀV, blocks (c_i, r_i);
+        // one operator per wall, shared by the N disks.
+        let walls: Vec<Arc<HalfspaceProx>> = config
+            .container
+            .walls
+            .iter()
+            .map(|wall| {
                 let a = vec![wall.q[0], wall.q[1], -1.0, 0.0];
                 let bias = wall.q[0] * wall.v[0] + wall.q[1] * wall.v[1];
-                proxes.push(Box::new(HalfspaceProx::new(a, bias)));
+                Arc::new(HalfspaceProx::new(a, bias))
+            })
+            .collect();
+        for i in 0..n {
+            for wall in &walls {
+                b.add_factor(&[center_vars[i], radius_vars[i]]);
+                proxes.push(Box::new(Arc::clone(wall)));
             }
         }
 

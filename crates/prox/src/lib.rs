@@ -65,6 +65,26 @@ pub use spec::{specs_for, ProxSpec};
 ///   stored vectors against `ctx.n.len()` *before* the dispatch, and pin
 ///   `prox` ≡ the any-shape body with `to_bits()` equality
 ///   ([`testing::seeded_blocks`], [`testing::output_bits`]).
+///
+/// # Sharing an operator
+///
+/// An operator is immutable during a solve, so factors with the same
+/// function can share one instance: build it once and hand every such
+/// factor `Box::new(Arc::clone(&op))`. A horizon of `K` identical
+/// stage costs then holds one operator and `K` pointers, not `K`
+/// copies of its data, and every factor computes the same bits as it
+/// would on its own copy.
+///
+/// ```
+/// use std::sync::Arc;
+/// use paradmm_prox::{ProxOp, QuadraticProx};
+///
+/// let stage = Arc::new(QuadraticProx::diagonal(vec![2.0; 5], vec![0.0; 5]));
+/// let proxes: Vec<Box<dyn ProxOp>> =
+///     (0..1000).map(|_| Box::new(Arc::clone(&stage)) as Box<dyn ProxOp>).collect();
+/// assert_eq!(Arc::strong_count(&stage), 1001);
+/// assert_eq!(proxes[999].name(), "quadratic");
+/// ```
 pub trait ProxOp: Send + Sync {
     /// Solves `argmin_s f(s) + Σᵢ ρᵢ/2 ‖sᵢ − nᵢ‖²` and writes `s` into
     /// `ctx.x`. Blocks are laid out contiguously: edge `i` of the factor
@@ -107,5 +127,80 @@ impl<T: ProxOp + ?Sized> ProxOp for Box<T> {
     }
     fn spec(&self) -> Option<ProxSpec> {
         (**self).spec()
+    }
+}
+
+impl<T: ProxOp + ?Sized> ProxOp for std::sync::Arc<T> {
+    fn prox(&self, ctx: &mut ProxCtx<'_>) {
+        (**self).prox(ctx)
+    }
+    fn cost_estimate(&self, degree: usize, dims: usize) -> f64 {
+        (**self).cost_estimate(degree, dims)
+    }
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn spec(&self) -> Option<ProxSpec> {
+        (**self).spec()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use paradmm_linalg::Matrix;
+
+    use super::*;
+    use crate::testing::{output_bits, seeded_blocks};
+
+    /// An operator behind an `Arc` is the operator: `prox` writes the
+    /// same bits and every other method answers the same.
+    #[test]
+    fn arc_forwards_every_method_bit_for_bit() {
+        let ops: Vec<(Box<dyn ProxOp>, usize, usize)> = vec![
+            (
+                Box::new(QuadraticProx::diagonal(
+                    vec![2.0, 0.2, 2.0, 0.2, 0.2],
+                    vec![0.5, -1.0, 0.0, 3.0, 0.25],
+                )),
+                1,
+                5,
+            ),
+            (
+                Box::new(HalfspaceProx::new(vec![1.0, -2.0, 0.5, 1.0], 0.75)),
+                2,
+                2,
+            ),
+            (
+                Box::new(AffineEqualityProx::new(
+                    Matrix::from_rows(&[&[1.0, 1.0, 0.0, -1.0], &[0.0, 2.0, 1.0, 0.0]]),
+                    vec![1.0, -0.5],
+                )),
+                2,
+                2,
+            ),
+            (Box::new(ConsensusEqualityProx), 2, 3),
+            (Box::new(L1Prox::new(0.3)), 3, 1),
+        ];
+        for (op, degree, dims) in ops {
+            let shared: Arc<dyn ProxOp> = Arc::from(op);
+            let behind_arc: Box<dyn ProxOp> = Box::new(Arc::clone(&shared));
+            let direct: &dyn ProxOp = &*shared;
+            let len = degree * dims;
+            for (case, (n, rho)) in seeded_blocks(degree, dims, 32).into_iter().enumerate() {
+                let want = output_bits(len, |x| direct.prox(&mut ProxCtx::new(&n, &rho, x, dims)));
+                let got = output_bits(len, |x| {
+                    behind_arc.prox(&mut ProxCtx::new(&n, &rho, x, dims))
+                });
+                assert_eq!(got, want, "{} case {case}", direct.name());
+            }
+            assert_eq!(behind_arc.name(), direct.name());
+            assert_eq!(behind_arc.spec(), direct.spec());
+            assert_eq!(
+                behind_arc.cost_estimate(degree, dims).to_bits(),
+                direct.cost_estimate(degree, dims).to_bits()
+            );
+        }
     }
 }

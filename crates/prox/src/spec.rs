@@ -10,7 +10,7 @@
 //! non-serializable state (e.g. [`crate::NumericProx`]'s objective
 //! closure) simply return `None` from `spec` and cannot cross the wire.
 
-use paradmm_linalg::Matrix;
+use paradmm_linalg::{project_affine_weighted, Matrix};
 
 use crate::equality::{AffineEqualityProx, ConsensusEqualityProx};
 use crate::simple::{BoxProx, L1Prox, LinearProx, QuadraticProx, SemiLassoProx, ZeroProx};
@@ -128,6 +128,82 @@ impl ProxSpec {
         }
     }
 
+    /// Checks what [`ProxSpec::validate`] cannot see without the factor:
+    /// that the operator will not fail at the factor's own weights `rho`
+    /// (one per edge, over blocks of `dims` components). Refuses a
+    /// quadratic or affine constraint with a non-finite entry, a
+    /// quadratic with `q_j + ρ ≤ 0`, and an affine constraint whose
+    /// `M W⁻¹ Mᵀ` does not factor. The factorization check runs the
+    /// operator's own projection once, on zeros, so this check and
+    /// `prox` agree on which constraints factor. Runs
+    /// [`ProxSpec::validate`] first, and refuses a quadratic or affine
+    /// spec whose span is not the factor's `rho.len() · dims`.
+    pub fn validate_at(&self, rho: &[f64], dims: usize) -> Result<(), String> {
+        self.validate()?;
+        let span = rho.len() * dims;
+        let check_span = |len: usize| {
+            if dims > 0 && len == span {
+                Ok(())
+            } else {
+                Err(format!(
+                    "prox spans {len} components, factor has {} edges of {dims}",
+                    rho.len()
+                ))
+            }
+        };
+        match self {
+            ProxSpec::Quadratic { q, g } => {
+                check_span(q.len())?;
+                for (i, &rho) in rho.iter().enumerate() {
+                    for j in i * dims..(i + 1) * dims {
+                        if !(q[j].is_finite() && g[j].is_finite()) {
+                            return Err(format!(
+                                "quadratic entry {j} is not finite (q {}, g {})",
+                                q[j], g[j]
+                            ));
+                        }
+                        let denom = q[j] + rho;
+                        if denom <= 0.0 {
+                            return Err(format!(
+                                "quadratic q[{j}] + rho = {denom} is not positive"
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            }
+            ProxSpec::AffineEquality {
+                rows,
+                cols,
+                data,
+                c,
+            } => {
+                // A NaN entry would pass the factorization's positivity
+                // test and run the whole budget on NaN iterates.
+                if let Some(v) = data.iter().chain(c).find(|v| !v.is_finite()) {
+                    return Err(format!("affine constraint entry {v} is not finite"));
+                }
+                check_span(*cols)?;
+                // More rows than columns cannot have full row rank;
+                // refusing them first also bounds M W⁻¹ Mᵀ by the span.
+                if rows > cols {
+                    return Err(format!(
+                        "affine constraint of {rows} rows over {cols} components cannot have full row rank"
+                    ));
+                }
+                let m = Matrix::from_vec(*rows, *cols, data.clone());
+                let mut w = vec![0.0; *cols];
+                for (wi, &rho) in w.chunks_exact_mut(dims).zip(rho) {
+                    wi.fill(rho);
+                }
+                project_affine_weighted(&m, c, &vec![0.0; *cols], &w)
+                    .map(drop)
+                    .map_err(|e| format!("affine constraint does not factor at its rho: {e}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Reconstructs the operator this spec describes.
     ///
     /// # Panics
@@ -172,6 +248,34 @@ mod tests {
         let mut ctx = ProxCtx::new(n, rho, &mut x, dims);
         op.prox(&mut ctx);
         x
+    }
+
+    /// `validate_at` refuses a spec whose shape does not fit the factor
+    /// instead of indexing past it.
+    #[test]
+    fn validate_at_refuses_a_span_that_does_not_fit_the_factor() {
+        let quadratic = ProxSpec::Quadratic {
+            q: vec![1.0; 4],
+            g: vec![0.0; 4],
+        };
+        assert!(quadratic.validate_at(&[1.0, 1.0], 2).is_ok());
+        for (rho, dims) in [(&[1.0][..], 2), (&[1.0, 1.0, 1.0][..], 2), (&[][..], 0)] {
+            let err = quadratic.validate_at(rho, dims).unwrap_err();
+            assert!(err.contains("spans 4 components"), "{err}");
+        }
+        let affine = ProxSpec::AffineEquality {
+            rows: 1,
+            cols: 2,
+            data: vec![1.0, 1.0],
+            c: vec![0.0],
+        };
+        assert!(affine.validate_at(&[1.0], 2).is_ok());
+        assert!(affine.validate_at(&[1.0, 1.0], 2).is_err());
+        let torn = ProxSpec::Quadratic {
+            q: vec![1.0; 2],
+            g: vec![0.0],
+        };
+        assert!(torn.validate_at(&[1.0], 2).is_err());
     }
 
     fn all_specs() -> Vec<(Box<dyn ProxOp>, usize)> {

@@ -499,19 +499,15 @@ impl Engine {
                 stopping,
                 ..SolverOptions::default()
             };
-            let mut problems = Vec::with_capacity(round.len());
+            let mut instances = Vec::with_capacity(round.len());
             let mut tickets = Vec::with_capacity(round.len());
-            let mut states = Vec::with_capacity(round.len());
             for s in round {
-                problems.push(AdmmProblem::with_params(s.graph, s.proxes, s.params));
+                let problem = AdmmProblem::with_params(s.graph, s.proxes, s.params);
+                instances.push((problem, s.state));
                 tickets.push(s.tag);
-                states.push(s.state);
             }
             let mut fleet =
-                FleetSolver::with_threads(problems, options, self.config.fleet_threads.max(1));
-            for (i, state) in states.into_iter().enumerate() {
-                fleet.warm_start(i, state);
-            }
+                FleetSolver::with_states(instances, options, self.config.fleet_threads.max(1));
             let report = fleet.run_default();
             for ((i, ticket), r) in tickets.into_iter().enumerate().zip(report.instances) {
                 self.stats.fleet_served += 1;

@@ -14,9 +14,11 @@
 //! Decoding treats the buffer as untrusted: every read is
 //! bounds-checked, claimed lengths are validated against the remaining
 //! bytes *before* allocation, [`ProxSpec::validate`] vets operator
-//! parameters, and per-factor operator shapes are checked against the
-//! decoded graph — a malformed frame yields [`WireError`], never a
-//! panic in the serving process.
+//! parameters, per-factor operator shapes are checked against the
+//! decoded graph, and [`ProxSpec::validate_at`] refuses an operator that
+//! would fail at its factor's ρ (a quadratic with `q + ρ ≤ 0`, an affine
+//! constraint without full row rank) — a malformed frame yields
+//! [`WireError`], never a panic in the serving process.
 //!
 //! A request's graph header also sizes its reply: a shape whose reply
 //! store ([`io::encoded_store_len`]) would not fit in one frame
@@ -387,6 +389,9 @@ pub fn decode_request(buf: &[u8]) -> Result<DecodedRequest, WireError> {
                 )));
             }
         }
+        let rho = &params.rho[graph.factor_edge_range(a)];
+        spec.validate_at(rho, graph.dims())
+            .map_err(|e| WireError::Malformed(format!("prox for factor {}: {e}", a.idx())))?;
         proxes.push(spec.build());
     }
     let warm_start = if flags & 1 != 0 {
@@ -832,5 +837,59 @@ mod tests {
             WireError::Malformed(m) => assert!(m.contains("spans"), "{m}"),
             other => panic!("expected span mismatch, got {other:?}"),
         }
+    }
+
+    /// Operators that would panic in the engine at their factor's ρ are
+    /// refused at decode with a typed error; their well-posed neighbours
+    /// still decode.
+    #[test]
+    fn operators_that_fail_at_their_rho_are_rejected() {
+        // One factor over one variable of `dims` components at ρ = 1.
+        let decode = |dims: usize, op: Box<dyn ProxOp>| {
+            let mut b = GraphBuilder::new(dims);
+            let v = b.add_var();
+            b.add_factor(&[v]);
+            let req = SolveRequest::new(AdmmProblem::new(b.build(), vec![op], 1.0, 1.0));
+            decode_request(&encode_request(1, &req, false).unwrap()).map(drop)
+        };
+        let refused = |dims: usize, op: Box<dyn ProxOp>, why: &str| match decode(dims, op) {
+            Err(WireError::Malformed(m)) => {
+                assert!(m.contains("prox for factor 0") && m.contains(why), "{m}")
+            }
+            other => panic!("expected a refusal for {why}, got {other:?}"),
+        };
+        let affine = |rows: &[&[f64]], c: Vec<f64>| {
+            ProxSpec::AffineEquality {
+                rows: rows.len(),
+                cols: rows[0].len(),
+                data: rows.concat(),
+                c,
+            }
+            .build()
+        };
+        let quadratic =
+            |q: f64, g: f64| Box::new(QuadraticProx::diagonal(vec![q, 1.0], vec![g, 0.0]));
+
+        refused(2, affine(&[&[0.0, 0.0]], vec![0.0]), "does not factor");
+        refused(
+            2,
+            affine(&[&[1.0, 1.0], &[2.0, 2.0]], vec![0.0, 0.0]),
+            "does not factor",
+        );
+        refused(
+            1,
+            affine(&[&[1.0], &[1.0]], vec![0.0, 0.0]),
+            "cannot have full row rank",
+        );
+        refused(2, affine(&[&[1.0, f64::NAN]], vec![0.0]), "not finite");
+        refused(2, affine(&[&[1.0, 1.0]], vec![f64::INFINITY]), "not finite");
+        assert!(decode(2, affine(&[&[1.0, 1.0]], vec![4.0])).is_ok());
+
+        refused(2, quadratic(-1.0, 0.0), "not positive");
+        refused(2, quadratic(-3.0, 0.0), "not positive");
+        refused(2, quadratic(f64::NAN, 0.0), "not finite");
+        refused(2, quadratic(2.0, f64::INFINITY), "not finite");
+        // Negative curvature below ρ is well posed (packing's radius term).
+        assert!(decode(2, quadratic(-0.5, 0.0)).is_ok());
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use paradmm_core::{AdmmProblem, StopReason, StoppingCriteria};
 use paradmm_graph::io::{read_frame, write_frame};
 use paradmm_graph::GraphBuilder;
-use paradmm_prox::{ProxOp, QuadraticProx};
+use paradmm_prox::{ProxOp, ProxSpec, QuadraticProx};
 use paradmm_serve::protocol::{decode_response, encode_request};
 use paradmm_serve::{Lane, ServeClient, ServerConfig, ServerHandle, SolveRequest};
 
@@ -241,6 +241,63 @@ fn request_whose_reply_cannot_be_framed_reports_error_and_keeps_connection() {
     assert_eq!(result.unwrap().store.z, reference.store.z);
 
     drop(stream);
+    let engine = server.shutdown();
+    assert_eq!(engine.stats().completed, 1);
+}
+
+/// Requests the engine could not solve — an affine constraint without
+/// full row rank, a quadratic whose `q + ρ` is not positive or not
+/// finite — each get an error reply, and a second connection is then
+/// served. The read timeout turns a dead engine thread into a failure
+/// of this test instead of a hung suite.
+#[test]
+fn unsolvable_operators_get_error_replies_and_the_server_keeps_serving() {
+    let server = ServerHandle::spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let hostile: Vec<Box<dyn ProxOp>> = vec![
+        ProxSpec::AffineEquality {
+            rows: 1,
+            cols: 2,
+            data: vec![0.0, 0.0],
+            c: vec![0.0],
+        }
+        .build(),
+        Box::new(QuadraticProx::diagonal(vec![-2.0, 1.0], vec![0.0, 0.0])),
+        Box::new(QuadraticProx::diagonal(vec![f64::NAN, 1.0], vec![0.0, 0.0])),
+    ];
+    for (id, op) in hostile.into_iter().enumerate() {
+        let mut b = GraphBuilder::new(2);
+        let v = b.add_var();
+        b.add_factor(&[v]);
+        let req = SolveRequest::new(AdmmProblem::new(b.build(), vec![op], 1.0, 1.0));
+        write_frame(
+            &mut stream,
+            &encode_request(id as u64, &req, false).unwrap(),
+        )
+        .unwrap();
+        let reply = read_frame(&mut stream)
+            .expect("an error reply before the read timeout")
+            .expect("error response");
+        let (rid, result) = decode_response(&reply, None).unwrap();
+        assert_eq!(rid, u64::MAX, "bad-request reports carry the sentinel id");
+        let message = result.unwrap_err();
+        assert!(message.contains("prox for factor 0"), "{message}");
+    }
+    drop(stream);
+
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let served = client
+        .solve(&request(1, &[3.0, -1.0], tight()), false)
+        .unwrap();
+    let reference = request(1, &[3.0, -1.0], tight()).solve();
+    assert_eq!(served.iterations, reference.iterations);
+    assert_eq!(served.store.z, reference.store.z);
+
+    drop(client);
     let engine = server.shutdown();
     assert_eq!(engine.stats().completed, 1);
 }

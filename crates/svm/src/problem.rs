@@ -1,5 +1,7 @@
 //! Factor-graph construction for soft-margin SVM training (paper Fig. 12).
 
+use std::sync::Arc;
+
 use paradmm_core::{
     AdmmProblem, BackendSpec, ProxOp, Solver, SolverOptions, StoppingCriteria, SweepExecutor,
 };
@@ -144,18 +146,28 @@ impl SvmProblem {
         let d = data.dim;
         let dims = d + 1;
         let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        // The norm term's weights depend on the topology; the slack
+        // operator is the same for every point, so its factors share it.
+        let norm_term = |weight: f64| {
+            let mut q = vec![weight; dims];
+            q[d] = 0.0;
+            QuadraticProx::diagonal(q, vec![0.0; dims])
+        };
+        let slack = Arc::new(SlackProx {
+            lambda: config.lambda,
+        });
 
         let (plane_vars, graph) = match topology {
             SvmTopology::Replicated => {
                 let mut b = GraphBuilder::with_capacity(dims, 4 * n - 1, 6 * n - 2);
                 let plane_vars = b.add_vars(n);
                 let slack_vars = b.add_vars(n);
+                // Norm factors: 1/(2N)·‖wᵢ‖² (b unpenalized), one shared
+                // operator.
+                let norm = Arc::new(norm_term(1.0 / n as f64));
                 for i in 0..n {
-                    // Norm factor: 1/(2N)·‖wᵢ‖² (b unpenalized).
                     b.add_factor(&[plane_vars[i]]);
-                    let mut q = vec![1.0 / n as f64; dims];
-                    q[d] = 0.0;
-                    proxes.push(Box::new(QuadraticProx::diagonal(q, vec![0.0; dims])));
+                    proxes.push(Box::new(Arc::clone(&norm)));
                     // Hinge factor over (plane, slack).
                     b.add_factor(&[plane_vars[i], slack_vars[i]]);
                     proxes.push(Box::new(hinge_halfspace(
@@ -165,9 +177,7 @@ impl SvmProblem {
                     )));
                     // Slack factor.
                     b.add_factor(&[slack_vars[i]]);
-                    proxes.push(Box::new(SlackProx {
-                        lambda: config.lambda,
-                    }));
+                    proxes.push(Box::new(Arc::clone(&slack)));
                 }
                 // Copy chain (wᵢ, bᵢ) = (wᵢ₊₁, bᵢ₊₁).
                 for i in 0..n - 1 {
@@ -183,9 +193,7 @@ impl SvmProblem {
                 let slack_vars = b.add_vars(n);
                 // Single norm factor: ½‖w‖².
                 b.add_factor(&[plane]);
-                let mut q = vec![1.0; dims];
-                q[d] = 0.0;
-                proxes.push(Box::new(QuadraticProx::diagonal(q, vec![0.0; dims])));
+                proxes.push(Box::new(norm_term(1.0)));
                 for i in 0..n {
                     b.add_factor(&[plane, slack_vars[i]]);
                     proxes.push(Box::new(hinge_halfspace(
@@ -194,9 +202,7 @@ impl SvmProblem {
                         d,
                     )));
                     b.add_factor(&[slack_vars[i]]);
-                    proxes.push(Box::new(SlackProx {
-                        lambda: config.lambda,
-                    }));
+                    proxes.push(Box::new(Arc::clone(&slack)));
                 }
                 (vec![plane], b.build())
             }

@@ -1,0 +1,112 @@
+//! Heap bytes a family's `build` keeps per factor.
+//!
+//! The families repeat a handful of distinct operators over every
+//! factor (MPC's stage cost and dynamics constraint, the SVM's norm
+//! term and slack operator). They share one instance of each, so what a
+//! built problem holds per factor is the graph, the edge parameters and
+//! one pointer: a copy of an operator per factor would add its matrix and
+//! vectors to every one. A counting allocator measures what `build`
+//! leaves allocated on this thread. The bytes are a difference between
+//! two sizes, so constant costs cancel and only the per-factor slope
+//! remains.
+//!
+//! Counts are per thread (the harness runs the tests of this binary on
+//! several threads at once), and `build` allocates on the calling thread
+//! only.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use paradmm::mpc::pendulum::paper_plant;
+use paradmm::mpc::{MpcConfig, MpcProblem};
+use paradmm::svm::{gaussian_mixture, Dataset, SvmConfig, SvmProblem};
+use rand::SeedableRng;
+
+/// [`System`], counting the bytes each thread holds.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn add_live(bytes: isize) {
+    // `try_with`: the allocator also serves the thread's own teardown.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged and
+// returns what `System` returns, so `System`'s guarantees hold. The count
+// is a const-initialised thread-local `Cell` with no destructor: updating
+// it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        add_live(layout.size() as isize);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        add_live(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add_live(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes still allocated on this thread after `build` returns, while
+/// its result is alive.
+fn retained<T>(build: impl FnOnce() -> T) -> usize {
+    let before = LIVE.with(Cell::get);
+    let built = build();
+    let held = LIVE.with(Cell::get) - before;
+    drop(built);
+    usize::try_from(held).expect("a build cannot free more than it allocated")
+}
+
+/// Bytes a built MPC problem holds per factor, between horizons `k` and
+/// `2k` (`2K + 2` factors at horizon `K`).
+fn mpc_bytes_per_factor(k: usize) -> f64 {
+    let at = |k: usize| retained(|| MpcProblem::build(MpcConfig::new(k), paper_plant()));
+    (at(2 * k) - at(k)) as f64 / (2 * k) as f64
+}
+
+#[test]
+fn mpc_build_holds_no_operator_copy_per_factor() {
+    // Per factor the graph, the edge parameters (1.5 edges of ρ and α)
+    // and one pointer to a shared operator come to 74 B. A boxed copy of
+    // the stage cost or the dynamics constraint per factor makes it 338 B.
+    let per_factor = mpc_bytes_per_factor(20_000);
+    assert!(
+        per_factor < 120.0,
+        "MpcProblem::build holds {per_factor:.1} B per factor"
+    );
+}
+
+/// Bytes a built SVM problem holds per data point, between `n` and `2n`
+/// points (four factors per point).
+fn svm_bytes_per_point(n: usize) -> f64 {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let small = gaussian_mixture(n, 2, 4.0, &mut rng);
+    let large = gaussian_mixture(2 * n, 2, 4.0, &mut rng);
+    let at = |data: &Dataset| retained(|| SvmProblem::build(data, SvmConfig::default()));
+    (at(&large) - at(&small)) as f64 / n as f64
+}
+
+#[test]
+fn svm_build_shares_the_norm_and_slack_operators() {
+    // The per-point hinge stays unique; the norm quadratic (two 3-entry
+    // vectors in a box) and the slack operator do not repeat per point:
+    // 397 B per point, against 485 B with a copy of the norm term each.
+    let per_point = svm_bytes_per_point(5_000);
+    assert!(
+        per_point < 440.0,
+        "SvmProblem::build holds {per_point:.1} B per point"
+    );
+}
