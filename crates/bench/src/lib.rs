@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn backend_measurement_works_for_parallel_backends() {
         let p = tiny_problem(200);
-        let mut backend = paradmm_core::RayonBackend::new(Some(2));
+        let mut backend = paradmm_core::PoolBackend::new(2);
         let s = measure_backend_s_per_iter(&p, &mut backend, 0.01);
         assert!(s > 0.0 && s < 1.0);
     }

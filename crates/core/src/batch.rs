@@ -446,7 +446,7 @@ impl BatchSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetBackend;
+    use crate::pool::PoolBackend;
     use crate::residuals::StoppingCriteria;
     use crate::solver::Solver;
     use paradmm_graph::GraphBuilder;
@@ -654,8 +654,8 @@ mod tests {
     fn explicit_backend_is_used() {
         let options = SolverOptions::default();
         let mut batch =
-            BatchSolver::with_backend(mixed_instances(), options, Box::new(FleetBackend::new(2)));
-        assert_eq!(batch.backend_name(), "fleet");
+            BatchSolver::with_backend(mixed_instances(), options, Box::new(PoolBackend::new(2)));
+        assert_eq!(batch.backend_name(), "pool");
         let report = batch.run(1000);
         assert!(report.all_converged());
         let (solo, _, _) = solo_solve(consensus_problem(&[1.0, 5.0, 9.0]), options, 1000);

@@ -225,14 +225,17 @@ fn gb_per_s(bytes_per_item: f64, seconds_per_item: f64) -> f64 {
     bytes_per_item / seconds_per_item / 1e9
 }
 
-/// Per-worker counters from one or more fleet scheduling rounds: how
-/// many chunks the worker claimed from each instance, how often the
-/// assist scan moved it to a different instance, and how many scans
-/// found nothing claimable (chunks in flight elsewhere).
+/// Per-worker counters from one or more pool rounds: how many chunks
+/// the worker claimed from each instance and how many of them outside
+/// its own share, how often the assist scan moved it to a different
+/// instance, and how many scans found nothing claimable (chunks in
+/// flight elsewhere).
 #[derive(Debug, Clone, Default)]
 pub struct FleetWorkerStats {
     /// Chunks this worker executed, indexed by fleet instance id.
     pub chunks_by_instance: Vec<u64>,
+    /// Chunks this worker claimed from another worker's share.
+    pub assists: u64,
     /// Assist migrations: the scan routed the worker to a *different*
     /// instance than the one it was draining.
     pub migrations: u64,
@@ -246,6 +249,7 @@ impl FleetWorkerStats {
     pub(crate) fn new(instances: usize) -> Self {
         FleetWorkerStats {
             chunks_by_instance: vec![0; instances],
+            assists: 0,
             migrations: 0,
             idle_spins: 0,
         }
@@ -268,6 +272,7 @@ impl FleetWorkerStats {
         {
             *a += b;
         }
+        self.assists += other.assists;
         self.migrations += other.migrations;
         self.idle_spins += other.idle_spins;
     }
@@ -350,8 +355,9 @@ pub fn fleet_report(diag: &FleetDiagnostics) -> String {
     ));
     for (i, w) in diag.workers().iter().enumerate() {
         out.push_str(&format!(
-            "worker {i}: {} chunks, {} migrations, {} idle spins\n",
+            "worker {i}: {} chunks ({} assisted), {} migrations, {} idle spins\n",
             w.total_chunks(),
+            w.assists,
             w.migrations,
             w.idle_spins
         ));

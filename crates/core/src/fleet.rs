@@ -1,400 +1,45 @@
-//! Work-assisting two-level scheduler for heterogeneous instance
-//! fleets: outer parallelism *across* independent problems, inner
-//! parallelism *within* whichever problem still has sweep work.
+//! Heterogeneous instance fleets: outer parallelism *across*
+//! independent problems, inner parallelism *within* whichever problem
+//! still has sweep work.
 //!
 //! [`crate::BatchSolver`] (block-diagonal fusion) is the right tool for
-//! fleets of near-uniform instances: one fused store, one barrier per
-//! pass, launches amortized over everything. Its weakness is exactly
-//! the heterogeneous case — a pack-wide barrier means one large or
+//! fleets of near-uniform instances: one fused store, one pass boundary
+//! per pass, launches amortized over everything. Its weakness is exactly
+//! the heterogeneous case — a pack-wide pass boundary means one large or
 //! slow-converging instance stalls every worker, and every early-exit
 //! freeze pays a dense repack (full state copy + fused-graph rebuild).
-//! This module keeps the instances **separate** and replaces the
-//! pack-wide barrier with per-instance watermarks:
+//! [`FleetSolver`] keeps the instances **separate** and hands each round
+//! to the pool's round driver (see `crate::pool`), whose synchronization
+//! is instance-local:
 //!
-//! * **Outer level** — each instance is a unit of work with its own
-//!   resolved [`SweepPlan`], its own claim counters, and its own
-//!   pass/iteration watermark, so synchronization is instance-local:
+//! * **Outer level** — each instance has its own resolved
+//!   [`crate::SweepPlan`],
+//!   its own claim words and its own pass/iteration watermark, so
 //!   workers advancing instance A never wait on instance B.
-//! * **Inner level** — when a worker finds its claimed instance's
-//!   current pass exhausted, it *assists*: an atomic fleet work-index
-//!   seeds the initial assignment and an assist scan routes the worker
-//!   to the instance with the most remaining chunks in its open pass,
-//!   so big instances attract many workers while small ones run solo.
-//!   Converged instances simply retire from the scan — no repack.
+//! * **Inner level** — a worker drains its own share of its instance's
+//!   open pass, assists the other shares, and then moves to the instance
+//!   with the most unclaimed chunks, so big instances attract many
+//!   workers while small ones run solo. Converged instances simply
+//!   retire from the round — no repack.
 //!
-//! The per-instance scheduling state is one `AtomicU64` encoding
-//! `(seq << 32) | next_chunk`, where `seq = iter · n_passes + pass`
-//! is the instance's watermark. Claims CAS the low half (a per-pass
-//! shared chunk counter, with the sequence number in the same word
-//! killing the ABA hazard a stalled worker would otherwise pose), and a
-//! pair of parity-indexed completion counters detects the last chunk of
-//! a pass, whose finisher advances the watermark with a release store —
-//! cross-pass happens-before without any barrier. See the
-//! `InstanceExec` internals for the full protocol argument.
-//!
-//! Execution goes through the shared `SweepArrays::run_pass` kernel
-//! dispatcher, so the fused passes and the z-buffer parity rotation
-//! carry over unchanged — per-instance
-//! iterates are **bit-identical** to a solo serial solve (chunks tile
-//! each pass exactly, passes run in plan order per instance, and
-//! Algorithm 2's Jacobi data flow is schedule-independent), which
-//! `tests/backend_equivalence.rs` pins.
-//!
-//! Two entry points: [`FleetBackend`] runs a single problem as a
-//! one-instance fleet (a barrier-free [`SweepExecutor`], also an
-//! [`crate::AutoBackend`] candidate), and [`FleetSolver`] drives a
-//! whole fleet with per-instance residuals and stop reasons — unlike
+//! Per-instance iterates are **bit-identical** to a solo serial solve
+//! (chunks tile each pass exactly, passes run in plan order per
+//! instance, and Algorithm 2's Jacobi data flow is schedule-independent),
+//! which `tests/backend_equivalence.rs` pins. Unlike
 //! [`crate::BatchSolver`], the instances may even disagree on `dims`,
 //! since nothing is fused.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use paradmm_graph::VarStore;
 
-use crate::backend::{SweepArrays, SweepExecutor};
 use crate::batch::BatchReport;
-use crate::diagnostics::{FleetDiagnostics, FleetWorkerStats};
-use crate::kernels::UpdateKind;
-use crate::plan::SweepPlan;
+use crate::diagnostics::FleetDiagnostics;
+use crate::pool::{run_round, RoundInstance};
 use crate::problem::AdmmProblem;
 use crate::residuals::{InstanceReport, Residuals, RunState};
 use crate::solver::SolverOptions;
 use crate::spec::{default_threads, BackendSpec};
-use crate::timing::UpdateTimings;
-
-/// Outcome of one claim attempt on an instance.
-enum Claim {
-    /// A chunk was claimed and executed; the instance may have more.
-    Ran,
-    /// The open pass is fully claimed (chunks may still be in flight);
-    /// nothing to do here until the watermark advances.
-    Drained,
-    /// The instance reached its round target; it has retired.
-    Finished,
-}
-
-/// One active instance's scheduling state for a round of `iters`
-/// iterations.
-///
-/// # Concurrency protocol
-///
-/// `state` encodes `(seq << 32) | next_chunk` with
-/// `seq = iter · n_passes + pass_index` — the instance-local watermark.
-/// Workers claim with a CAS of the whole word (`state → state + 1`), so
-/// a claim is valid only for the exact `(seq, chunk)` it observed; a
-/// stalled worker's stale CAS fails because `seq` is monotone (the ABA
-/// the plain double-buffered counter idiom would suffer when lifted off
-/// its barrier). After executing its chunk, a worker bumps
-/// `done[seq & 1]` with an `AcqRel` RMW; the worker whose bump reaches
-/// the pass's chunk count is the *finisher*: it zeroes the other parity
-/// buffer (safe — that buffer's pass completed one watermark ago and
-/// every claimed chunk increments exactly once, so no late increments
-/// exist) and advances `state` to `(seq + 1) << 32` with a release
-/// store.
-///
-/// Happens-before: each chunk's array writes precede its `done` RMW;
-/// the RMW chain transfers them to the finisher; the finisher's release
-/// store on `state` transfers the whole pass to any worker whose
-/// acquire load (or CAS) observes `seq + 1`. So every write of pass `k`
-/// is visible to every reader in pass `k + 1` — the obligation
-/// [`SweepArrays::run_pass`] states — with no barrier anywhere.
-///
-/// Empty passes still cost one no-op chunk (`n_chunks ≥ 1`), so the
-/// watermark always has a finisher and can never deadlock.
-struct InstanceExec<'a> {
-    arrays: SweepArrays<'a>,
-    plan: std::borrow::Cow<'a, SweepPlan>,
-    n_passes: usize,
-    /// Per-pass claim granularity (graph elements per chunk), from the
-    /// plan's [`crate::Pass::chunk`].
-    chunks: Vec<usize>,
-    /// Per-pass chunk count (`≥ 1` even for empty passes).
-    n_chunks: Vec<usize>,
-    /// `iters · n_passes`: the watermark value at which this round's
-    /// work for the instance is complete.
-    target_seq: u64,
-    /// `(seq << 32) | next_chunk` — see the protocol above.
-    state: AtomicU64,
-    /// Completed-chunk counters, indexed by `seq & 1`.
-    done: [AtomicUsize; 2],
-    /// Fleet-wide instance id, for telemetry.
-    global: usize,
-}
-
-impl InstanceExec<'_> {
-    /// Claimable chunks remaining in the open pass (0 when finished or
-    /// drained) — the assist-routing heuristic. Relaxed loads suffice:
-    /// any actual claim re-validates through the CAS.
-    fn remaining_chunks(&self) -> u64 {
-        let (seq, c) = decode(self.state.load(Ordering::Relaxed));
-        if seq >= self.target_seq {
-            return 0;
-        }
-        let p = (seq % self.n_passes as u64) as usize;
-        (self.n_chunks[p] as u64).saturating_sub(c)
-    }
-
-    /// Whether the instance completed its round target.
-    fn finished(&self) -> bool {
-        decode(self.state.load(Ordering::Acquire)).0 >= self.target_seq
-    }
-
-    /// Attempts to claim and execute one chunk of the open pass.
-    fn try_chunk(&self, stats: &mut FleetWorkerStats) -> Claim {
-        loop {
-            let s = self.state.load(Ordering::Acquire);
-            let (seq, c) = decode(s);
-            if seq >= self.target_seq {
-                return Claim::Finished;
-            }
-            let p = (seq % self.n_passes as u64) as usize;
-            if c >= self.n_chunks[p] as u64 {
-                return Claim::Drained;
-            }
-            if self
-                .state
-                .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue; // lost the race (or advanced) — re-read
-            }
-            let pass = &self.plan.passes()[p];
-            let iter = (seq / self.n_passes as u64) as usize;
-            let chunk = self.chunks[p];
-            let lo = ((c as usize) * chunk).min(pass.items());
-            let hi = (lo + chunk).min(pass.items());
-            // SAFETY: the CAS ticket makes (seq, c) unique, so chunk
-            // ranges within a pass are pairwise disjoint and tile the
-            // pass exactly; passes of this instance are totally ordered
-            // by the watermark with the release/acquire edge documented
-            // on the struct standing in for a barrier; `iter` derives
-            // the z-buffer parity from the shared watermark, so every
-            // worker agrees on it. Other instances' workers touch other
-            // stores entirely.
-            unsafe { self.arrays.run_pass(pass, iter, lo, hi) };
-            stats.chunks_by_instance[self.global] += 1;
-
-            let parity = (seq & 1) as usize;
-            let finished = self.done[parity].fetch_add(1, Ordering::AcqRel) + 1;
-            if finished == self.n_chunks[p] {
-                // Last chunk of the pass: recycle the other parity
-                // buffer for pass seq+1 (its previous user, pass seq−1,
-                // fully completed before pass seq could open), then
-                // publish the advanced watermark.
-                self.done[parity ^ 1].store(0, Ordering::Relaxed);
-                self.state.store((seq + 1) << 32, Ordering::Release);
-            }
-            return Claim::Ran;
-        }
-    }
-}
-
-fn decode(state: u64) -> (u64, u64) {
-    (state >> 32, state & 0xffff_ffff)
-}
-
-/// One instance's view handed to [`run_round`]: the problem, its
-/// mutable state, and its fleet-wide id for telemetry.
-pub(crate) struct RoundInstance<'a> {
-    pub(crate) global: usize,
-    pub(crate) problem: &'a AdmmProblem,
-    pub(crate) store: &'a mut VarStore,
-}
-
-/// Claims chunks across `execs` until every instance reaches its round
-/// target. Workers stick to their current instance while it has
-/// claimable work (locality), then assist the instance with the most
-/// remaining chunks in its open pass; with nothing claimable anywhere
-/// they spin briefly and yield (some chunks are still in flight).
-fn worker_loop(
-    execs: &[InstanceExec<'_>],
-    cursor: &AtomicUsize,
-    n_globals: usize,
-) -> FleetWorkerStats {
-    let mut stats = FleetWorkerStats::new(n_globals);
-    let mut cur = cursor.fetch_add(1, Ordering::Relaxed) % execs.len();
-    let mut spins = 0u32;
-    loop {
-        match execs[cur].try_chunk(&mut stats) {
-            Claim::Ran => spins = 0,
-            Claim::Drained | Claim::Finished => {
-                // Assist routing: most remaining chunks wins, so big
-                // instances attract many workers while small ones run
-                // (nearly) solo. Ties break toward the lowest index.
-                let mut best: Option<(usize, u64)> = None;
-                for (j, e) in execs.iter().enumerate() {
-                    let r = e.remaining_chunks();
-                    if r > 0 && best.is_none_or(|(_, br)| r > br) {
-                        best = Some((j, r));
-                    }
-                }
-                match best {
-                    Some((j, _)) => {
-                        if j != cur {
-                            stats.migrations += 1;
-                            cur = j;
-                        }
-                        spins = 0;
-                    }
-                    None => {
-                        if execs.iter().all(|e| e.finished()) {
-                            break;
-                        }
-                        // Open passes exist but are fully claimed — the
-                        // last chunks are in flight on other workers.
-                        // Spin briefly, then yield the core to them
-                        // (essential on oversubscribed hosts).
-                        stats.idle_spins += 1;
-                        spins += 1;
-                        if spins < 16 {
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }
-    }
-    stats
-}
-
-/// Runs `iters` iterations of every instance with `threads` persistent
-/// workers and work-assisting scheduling; the shared round driver under
-/// both [`FleetBackend`] and [`FleetSolver`].
-///
-/// Each instance resolves its own [`SweepPlan`] and advances through it
-/// independently; an odd `iters` leaves every instance's iterate in the
-/// `z_prev` buffer (the parity rotation's other half), which is
-/// normalized here per instance, as the barrier driver does.
-pub(crate) fn run_round(
-    instances: &mut [RoundInstance<'_>],
-    iters: usize,
-    threads: usize,
-    diag: &mut FleetDiagnostics,
-) {
-    if instances.is_empty() || iters == 0 {
-        return;
-    }
-    assert!(threads >= 1, "fleet scheduling needs at least one worker");
-    let n_globals = instances.iter().map(|r| r.global + 1).max().unwrap_or(0);
-    let execs: Vec<InstanceExec<'_>> = instances
-        .iter_mut()
-        .map(|ri| {
-            let problem = ri.problem;
-            let plan = SweepPlan::resolve(problem);
-            let arrays = SweepArrays::new(problem, ri.store);
-            let n_passes = plan.passes().len();
-            let chunks: Vec<usize> = plan.passes().iter().map(|p| p.chunk()).collect();
-            let n_chunks: Vec<usize> = plan
-                .passes()
-                .iter()
-                .zip(&chunks)
-                .map(|(p, &c)| p.items().div_ceil(c).max(1))
-                .collect();
-            assert!(
-                iters as u64 * n_passes as u64 <= u32::MAX as u64,
-                "round too long for the 32-bit watermark"
-            );
-            InstanceExec {
-                arrays,
-                plan,
-                n_passes,
-                chunks,
-                n_chunks,
-                target_seq: (iters * n_passes) as u64,
-                state: AtomicU64::new(0),
-                done: Default::default(),
-                global: ri.global,
-            }
-        })
-        .collect();
-
-    // The fleet work-index: seeds each worker's starting instance
-    // round-robin; reassignment afterwards is the assist scan.
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<FleetWorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let execs = &execs;
-                let cursor = &cursor;
-                scope.spawn(move || worker_loop(execs, cursor, n_globals))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
-    });
-    drop(execs); // release the raw array views before touching stores
-    if iters % 2 == 1 {
-        for ri in instances.iter_mut() {
-            ri.store.swap_z();
-        }
-    }
-    diag.record_round(per_worker);
-}
-
-/// The work-assisting scheduler as a [`SweepExecutor`]: a single
-/// problem run as a one-instance fleet. No barriers — workers claim
-/// chunks from the instance's watermarked counter and the pass advances
-/// when its last chunk completes, so a straggling worker never idles
-/// the others at a synchronization point. Bit-identical to
-/// [`crate::SerialBackend`] (see the module docs).
-///
-/// Wall time is recorded under [`UpdateKind::X`]: workers interleave
-/// passes, so per-kind attribution is not separable.
-#[derive(Debug)]
-pub struct FleetBackend {
-    threads: usize,
-    diagnostics: FleetDiagnostics,
-}
-
-impl FleetBackend {
-    /// Backend with `threads` work-assisting workers claiming each
-    /// pass's own `crate::Pass::chunk` granularity.
-    ///
-    /// # Panics
-    /// If `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "fleet backend needs at least one thread");
-        FleetBackend {
-            threads,
-            diagnostics: FleetDiagnostics::new(),
-        }
-    }
-
-    /// Accumulated per-worker assist telemetry (chunks claimed,
-    /// migrations, idle spins) — see [`crate::diagnostics::fleet_report`].
-    #[cfg(test)]
-    pub(crate) fn diagnostics(&self) -> &FleetDiagnostics {
-        &self.diagnostics
-    }
-}
-
-impl SweepExecutor for FleetBackend {
-    fn name(&self) -> &'static str {
-        "fleet"
-    }
-
-    fn execute(
-        &mut self,
-        problem: &AdmmProblem,
-        store: &mut VarStore,
-        iters: usize,
-        t: &mut UpdateTimings,
-    ) {
-        let t0 = Instant::now();
-        let mut round = [RoundInstance {
-            global: 0,
-            problem,
-            store,
-        }];
-        run_round(&mut round, iters, self.threads, &mut self.diagnostics);
-        t.add(UpdateKind::X, t0.elapsed());
-    }
-}
 
 /// One fleet instance's problem, state, and bookkeeping.
 struct FleetSlot {
@@ -403,9 +48,9 @@ struct FleetSlot {
     run: RunState,
 }
 
-/// Drives a fleet of independent [`AdmmProblem`]s to convergence with
-/// the work-assisting scheduler — the heterogeneous-fleet counterpart
-/// of [`crate::BatchSolver`].
+/// Drives a fleet of independent [`AdmmProblem`]s to convergence on
+/// the work-assisting pool — the heterogeneous-fleet counterpart of
+/// [`crate::BatchSolver`].
 ///
 /// Differences from batching, all consequences of *not* fusing:
 ///
@@ -602,9 +247,12 @@ impl FleetSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SerialBackend;
+    use crate::backend::{SerialBackend, SweepExecutor};
+    use crate::plan::SweepPlan;
+    use crate::pool::PoolBackend;
     use crate::residuals::{StopReason, StoppingCriteria};
     use crate::solver::Solver;
+    use crate::timing::UpdateTimings;
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -648,11 +296,16 @@ mod tests {
         store.z[0]
     }
 
+    // The `fleet` spec builds the pool: its single-problem form runs here
+    // as a one-instance round.
     #[test]
     fn fleet_backend_matches_serial_exactly() {
         for threads in [1usize, 2, 3, 5] {
             let a = solve_with(&mut SerialBackend, 50);
-            let b = solve_with(&mut FleetBackend::new(threads), 50);
+            let spec = BackendSpec::Fleet {
+                threads: Some(threads),
+            };
+            let b = solve_with(spec.to_backend().as_mut(), 50);
             assert_eq!(a, b, "threads = {threads}");
         }
     }
@@ -660,7 +313,7 @@ mod tests {
     #[test]
     fn fleet_backend_tiny_chunks_force_contention() {
         let a = solve_with(&mut SerialBackend, 50);
-        let b = solve_on(&chunk_one_consensus(), &mut FleetBackend::new(8), 50);
+        let b = solve_on(&chunk_one_consensus(), &mut PoolBackend::new(8), 50);
         assert_eq!(a, b);
     }
 
@@ -672,7 +325,7 @@ mod tests {
         let mut serial_store = VarStore::zeros(problem.graph());
         let mut fleet_store = VarStore::zeros(problem.graph());
         let mut t = UpdateTimings::new();
-        let mut fleet = FleetBackend::new(3);
+        let mut fleet = PoolBackend::new(3);
         for block in [1usize, 3, 7, 2, 5] {
             SerialBackend.run_block(&problem, &mut serial_store, block, &mut t);
             fleet.run_block(&problem, &mut fleet_store, block, &mut t);
@@ -684,7 +337,7 @@ mod tests {
 
     #[test]
     fn fleet_backend_records_telemetry() {
-        let mut fleet = FleetBackend::new(2);
+        let mut fleet = PoolBackend::new(2);
         let _ = solve_with(&mut fleet, 10);
         let d = fleet.diagnostics();
         assert_eq!(d.workers().len(), 2);

@@ -2,10 +2,8 @@
 //!
 //! Every kernel is a *range* function with block-relative write slices,
 //! so the same code drives every executor: the serial baseline passes
-//! the full range, the barrier backend each worker's static partition,
-//! the fleet workers their claimed chunks, the rayon
-//! backend its chunk iterators, and the halo executor each shard's local
-//! arrays. One iteration runs three of them — the fused `x+m`, the `z`
+//! the full range, the pool's workers their claimed chunks, and the halo
+//! executor each shard's local arrays. One iteration runs three of them — the fused `x+m`, the `z`
 //! average on swapped buffers, and the fused `u+n` — in that order.
 //!
 //! # Fixed-`dims` bodies
@@ -35,9 +33,8 @@
 //! contiguous range. The operator comes from a monomorphized
 //! `Fn(usize) -> &dyn ProxOp`, so a shard-local graph can map its factor
 //! ids to the global operators. Every executor's x pass is this body:
-//! [`xm_update_range`] (serial), `SweepArrays::xm_phase` (barrier,
-//! fleet), the rayon backend's factor grains, and the
-//! staging phase of the halo executor.
+//! [`xm_update_range`] (serial), `SweepArrays::run_pass` (the pool),
+//! and the staging phase of the halo executor.
 //!
 //! # Subnormals
 //!
@@ -88,9 +85,8 @@ pub(crate) fn flush_subnormal(v: f64) -> f64 {
 //
 // Write slices are *block-relative*: `u_block`/`n_block`/`z_block` cover
 // exactly the range `[lo, hi)` being updated, so the same bodies serve
-// full-array calls (serial, the halo executor's shards), static
-// partitions (barrier), claimed chunks (fleet) and rayon
-// chunk iterators without aliasing whole arrays. Read arrays are always
+// full-array calls (serial, the halo executor's shards) and the pool's
+// claimed chunks without aliasing whole arrays. Read arrays are always
 // the full flat arrays.
 // ---------------------------------------------------------------------------
 
@@ -816,8 +812,8 @@ pub fn n_update_range_stream(
 /// further down the thread list.
 ///
 /// This is the single balanced-split helper behind every static
-/// partition ([`crate::Pass::split`]'s uniform case, which the barrier
-/// backend's per-thread sweep ranges use), so the front-loading
+/// partition ([`crate::Pass::split`]'s uniform case, which the pool's
+/// per-worker shares use), so the front-loading
 /// regression tests below guard that call site.
 #[inline]
 pub(crate) fn assign_range(n_items: usize, part: usize, n_parts: usize) -> (usize, usize) {

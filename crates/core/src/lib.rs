@@ -23,10 +23,14 @@
 //!
 //! * [`SerialBackend`] — the optimized single-core baseline the paper
 //!   measures speedups against,
-//! * [`RayonBackend`] — one parallel loop per pass (the paper's
-//!   faster OpenMP approach #1),
-//! * [`BarrierBackend`] — persistent workers with a static split and
-//!   barrier synchronization between passes (OpenMP approach #2),
+//! * [`PoolBackend`] — the one work-assisting executor: each worker runs
+//!   a static share of every pass (the paper's OpenMP approach #2) and
+//!   then assists the shares others have not reached, claiming chunks
+//!   sized by the plan (the dynamic half of approach #1), with no
+//!   barrier: a per-instance watermark closes each pass. The `rayon`,
+//!   `barrier`, `worksteal` and `fleet` specs all build it, and the same
+//!   round driver runs whole heterogeneous fleets through
+//!   [`FleetSolver`],
 //! * [`StaleBoundedBackend`] — partition-local stores with one worker
 //!   per shard and a real per-iteration halo exchange (the paper's
 //!   multi-device future-work item 3, executed instead of priced),
@@ -34,12 +38,7 @@
 //!   iterations stale (the paper's future-work item 1). The `sharded`
 //!   spec runs it at `k = 0`, bit-identical to serial; the `async` spec
 //!   at `k = 1`, which converges instead,
-//! * [`FleetBackend`] — barrier-free work-assisting workers claiming
-//!   each pass's chunks (sized by the plan) from a per-instance
-//!   watermarked counter, the dynamic answer to a static split's
-//!   stragglers (the `worksteal` spec names it too); the same scheduler
-//!   runs whole heterogeneous fleets through [`FleetSolver`],
-//! * [`AutoBackend`] — probes the synchronous backends on the actual
+//! * [`AutoBackend`] — probes serial, pool and sharded on the actual
 //!   problem and locks in the fastest (the paper's "automatic tuning"
 //!   future-work made concrete).
 //!
@@ -71,6 +70,7 @@ mod fleet;
 pub mod kernels;
 pub mod naive;
 mod plan;
+mod pool;
 mod problem;
 mod request;
 mod residuals;
@@ -81,16 +81,17 @@ mod timing;
 mod twa;
 
 pub use adaptive::ResidualBalancing;
-pub use backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
+pub use backend::{AutoBackend, SerialBackend, SweepExecutor};
 pub use batch::{BatchReport, BatchSolver, FusedPack, Seat};
 pub use diagnostics::{
     fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,
     FleetWorkerStats, ProxKindCost, Trace, TracePoint,
 };
-pub use fleet::{FleetBackend, FleetSolver};
+pub use fleet::FleetSolver;
 pub use kernels::UpdateKind;
 pub use paradmm_prox::{ProxCtx, ProxOp};
 pub use plan::{Pass, PassKind, PassSpace, Planner, SweepPlan};
+pub use pool::PoolBackend;
 pub use problem::AdmmProblem;
 pub use request::{Priority, SolveOutcome, SolveRequest, SolveRequestParts};
 pub use residuals::{InstanceReport, Residuals, RunState, StopReason, StoppingCriteria};

@@ -175,9 +175,9 @@ impl<'p> NaiveAdmm<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
-    use crate::fleet::FleetBackend;
+    use crate::backend::{AutoBackend, SerialBackend, SweepExecutor};
     use crate::plan::SweepPlan;
+    use crate::pool::PoolBackend;
     use crate::stale::StaleBoundedBackend;
     use crate::timing::UpdateTimings;
     use paradmm_graph::{GraphBuilder, VarStore};
@@ -247,10 +247,10 @@ mod tests {
             }
             let executors: Vec<(Box<dyn SweepExecutor>, &AdmmProblem)> = vec![
                 (Box::new(SerialBackend), &problem),
-                (Box::new(RayonBackend::new(Some(2))), &problem),
-                (Box::new(BarrierBackend::new(3)), &problem),
+                (Box::new(PoolBackend::new(2)), &problem),
+                (Box::new(PoolBackend::new(3)), &problem),
                 (Box::new(StaleBoundedBackend::new(2, 0)), &problem),
-                (Box::new(FleetBackend::new(2)), &chunk_one),
+                (Box::new(PoolBackend::new(2)), &chunk_one),
                 (Box::new(AutoBackend::new(2)), &problem),
             ];
             for (mut exec, problem) in executors {

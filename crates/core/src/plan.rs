@@ -15,10 +15,10 @@
 //!   [`SweepPlan::barriers_per_iteration`] *is* the pass count: 3
 //!   synchronization points per iteration instead of the paper's 5;
 //! * each pass carries a **chunk size** (the claim granularity of the
-//!   chunk-claiming fleet executor, [`crate::FleetBackend`]; the plan is
-//!   its only source) and an optional **measured cost profile** from
-//!   which static backends derive cost-balanced per-worker splits
-//!   ([`Pass::split`]) — the paper's future-work item 2 ("automatic
+//!   work-assisting pool, [`crate::PoolBackend`]; the plan is its only
+//!   source) and an optional **measured cost profile** from which the
+//!   pool derives cost-balanced per-worker shares ([`Pass::split`]) —
+//!   the paper's future-work item 2 ("automatic
 //!   per-operator tuning") made concrete. A [`Planner`] measures once and
 //!   compiles both; the plan then stays fixed for the solve.
 //!
@@ -169,7 +169,7 @@ impl Pass {
         self.items
     }
 
-    /// Items a fleet worker claims per atomic increment.
+    /// Items a pool worker claims per atomic increment.
     #[inline]
     pub(crate) fn chunk(&self) -> usize {
         self.chunk

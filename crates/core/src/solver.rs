@@ -222,7 +222,8 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BarrierBackend, SerialBackend};
+    use crate::backend::SerialBackend;
+    use crate::pool::PoolBackend;
     use paradmm_graph::{GraphBuilder, VarId};
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -335,8 +336,8 @@ mod tests {
         let (g, p) = two_quadratics();
         let mut solver = Solver::new(g, p, SolverOptions::default());
         solver.run(5);
-        solver.set_backend(Box::new(BarrierBackend::new(2)));
-        assert_eq!(solver.backend().name(), "barrier");
+        solver.set_backend(Box::new(PoolBackend::new(2)));
+        assert_eq!(solver.backend().name(), "pool");
         solver.set_backend(Box::new(SerialBackend));
         let report = solver.run(1000);
         assert_eq!(report.stop_reason, StopReason::Converged);

@@ -9,21 +9,21 @@
 //!        | sharded[:N] | fleet[:N] | auto[:N]
 //! ```
 //!
-//! An omitted `:N` means "backend default" (rayon's global pool, or the
-//! host's available parallelism), and `Display` preserves the omission,
-//! so `parse ∘ to_string` is the identity.
+//! An omitted `:N` means the host's available parallelism, and `Display`
+//! preserves the omission, so `parse ∘ to_string` is the identity.
 //!
-//! Three families are aliases that name one executor at a fixed
-//! setting: `sharded` and `async` build [`StaleBoundedBackend`] at
-//! staleness `k = 0` and `k = 1`, and `worksteal` builds
-//! [`FleetBackend`], the one chunk-claiming executor. They keep their
-//! own text so stored specs and wire frames naming them still decode.
+//! Three executors stand behind the seven parallel families.
+//! `rayon`, `barrier`, `worksteal` and `fleet` all build [`PoolBackend`],
+//! the one work-assisting executor; `sharded` and `async` build
+//! [`StaleBoundedBackend`] at staleness `k = 0` and `k = 1`; `auto`
+//! probes serial, pool and sharded. The alias families keep their own
+//! text so stored specs and wire frames naming them still decode.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::backend::{AutoBackend, BarrierBackend, RayonBackend, SerialBackend, SweepExecutor};
-use crate::fleet::FleetBackend;
+use crate::backend::{AutoBackend, SerialBackend, SweepExecutor};
+use crate::pool::PoolBackend;
 use crate::stale::StaleBoundedBackend;
 
 /// Worker-count used when a spec omits `:N` and the backend needs a
@@ -41,12 +41,14 @@ pub enum BackendSpec {
     /// [`crate::SerialBackend`].
     #[default]
     Serial,
-    /// [`crate::RayonBackend`]; `None` = rayon's global pool.
+    /// [`PoolBackend`] under the name of the paper's parallel-loop
+    /// approach #1.
     Rayon {
-        /// Worker count, `None` = the global pool.
+        /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::BarrierBackend`].
+    /// [`PoolBackend`] under the name of the paper's persistent-worker
+    /// approach #2.
     Barrier {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -58,8 +60,8 @@ pub enum BackendSpec {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
     },
-    /// [`crate::FleetBackend`] under its older name: workers claiming
-    /// each pass's chunks from a shared counter.
+    /// [`PoolBackend`] under the name of an earlier chunk-claiming
+    /// executor.
     WorkSteal {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -71,7 +73,7 @@ pub enum BackendSpec {
         /// Shard count, `None` = available parallelism.
         parts: Option<usize>,
     },
-    /// [`crate::FleetBackend`].
+    /// [`PoolBackend`]; [`crate::FleetSolver`] also reads its count.
     Fleet {
         /// Worker count, `None` = available parallelism.
         threads: Option<usize>,
@@ -126,19 +128,17 @@ impl BackendSpec {
     }
 
     /// Constructs the backend this spec names, substituting the host's
-    /// available parallelism for an omitted count (except `rayon`, whose
-    /// `None` means the global pool).
+    /// available parallelism for an omitted count.
     pub fn to_backend(&self) -> Box<dyn SweepExecutor> {
         let n = |t: Option<usize>| t.unwrap_or_else(default_threads);
         match *self {
             BackendSpec::Serial => Box::new(SerialBackend),
-            BackendSpec::Rayon { threads } => Box::new(RayonBackend::new(threads)),
-            BackendSpec::Barrier { threads } => Box::new(BarrierBackend::new(n(threads))),
+            BackendSpec::Rayon { threads }
+            | BackendSpec::Barrier { threads }
+            | BackendSpec::WorkSteal { threads }
+            | BackendSpec::Fleet { threads } => Box::new(PoolBackend::new(n(threads))),
             BackendSpec::Async { threads } => Box::new(StaleBoundedBackend::new(n(threads), 1)),
             BackendSpec::Sharded { parts } => Box::new(StaleBoundedBackend::new(n(parts), 0)),
-            BackendSpec::WorkSteal { threads } | BackendSpec::Fleet { threads } => {
-                Box::new(FleetBackend::new(n(threads)))
-            }
             BackendSpec::Auto { threads } => Box::new(AutoBackend::new(n(threads))),
         }
     }
@@ -256,12 +256,13 @@ mod tests {
     #[test]
     fn resolves_to_matching_backend() {
         // Aliases build an executor that reports its own name: the halo
-        // executor names itself after its staleness, and `worksteal`
-        // builds the fleet.
+        // executor names itself after its staleness, and the four
+        // parallel families build the pool.
         let aliases = [
-            ("sharded", "sharded"),
-            ("async", "async"),
-            ("worksteal", "fleet"),
+            ("rayon", "pool"),
+            ("barrier", "pool"),
+            ("worksteal", "pool"),
+            ("fleet", "pool"),
         ];
         for family in BACKEND_FAMILIES {
             let spec: BackendSpec = family.parse().unwrap();

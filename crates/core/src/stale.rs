@@ -15,7 +15,7 @@
 //!
 //! Instead of barriers, each shard publishes a per-iteration progress
 //! **watermark** (a single release-stored `AtomicU64` using the same
-//! ABA-free `(iter << 32) | phase` encoding as `fleet.rs`), and
+//! ABA-free `(iter << 32) | phase` encoding as `pool.rs`), and
 //! cross-shard reads are allowed to consume neighbor state up to `k`
 //! iterations stale (the paper's future-work item 1). Each shard only
 //! ever *waits* when a neighbor has fallen more than `k` iterations
@@ -37,7 +37,7 @@
 //! The value is strictly monotone (lexicographic in `(iter, phase)`), so
 //! a plain `u64` comparison implements every wait condition and the
 //! counter can never be confused by wrap-around reuse (ABA) — the same
-//! argument `fleet.rs` makes for its chunk-claim words.
+//! argument `pool.rs` makes for its chunk-claim words.
 //!
 //! Every halo variable has one **owner** — the minimum part holding a
 //! replica — and only the owner reduces it. Cross-shard traffic flows
@@ -73,6 +73,9 @@
 //! global store is a watermark-consistent snapshot, and the solver's
 //! between-block residual check (and its convergence decision) never
 //! sees a torn state. Mid-block, shards run ahead/behind within `k`.
+
+// Raw per-shard views shared by the shard workers; see `RawStale`.
+#![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -143,7 +146,7 @@ pub mod watermark {
 struct Watermark(AtomicU64);
 
 /// Spins (briefly) then yields until `w ≥ floor`; returns the observed
-/// word. Same spin/yield ladder as the fleet workers.
+/// word. Same spin/yield ladder as the pool workers.
 #[inline]
 fn wait_floor(w: &AtomicU64, floor: u64) -> u64 {
     let mut spins = 0u32;

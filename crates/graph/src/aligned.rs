@@ -6,7 +6,7 @@
 //! first element is aligned to [`CACHE_LINE`] (64 bytes — one x86-64 cache
 //! line, and wide enough for any AVX-512 vector). It dereferences to
 //! `[f64]`, so all existing slice-based code (kernels, accessors,
-//! serialization, `rayon` chunking) keeps working unchanged; only
+//! serialization, chunked parallel writes) keeps working unchanged; only
 //! construction sites change.
 //!
 //! Memory is committed only where it is written:
@@ -28,6 +28,9 @@
 //! the base pointer and layout it was allocated with, and `Drop` frees
 //! exactly that. [`AlignedVec::truncate`] exists for shape-corruption
 //! tests and keeps the original allocation.
+
+// Owns a raw 64-byte-aligned allocation behind a safe slice API.
+#![allow(unsafe_code)]
 
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::mem::MaybeUninit;

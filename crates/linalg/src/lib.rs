@@ -10,7 +10,8 @@
 //! * a row-major dense [`Matrix`] with the usual products,
 //! * [`Lu`] (partial-pivoted) and [`Cholesky`] factorizations,
 //! * [`project_affine`] / [`project_affine_weighted`], the workhorses of
-//!   equality-constrained proximal maps.
+//!   equality-constrained proximal maps, and [`weighted_gram`], the
+//!   system the weighted projection factors.
 //!
 //! Everything is `f64`; the paper's engine stores all ADMM state as doubles.
 
@@ -23,7 +24,7 @@ mod project;
 pub use chol::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use project::{project_affine, project_affine_weighted};
+pub use project::{project_affine, project_affine_weighted, weighted_gram};
 
 /// Error type for factorizations of singular / non-PD matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

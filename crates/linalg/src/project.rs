@@ -64,26 +64,7 @@ pub fn project_affine_weighted(
             });
         }
     }
-    assert!(
-        w.iter().all(|&v| v > 0.0),
-        "weights must be strictly positive"
-    );
-
-    // K = M W⁻¹ Mᵀ
-    let rows = m.rows();
-    let cols = m.cols();
-    let mut k = Matrix::zeros(rows, rows);
-    for i in 0..rows {
-        for j in i..rows {
-            let mut acc = 0.0;
-            for t in 0..cols {
-                acc += m[(i, t)] * m[(j, t)] / w[t];
-            }
-            k[(i, j)] = acc;
-            k[(j, i)] = acc;
-        }
-    }
-    let ch = Cholesky::factor(&k)?;
+    let ch = Cholesky::factor(&weighted_gram(m.rows(), m.as_slice(), w))?;
     let mut r = m.matvec(x);
     for i in 0..r.len() {
         r[i] -= c[i];
@@ -91,10 +72,42 @@ pub fn project_affine_weighted(
     let lambda = ch.solve(&r);
     let corr = m.matvec_t(&lambda);
     let mut s = x.to_vec();
-    for i in 0..cols {
+    for i in 0..m.cols() {
         s[i] -= corr[i] / w[i];
     }
     Ok(s)
+}
+
+/// The Gram matrix `K = M W⁻¹ Mᵀ` of a row-major `rows × w.len()`
+/// matrix `data` under the diagonal metric `W = diag(w)`: the system
+/// [`project_affine_weighted`] factors. A caller that only needs to know
+/// whether the projection factors builds it from borrowed data and
+/// factors it, with the same bits the projection would see.
+///
+/// # Panics
+/// If a weight is not strictly positive, or `data` is not
+/// `rows · w.len()` long.
+pub fn weighted_gram(rows: usize, data: &[f64], w: &[f64]) -> Matrix {
+    assert!(
+        w.iter().all(|&v| v > 0.0),
+        "weights must be strictly positive"
+    );
+    let cols = w.len();
+    assert_eq!(data.len(), rows * cols, "matrix data is not rows × cols");
+    let mut k = Matrix::zeros(rows, rows);
+    for i in 0..rows {
+        let mi = &data[i * cols..(i + 1) * cols];
+        for j in i..rows {
+            let mj = &data[j * cols..(j + 1) * cols];
+            let mut acc = 0.0;
+            for t in 0..cols {
+                acc += mi[t] * mj[t] / w[t];
+            }
+            k[(i, j)] = acc;
+            k[(j, i)] = acc;
+        }
+    }
+    k
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! non-serializable state (e.g. [`crate::NumericProx`]'s objective
 //! closure) simply return `None` from `spec` and cannot cross the wire.
 
-use paradmm_linalg::{project_affine_weighted, Matrix};
+use paradmm_linalg::{weighted_gram, Cholesky, Matrix};
 
 use crate::equality::{AffineEqualityProx, ConsensusEqualityProx};
 use crate::simple::{BoxProx, L1Prox, LinearProx, QuadraticProx, SemiLassoProx, ZeroProx};
@@ -133,9 +133,9 @@ impl ProxSpec {
     /// (one per edge, over blocks of `dims` components). Refuses a
     /// quadratic or affine constraint with a non-finite entry, a
     /// quadratic with `q_j + ρ ≤ 0`, and an affine constraint whose
-    /// `M W⁻¹ Mᵀ` does not factor. The factorization check runs the
-    /// operator's own projection once, on zeros, so this check and
-    /// `prox` agree on which constraints factor. Runs
+    /// `M W⁻¹ Mᵀ` does not factor. The check factors the same
+    /// [`weighted_gram`] the operator's projection factors, so this
+    /// check and `prox` agree on which constraints factor. Runs
     /// [`ProxSpec::validate`] first, and refuses a quadratic or affine
     /// spec whose span is not the factor's `rho.len() · dims`.
     pub fn validate_at(&self, rho: &[f64], dims: usize) -> Result<(), String> {
@@ -191,12 +191,11 @@ impl ProxSpec {
                         "affine constraint of {rows} rows over {cols} components cannot have full row rank"
                     ));
                 }
-                let m = Matrix::from_vec(*rows, *cols, data.clone());
                 let mut w = vec![0.0; *cols];
                 for (wi, &rho) in w.chunks_exact_mut(dims).zip(rho) {
                     wi.fill(rho);
                 }
-                project_affine_weighted(&m, c, &vec![0.0; *cols], &w)
+                Cholesky::factor(&weighted_gram(*rows, data, &w))
                     .map(drop)
                     .map_err(|e| format!("affine constraint does not factor at its rho: {e}"))
             }

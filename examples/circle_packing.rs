@@ -9,13 +9,14 @@
 //! `barrier[:N]`, `async[:N]`, `worksteal[:N]`, `sharded[:N]`,
 //! `fleet[:N]`, or `auto[:N]`.
 //!
-//! `fleet` (also named `worksteal`) claims chunks of every pass from a
-//! shared atomic claim word; `sharded` splits the factor graph into partition-local stores
-//! (one worker per shard) with a real halo exchange per iteration —
-//! note packing's all-pairs collision factors put nearly every variable
-//! in the halo, the worst case for sharding; `auto` probes all five
-//! synchronous backends on the actual problem for a few iterations and
-//! locks in the fastest.
+//! `rayon`, `barrier`, `worksteal` and `fleet` all build the
+//! work-assisting pool (a static share of every pass per worker, then
+//! assists); `sharded` splits the factor graph into partition-local
+//! stores (one worker per shard) with a real halo exchange per
+//! iteration — note packing's all-pairs collision factors put nearly
+//! every variable in the halo, the worst case for sharding; `auto`
+//! probes serial, pool and sharded on the actual problem for a few
+//! iterations and locks in the fastest.
 
 use paradmm::core::{BackendSpec, SweepExecutor};
 use paradmm::packing::{PackingConfig, PackingProblem, Polygon};

@@ -4,17 +4,18 @@
 //! The paper's future-work item 2 asks for *automatic per-operator
 //! tuning*: when one factor's proximal operator costs 100× another's, a
 //! static split by factor **count** hands one worker all the expensive
-//! operators and leaves the rest spinning at the pass barrier. The
+//! operators and leaves the rest waiting at the end of the pass. The
 //! `Planner` times every operator, attaches the measured costs to the
-//! x+m pass, and static backends split by cumulative **cost** instead —
-//! same iterates, bit for bit (any legal plan is), different wall clock.
+//! x+m pass, and the pool cuts its static shares by cumulative **cost**
+//! instead — same iterates, bit for bit (any legal plan is), different
+//! wall clock. (The pool's assists already rescue a count split; the
+//! measured plan spares them.)
 //!
 //! This example builds a consensus problem whose first few factors run a
 //! deliberately expensive numerically-minimized operator while hundreds
 //! of others run closed-form quadratics — heavy operators clustered at
 //! the front, the worst case for a count split — and measures the
-//! barrier backend under the default uniform fused plan vs the
-//! measured plan.
+//! pool under the default uniform fused plan vs the measured plan.
 //!
 //! Run: `cargo run --release --example heterogeneous_prox [threads]`
 
@@ -81,7 +82,7 @@ fn main() {
     let uniform_s = {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            best = best.min(measure(&problem, &mut BarrierBackend::new(threads), iters));
+            best = best.min(measure(&problem, &mut PoolBackend::new(threads), iters));
         }
         best
     };
@@ -96,13 +97,13 @@ fn main() {
     let planned_s = {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            best = best.min(measure(&problem, &mut BarrierBackend::new(threads), iters));
+            best = best.min(measure(&problem, &mut PoolBackend::new(threads), iters));
         }
         best
     };
 
-    println!("barrier[{threads}] uniform fused plan : {uniform_s:.3e} s/iter");
-    println!("barrier[{threads}] measured-cost plan : {planned_s:.3e} s/iter");
+    println!("pool[{threads}] uniform fused plan : {uniform_s:.3e} s/iter");
+    println!("pool[{threads}] measured-cost plan : {planned_s:.3e} s/iter");
     println!(
         "cost-model speedup: {:.2}× ({} heavy operators clustered at the front, {} light)",
         uniform_s / planned_s,
@@ -113,9 +114,9 @@ fn main() {
         println!("PASS: the measured planner beat (or matched) uniform chunking");
     } else {
         println!(
-            "note: uniform chunking won this run — expected on machines with fewer \
-             physical cores than workers (time-slicing erases the imbalance the \
-             weighted split fixes) or when timing noise dominates"
+            "note: uniform chunking won this run — expected when the pool's assists \
+             already rebalance the count split, on machines with fewer physical cores \
+             than workers, or when timing noise dominates"
         );
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example svm_classify [N] [dim]`
 
-use paradmm::core::RayonBackend;
+use paradmm::core::PoolBackend;
 use paradmm::svm::{gaussian_mixture, pegasos_train, SvmConfig, SvmProblem};
 use rand::SeedableRng;
 
@@ -25,9 +25,10 @@ fn main() {
     let config = SvmConfig::default();
     let lambda = config.lambda;
     // Any SweepExecutor backend drops into the same training loop; the
-    // synchronous backends are bit-identical, so rayon is a free speedup.
+    // synchronous backends are bit-identical, so the pool is a free speedup.
+    let threads = std::thread::available_parallelism().map_or(2, |p| p.get());
     let (model, _) =
-        SvmProblem::train_with_backend(&train, config, 4000, Box::new(RayonBackend::new(None)));
+        SvmProblem::train_with_backend(&train, config, 4000, Box::new(PoolBackend::new(threads)));
     println!(
         "ADMM model:    w = {:?}, b = {:+.4}",
         &model.w[..dim.min(4)],

@@ -9,9 +9,9 @@
 //! sweeps (x, m, z, u, n) over a bipartite factor-graph; users write only
 //! *serial* proximal operators and the engine parallelizes the sweeps.
 //! Execution strategies are pluggable [`core::SweepExecutor`] backends:
-//! serial, rayon data-parallel, persistent barrier workers, shard
-//! workers with a halo exchange (synchronous or bounded-stale),
-//! chunk-claiming fleet workers, or probe-and-lock auto selection — all
+//! serial, the work-assisting pool (static shares plus assists), shard
+//! workers with a halo exchange (synchronous or bounded-stale), or
+//! probe-and-lock auto selection — all
 //! driven by the same [`core::Solver`] loop. [`gpusim`] prices the same
 //! passes on analytic GPU and multicore machine models.
 //!
@@ -56,11 +56,11 @@ pub use paradmm_svm as svm;
 /// Convenient glob-import of the most common types.
 pub mod prelude {
     pub use paradmm_core::{
-        AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchReport, BatchSolver,
-        FleetSolver, InstanceReport, Pass, PassKind, Planner, Priority, ProxCtx, ProxOp,
-        RayonBackend, Residuals, SerialBackend, SolveOutcome, SolveRequest, Solver, SolverOptions,
-        SolverReport, StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor,
-        SweepPlan, UpdateKind, UpdateTimings,
+        AdmmProblem, AutoBackend, BackendSpec, BatchReport, BatchSolver, FleetSolver,
+        InstanceReport, Pass, PassKind, Planner, PoolBackend, Priority, ProxCtx, ProxOp, Residuals,
+        SerialBackend, SolveOutcome, SolveRequest, Solver, SolverOptions, SolverReport,
+        StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan,
+        UpdateKind, UpdateTimings,
     };
     pub use paradmm_graph::{
         AlignedVec, BatchInstance, BatchLayout, BatchStore, EdgeId, EdgeParams, EdgeStream,

@@ -1,7 +1,7 @@
 //! Backend-equivalence suite.
 //!
-//! The synchronous backends (serial, rayon, barrier, sharded, fleet,
-//! and auto — which locks in one of the former five) implement the same
+//! The synchronous backends (serial, pool, sharded, and auto — which
+//! locks in one of the former three) implement the same
 //! Jacobi-style Algorithm 2 schedule, so their iterates must be
 //! **bit-identical** on every problem — the z-average per variable is
 //! deterministic regardless of how the sweeps are scheduled or how the
@@ -20,9 +20,9 @@
 //! convex instance, not bitwise equality.
 
 use paradmm::core::{
-    AdmmProblem, AutoBackend, BackendSpec, BarrierBackend, BatchSolver, FleetBackend, FleetSolver,
-    Pass, RayonBackend, SerialBackend, Solver, SolverOptions, StaleBoundedBackend,
-    StoppingCriteria, SweepExecutor, SweepPlan, UpdateTimings,
+    AdmmProblem, AutoBackend, BackendSpec, BatchSolver, FleetSolver, Pass, PoolBackend, ProxCtx,
+    ProxOp, SerialBackend, Solver, SolverOptions, StaleBoundedBackend, StoppingCriteria,
+    SweepExecutor, SweepPlan, UpdateTimings,
 };
 use paradmm::graph::{Partition, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -44,7 +44,7 @@ fn seeded_state(problem: &AdmmProblem) -> VarStore {
 }
 
 /// The problem's resolved plan with every pass claimed `chunk` items at
-/// a time — small chunks force real claim contention in the fleet.
+/// a time — small chunks force real claim contention in the pool.
 fn chunked_plan(problem: &AdmmProblem, chunk: usize) -> SweepPlan {
     let passes = SweepPlan::resolve(problem)
         .passes()
@@ -93,22 +93,16 @@ fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: u
     assert_matches(&serial, "serial");
 
     for threads in [1usize, 2, 3] {
-        let rayon = run_from_seeded_state(problem, &mut RayonBackend::new(Some(threads)), iters);
-        assert_matches(&rayon, &format!("rayon({threads})"));
-
-        let barrier = run_from_seeded_state(problem, &mut BarrierBackend::new(threads), iters);
-        assert_matches(&barrier, &format!("barrier({threads})"));
-
-        // The barrier-free fleet scheduler (single-instance
-        // degenerate form): watermarked chunk claims instead of
-        // barriers, with and without forced chunk contention.
-        let fleet = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
-        assert_matches(&fleet, &format!("fleet({threads})"));
+        // The work-assisting pool: static shares plus watermarked chunk
+        // claims instead of barriers, with and without forced chunk
+        // contention.
+        let pool = run_from_seeded_state(problem, &mut PoolBackend::new(threads), iters);
+        assert_matches(&pool, &format!("pool({threads})"));
 
         problem.set_plan(chunked_plan(problem, 2));
-        let fleet_tiny = run_from_seeded_state(problem, &mut FleetBackend::new(threads), iters);
+        let pool_tiny = run_from_seeded_state(problem, &mut PoolBackend::new(threads), iters);
         problem.clear_plan();
-        assert_matches(&fleet_tiny, &format!("fleet({threads}, chunk=2)"));
+        assert_matches(&pool_tiny, &format!("pool({threads}, chunk=2)"));
     }
     // Sharded execution: partition-local stores with a real halo
     // exchange per iteration must replay the serial fold exactly, for
@@ -128,7 +122,7 @@ fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: u
         );
         assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
     }
-    // AutoBackend probes all five sync candidates on a clone and locks
+    // AutoBackend probes all three sync candidates on a clone and locks
     // in one of them — whichever wins, iterates must match serial
     // bitwise.
     let mut auto = AutoBackend::new(2);
@@ -168,6 +162,56 @@ fn imbalanced_degree_graph_bit_identical() {
     // chunks or thread counts.
     let mut problem = paradmm_bench::imbalanced_problem(7, 23);
     assert_bit_identical_across_sync_backends(&mut problem, 60, "imbalanced");
+}
+
+/// An operator that busy-waits before running the one it wraps: the
+/// worker holding it up falls behind, so the others drain their own
+/// shares and assist.
+struct Slow(Box<dyn ProxOp>);
+
+impl ProxOp for Slow {
+    fn prox(&self, ctx: &mut ProxCtx<'_>) {
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < std::time::Duration::from_micros(20) {
+            std::hint::spin_loop();
+        }
+        self.0.prox(ctx);
+    }
+}
+
+#[test]
+fn assisted_shares_bit_identical() {
+    // Every factor of worker 0's x+m share waits, so at 2 and 3 threads
+    // the other workers finish their shares first and claim chunks of
+    // worker 0's — the assist path, which a balanced problem rarely
+    // takes. The result must not depend on who ran which chunk.
+    for threads in [2usize, 3] {
+        let (_, problem) = MpcProblem::build(MpcConfig::new(25), paper_plant());
+        let (graph, proxes, params) = problem.into_parts();
+        let share0 = graph.num_factors() / threads;
+        let proxes = proxes
+            .into_iter()
+            .enumerate()
+            .map(|(a, p)| {
+                if a < share0 {
+                    Box::new(Slow(p)) as Box<dyn ProxOp>
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let mut problem = AdmmProblem::with_params(graph, proxes, params);
+        problem.set_plan(chunked_plan(&problem, 2));
+        let want = run_from_seeded_state(&problem, &mut SerialBackend, 20);
+        let got = run_from_seeded_state(&problem, &mut PoolBackend::new(threads), 20);
+        let label = format!("pool({threads})");
+        assert_eq!(want.x, got.x, "{label} x");
+        assert_eq!(want.m, got.m, "{label} m");
+        assert_eq!(want.z, got.z, "{label} z");
+        assert_eq!(want.u, got.u, "{label} u");
+        assert_eq!(want.n, got.n, "{label} n");
+        assert_eq!(want.z_prev, got.z_prev, "{label} z_prev");
+    }
 }
 
 #[test]
@@ -269,20 +313,20 @@ fn batched_solves_bit_identical_to_solo_serial_on_every_sync_backend() {
         }
     }
 
-    // An explicit fleet backend with three workers claiming chunks of
-    // the fused pack, whose chunks span instance boundaries. Each pack
-    // installs its own default plan, so the claims are 64 items wide;
-    // the chunk-2 fleet cases above force contention.
+    // An explicit pool with three workers claiming chunks of the fused
+    // pack, whose chunks span instance boundaries. Each pack installs
+    // its own default plan, so the claims are 64 items wide; the
+    // chunk-2 pool cases above force contention.
     let options = SolverOptions {
         stopping,
         ..SolverOptions::default()
     };
-    let mut batch = BatchSolver::with_backend(instances(), options, Box::new(FleetBackend::new(3)));
+    let mut batch = BatchSolver::with_backend(instances(), options, Box::new(PoolBackend::new(3)));
     let report = batch.run(stopping.max_iters);
     for (i, (store, solo_iters, _)) in solo.iter().enumerate() {
         assert_eq!(report.instances[i].iterations, *solo_iters);
-        assert_eq!(batch.store(i).z, store.z, "fleet(3) instance {i}");
-        assert_eq!(batch.store(i).u, store.u, "fleet(3) instance {i}");
+        assert_eq!(batch.store(i).z, store.z, "pool(3) instance {i}");
+        assert_eq!(batch.store(i).u, store.u, "pool(3) instance {i}");
     }
 }
 

@@ -14,6 +14,9 @@
 //! several threads at once), and `build` allocates on the calling thread
 //! only.
 
+// A counting `#[global_allocator]` must implement the unsafe `GlobalAlloc`.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -7,16 +7,16 @@
 //! any synchronous backend, must produce iterates bit-identical to the
 //! paper's literal five sweeps (`NaiveAdmm`). This suite property-tests
 //! that contract on the paper's problem families (MPC, packing) and on a
-//! degree-imbalanced hub graph, across the serial, barrier, rayon,
-//! sharded and fleet executors. The fleet is the one executor that reads
-//! a pass's chunk size; the others prove a plan's chunking never leaks
-//! into their iterates.
+//! degree-imbalanced hub graph, across the serial, pool and sharded
+//! executors. The pool is the one executor that reads a pass's chunk
+//! size and static splits; the others prove a plan's chunking never
+//! leaks into their iterates.
 
 use proptest::prelude::*;
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, BarrierBackend, FleetBackend, Pass, PassKind, Planner, RayonBackend,
-    SerialBackend, SweepExecutor, SweepPlan, UpdateTimings,
+    AdmmProblem, BackendSpec, Pass, PassKind, Planner, PoolBackend, SerialBackend, SweepExecutor,
+    SweepPlan, UpdateTimings,
 };
 use paradmm::graph::VarStore;
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -110,9 +110,9 @@ proptest! {
 
             let mut backends: Vec<(&str, Box<dyn SweepExecutor>)> = vec![
                 ("serial", Box::new(SerialBackend)),
-                ("rayon", Box::new(RayonBackend::new(Some(2)))),
-                ("barrier", Box::new(BarrierBackend::new(3))),
-                ("fleet", Box::new(FleetBackend::new(2))),
+                ("pool(2)", Box::new(PoolBackend::new(2))),
+                ("pool(3)", Box::new(PoolBackend::new(3))),
+                ("pool(4)", Box::new(PoolBackend::new(4))),
                 ("sharded", BackendSpec::Sharded { parts: Some(2) }.to_backend()),
             ];
             for (name, backend) in backends.iter_mut() {
@@ -142,12 +142,12 @@ fn measured_planner_output_is_bit_identical() {
         assert_eq!(plan.barriers_per_iteration(), 3, "{label}");
         problem.set_plan(plan);
         for threads in [1usize, 3] {
-            let got = run(&problem, &mut BarrierBackend::new(threads), ITERS);
-            assert_eq!(got.z, reference.z, "{label} barrier({threads})");
-            assert_eq!(got.u, reference.u, "{label} barrier({threads})");
-            let got = run(&problem, &mut FleetBackend::new(threads), ITERS);
-            assert_eq!(got.z, reference.z, "{label} fleet({threads})");
-            assert_eq!(got.u, reference.u, "{label} fleet({threads})");
+            let got = run(&problem, &mut PoolBackend::new(threads), ITERS);
+            assert_eq!(got.z, reference.z, "{label} pool({threads})");
+            assert_eq!(got.u, reference.u, "{label} pool({threads})");
+            let got = run(&problem, &mut PoolBackend::new(threads + 1), ITERS);
+            assert_eq!(got.z, reference.z, "{label} pool({})", threads + 1);
+            assert_eq!(got.u, reference.u, "{label} pool({})", threads + 1);
         }
         let got = run(&problem, &mut SerialBackend, ITERS);
         assert_eq!(got.n, reference.n, "{label} serial");
@@ -163,29 +163,32 @@ fn odd_block_lengths_keep_z_buffers_normalized() {
     let zeros = VarStore::zeros(problem.graph());
 
     let mut store = (VarStore::zeros(problem.graph()), UpdateTimings::new());
-    let mut barrier = BarrierBackend::new(3);
+    let mut pool = PoolBackend::new(3);
     let mut done = 0;
     for block in [1usize, 3, 2, 7, 1] {
-        barrier.run_block(&problem, &mut store.0, block, &mut store.1);
+        pool.run_block(&problem, &mut store.0, block, &mut store.1);
         done += block;
         let reference = naive_reference(&problem, &zeros, done);
-        assert_eq!(reference.z, store.0.z, "barrier after {block}");
+        assert_eq!(reference.z, store.0.z, "pool(3) after {block}");
         assert_eq!(
             reference.z_prev, store.0.z_prev,
-            "barrier z_prev after {block}"
+            "pool(3) z_prev after {block}"
         );
     }
-    // The fleet on a chunk-1 plan: every claim contends.
+    // The pool on a chunk-1 plan: every claim is one item.
     problem.set_plan(build_plan(&problem, &[1], false, 0));
-    let mut fleet = FleetBackend::new(2);
-    let mut fleet_store = VarStore::zeros(problem.graph());
+    let mut pool = PoolBackend::new(2);
+    let mut pool_store = VarStore::zeros(problem.graph());
     let mut t = UpdateTimings::new();
     let mut done = 0;
     for block in [1usize, 5, 2] {
-        fleet.run_block(&problem, &mut fleet_store, block, &mut t);
+        pool.run_block(&problem, &mut pool_store, block, &mut t);
         done += block;
         let reference = naive_reference(&problem, &zeros, done);
-        assert_eq!(reference.z, fleet_store.z, "fleet after {block}");
-        assert_eq!(reference.z_prev, fleet_store.z_prev, "fleet z_prev {block}");
+        assert_eq!(reference.z, pool_store.z, "pool(2) after {block}");
+        assert_eq!(
+            reference.z_prev, pool_store.z_prev,
+            "pool(2) z_prev {block}"
+        );
     }
 }

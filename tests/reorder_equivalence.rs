@@ -17,7 +17,7 @@
 //! every iterate matches.
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, FleetBackend, SerialBackend, SweepExecutor, UpdateTimings,
+    AdmmProblem, BackendSpec, PoolBackend, SerialBackend, SweepExecutor, UpdateTimings,
 };
 use paradmm::graph::{GraphBuilder, Reordering, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
@@ -49,7 +49,7 @@ fn run(problem: &AdmmProblem, store: &mut VarStore, backend: &mut dyn SweepExecu
 
 /// Solves `problem` natural-order and reordered, asserting the restored
 /// reordered state is bit-identical to the natural one on serial,
-/// fleet and sharded backends. Consumes the problem (reordering
+/// pool and sharded backends. Consumes the problem (reordering
 /// moves the proximal operators).
 fn assert_reorder_bit_identical(problem: AdmmProblem, reordering: &Reordering, label: &str) {
     let seed = seeded_store(&problem);
@@ -57,9 +57,9 @@ fn assert_reorder_bit_identical(problem: AdmmProblem, reordering: &Reordering, l
     let mut natural = seed.clone();
     run(&problem, &mut natural, &mut SerialBackend);
 
-    let mut natural_fleet = seed.clone();
-    run(&problem, &mut natural_fleet, &mut FleetBackend::new(3));
-    assert_eq!(natural.z, natural_fleet.z, "{label}: fleet z (natural)");
+    let mut natural_pool = seed.clone();
+    run(&problem, &mut natural_pool, &mut PoolBackend::new(3));
+    assert_eq!(natural.z, natural_pool.z, "{label}: pool z (natural)");
 
     let mut natural_sh = seed.clone();
     run(
@@ -76,7 +76,7 @@ fn assert_reorder_bit_identical(problem: AdmmProblem, reordering: &Reordering, l
 
     for (backend, which) in [
         (&mut SerialBackend as &mut dyn SweepExecutor, "serial"),
-        (&mut FleetBackend::new(3), "fleet"),
+        (&mut PoolBackend::new(3), "pool"),
         (
             BackendSpec::Sharded { parts: Some(3) }
                 .to_backend()
