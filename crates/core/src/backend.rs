@@ -11,9 +11,10 @@
 //!
 //! Every backend runs the same three-pass schedule, `x+m | z | u+n`
 //! (see [`SweepPlan`]), one synchronization point per pass, on the
-//! kernels of [`crate::kernels`]. The pool's raw shared views and claim
-//! protocol live in one module, `pool`, which states their proof
-//! obligations once; this module has no `unsafe`.
+//! kernels of [`crate::kernels`]. The parallel backends start their
+//! workers through one runtime in `pool`, which also holds the pool's
+//! raw shared views and claim protocol and states their proof
+//! obligations once; the halo executor shares only atomics.
 //!
 //! The synchronous backends (serial, pool, the halo executor at `k = 0`,
 //! and auto, which locks in one of them) are *bit-identical* to each

@@ -8,6 +8,25 @@
 //! `run_round`, over one or more *instances* (a problem, its store and
 //! its resolved [`SweepPlan`]).
 //!
+//! # Runtime
+//!
+//! `run_round` and the halo executor ([`crate::StaleBoundedBackend`],
+//! the `sharded` and `async` specs) both start their workers through
+//! one runtime, `run_workers`: one worker per state it is handed, worker
+//! 0 on the calling thread and the rest on scoped threads opened for the
+//! block (the crate's only thread scope). Workers that wait for
+//! one another do so through one spin-then-yield wait, [`Crew::wait`]. A
+//! worker that panics raises the block's poison flag as it unwinds, every
+//! wait gives up once the flag is up, and the payload is re-raised to the
+//! caller after all workers have returned — so a panicking operator
+//! fails its block under every parallel executor instead of leaving the
+//! others waiting for work that will never be published.
+//!
+//! The runtime hands each worker its state by value, so the halo
+//! executor gives each shard worker its `&mut Shard` and shares nothing
+//! else but atomics: it is safe Rust. The proof obligations below are
+//! the pool's alone.
+//!
 //! # Dispatch
 //!
 //! Each pass of each instance is cut by [`Pass::split`] into one
@@ -80,8 +99,8 @@
 //! 4. **One z parity.** Every worker derives the iteration, and so which
 //!    z buffer is current, from the `seq` of the word it claimed on.
 //! 5. **Lifetime.** The views are taken from `&mut` borrows of the
-//!    stores that outlive the worker scope, and dropped before any store
-//!    is touched again.
+//!    stores that outlive the workers, and dropped before any store is
+//!    touched again — also when a worker's panic unwinds `run_round`.
 //!
 //! Other instances' workers touch other stores entirely. Iterates are
 //! therefore bit-identical to [`crate::SerialBackend`]'s for any worker
@@ -407,77 +426,134 @@ pub(crate) struct RoundInstance<'a> {
 
 /// Worker `w`'s loop: work its current instance while that has anything
 /// to claim, then move to the instance with the most unclaimed chunks;
-/// with nothing claimable anywhere, spin briefly and yield (chunks are
-/// in flight elsewhere). Returns early if a peer panicked, so the panic
-/// reaches the caller instead of leaving this worker waiting for chunks
-/// that will never complete.
+/// with nothing claimable anywhere, wait for chunks in flight elsewhere.
+/// Returns once every instance is finished, or once a peer panicked.
 fn worker_loop(
     execs: &[InstanceExec<'_>],
     w: usize,
     n_globals: usize,
-    poisoned: &AtomicBool,
+    crew: &Crew,
 ) -> FleetWorkerStats {
-    let _poison = PoisonOnPanic(poisoned);
     let mut stats = FleetWorkerStats::new(n_globals);
     let mut cur = w % execs.len();
-    let mut spins = 0u32;
     loop {
         if execs[cur].work(w, &mut stats) {
-            spins = 0;
             continue;
         }
-        // Most unclaimed chunks wins; ties break toward the lowest index.
-        let mut best: Option<(usize, u64)> = None;
-        for (j, e) in execs.iter().enumerate() {
-            let r = e.remaining_chunks();
-            if r > 0 && best.is_none_or(|(_, br)| r > br) {
-                best = Some((j, r));
+        let next = crew.wait(|| {
+            // Most unclaimed chunks wins; ties break toward the lowest index.
+            let mut best: Option<(usize, u64)> = None;
+            for (j, e) in execs.iter().enumerate() {
+                let r = e.remaining_chunks();
+                if r > 0 && best.is_none_or(|(_, br)| r > br) {
+                    best = Some((j, r));
+                }
             }
-        }
-        match best {
+            if best.is_none() && !execs.iter().all(|e| e.finished()) {
+                stats.idle_spins += 1;
+                return None;
+            }
+            Some(best)
+        });
+        match next.flatten() {
             Some((j, _)) => {
                 if j != cur {
                     stats.migrations += 1;
                     cur = j;
                 }
-                spins = 0;
             }
-            None => {
-                if execs.iter().all(|e| e.finished()) || poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Spin briefly, then yield the core to the workers
-                // running the last chunks (essential on oversubscribed
-                // hosts).
-                stats.idle_spins += 1;
-                spins += 1;
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+            None => break,
         }
     }
     stats
 }
 
-/// Raises the round's poison flag if its worker unwinds.
-struct PoisonOnPanic<'a>(&'a AtomicBool);
+/// What the workers of one block share besides their data: whether one
+/// of them panicked.
+pub(crate) struct Crew {
+    poisoned: AtomicBool,
+}
 
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
+impl Crew {
+    /// Polls `ready` until it returns a value — spinning briefly, then
+    /// yielding the core to the workers that hold the awaited work
+    /// (essential on oversubscribed hosts). Returns `None` once a peer
+    /// has panicked: what it waits for may never come.
+    pub(crate) fn wait<T>(&self, mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+        let mut spins = 0u32;
+        loop {
+            if let Some(v) = ready() {
+                return Some(v);
+            }
+            if self.poisoned.load(Ordering::Relaxed) {
+                return None;
+            }
+            spins += 1;
+            if spins < 16 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
 
-/// Runs `iters` iterations of every instance on `threads` workers — the
-/// calling thread and `threads − 1` scoped ones. Each instance resolves
-/// its own [`SweepPlan`] and advances through it independently; an odd
-/// `iters` leaves every iterate in the `z_prev` buffer, which is
-/// normalized here per instance.
+/// Raises the crew's poison flag if its thread unwinds.
+struct PoisonOnPanic<'a>(&'a Crew);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Runs one worker per element of `states`, `work(w, state, crew)` for
+/// worker `w`: worker 0 on the calling thread, the others on scoped
+/// threads. Returns the workers' results in worker order.
+///
+/// A worker that panics raises the crew's poison flag, so the others'
+/// [`Crew::wait`]s give up instead of waiting for it; once every worker
+/// has returned, the panic is re-raised here with its payload.
+pub(crate) fn run_workers<S: Send, R: Send>(
+    states: impl IntoIterator<Item = S>,
+    work: impl Fn(usize, S, &Crew) -> R + Sync,
+) -> Vec<R> {
+    let crew = Crew {
+        poisoned: AtomicBool::new(false),
+    };
+    let mut states = states.into_iter();
+    let Some(first) = states.next() else {
+        return Vec::new();
+    };
+    let (crew, work) = (&crew, &work);
+    std::thread::scope(|scope| {
+        // Covers worker 0 and a failed spawn alike.
+        let _poison = PoisonOnPanic(crew);
+        let handles: Vec<_> = states
+            .enumerate()
+            .map(|(i, state)| {
+                scope.spawn(move || {
+                    let _poison = PoisonOnPanic(crew);
+                    work(i + 1, state, crew)
+                })
+            })
+            .collect();
+        let mut out = vec![work(0, first, crew)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        out
+    })
+}
+
+/// Runs `iters` iterations of every instance on `threads` workers of
+/// [`run_workers`]. Each instance resolves its own [`SweepPlan`] and
+/// advances through it independently; an odd `iters` leaves every
+/// iterate in the `z_prev` buffer, which is normalized here per instance.
 pub(crate) fn run_round(
     instances: &mut [RoundInstance<'_>],
     iters: usize,
@@ -493,19 +569,8 @@ pub(crate) fn run_round(
         .iter_mut()
         .map(|ri| InstanceExec::new(ri, iters, threads))
         .collect();
-    let poisoned = AtomicBool::new(false);
-    let per_worker: Vec<FleetWorkerStats> = std::thread::scope(|scope| {
-        let (execs, poisoned) = (&execs, &poisoned);
-        let handles: Vec<_> = (1..threads)
-            .map(|w| scope.spawn(move || worker_loop(execs, w, n_globals, poisoned)))
-            .collect();
-        let mut per_worker = vec![worker_loop(execs, 0, n_globals, poisoned)];
-        per_worker.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
-        );
-        per_worker
+    let per_worker = run_workers(0..threads, |w, _, crew| {
+        worker_loop(&execs, w, n_globals, crew)
     });
     drop(execs); // release the raw views before touching the stores
     if iters % 2 == 1 {
@@ -575,7 +640,7 @@ impl SweepExecutor for PoolBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::SerialBackend;
     use paradmm_graph::GraphBuilder;
@@ -663,12 +728,32 @@ mod tests {
         );
     }
 
+    /// An operator that panics with "operator failed".
     #[derive(Debug)]
-    struct PanicProx;
+    pub(crate) struct PanicProx;
 
     impl ProxOp for PanicProx {
         fn prox(&self, _: &mut ProxCtx<'_>) {
             panic!("operator failed");
+        }
+    }
+
+    /// Runs a 5-iteration block of `backend` on a helper thread and
+    /// re-raises here the panic that reached it. Panics with "the block
+    /// hung" within seconds, instead of hanging the suite, if the block
+    /// never returns.
+    pub(crate) fn run_watched(problem: AdmmProblem, mut backend: impl SweepExecutor + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                || {
+                    run(&problem, &mut backend, 5);
+                },
+            )));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(result) => result.unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            Err(_) => panic!("the block hung"),
         }
     }
 
@@ -688,6 +773,6 @@ mod tests {
         }
         let mut problem = AdmmProblem::new(b.build(), proxes, 1.0, 1.0);
         problem.set_plan(SweepPlan::fused_chunked(&problem, 1));
-        let _ = run(&problem, &mut PoolBackend::new(3), 2);
+        run_watched(problem, PoolBackend::new(3));
     }
 }

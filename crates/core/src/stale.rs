@@ -41,18 +41,37 @@
 //!
 //! Every halo variable has one **owner** — the minimum part holding a
 //! replica — and only the owner reduces it. Cross-shard traffic flows
-//! through *versioned* buffers with `S = 2k + 2` slots (slot `t % S`):
-//! staged `ρ·m` messages per shard, and the combined halo `z` per halo
-//! variable. An owner reducing at iteration `t` waits until each
-//! contributing shard has staged iteration `max(1, t − k)`, then folds
-//! whatever *newer* version that shard has already published (never
-//! newer than `t`); a shard broadcasting at `t` symmetrically waits for
-//! each owner's reduce of `max(1, t − k)`. Two shards that communicate
-//! therefore never drift more than `k` iterations apart, which bounds
-//! every concurrently-live slot pair's distance by `2k < S` — no slot is
-//! overwritten while a reader may still need it, and the watermark
-//! acquire/release pairs carry the happens-before edges for both the
-//! data reads and the slot reuse (the TSan suite runs this executor).
+//! through *versioned* buffers with `S = 2k + 2` slots (slot `t % S`),
+//! built once with the shards and reused by every block: staged `ρ·m`
+//! messages per shard, and the combined halo `z` per halo variable. An
+//! owner reducing at iteration `t` waits until each contributing shard
+//! has staged iteration `max(1, t − k)`, then folds whatever *newer*
+//! version that shard has already published (never newer than `t`); a
+//! shard broadcasting at `t` symmetrically waits for each owner's reduce
+//! of `max(1, t − k)`. Two shards that communicate therefore never drift
+//! more than `k` iterations apart, which bounds every concurrently-live
+//! slot pair's distance by `2k < S`.
+//!
+//! # Workers and visibility
+//!
+//! The shard workers run on the pool's runtime (`pool::run_workers`):
+//! worker `i` receives shard `i` as its own `&mut`, and everything it
+//! shares with the others is atomic — the watermark words and the
+//! versioned slots, each an `AtomicU64` holding an `f64`'s bits. The
+//! slots are written and read `Relaxed`; the watermarks order them. A
+//! writer stores a version's slots and then release-publishes the phase
+//! that covers them; a reader acquire-loads that watermark before it
+//! reads the version, so it sees every value of it. Slot reuse is
+//! ordered the same way: a slot's old version is overwritten only by a
+//! writer that has acquire-observed, through the waits above, the
+//! release its every reader published after reading it. Without that
+//! ordering a read would return a wrong version — never undefined
+//! behaviour — which the `k = 0` bit-identity suites would catch; the
+//! TSan suite runs this executor too.
+//!
+//! A worker whose operator panics raises the runtime's poison flag, its
+//! peers' watermark waits give up, and the panic reaches the caller: a
+//! failed shard fails its block instead of hanging it.
 //!
 //! # `k = 0` is the correctness anchor
 //!
@@ -74,16 +93,14 @@
 //! between-block residual check (and its convergence decision) never
 //! sees a torn state. Mid-block, shards run ahead/behind within `k`.
 
-// Raw per-shard views shared by the shard workers; see `RawStale`.
-#![allow(unsafe_code)]
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use paradmm_graph::{EdgeParams, EdgeStream, FactorId, Partition, Shard, ShardedStore, VarStore};
+use paradmm_graph::{EdgeParams, EdgeStream, FactorId, Partition, ShardedStore, VarStore};
 
 use crate::backend::SweepExecutor;
 use crate::kernels::{self, UpdateKind};
+use crate::pool::run_workers;
 use crate::problem::AdmmProblem;
 use crate::timing::UpdateTimings;
 
@@ -145,25 +162,6 @@ pub mod watermark {
 #[repr(align(64))]
 struct Watermark(AtomicU64);
 
-/// Spins (briefly) then yields until `w ≥ floor`; returns the observed
-/// word. Same spin/yield ladder as the pool workers.
-#[inline]
-fn wait_floor(w: &AtomicU64, floor: u64) -> u64 {
-    let mut spins = 0u32;
-    loop {
-        let v = w.load(Ordering::Acquire);
-        if v >= floor {
-            return v;
-        }
-        spins += 1;
-        if spins < 16 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Cached decomposition + ownership precompute for the last problem this
 /// backend executed. The fingerprint fields make a same-shaped but
 /// differently wired or weighted problem rebuild; the variable count is
@@ -193,6 +191,11 @@ struct StaleState {
     /// Per shard: owners of the halo vars it holds replicas of (sorted,
     /// deduped; may include the shard itself).
     bcast_deps: Vec<Vec<u32>>,
+    /// Per shard: its staged `ρ·m` messages, `stage_edges.len() · d`
+    /// values per slot.
+    stage: Vec<Vec<Box<[AtomicU64]>>>,
+    /// Combined halo `z`, `halo_var_count · d` values per slot.
+    halo_z: Vec<Box<[AtomicU64]>>,
 }
 
 impl StaleState {
@@ -217,10 +220,13 @@ impl StaleState {
             && self.params.alpha == p.alpha
     }
 
-    fn build(problem: &AdmmProblem, partition: Partition) -> Self {
+    /// Decomposes `problem` along `partition`, with versioned buffers of
+    /// `2·staleness + 2` slots (see the module docs).
+    fn build(problem: &AdmmProblem, partition: Partition, staleness: usize) -> Self {
         let g = problem.graph();
         let store = ShardedStore::new(g, problem.params(), &partition);
         let parts = store.parts();
+        let (slots, d) = (2 * staleness + 2, g.dims());
         let owner: Vec<u32> = store.plan.vars.iter().map(|hv| hv.parts[0]).collect();
         let mut owned: Vec<Vec<u32>> = vec![Vec::new(); parts];
         let mut reduce_deps: Vec<Vec<u32>> = vec![Vec::new(); parts];
@@ -246,6 +252,12 @@ impl StaleState {
             .iter()
             .map(|sh| EdgeStream::build(&sh.graph, &sh.params))
             .collect();
+        let stage = store
+            .shards
+            .iter()
+            .map(|sh| versioned(slots, sh.stage_edges.len() * d))
+            .collect();
+        let halo_z = versioned(slots, store.plan.halo_var_count() * d);
         StaleState {
             store,
             streams,
@@ -263,6 +275,8 @@ impl StaleState {
             owned,
             reduce_deps,
             bcast_deps,
+            stage,
+            halo_z,
         }
     }
 }
@@ -285,7 +299,8 @@ pub struct StaleBoundedBackend {
 impl StaleBoundedBackend {
     /// Backend with `parts` shards (one worker each) and a staleness
     /// bound of `staleness` iterations. The partition comes from
-    /// [`Partition::grow`] on the first problem executed.
+    /// [`Partition::grow`] on the first problem executed; the halo
+    /// buffers hold `2·staleness + 2` versions.
     ///
     /// # Panics
     /// If `parts == 0`.
@@ -344,7 +359,7 @@ impl StaleBoundedBackend {
             }
             None => Partition::grow(g, self.parts),
         };
-        self.state = Some(StaleState::build(problem, partition));
+        self.state = Some(StaleState::build(problem, partition, self.staleness));
     }
 }
 
@@ -378,83 +393,6 @@ impl SweepExecutor for StaleBoundedBackend {
     }
 }
 
-/// Shared raw view handed to the per-shard workers.
-///
-/// # Safety contract
-/// * worker `i` holds `&mut` to shard `i` for the whole run and never
-///   touches another shard — shards are pairwise disjoint and all
-///   cross-shard data flows through the versioned buffers below;
-/// * `stage` slot `(s, v % slots)` is written only by worker `s` during
-///   its staging of iteration `v`, and read by owners only at versions
-///   their sampled watermark covers (acquire on the watermark pairs with
-///   the writer's release publish). Slot reuse distance is `slots =
-///   2k + 2 > 2k ≥` the maximum live version spread (see module docs);
-/// * `halo` slot region `(v % slots, h)` is written only by `owner[h]`
-///   during its reduce of iteration `v` (owners write disjoint `h`
-///   regions), and read by replica holders under the same watermark
-///   discipline.
-#[derive(Clone, Copy)]
-struct RawStale {
-    shards: *mut Shard,
-    n_shards: usize,
-    /// Per shard: pointer to its `slots · stage_len` staging buffer and
-    /// the per-slot length.
-    stage: *const (*mut f64, usize),
-    /// `slots · n_halo · d` versioned combined-z buffer.
-    halo: *mut f64,
-    halo_slot_len: usize,
-    slots: usize,
-}
-
-unsafe impl Send for RawStale {}
-unsafe impl Sync for RawStale {}
-
-impl RawStale {
-    /// # Safety
-    /// Only worker `i` may call this, per the struct-level contract.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn shard_mut(&self, i: usize) -> &mut Shard {
-        debug_assert!(i < self.n_shards);
-        &mut *self.shards.add(i)
-    }
-
-    /// # Safety
-    /// Only worker `s` may write its own slot, and only for the
-    /// iteration it is currently staging.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn stage_slot_mut(&self, s: usize, slot: usize) -> &mut [f64] {
-        debug_assert!(s < self.n_shards && slot < self.slots);
-        let (ptr, len) = *self.stage.add(s);
-        std::slice::from_raw_parts_mut(ptr.add(slot * len), len)
-    }
-
-    /// # Safety
-    /// The caller must have acquire-observed shard `s`'s watermark
-    /// covering the version stored in `slot`.
-    unsafe fn stage_slot(&self, s: usize, slot: usize) -> &[f64] {
-        debug_assert!(s < self.n_shards && slot < self.slots);
-        let (ptr, len) = *self.stage.add(s);
-        std::slice::from_raw_parts(ptr.add(slot * len), len)
-    }
-
-    /// # Safety
-    /// Only `owner[h]` may write halo var `h`, and only in the slot of
-    /// the iteration it is currently reducing.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn halo_var_mut(&self, slot: usize, h: usize, d: usize) -> &mut [f64] {
-        debug_assert!(slot < self.slots && (h + 1) * d <= self.halo_slot_len);
-        std::slice::from_raw_parts_mut(self.halo.add(slot * self.halo_slot_len + h * d), d)
-    }
-
-    /// # Safety
-    /// The caller must have acquire-observed the owner's watermark
-    /// covering the version stored in `slot`.
-    unsafe fn halo_var(&self, slot: usize, h: usize, d: usize) -> &[f64] {
-        debug_assert!(slot < self.slots && (h + 1) * d <= self.halo_slot_len);
-        std::slice::from_raw_parts(self.halo.add(slot * self.halo_slot_len + h * d), d)
-    }
-}
-
 /// Runs `iters` bounded-staleness iterations over the decomposed state;
 /// returns the largest staleness any cross-shard read actually consumed.
 fn run_stale(
@@ -468,222 +406,199 @@ fn run_stale(
         iters <= u32::MAX as usize,
         "block too large for the 32-bit watermark iteration field"
     );
-    // A skew larger than the block is unobservable; clamping keeps the
-    // versioned buffers proportional to min(k, iters).
-    let k = staleness.min(iters);
-    let slots = 2 * k + 2;
-    let d = state.store.dims();
-    let n_halo = state.store.plan.halo_var_count();
-    let parts = state.store.parts();
-
-    let owner = &state.owner;
-    let owned = &state.owned;
-    let reduce_deps = &state.reduce_deps;
-    let bcast_deps = &state.bcast_deps;
-    let streams = &state.streams;
-
-    let (shards, _halo_z, reduce) = state.store.exec_parts_mut();
-    let mut stage_bufs: Vec<Vec<f64>> = shards
+    let k = staleness as u64;
+    let StaleState {
+        store,
+        streams,
+        owner,
+        owned,
+        reduce_deps,
+        bcast_deps,
+        stage,
+        halo_z,
+        ..
+    } = state;
+    let d = store.dims();
+    let (shards, reduce) = store.exec_parts_mut();
+    let marks: Vec<Watermark> = shards
         .iter()
-        .map(|sh| vec![0.0f64; slots * sh.stage_edges.len() * d])
+        .map(|_| Watermark(AtomicU64::new(0)))
         .collect();
-    let stage_ptrs: Vec<(*mut f64, usize)> = stage_bufs
-        .iter_mut()
-        .zip(shards.iter())
-        .map(|(buf, sh)| (buf.as_mut_ptr(), sh.stage_edges.len() * d))
-        .collect();
-    let mut halo_bufs = vec![0.0f64; slots * n_halo * d];
-    let raw = RawStale {
-        shards: shards.as_mut_ptr(),
-        n_shards: shards.len(),
-        stage: stage_ptrs.as_ptr(),
-        halo: halo_bufs.as_mut_ptr(),
-        halo_slot_len: n_halo * d,
-        slots,
-    };
-    let marks: Vec<Watermark> = (0..parts).map(|_| Watermark(AtomicU64::new(0))).collect();
-    let max_skew = AtomicUsize::new(0);
-    let mut collected = UpdateTimings::new();
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for tid in 0..parts {
-            let marks = &marks;
-            let reduce = &*reduce;
-            let max_skew = &max_skew;
-            handles.push(scope.spawn(move || {
-                let mut local = UpdateTimings::new();
-                // SAFETY: worker `tid` exclusively owns shard `tid` for
-                // the whole run; cross-shard data flows only through the
-                // versioned buffers under the watermark protocol.
-                let shard = unsafe { raw.shard_mut(tid) };
-                let my_mark = &marks[tid].0;
-                // Sampled neighbor versions for the current iteration,
-                // indexed by shard id.
-                let mut ver = vec![0u64; parts];
-                let mut skew = 0usize;
-                for it in 1..=iters as u64 {
-                    // The final iteration of every block runs fully
-                    // fresh: replicas are coherent at the gather, so the
-                    // solver's residual check reads a watermark-
-                    // consistent snapshot.
-                    let k_eff = if it == iters as u64 { 0 } else { k as u64 };
+    let per_worker = run_workers(
+        shards.iter_mut().zip(streams.iter()),
+        |tid, (shard, stream), crew| {
+            let mut local = UpdateTimings::new();
+            let my_mark = &marks[tid].0;
+            // Waits until shard `s` has published `floor`; returns the word.
+            let wait_for = |s: u32, floor: u64| {
+                let mark = &marks[s as usize].0;
+                crew.wait(|| Some(mark.load(Ordering::Acquire)).filter(|&w| w >= floor))
+            };
+            // Sampled neighbor versions for the current iteration, indexed
+            // by shard id.
+            let mut ver = vec![0u64; marks.len()];
+            // One halo variable's fold, in the serial z-update's order.
+            let mut acc = vec![0.0; d];
+            let mut skew = 0usize;
+            for it in 1..=iters as u64 {
+                // The final iteration of every block runs fully fresh:
+                // replicas are coherent at the gather, so the solver's
+                // residual check reads a watermark-consistent snapshot.
+                let k_eff = if it == iters as u64 { 0 } else { k };
+                let floor_iter = it.saturating_sub(k_eff).max(1);
 
-                    // ---- staging: local x+m, z swap, interior z, ρ·m ----
-                    let t0 = Instant::now();
-                    let g = &shard.graph;
-                    let params = &shard.params;
-                    let nf = g.num_factors();
-                    let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
-                    let st = &mut shard.store;
-                    kernels::xm_update_block(
-                        g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
-                    );
-                    let t1 = Instant::now();
+                // ---- staging: local x+m, z swap, interior z, ρ·m ----
+                let t0 = Instant::now();
+                let g = &shard.graph;
+                let params = &shard.params;
+                let nf = g.num_factors();
+                let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
+                let st = &mut shard.store;
+                kernels::xm_update_block(
+                    g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
+                );
+                let t1 = Instant::now();
 
-                    // Buffer swap in place of the z_prev snapshot copy:
-                    // every shard-local variable is rewritten below
-                    // (interior here, halo replicas at the broadcast).
-                    shard.store.swap_z();
-                    for &lv in &shard.interior_vars {
-                        let lo = lv as usize * d;
-                        kernels::z_update_var(
-                            g,
-                            params,
-                            &shard.store.m,
-                            &mut shard.store.z[lo..lo + d],
-                            paradmm_graph::VarId(lv),
-                        );
-                    }
-                    {
-                        // SAFETY: only this worker writes its own slot,
-                        // and slot (it % slots) cannot still be read:
-                        // readers of version it − slots would violate
-                        // the staleness bound (see module docs).
-                        let stage =
-                            unsafe { raw.stage_slot_mut(tid, (it % slots as u64) as usize) };
-                        for (slot_i, &le) in shard.stage_edges.iter().enumerate() {
-                            let rho = shard.params.rho[le as usize];
-                            let lo = le as usize * d;
-                            for c in 0..d {
-                                stage[slot_i * d + c] = rho * shard.store.m[lo + c];
-                            }
-                        }
-                    }
-                    my_mark.store(
-                        watermark::encode(it, watermark::PHASE_STAGED),
-                        Ordering::Release,
-                    );
-
-                    // ---- reduce: combined z of OWNED halo vars ----
-                    if !owned[tid].is_empty() {
-                        let floor_iter = it.saturating_sub(k_eff).max(1);
-                        for &s in &reduce_deps[tid] {
-                            let w = wait_floor(
-                                &marks[s as usize].0,
-                                watermark::encode(floor_iter, watermark::PHASE_STAGED),
-                            );
-                            let v = watermark::staged_iter(w).min(it);
-                            ver[s as usize] = v;
-                            skew = skew.max((it - v) as usize);
-                        }
-                        for &h in &owned[tid] {
-                            let task = &reduce[h as usize];
-                            // SAFETY: owners write disjoint h regions;
-                            // this shard owns h.
-                            let zb = unsafe {
-                                raw.halo_var_mut((it % slots as u64) as usize, h as usize, d)
-                            };
-                            zb.fill(0.0);
-                            for &(s, slot) in &task.contribs {
-                                let v = ver[s as usize];
-                                // SAFETY: v was acquire-observed staged
-                                // on shard s; its slot is stable until s
-                                // advances past v + slots, which the
-                                // staleness bound forbids while this
-                                // read is live.
-                                let stage = unsafe {
-                                    raw.stage_slot(s as usize, (v % slots as u64) as usize)
-                                };
-                                let lo = slot as usize * d;
-                                for c in 0..d {
-                                    zb[c] += stage[lo + c];
-                                }
-                            }
-                            let inv = 1.0 / task.rho_sum;
-                            for v in zb.iter_mut() {
-                                *v *= inv;
-                            }
-                        }
-                    }
-                    my_mark.store(
-                        watermark::encode(it, watermark::PHASE_REDUCED),
-                        Ordering::Release,
-                    );
-
-                    // ---- broadcast + u/n ----
-                    {
-                        let floor_iter = it.saturating_sub(k_eff).max(1);
-                        for &o in &bcast_deps[tid] {
-                            let w = wait_floor(
-                                &marks[o as usize].0,
-                                watermark::encode(floor_iter, watermark::PHASE_REDUCED),
-                            );
-                            let v = watermark::reduced_iter(w).min(it);
-                            ver[o as usize] = v;
-                            skew = skew.max((it - v) as usize);
-                        }
-                        let g = &shard.graph;
-                        for &(lv, h) in &shard.halo_in {
-                            let v = ver[owner[h as usize] as usize];
-                            // SAFETY: v was acquire-observed reduced on
-                            // the owner; slot stability as above.
-                            let src =
-                                unsafe { raw.halo_var((v % slots as u64) as usize, h as usize, d) };
-                            let lo = lv as usize * d;
-                            shard.store.z[lo..lo + d].copy_from_slice(src);
-                        }
-                        let t3 = Instant::now();
-                        let st = &mut shard.store;
-                        kernels::un_update_range_stream(
-                            &streams[tid],
-                            &st.x,
-                            &st.z,
-                            &mut st.u,
-                            &mut st.n,
-                            0,
-                            g.num_edges(),
-                        );
-                        if tid == 0 {
-                            local.add(UpdateKind::X, t1 - t0);
-                            // Interior z + staging + reduce + waits.
-                            local.add(UpdateKind::Z, t3 - t1);
-                            local.add(UpdateKind::U, t3.elapsed());
-                        }
-                    }
-                    my_mark.store(
-                        watermark::encode(it, watermark::PHASE_DONE),
-                        Ordering::Release,
+                // Buffer swap in place of the z_prev snapshot copy: every
+                // shard-local variable is rewritten below (interior here,
+                // halo replicas at the broadcast).
+                shard.store.swap_z();
+                for &lv in &shard.interior_vars {
+                    let lo = lv as usize * d;
+                    kernels::z_update_var(
+                        g,
+                        params,
+                        &shard.store.m,
+                        &mut shard.store.z[lo..lo + d],
+                        paradmm_graph::VarId(lv),
                     );
                 }
-                max_skew.fetch_max(skew, Ordering::Relaxed);
-                local
-            }));
-        }
-        for h in handles {
-            let local = h.join().expect("stale worker panicked");
-            collected.merge(&local);
-        }
-    });
-    collected.iterations = 0; // accounted centrally by run_block
-    t.merge(&collected);
-    max_skew.load(Ordering::Relaxed)
+                let out = slot(&stage[tid], it);
+                for (i, &le) in shard.stage_edges.iter().enumerate() {
+                    let rho = shard.params.rho[le as usize];
+                    let lo = le as usize * d;
+                    for c in 0..d {
+                        put(&out[i * d + c], rho * shard.store.m[lo + c]);
+                    }
+                }
+                my_mark.store(
+                    watermark::encode(it, watermark::PHASE_STAGED),
+                    Ordering::Release,
+                );
+
+                // ---- reduce: combined z of OWNED halo vars ----
+                if !owned[tid].is_empty() {
+                    for &s in &reduce_deps[tid] {
+                        let w =
+                            wait_for(s, watermark::encode(floor_iter, watermark::PHASE_STAGED))?;
+                        let v = watermark::staged_iter(w).min(it);
+                        ver[s as usize] = v;
+                        skew = skew.max((it - v) as usize);
+                    }
+                    let out = slot(halo_z, it);
+                    for &h in &owned[tid] {
+                        let task = &reduce[h as usize];
+                        acc.fill(0.0);
+                        for &(s, i) in &task.contribs {
+                            let src = slot(&stage[s as usize], ver[s as usize]);
+                            let lo = i as usize * d;
+                            for c in 0..d {
+                                acc[c] += get(&src[lo + c]);
+                            }
+                        }
+                        let inv = 1.0 / task.rho_sum;
+                        let lo = h as usize * d;
+                        for c in 0..d {
+                            put(&out[lo + c], acc[c] * inv);
+                        }
+                    }
+                }
+                my_mark.store(
+                    watermark::encode(it, watermark::PHASE_REDUCED),
+                    Ordering::Release,
+                );
+
+                // ---- broadcast + u/n ----
+                for &o in &bcast_deps[tid] {
+                    let w = wait_for(o, watermark::encode(floor_iter, watermark::PHASE_REDUCED))?;
+                    let v = watermark::reduced_iter(w).min(it);
+                    ver[o as usize] = v;
+                    skew = skew.max((it - v) as usize);
+                }
+                for &(lv, h) in &shard.halo_in {
+                    let src = slot(halo_z, ver[owner[h as usize] as usize]);
+                    let (lo, ho) = (lv as usize * d, h as usize * d);
+                    for c in 0..d {
+                        shard.store.z[lo + c] = get(&src[ho + c]);
+                    }
+                }
+                let t3 = Instant::now();
+                let st = &mut shard.store;
+                kernels::un_update_range_stream(
+                    stream,
+                    &st.x,
+                    &st.z,
+                    &mut st.u,
+                    &mut st.n,
+                    0,
+                    shard.graph.num_edges(),
+                );
+                if tid == 0 {
+                    local.add(UpdateKind::X, t1 - t0);
+                    // Interior z + staging + reduce + waits.
+                    local.add(UpdateKind::Z, t3 - t1);
+                    local.add(UpdateKind::U, t3.elapsed());
+                }
+                my_mark.store(
+                    watermark::encode(it, watermark::PHASE_DONE),
+                    Ordering::Release,
+                );
+            }
+            Some((local, skew))
+        },
+    );
+    // A worker returns `None` only after a peer panicked, and
+    // `run_workers` re-raises that panic before returning.
+    let mut max_skew = 0;
+    for (local, skew) in per_worker.into_iter().flatten() {
+        t.merge(&local);
+        max_skew = max_skew.max(skew);
+    }
+    max_skew
+}
+
+/// The slot holding version `v` of a versioned buffer.
+fn slot(buf: &[Box<[AtomicU64]>], v: u64) -> &[AtomicU64] {
+    &buf[(v % buf.len() as u64) as usize]
+}
+
+/// `n_slots` slots of `len` `f64`s each, zeroed.
+fn versioned(n_slots: usize, len: usize) -> Vec<Box<[AtomicU64]>> {
+    (0..n_slots)
+        .map(|_| (0..len).map(|_| AtomicU64::new(0)).collect())
+        .collect()
+}
+
+/// Reads an `f64` slot; ordered by the watermark acquire that made its
+/// version visible (see the module docs).
+#[inline]
+fn get(a: &AtomicU64) -> f64 {
+    f64::from_bits(a.load(Ordering::Relaxed))
+}
+
+/// Writes an `f64` slot; published by the watermark release that
+/// follows.
+#[inline]
+fn put(a: &AtomicU64, v: f64) {
+    a.store(v.to_bits(), Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::SerialBackend;
+    use crate::pool::tests::{run_watched, PanicProx};
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -917,6 +832,57 @@ mod tests {
         assert_eq!(staged_iter(0), 0);
         assert_eq!(reduced_iter(0), 0);
         assert_eq!(done_iter(0), 0);
+    }
+
+    /// Runs a block of an 8-factor chain whose factor `bad` panics, cut
+    /// into two shards of four factors: shard 0 runs on the calling
+    /// thread, shard 1 on a spawned worker.
+    fn run_failing_chain(bad: usize, staleness: usize) {
+        let mut b = GraphBuilder::new(2);
+        let vs = b.add_vars(9);
+        let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        for i in 0..8 {
+            b.add_factor(&[vs[i], vs[i + 1]]);
+            proxes.push(if i == bad {
+                Box::new(PanicProx)
+            } else {
+                Box::new(QuadraticProx::isotropic(4, 1.0, &[1.0, -1.0, 1.0, -1.0]))
+            });
+        }
+        let problem = AdmmProblem::new(b.build(), proxes, 1.0, 1.0);
+        let partition = Partition::contiguous(problem.graph(), 2);
+        assert_eq!(
+            partition.part_of(FactorId::from_usize(bad)),
+            (bad / 4) as u32
+        );
+        run_watched(
+            problem,
+            StaleBoundedBackend::with_partition(partition, staleness),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "operator failed")]
+    fn a_panic_on_the_calling_thread_reaches_the_caller_at_k0() {
+        run_failing_chain(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "operator failed")]
+    fn a_panic_on_the_calling_thread_reaches_the_caller_at_k1() {
+        run_failing_chain(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "operator failed")]
+    fn a_panic_on_a_spawned_worker_reaches_the_caller_at_k0() {
+        run_failing_chain(7, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "operator failed")]
+    fn a_panic_on_a_spawned_worker_reaches_the_caller_at_k1() {
+        run_failing_chain(7, 1);
     }
 
     #[test]
