@@ -111,7 +111,7 @@ pub struct SerialBackend;
 /// Runs one pass of a plan serially over its full index range. The Z
 /// pass swaps the `z`/`z_prev` buffers in place of a snapshot copy
 /// (identical values — see [`kernels::z_update_swapped_range`]).
-fn run_pass_serial(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass, stream: &EdgeStream) {
+fn run_pass_serial(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass) {
     let g = problem.graph();
     let params = problem.params();
     let items = pass.items();
@@ -140,7 +140,7 @@ fn run_pass_serial(problem: &AdmmProblem, store: &mut VarStore, pass: &Pass, str
             );
         }
         PassKind::Un => kernels::un_update_range_stream(
-            stream,
+            &EdgeStream::build(g, params),
             &store.x,
             &store.z,
             &mut store.u,
@@ -164,39 +164,40 @@ impl SweepExecutor for SerialBackend {
         t: &mut UpdateTimings,
     ) {
         let plan = SweepPlan::resolve(problem);
-        // The dense per-edge parameters of the u+n kernel, once per
-        // block: params may change between blocks, not within one.
-        let stream = EdgeStream::build(problem.graph(), problem.params());
         for _ in 0..iters {
             for pass in plan.passes() {
                 let t0 = Instant::now();
-                run_pass_serial(problem, store, pass, &stream);
+                run_pass_serial(problem, store, pass);
                 t.add(pass.kind().timing_kind(), t0.elapsed());
             }
         }
     }
 }
 
-/// Self-tuning backend: probes every candidate on a short warmup of the
-/// *actual* problem, locks in the fastest, and runs it from then on —
-/// the paper's "automatic per-operator tuning" future-work item made
-/// concrete for backend selection.
+/// Self-tuning backend: probes every candidate on the *actual* problem,
+/// locks in the fastest, and runs it from then on — the paper's
+/// "automatic per-operator tuning" future-work item made concrete for
+/// backend selection.
 ///
-/// The first [`SweepExecutor::run_block`] call triggers the probe: each
-/// candidate runs a few iterations on a **clone** of the state (so
-/// probing never perturbs the caller's iterates) through the standard
-/// [`UpdateTimings`]-accounted block path, ranked by **wall-clock**
-/// seconds per iteration — the cost the caller will actually pay on
-/// subsequent blocks. The fastest candidate wins and owns all subsequent
-/// blocks; the choice is permanent for the backend's lifetime.
+/// The probe runs on the caller's own state, inside the caller's first
+/// block: each candidate in turn runs a window of six iterations of the
+/// block, ranked by **wall-clock** seconds per iteration — the cost the
+/// caller will actually pay on subsequent blocks — and the fastest runs
+/// the rest of the block and every block after it. No iteration is
+/// thrown away and no state is copied. A block too short for three
+/// windows shrinks them to an equal share (at least one iteration); a
+/// block shorter than that leaves its untimed candidates to the next.
 ///
 /// The candidates are the three synchronous CPU executors — serial, the
 /// work-assisting pool, and the halo executor at `k = 0` (shard workers
 /// synchronized by watermark waits, labelled `sharded`) — all
-/// bit-identical by construction, so whichever one wins, the iterates
-/// match [`SerialBackend`] exactly.
+/// bit-identical by construction and each leaving the store canonical at
+/// the end of its window, so however a block is split among them, the
+/// iterates match [`SerialBackend`] exactly.
 pub struct AutoBackend {
     candidates: Vec<Box<dyn SweepExecutor>>,
+    /// Seconds per iteration of the first `timed.len()` candidates.
+    timed: Vec<f64>,
     chosen: Option<Box<dyn SweepExecutor>>,
 }
 
@@ -217,33 +218,15 @@ impl AutoBackend {
                 Box::new(PoolBackend::new(threads)),
                 Box::new(StaleBoundedBackend::new(threads, 0)),
             ],
+            timed: Vec::new(),
             chosen: None,
         }
     }
 
-    /// Name of the backend the probe locked in, or `None` before the
-    /// first block runs.
+    /// Name of the backend the probe locked in, or `None` until the probe
+    /// has timed every candidate.
     pub fn selected(&self) -> Option<&'static str> {
         self.chosen.as_ref().map(|b| b.name())
-    }
-
-    fn probe(&mut self, problem: &AdmmProblem, store: &VarStore) {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, cand) in self.candidates.iter_mut().enumerate() {
-            // Probe on a clone: candidate iterations must not advance the
-            // real state.
-            let mut scratch = store.clone();
-            let mut timings = UpdateTimings::new();
-            let wall = Instant::now();
-            cand.run_block(problem, &mut scratch, PROBE_ITERS, &mut timings);
-            let s_per_iter = wall.elapsed().as_secs_f64() / PROBE_ITERS as f64;
-            if best.is_none_or(|(_, b)| s_per_iter < b) {
-                best = Some((i, s_per_iter));
-            }
-        }
-        let (i, _) = best.expect("AutoBackend::new always probes three candidates");
-        self.chosen = Some(self.candidates.swap_remove(i));
-        self.candidates.clear(); // losing candidates release their state
     }
 }
 
@@ -256,16 +239,33 @@ impl SweepExecutor for AutoBackend {
         &mut self,
         problem: &AdmmProblem,
         store: &mut VarStore,
-        iters: usize,
+        mut iters: usize,
         t: &mut UpdateTimings,
     ) {
         if self.chosen.is_none() {
-            self.probe(problem, store);
+            // The untimed candidates' windows come first in the block; n
+            // windows of this length fit in it whenever iters >= n.
+            let n = self.candidates.len();
+            let window = PROBE_ITERS.min(iters / n).max(1);
+            while iters > 0 && self.timed.len() < n {
+                let wall = Instant::now();
+                self.candidates[self.timed.len()].execute(problem, store, window, t);
+                self.timed
+                    .push(wall.elapsed().as_secs_f64() / window as f64);
+                iters -= window;
+            }
+            if self.timed.len() == n {
+                // The first of equally fast candidates wins.
+                let best = (0..n)
+                    .min_by(|&a, &b| self.timed[a].total_cmp(&self.timed[b]))
+                    .expect("AutoBackend::new always probes three candidates");
+                self.chosen = Some(self.candidates.swap_remove(best));
+                self.candidates.clear(); // losing candidates release their state
+            }
         }
-        self.chosen
-            .as_mut()
-            .expect("probe always locks in a backend")
-            .execute(problem, store, iters, t);
+        if let Some(chosen) = self.chosen.as_mut() {
+            chosen.execute(problem, store, iters, t);
+        }
     }
 }
 
@@ -380,7 +380,8 @@ mod tests {
     fn auto_backend_probe_does_not_perturb_state() {
         // Two identical stores, one driven by auto and one by serial:
         // after the same number of iterations the iterates agree, i.e.
-        // the probe's warmup iterations ran on clones, not on the state.
+        // the probe's windows are the block's own iterations (13 is too
+        // short for three full windows, so they shrink to four each).
         let problem = consensus_problem(&[2.0, 4.0]);
         let mut auto_store = VarStore::zeros(problem.graph());
         let mut serial_store = VarStore::zeros(problem.graph());
@@ -389,6 +390,39 @@ mod tests {
         SerialBackend.run_block(&problem, &mut serial_store, 13, &mut t);
         assert_eq!(auto_store.z, serial_store.z);
         assert_eq!(auto_store.u, serial_store.u);
+    }
+
+    #[test]
+    fn auto_backend_in_blocks_shorter_than_its_probe_matches_serial() {
+        // Blocks of 1, 2 and 5 iterations cannot hold three six-iteration
+        // windows: the windows shrink, and with fewer iterations than
+        // candidates the probe finishes in a later block.
+        let mut b = GraphBuilder::new(2);
+        let vs = b.add_vars(9);
+        let mut proxes: Vec<Box<dyn ProxOp>> = Vec::new();
+        for i in 0..8 {
+            b.add_factor(&[vs[i], vs[i + 1]]);
+            let c = (i as f64 * 0.7).sin();
+            proxes.push(Box::new(QuadraticProx::isotropic(4, 1.5, &[c, -c, 1.0, c])));
+        }
+        let problem = AdmmProblem::new(b.build(), proxes, 1.3, 0.8);
+        for block in [1usize, 2, 5] {
+            let mut auto = AutoBackend::new(2);
+            let mut auto_store = VarStore::zeros(problem.graph());
+            let mut serial_store = VarStore::zeros(problem.graph());
+            let mut t = UpdateTimings::new();
+            for _ in 0..6 {
+                auto.run_block(&problem, &mut auto_store, block, &mut t);
+                SerialBackend.run_block(&problem, &mut serial_store, block, &mut t);
+            }
+            assert!(auto.selected().is_some(), "block {block}: probe finished");
+            assert_eq!(auto_store.x, serial_store.x, "block {block}");
+            assert_eq!(auto_store.m, serial_store.m, "block {block}");
+            assert_eq!(auto_store.u, serial_store.u, "block {block}");
+            assert_eq!(auto_store.n, serial_store.n, "block {block}");
+            assert_eq!(auto_store.z, serial_store.z, "block {block}");
+            assert_eq!(auto_store.z_prev, serial_store.z_prev, "block {block}");
+        }
     }
 
     #[test]

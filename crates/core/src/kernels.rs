@@ -18,8 +18,9 @@
 //! and no accumulation is ever re-associated. The kernel tests restate
 //! every formula in straight-line code and compare bits; the oracle test
 //! compares every executor's whole state against `NaiveAdmm`. The u/n
-//! bodies read their per-edge `(α, z-base)` from a dense [`EdgeStream`]
-//! instead of chasing `EdgeId` accessors through the graph.
+//! bodies read each edge's `α` and target variable from an
+//! [`EdgeStream`], a view of the problem's own dense arrays, instead of
+//! chasing `EdgeId` accessors through the graph.
 //!
 //! # The prox sweep
 //!
@@ -113,7 +114,7 @@ fn add_block(x: &[f64], u: &[f64], m: &mut [f64]) {
 
 #[inline]
 fn u_body_fixed<const D: usize>(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -121,7 +122,7 @@ fn u_body_fixed<const D: usize>(
     e_hi: usize,
 ) {
     // Slices cut once and walked as D-wide chunks, see `un_body_fixed`.
-    let (alphas, z_base) = (stream.alpha(), stream.z_base());
+    let (alphas, edge_vars) = (stream.alpha(), stream.edge_vars());
     let x_block = &x_all[e_lo * D..e_hi * D];
     assert!(
         u_block.len() == x_block.len(),
@@ -130,7 +131,7 @@ fn u_body_fixed<const D: usize>(
     let blocks = x_block.chunks_exact(D).zip(u_block.chunks_exact_mut(D));
     for (e, (xe, ue)) in (e_lo..e_hi).zip(blocks) {
         let alpha = alphas[e];
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * D;
         let z = &z_all[zb..zb + D];
         for c in 0..D {
             ue[c] = flush_subnormal(ue[c] + alpha * (xe[c] - z[c]));
@@ -140,7 +141,7 @@ fn u_body_fixed<const D: usize>(
 
 #[inline]
 fn u_body_dyn(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     d: usize,
     x_all: &[f64],
     z_all: &[f64],
@@ -148,10 +149,10 @@ fn u_body_dyn(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let (alphas, z_base) = (stream.alpha(), stream.z_base());
+    let (alphas, edge_vars) = (stream.alpha(), stream.edge_vars());
     for e in e_lo..e_hi {
         let alpha = alphas[e];
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * d;
         let xe = &x_all[e * d..e * d + d];
         let z = &z_all[zb..zb + d];
         let ue = &mut u_block[(e - e_lo) * d..(e - e_lo) * d + d];
@@ -174,16 +175,16 @@ fn u_body_dyn(
 
 #[inline]
 fn n_body_fixed<const D: usize>(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     z_all: &[f64],
     u_all: &[f64],
     n_block: &mut [f64],
     e_lo: usize,
     e_hi: usize,
 ) {
-    let z_base = stream.z_base();
+    let edge_vars = stream.edge_vars();
     for e in e_lo..e_hi {
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * D;
         let z = &z_all[zb..zb + D];
         let ue = &u_all[e * D..e * D + D];
         let ne = &mut n_block[(e - e_lo) * D..(e - e_lo) * D + D];
@@ -195,7 +196,7 @@ fn n_body_fixed<const D: usize>(
 
 #[inline]
 fn n_body_dyn(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     d: usize,
     z_all: &[f64],
     u_all: &[f64],
@@ -203,9 +204,9 @@ fn n_body_dyn(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let z_base = stream.z_base();
+    let edge_vars = stream.edge_vars();
     for e in e_lo..e_hi {
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * d;
         let z = &z_all[zb..zb + d];
         let ue = &u_all[e * d..e * d + d];
         let ne = &mut n_block[(e - e_lo) * d..(e - e_lo) * d + d];
@@ -226,7 +227,7 @@ fn n_body_dyn(
 
 #[inline]
 fn un_body_fixed<const D: usize>(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -238,7 +239,7 @@ fn un_body_fixed<const D: usize>(
     // re-sliced per edge: the bounds checks that saves pay for the flush
     // (d = 2, cache-resident: 1.52 ns/edge before either, 1.83 with the
     // flush alone, 1.33 with both).
-    let (alphas, z_base) = (stream.alpha(), stream.z_base());
+    let (alphas, edge_vars) = (stream.alpha(), stream.edge_vars());
     let x_block = &x_all[e_lo * D..e_hi * D];
     assert!(
         u_block.len() == x_block.len() && n_block.len() == x_block.len(),
@@ -250,7 +251,7 @@ fn un_body_fixed<const D: usize>(
         .zip(n_block.chunks_exact_mut(D));
     for (e, ((xe, ue), ne)) in (e_lo..e_hi).zip(blocks) {
         let alpha = alphas[e];
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * D;
         let z = &z_all[zb..zb + D];
         for c in 0..D {
             let u = flush_subnormal(ue[c] + alpha * (xe[c] - z[c]));
@@ -263,7 +264,7 @@ fn un_body_fixed<const D: usize>(
 #[inline]
 #[allow(clippy::too_many_arguments)] // internal body; mirrors un_body_fixed plus the runtime dims
 fn un_body_dyn(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     d: usize,
     x_all: &[f64],
     z_all: &[f64],
@@ -272,10 +273,10 @@ fn un_body_dyn(
     e_lo: usize,
     e_hi: usize,
 ) {
-    let (alphas, z_base) = (stream.alpha(), stream.z_base());
+    let (alphas, edge_vars) = (stream.alpha(), stream.edge_vars());
     for e in e_lo..e_hi {
         let alpha = alphas[e];
-        let zb = z_base[e] as usize;
+        let zb = edge_vars[e].idx() * d;
         let xe = &x_all[e * d..e * d + d];
         let z = &z_all[zb..zb + d];
         let bo = (e - e_lo) * d;
@@ -732,10 +733,10 @@ pub(crate) fn z_update_swapped_block(
 }
 
 /// u-update `u_e ← u_e + α_e (x_e − z_{var(e)})` over the edges
-/// `[e_lo, e_hi)`, with `(α, z-base)` read from `stream`; `u_block` is
-/// *block-relative* — it covers exactly those edges.
+/// `[e_lo, e_hi)`, with `α` and the target variable read from `stream`;
+/// `u_block` is *block-relative* — it covers exactly those edges.
 pub fn u_update_range_stream(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -762,7 +763,7 @@ pub fn u_update_range_stream(
 /// [`n_update_range_stream`] — one pass over `u` fewer, and one
 /// synchronization point fewer per iteration.
 pub fn un_update_range_stream(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     x_all: &[f64],
     z_all: &[f64],
     u_block: &mut [f64],
@@ -780,10 +781,10 @@ pub fn un_update_range_stream(
 }
 
 /// n-update `n_e = z_{var(e)} − u_e` over the edges `[e_lo, e_hi)`, with
-/// the z-base read from `stream`; `n_block` is *block-relative* (it
-/// covers exactly those edges).
+/// the target variable read from `stream`; `n_block` is *block-relative*
+/// (it covers exactly those edges).
 pub fn n_update_range_stream(
-    stream: &EdgeStream,
+    stream: &EdgeStream<'_>,
     z_all: &[f64],
     u_all: &[f64],
     n_block: &mut [f64],

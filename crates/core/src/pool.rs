@@ -177,9 +177,6 @@ struct SweepArrays<'a> {
     n: RawArray,
     /// `[0]` views `store.z`, `[1]` views `store.z_prev`.
     z_bufs: [RawArray; 2],
-    /// Dense per-edge parameter snapshot for the u+n body, taken once
-    /// per block like the views.
-    stream: EdgeStream,
 }
 
 impl<'a> SweepArrays<'a> {
@@ -194,7 +191,6 @@ impl<'a> SweepArrays<'a> {
                 RawArray::new(&mut store.z),
                 RawArray::new(&mut store.z_prev),
             ],
-            stream: EdgeStream::build(problem.graph(), problem.params()),
         }
     }
 
@@ -236,7 +232,7 @@ impl<'a> SweepArrays<'a> {
                 hi,
             ),
             PassKind::Un => kernels::un_update_range_stream(
-                &self.stream,
+                &EdgeStream::build(g, params),
                 self.x.whole(),
                 self.z_bufs[z_new].whole(),
                 self.u.range_mut(lo * d, hi * d),

@@ -1,5 +1,7 @@
 //! A factor graph paired with one proximal operator per factor.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use paradmm_graph::{EdgeParams, FactorGraph, FactorId, Reordering};
 use paradmm_prox::ProxOp;
 
@@ -21,6 +23,15 @@ pub struct AdmmProblem {
     proxes: Vec<Box<dyn ProxOp>>,
     params: EdgeParams,
     plan: Option<SweepPlan>,
+    key: u64,
+}
+
+/// The next [`AdmmProblem::key`]. Keys are never reused, so two equal
+/// keys name one problem whose graph and parameters have not changed.
+fn next_key() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // A key publishes no data; the RMW alone keeps keys distinct.
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl AdmmProblem {
@@ -40,6 +51,7 @@ impl AdmmProblem {
             proxes,
             params,
             plan: None,
+            key: next_key(),
         }
     }
 
@@ -56,6 +68,7 @@ impl AdmmProblem {
             proxes,
             params,
             plan: None,
+            key: next_key(),
         }
     }
 
@@ -83,10 +96,26 @@ impl AdmmProblem {
         &self.params
     }
 
-    /// Mutable edge parameters (adaptive-ρ schemes).
+    /// Mutable edge parameters (adaptive-ρ schemes). Draws a new
+    /// problem key, so executors rebuild what they derived from the old
+    /// parameters.
     #[inline]
     pub fn params_mut(&mut self) -> &mut EdgeParams {
+        self.key = next_key();
         &mut self.params
+    }
+
+    /// Names this problem's graph and edge parameters as they are now:
+    /// drawn fresh at construction and by every
+    /// [`AdmmProblem::params_mut`], and left as it is by
+    /// [`AdmmProblem::set_prox`], [`AdmmProblem::set_plan`] and every
+    /// read. An executor that derives state from the graph or the
+    /// parameters keeps the key it derived it for and rebuilds when the
+    /// key differs; operators are read live, so replacing one needs no
+    /// rebuild.
+    #[inline]
+    pub(crate) fn key(&self) -> u64 {
+        self.key
     }
 
     /// Replaces the proximal operator of factor `a` — the paper's
@@ -194,6 +223,25 @@ mod tests {
     fn wrong_operator_count_panics() {
         let g = tiny();
         let _ = AdmmProblem::new(g, vec![], 1.0, 1.0);
+    }
+
+    #[test]
+    fn key_names_the_graph_and_params() {
+        let mut p = AdmmProblem::new(tiny(), vec![Box::new(ZeroProx)], 1.0, 1.0);
+        let q = AdmmProblem::new(tiny(), vec![Box::new(ZeroProx)], 1.0, 1.0);
+        assert_ne!(p.key(), q.key(), "fresh at construction");
+        let built = p.key();
+        p.set_prox(paradmm_graph::FactorId(0), Box::new(ZeroProx));
+        p.set_plan(SweepPlan::fused(&p));
+        let _ = (p.graph(), p.params(), p.proxes(), p.plan());
+        p.clear_plan();
+        assert_eq!(p.key(), built, "operators, plans and reads keep the key");
+        p.params_mut().scale_rho(2.0);
+        let scaled = p.key();
+        assert_ne!(scaled, built, "fresh after params_mut");
+        assert_ne!(scaled, q.key());
+        let _ = p.params_mut();
+        assert_ne!(p.key(), scaled, "every params_mut draws a new key");
     }
 
     #[test]

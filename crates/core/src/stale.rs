@@ -96,7 +96,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use paradmm_graph::{EdgeParams, EdgeStream, FactorId, Partition, ShardedStore, VarStore};
+use paradmm_graph::{EdgeStream, Partition, ShardedStore, VarStore};
 
 use crate::backend::SweepExecutor;
 use crate::kernels::{self, UpdateKind};
@@ -162,25 +162,15 @@ pub mod watermark {
 #[repr(align(64))]
 struct Watermark(AtomicU64);
 
-/// Cached decomposition + ownership precompute for the last problem this
-/// backend executed. The fingerprint fields make a same-shaped but
-/// differently wired or weighted problem rebuild; the variable count is
-/// checked explicitly because isolated variables appear in no edge
-/// target.
+/// The decomposition of the last problem this backend executed, with its
+/// ownership precompute and halo buffers. It holds no copy of the
+/// problem's graph or parameters: it is valid for exactly the problem
+/// whose [`AdmmProblem::key`] it was built for, and a different problem
+/// or a parameter change (which draws a new key) rebuilds it.
 struct StaleState {
+    /// The key of the problem the shards were cut from.
+    key: u64,
     store: ShardedStore,
-    /// Per shard: the `(α, z-base)` stream of its local edges for the u+n
-    /// body. Built with the shards; the ρ/α fingerprint below rebuilds
-    /// both when the parameters change.
-    streams: Vec<EdgeStream>,
-    /// The partition the shards were cut from (read by the tests only).
-    #[cfg(test)]
-    partition: Partition,
-    dims: usize,
-    num_vars: usize,
-    edge_targets: Vec<u32>,
-    factor_starts: Vec<u32>,
-    params: EdgeParams,
     /// Halo index → owning shard (minimum part holding a replica).
     owner: Vec<u32>,
     /// Per shard: the halo indices it owns (ascending).
@@ -199,27 +189,6 @@ struct StaleState {
 }
 
 impl StaleState {
-    fn matches(&self, problem: &AdmmProblem) -> bool {
-        let g = problem.graph();
-        let p = problem.params();
-        self.dims == g.dims()
-            && self.num_vars == g.num_vars()
-            && self.factor_starts.len() == g.num_factors()
-            && self.edge_targets.len() == g.num_edges()
-            && self
-                .factor_starts
-                .iter()
-                .enumerate()
-                .all(|(a, &s)| g.factor_edge_range(FactorId::from_usize(a)).start == s as usize)
-            && self
-                .edge_targets
-                .iter()
-                .enumerate()
-                .all(|(e, &v)| g.edge_var(paradmm_graph::EdgeId::from_usize(e)).0 == v)
-            && self.params.rho == p.rho
-            && self.params.alpha == p.alpha
-    }
-
     /// Decomposes `problem` along `partition`, with versioned buffers of
     /// `2·staleness + 2` slots (see the module docs).
     fn build(problem: &AdmmProblem, partition: Partition, staleness: usize) -> Self {
@@ -247,11 +216,6 @@ impl StaleState {
             deps.sort_unstable();
             deps.dedup();
         }
-        let streams = store
-            .shards
-            .iter()
-            .map(|sh| EdgeStream::build(&sh.graph, &sh.params))
-            .collect();
         let stage = store
             .shards
             .iter()
@@ -259,18 +223,8 @@ impl StaleState {
             .collect();
         let halo_z = versioned(slots, store.plan.halo_var_count() * d);
         StaleState {
+            key: problem.key(),
             store,
-            streams,
-            #[cfg(test)]
-            partition,
-            dims: g.dims(),
-            num_vars: g.num_vars(),
-            edge_targets: g.edges().map(|e| g.edge_var(e).0).collect(),
-            factor_starts: g
-                .factors()
-                .map(|a| g.factor_edge_range(a).start as u32)
-                .collect(),
-            params: problem.params().clone(),
             owner,
             owned,
             reduce_deps,
@@ -294,6 +248,9 @@ pub struct StaleBoundedBackend {
     explicit_partition: Option<Partition>,
     state: Option<StaleState>,
     max_observed_skew: usize,
+    /// Decompositions built so far.
+    #[cfg(test)]
+    builds: usize,
 }
 
 impl StaleBoundedBackend {
@@ -312,6 +269,8 @@ impl StaleBoundedBackend {
             explicit_partition: None,
             state: None,
             max_observed_skew: 0,
+            #[cfg(test)]
+            builds: 0,
         }
     }
 
@@ -321,19 +280,11 @@ impl StaleBoundedBackend {
     /// If the partition has zero parts.
     pub fn with_partition(partition: Partition, staleness: usize) -> Self {
         assert!(partition.parts >= 1, "partition needs at least one part");
+        let parts = partition.parts;
         StaleBoundedBackend {
-            parts: partition.parts,
             explicit_partition: Some(partition),
-            staleness,
-            state: None,
-            max_observed_skew: 0,
+            ..Self::new(parts, staleness)
         }
-    }
-
-    /// The partition in use, once the first block has built the shards.
-    #[cfg(test)]
-    pub(crate) fn partition(&self) -> Option<&Partition> {
-        self.state.as_ref().map(|s| &s.partition)
     }
 
     /// The largest `t − version` any cross-shard read actually consumed
@@ -344,7 +295,7 @@ impl StaleBoundedBackend {
     }
 
     fn ensure_state(&mut self, problem: &AdmmProblem) {
-        if self.state.as_ref().is_some_and(|s| s.matches(problem)) {
+        if self.state.as_ref().is_some_and(|s| s.key == problem.key()) {
             return;
         }
         let g = problem.graph();
@@ -360,6 +311,10 @@ impl StaleBoundedBackend {
             None => Partition::grow(g, self.parts),
         };
         self.state = Some(StaleState::build(problem, partition, self.staleness));
+        #[cfg(test)]
+        {
+            self.builds += 1;
+        }
     }
 }
 
@@ -386,7 +341,8 @@ impl SweepExecutor for StaleBoundedBackend {
         }
         self.ensure_state(problem);
         let state = self.state.as_mut().expect("ensure_state builds the shards");
-        state.store.scatter(store);
+        // Each iteration overwrites x, m and z_prev before it reads them.
+        state.store.scatter_inputs(store);
         let skew = run_stale(problem, state, iters, self.staleness, t);
         state.store.gather(store);
         self.max_observed_skew = self.max_observed_skew.max(skew);
@@ -409,7 +365,6 @@ fn run_stale(
     let k = staleness as u64;
     let StaleState {
         store,
-        streams,
         owner,
         owned,
         reduce_deps,
@@ -425,139 +380,135 @@ fn run_stale(
         .map(|_| Watermark(AtomicU64::new(0)))
         .collect();
 
-    let per_worker = run_workers(
-        shards.iter_mut().zip(streams.iter()),
-        |tid, (shard, stream), crew| {
-            let mut local = UpdateTimings::new();
-            let my_mark = &marks[tid].0;
-            // Waits until shard `s` has published `floor`; returns the word.
-            let wait_for = |s: u32, floor: u64| {
-                let mark = &marks[s as usize].0;
-                crew.wait(|| Some(mark.load(Ordering::Acquire)).filter(|&w| w >= floor))
-            };
-            // Sampled neighbor versions for the current iteration, indexed
-            // by shard id.
-            let mut ver = vec![0u64; marks.len()];
-            // One halo variable's fold, in the serial z-update's order.
-            let mut acc = vec![0.0; d];
-            let mut skew = 0usize;
-            for it in 1..=iters as u64 {
-                // The final iteration of every block runs fully fresh:
-                // replicas are coherent at the gather, so the solver's
-                // residual check reads a watermark-consistent snapshot.
-                let k_eff = if it == iters as u64 { 0 } else { k };
-                let floor_iter = it.saturating_sub(k_eff).max(1);
+    let per_worker = run_workers(shards.iter_mut(), |tid, shard, crew| {
+        let mut local = UpdateTimings::new();
+        let my_mark = &marks[tid].0;
+        // Waits until shard `s` has published `floor`; returns the word.
+        let wait_for = |s: u32, floor: u64| {
+            let mark = &marks[s as usize].0;
+            crew.wait(|| Some(mark.load(Ordering::Acquire)).filter(|&w| w >= floor))
+        };
+        // Sampled neighbor versions for the current iteration, indexed
+        // by shard id.
+        let mut ver = vec![0u64; marks.len()];
+        // One halo variable's fold, in the serial z-update's order.
+        let mut acc = vec![0.0; d];
+        let mut skew = 0usize;
+        for it in 1..=iters as u64 {
+            // The final iteration of every block runs fully fresh:
+            // replicas are coherent at the gather, so the solver's
+            // residual check reads a watermark-consistent snapshot.
+            let k_eff = if it == iters as u64 { 0 } else { k };
+            let floor_iter = it.saturating_sub(k_eff).max(1);
 
-                // ---- staging: local x+m, z swap, interior z, ρ·m ----
-                let t0 = Instant::now();
-                let g = &shard.graph;
-                let params = &shard.params;
-                let nf = g.num_factors();
-                let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
-                let st = &mut shard.store;
-                kernels::xm_update_block(
-                    g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
-                );
-                let t1 = Instant::now();
+            // ---- staging: local x+m, z swap, interior z, ρ·m ----
+            let t0 = Instant::now();
+            let g = &shard.graph;
+            let params = &shard.params;
+            let nf = g.num_factors();
+            let prox_of = |lf: usize| problem.prox(shard.factor_global[lf]);
+            let st = &mut shard.store;
+            kernels::xm_update_block(
+                g, prox_of, params, &st.n, &st.u, &mut st.x, &mut st.m, 0, nf,
+            );
+            let t1 = Instant::now();
 
-                // Buffer swap in place of the z_prev snapshot copy: every
-                // shard-local variable is rewritten below (interior here,
-                // halo replicas at the broadcast).
-                shard.store.swap_z();
-                for &lv in &shard.interior_vars {
-                    let lo = lv as usize * d;
-                    kernels::z_update_var(
-                        g,
-                        params,
-                        &shard.store.m,
-                        &mut shard.store.z[lo..lo + d],
-                        paradmm_graph::VarId(lv),
-                    );
-                }
-                let out = slot(&stage[tid], it);
-                for (i, &le) in shard.stage_edges.iter().enumerate() {
-                    let rho = shard.params.rho[le as usize];
-                    let lo = le as usize * d;
-                    for c in 0..d {
-                        put(&out[i * d + c], rho * shard.store.m[lo + c]);
-                    }
-                }
-                my_mark.store(
-                    watermark::encode(it, watermark::PHASE_STAGED),
-                    Ordering::Release,
-                );
-
-                // ---- reduce: combined z of OWNED halo vars ----
-                if !owned[tid].is_empty() {
-                    for &s in &reduce_deps[tid] {
-                        let w =
-                            wait_for(s, watermark::encode(floor_iter, watermark::PHASE_STAGED))?;
-                        let v = watermark::staged_iter(w).min(it);
-                        ver[s as usize] = v;
-                        skew = skew.max((it - v) as usize);
-                    }
-                    let out = slot(halo_z, it);
-                    for &h in &owned[tid] {
-                        let task = &reduce[h as usize];
-                        acc.fill(0.0);
-                        for &(s, i) in &task.contribs {
-                            let src = slot(&stage[s as usize], ver[s as usize]);
-                            let lo = i as usize * d;
-                            for c in 0..d {
-                                acc[c] += get(&src[lo + c]);
-                            }
-                        }
-                        let inv = 1.0 / task.rho_sum;
-                        let lo = h as usize * d;
-                        for c in 0..d {
-                            put(&out[lo + c], acc[c] * inv);
-                        }
-                    }
-                }
-                my_mark.store(
-                    watermark::encode(it, watermark::PHASE_REDUCED),
-                    Ordering::Release,
-                );
-
-                // ---- broadcast + u/n ----
-                for &o in &bcast_deps[tid] {
-                    let w = wait_for(o, watermark::encode(floor_iter, watermark::PHASE_REDUCED))?;
-                    let v = watermark::reduced_iter(w).min(it);
-                    ver[o as usize] = v;
-                    skew = skew.max((it - v) as usize);
-                }
-                for &(lv, h) in &shard.halo_in {
-                    let src = slot(halo_z, ver[owner[h as usize] as usize]);
-                    let (lo, ho) = (lv as usize * d, h as usize * d);
-                    for c in 0..d {
-                        shard.store.z[lo + c] = get(&src[ho + c]);
-                    }
-                }
-                let t3 = Instant::now();
-                let st = &mut shard.store;
-                kernels::un_update_range_stream(
-                    stream,
-                    &st.x,
-                    &st.z,
-                    &mut st.u,
-                    &mut st.n,
-                    0,
-                    shard.graph.num_edges(),
-                );
-                if tid == 0 {
-                    local.add(UpdateKind::X, t1 - t0);
-                    // Interior z + staging + reduce + waits.
-                    local.add(UpdateKind::Z, t3 - t1);
-                    local.add(UpdateKind::U, t3.elapsed());
-                }
-                my_mark.store(
-                    watermark::encode(it, watermark::PHASE_DONE),
-                    Ordering::Release,
+            // Buffer swap in place of the z_prev snapshot copy: every
+            // shard-local variable is rewritten below (interior here,
+            // halo replicas at the broadcast).
+            shard.store.swap_z();
+            for &lv in &shard.interior_vars {
+                let lo = lv as usize * d;
+                kernels::z_update_var(
+                    g,
+                    params,
+                    &shard.store.m,
+                    &mut shard.store.z[lo..lo + d],
+                    paradmm_graph::VarId(lv),
                 );
             }
-            Some((local, skew))
-        },
-    );
+            let out = slot(&stage[tid], it);
+            for (i, &le) in shard.stage_edges.iter().enumerate() {
+                let rho = shard.params.rho[le as usize];
+                let lo = le as usize * d;
+                for c in 0..d {
+                    put(&out[i * d + c], rho * shard.store.m[lo + c]);
+                }
+            }
+            my_mark.store(
+                watermark::encode(it, watermark::PHASE_STAGED),
+                Ordering::Release,
+            );
+
+            // ---- reduce: combined z of OWNED halo vars ----
+            if !owned[tid].is_empty() {
+                for &s in &reduce_deps[tid] {
+                    let w = wait_for(s, watermark::encode(floor_iter, watermark::PHASE_STAGED))?;
+                    let v = watermark::staged_iter(w).min(it);
+                    ver[s as usize] = v;
+                    skew = skew.max((it - v) as usize);
+                }
+                let out = slot(halo_z, it);
+                for &h in &owned[tid] {
+                    let task = &reduce[h as usize];
+                    acc.fill(0.0);
+                    for &(s, i) in &task.contribs {
+                        let src = slot(&stage[s as usize], ver[s as usize]);
+                        let lo = i as usize * d;
+                        for c in 0..d {
+                            acc[c] += get(&src[lo + c]);
+                        }
+                    }
+                    let inv = 1.0 / task.rho_sum;
+                    let lo = h as usize * d;
+                    for c in 0..d {
+                        put(&out[lo + c], acc[c] * inv);
+                    }
+                }
+            }
+            my_mark.store(
+                watermark::encode(it, watermark::PHASE_REDUCED),
+                Ordering::Release,
+            );
+
+            // ---- broadcast + u/n ----
+            for &o in &bcast_deps[tid] {
+                let w = wait_for(o, watermark::encode(floor_iter, watermark::PHASE_REDUCED))?;
+                let v = watermark::reduced_iter(w).min(it);
+                ver[o as usize] = v;
+                skew = skew.max((it - v) as usize);
+            }
+            for &(lv, h) in &shard.halo_in {
+                let src = slot(halo_z, ver[owner[h as usize] as usize]);
+                let (lo, ho) = (lv as usize * d, h as usize * d);
+                for c in 0..d {
+                    shard.store.z[lo + c] = get(&src[ho + c]);
+                }
+            }
+            let t3 = Instant::now();
+            let st = &mut shard.store;
+            kernels::un_update_range_stream(
+                &EdgeStream::build(&shard.graph, &shard.params),
+                &st.x,
+                &st.z,
+                &mut st.u,
+                &mut st.n,
+                0,
+                shard.graph.num_edges(),
+            );
+            if tid == 0 {
+                local.add(UpdateKind::X, t1 - t0);
+                // Interior z + staging + reduce + waits.
+                local.add(UpdateKind::Z, t3 - t1);
+                local.add(UpdateKind::U, t3.elapsed());
+            }
+            my_mark.store(
+                watermark::encode(it, watermark::PHASE_DONE),
+                Ordering::Release,
+            );
+        }
+        Some((local, skew))
+    });
     // A worker returns `None` only after a peer panicked, and
     // `run_workers` re-raises that panic before returning.
     let mut max_skew = 0;
@@ -599,7 +550,7 @@ mod tests {
     use super::*;
     use crate::backend::SerialBackend;
     use crate::pool::tests::{run_watched, PanicProx};
-    use paradmm_graph::GraphBuilder;
+    use paradmm_graph::{FactorId, GraphBuilder};
     use paradmm_prox::{ProxOp, QuadraticProx};
 
     fn chain_problem(n: usize) -> AdmmProblem {
@@ -743,10 +694,7 @@ mod tests {
         let serial = run(&problem, &mut SerialBackend, 25);
         let mut sb = StaleBoundedBackend::new(4, 0);
         let got = run(&problem, &mut sb, 25);
-        let halo = sb
-            .partition()
-            .map(|p| p.halo_vars(problem.graph()).len())
-            .unwrap();
+        let halo = sb.state.as_ref().unwrap().store.plan.halo_var_count();
         assert!(halo < 4, "test needs fewer halo vars than shards");
         assert_eq!(serial.z, got.z);
         assert_eq!(serial.u, got.u);
@@ -798,6 +746,30 @@ mod tests {
         let serial = run(&b, &mut SerialBackend, 10);
         assert_eq!(got.z, serial.z);
         assert_eq!(got.z_prev, serial.z_prev, "orphan z_prev snapshot");
+    }
+
+    #[test]
+    fn decomposes_once_per_problem_key() {
+        // Many blocks of one problem reuse one decomposition; operator
+        // and plan changes keep it, a parameter change rebuilds it.
+        let mut problem = chain_problem(12);
+        let mut sb = StaleBoundedBackend::new(3, 1);
+        let mut store = VarStore::zeros(problem.graph());
+        let mut t = UpdateTimings::new();
+        for _ in 0..20 {
+            sb.run_block(&problem, &mut store, 3, &mut t);
+        }
+        assert_eq!(sb.builds, 1);
+        let prox = QuadraticProx::isotropic(4, 2.0, &[0.5; 4]);
+        problem.set_prox(FactorId(0), Box::new(prox));
+        problem.set_plan(crate::plan::SweepPlan::fused(&problem));
+        sb.run_block(&problem, &mut store, 3, &mut t);
+        assert_eq!(sb.builds, 1);
+        problem.params_mut().scale_rho(2.0);
+        for _ in 0..5 {
+            sb.run_block(&problem, &mut store, 3, &mut t);
+        }
+        assert_eq!(sb.builds, 2);
     }
 
     #[test]
@@ -895,7 +867,7 @@ mod tests {
         let mut t = UpdateTimings::new();
         sb.run_block(&problem, &mut store, 0, &mut t);
         assert_eq!(store.z, before.z);
-        assert!(sb.partition().is_none(), "no build without iterations");
+        assert_eq!(sb.builds, 0, "no build without iterations");
     }
 
     #[test]

@@ -161,6 +161,14 @@ impl FactorGraph {
         self.edge_var[e.idx()]
     }
 
+    /// The array behind [`FactorGraph::edge_var`]: the target variable of
+    /// every edge, in edge order. For sweeps that walk many edges and
+    /// want to cut the array once.
+    #[inline]
+    pub fn edge_vars(&self) -> &[VarId] {
+        &self.edge_var
+    }
+
     /// Factor owning edge `e`.
     #[inline]
     pub fn edge_factor(&self, e: EdgeId) -> FactorId {

@@ -377,22 +377,41 @@ impl ShardedStore {
     /// # Panics
     /// If `global` is shaped for a different graph.
     pub fn scatter(&mut self, global: &VarStore) {
+        self.scatter_inputs(global);
+        let d = self.dims;
+        for shard in &mut self.shards {
+            for (le, &e) in shard.edge_global.iter().enumerate() {
+                let (lo, go) = (le * d, e.idx() * d);
+                shard.store.x[lo..lo + d].copy_from_slice(&global.x[go..go + d]);
+                shard.store.m[lo..lo + d].copy_from_slice(&global.m[go..go + d]);
+            }
+            for (lv, &b) in shard.var_global.iter().enumerate() {
+                let (lo, go) = (lv * d, b.idx() * d);
+                shard.store.z_prev[lo..lo + d].copy_from_slice(&global.z_prev[go..go + d]);
+            }
+        }
+    }
+
+    /// Copies into the shards only the arrays an ADMM iteration reads
+    /// before it writes them: `u`, `n` and `z`. The iteration's sweeps
+    /// overwrite `x`, `m` and (through the z buffer swap) `z_prev` before
+    /// anything reads them, so a block of at least one iteration needs
+    /// nothing more of [`ShardedStore::scatter`]'s copy.
+    ///
+    /// # Panics
+    /// If `global` is shaped for a different graph.
+    pub fn scatter_inputs(&mut self, global: &VarStore) {
         assert!(self.matches_store(global), "global store shape mismatch");
         let d = self.dims;
         for shard in &mut self.shards {
             for (le, &e) in shard.edge_global.iter().enumerate() {
-                let lo = le * d;
-                let go = e.idx() * d;
-                shard.store.x[lo..lo + d].copy_from_slice(&global.x[go..go + d]);
-                shard.store.m[lo..lo + d].copy_from_slice(&global.m[go..go + d]);
+                let (lo, go) = (le * d, e.idx() * d);
                 shard.store.u[lo..lo + d].copy_from_slice(&global.u[go..go + d]);
                 shard.store.n[lo..lo + d].copy_from_slice(&global.n[go..go + d]);
             }
             for (lv, &b) in shard.var_global.iter().enumerate() {
-                let lo = lv * d;
-                let go = b.idx() * d;
+                let (lo, go) = (lv * d, b.idx() * d);
                 shard.store.z[lo..lo + d].copy_from_slice(&global.z[go..go + d]);
-                shard.store.z_prev[lo..lo + d].copy_from_slice(&global.z_prev[go..go + d]);
             }
         }
     }
