@@ -1,13 +1,11 @@
-//! Convergence tracing and schedule diagnostics: record residuals per
-//! check-point (CSV export), render what the cost-model planner
+//! Schedule and state diagnostics: render what the cost-model planner
 //! measured and decided ([`plan_report`]), break the x pass down by
-//! operator kind ([`prox_profile`]), and summarize how the fleet
-//! scheduler's workers moved between instances ([`fleet_report`]).
+//! operator kind ([`prox_profile`]), summarize how the fleet
+//! scheduler's workers moved between instances ([`fleet_report`]), and
+//! count the subnormals a state carries ([`subnormal_count`]).
 //!
-//! The paper's experiments run "for the same number of iterations" and
-//! separately verify convergence; this module provides the verification
-//! half for downstream users — a ring of residual samples a monitoring
-//! loop can inspect or dump.
+//! A solve's residual trajectory reaches callers through
+//! [`crate::SolveOutcome::residual_trace`].
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -18,7 +16,6 @@ use paradmm_prox::{ProxOp, ZeroProx};
 use crate::kernels;
 use crate::plan::SweepPlan;
 use crate::problem::AdmmProblem;
-use crate::residuals::Residuals;
 use crate::timing::SweepCosts;
 
 /// Renders a human-readable report of a compiled [`SweepPlan`] and the
@@ -397,106 +394,9 @@ pub fn subnormal_count(store: &VarStore) -> usize {
     .sum()
 }
 
-/// One trace sample.
-#[derive(Debug, Clone, Copy)]
-pub struct TracePoint {
-    /// Iteration count at which the sample was taken.
-    pub iteration: usize,
-    /// Residuals at that point.
-    pub residuals: Residuals,
-    /// [`subnormal_count`] of the state at that point.
-    pub subnormals: usize,
-}
-
-/// A growing record of convergence samples.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    points: Vec<TracePoint>,
-}
-
-impl Trace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Samples the current state.
-    pub fn record(&mut self, iteration: usize, problem: &AdmmProblem, store: &VarStore) {
-        let residuals = Residuals::compute(problem.graph(), problem.params(), store);
-        self.points.push(TracePoint {
-            iteration,
-            residuals,
-            subnormals: subnormal_count(store),
-        });
-    }
-
-    /// All samples, in recording order.
-    pub fn points(&self) -> &[TracePoint] {
-        &self.points
-    }
-
-    /// Renders the trace as a JSON array of samples (hand-rolled — the
-    /// repo carries no serde), one object per recorded point: residuals,
-    /// norms and `"subnormals"`.
-    pub(crate) fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let r = &p.residuals;
-            out.push_str(&format!(
-                "{{\"iteration\":{},\"primal\":{:e},\"dual\":{:e},\"x_norm\":{:e},\"z_norm\":{:e},\"u_norm\":{:e},\"subnormals\":{}}}",
-                p.iteration, r.primal, r.dual, r.x_norm, r.z_norm, r.u_norm, p.subnormals
-            ));
-        }
-        out.push(']');
-        out
-    }
-}
-
-/// Structured per-run telemetry as one JSON document: the residual
-/// trajectory (`Trace::to_json`, each sample with the state's
-/// [`subnormal_count`] as `"subnormals"`) plus the per-pass wall-clock
-/// breakdown from [`crate::UpdateTimings`] — what a long run leaves
-/// behind for later inspection.
-pub fn run_trace_json(
-    label: &str,
-    trace: &Trace,
-    timings: &crate::timing::UpdateTimings,
-) -> String {
-    use crate::kernels::UpdateKind;
-    let kinds = [
-        ("x", UpdateKind::X),
-        ("m", UpdateKind::M),
-        ("z", UpdateKind::Z),
-        ("u", UpdateKind::U),
-        ("n", UpdateKind::N),
-    ];
-    let mut passes = String::from("{");
-    for (i, (name, kind)) in kinds.iter().enumerate() {
-        if i > 0 {
-            passes.push(',');
-        }
-        passes.push_str(&format!("\"{}\":{:e}", name, timings.seconds(*kind)));
-    }
-    passes.push('}');
-    format!(
-        "{{\"label\":{:?},\"iterations\":{},\"total_seconds\":{:e},\"seconds_per_iteration\":{:e},\"pass_seconds\":{},\"residual_trace\":{}}}",
-        label,
-        timings.iterations,
-        timings.total_seconds(),
-        timings.seconds_per_iteration(),
-        passes,
-        trace.to_json(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SerialBackend, SweepExecutor};
-    use crate::timing::UpdateTimings;
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, QuadraticProx};
 
@@ -510,68 +410,6 @@ mod tests {
             Box::new(QuadraticProx::isotropic(1, 1.0, &[4.0])),
         ];
         AdmmProblem::new(b.build(), proxes, 1.0, 1.0)
-    }
-
-    #[test]
-    fn records_and_reports() {
-        let p = problem();
-        let mut store = paradmm_graph::VarStore::zeros(p.graph());
-        let mut trace = Trace::new();
-        let mut t = UpdateTimings::new();
-        let mut done = 0;
-        for _ in 0..10 {
-            SerialBackend.run_block(&p, &mut store, 20, &mut t);
-            done += 20;
-            trace.record(done, &p, &store);
-        }
-        assert_eq!(trace.points().len(), 10);
-        let (first, last) = (&trace.points()[0], &trace.points()[9]);
-        assert_eq!(last.iteration, 200);
-        // Converging problem → residuals improve.
-        assert!(
-            last.residuals.primal + last.residuals.dual
-                < first.residuals.primal + first.residuals.dual
-        );
-    }
-
-    #[test]
-    fn json_trace_round_trips_fields() {
-        let p = problem();
-        let mut store = paradmm_graph::VarStore::zeros(p.graph());
-        let mut trace = Trace::new();
-        let mut t = UpdateTimings::new();
-        SerialBackend.run_block(&p, &mut store, 5, &mut t);
-        trace.record(5, &p, &store);
-        SerialBackend.run_block(&p, &mut store, 5, &mut t);
-        trace.record(10, &p, &store);
-        let json = trace.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-        assert_eq!(json.matches("\"iteration\":").count(), 2);
-        assert!(json.contains("\"iteration\":5,"), "{json}");
-        assert!(json.contains("\"iteration\":10,"), "{json}");
-        for field in ["primal", "dual", "x_norm", "z_norm", "u_norm", "subnormals"] {
-            assert_eq!(json.matches(&format!("\"{field}\":")).count(), 2, "{json}");
-        }
-    }
-
-    #[test]
-    fn run_trace_json_embeds_timings_and_trajectory() {
-        let p = problem();
-        let mut store = paradmm_graph::VarStore::zeros(p.graph());
-        let mut trace = Trace::new();
-        let mut t = UpdateTimings::new();
-        SerialBackend.run_block(&p, &mut store, 8, &mut t);
-        trace.record(8, &p, &store);
-        let doc = run_trace_json("consensus-pair", &trace, &t);
-        assert!(doc.starts_with('{') && doc.ends_with('}'), "{doc}");
-        assert!(doc.contains("\"label\":\"consensus-pair\""), "{doc}");
-        assert!(doc.contains("\"iterations\":8"), "{doc}");
-        for pass in ["\"x\":", "\"m\":", "\"z\":", "\"u\":", "\"n\":"] {
-            assert!(doc.contains(pass), "{doc}");
-        }
-        assert!(doc.contains("\"residual_trace\":[{"), "{doc}");
-        assert!(doc.contains("\"total_seconds\":"), "{doc}");
-        assert!(doc.contains("\"seconds_per_iteration\":"), "{doc}");
     }
 
     #[test]
@@ -591,17 +429,6 @@ mod tests {
         store.u[1] = f64::MIN_POSITIVE;
         store.m[0] = f64::NAN;
         assert_eq!(subnormal_count(&store), 6);
-        let mut trace = Trace::new();
-        trace.record(0, &p, &store);
-        assert_eq!(trace.points()[0].subnormals, 6);
-        let doc = run_trace_json("stalled", &trace, &UpdateTimings::new());
-        assert!(doc.contains("\"subnormals\":6"), "{doc}");
-    }
-
-    #[test]
-    fn empty_trace_serializes_to_empty_array() {
-        let trace = Trace::new();
-        assert_eq!(trace.to_json(), "[]");
     }
 
     #[test]

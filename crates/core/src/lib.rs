@@ -33,7 +33,7 @@
 //!   [`FleetSolver`],
 //! * [`StaleBoundedBackend`] — partition-local stores with one worker
 //!   per shard and a real per-iteration halo exchange (the paper's
-//!   multi-device future-work item 3, executed instead of priced),
+//!   multi-device future-work item 3, run on one host's cores),
 //!   synchronized by progress watermarks; halo reads may be up to `k`
 //!   iterations stale (the paper's future-work item 1). The `sharded`
 //!   spec runs it at `k = 0`, bit-identical to serial; the `async` spec
@@ -62,7 +62,6 @@
 //! no parallel code is ever required — the paper's headline usability
 //! claim.
 
-mod adaptive;
 mod backend;
 mod batch;
 mod diagnostics;
@@ -78,14 +77,12 @@ mod solver;
 mod spec;
 mod stale;
 mod timing;
-mod twa;
 
-pub use adaptive::ResidualBalancing;
 pub use backend::{AutoBackend, SerialBackend, SweepExecutor};
 pub use batch::{BatchReport, BatchSolver, FusedPack, Seat};
 pub use diagnostics::{
-    fleet_report, plan_report, prox_profile, run_trace_json, subnormal_count, FleetDiagnostics,
-    FleetWorkerStats, ProxKindCost, Trace, TracePoint,
+    fleet_report, plan_report, prox_profile, subnormal_count, FleetDiagnostics, FleetWorkerStats,
+    ProxKindCost,
 };
 pub use fleet::FleetSolver;
 pub use kernels::UpdateKind;
@@ -99,4 +96,3 @@ pub use solver::{Solver, SolverOptions, SolverReport};
 pub use spec::{BackendSpec, ParseBackendSpecError, BACKEND_FAMILIES};
 pub use stale::{watermark, StaleBoundedBackend};
 pub use timing::{SweepCosts, UpdateTimings};
-pub use twa::{TwaWeights, WeightClass};

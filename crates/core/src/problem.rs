@@ -96,7 +96,7 @@ impl AdmmProblem {
         &self.params
     }
 
-    /// Mutable edge parameters (adaptive-ρ schemes). Draws a new
+    /// Mutable edge parameters (a new ρ or α). Draws a new
     /// problem key, so executors rebuild what they derived from the old
     /// parameters.
     #[inline]

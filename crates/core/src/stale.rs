@@ -2,16 +2,15 @@
 //! bounded-staleness window on it: per-shard workers synchronized by
 //! progress watermarks instead of global barriers.
 //!
-//! The paper's future-work item 3 ("extend the code to allow the use of
-//! multiple GPUs and multiple computers") is priced by
-//! `paradmm-gpusim`'s `MultiDevice`; [`StaleBoundedBackend`] executes it.
-//! A [`Partition`] is decomposed into a [`ShardedStore`] — per-shard
-//! edge-contiguous local stores with local renumbering — and each shard
-//! runs the sweeps on its own arrays with exactly one cross-shard
-//! coupling point: the consensus `z` of *halo* variables (those touched
-//! by more than one shard). Its reduce folds the staged `ρ·(x+u)`
-//! messages in ascending **global** edge order, replaying the serial
-//! z-update's exact floating-point fold.
+//! [`StaleBoundedBackend`] executes the paper's future-work item 3
+//! ("extend the code to allow the use of multiple GPUs and multiple
+//! computers") on one host's cores. A [`Partition`] is decomposed into
+//! a [`ShardedStore`] — per-shard edge-contiguous local stores with
+//! local renumbering — and each shard runs the sweeps on its own arrays
+//! with exactly one cross-shard coupling point: the consensus `z` of
+//! *halo* variables (those touched by more than one shard). Its reduce
+//! folds the staged `ρ·(x+u)` messages in ascending **global** edge
+//! order, replaying the serial z-update's exact floating-point fold.
 //!
 //! Instead of barriers, each shard publishes a per-iteration progress
 //! **watermark** (a single release-stored `AtomicU64` using the same
@@ -718,8 +717,8 @@ mod tests {
     #[test]
     fn rebuilds_when_isolated_vars_are_added() {
         // Same factors, edges and params — but one extra degree-0
-        // variable. Isolated variables appear in no edge target, so the
-        // fingerprint must check the variable count explicitly; a stale
+        // variable, which appears in no edge target. The second problem
+        // carries its own key, so the shards are cut again; a stale
         // decomposition would trip scatter's shape assert instead of
         // rebuilding.
         let build = |extra_isolated: bool| {

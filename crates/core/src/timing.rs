@@ -100,17 +100,6 @@ impl UpdateTimings {
         self.seconds.iter().sum()
     }
 
-    /// Seconds per covered iteration (0 if no iterations recorded) — the
-    /// paper's primary metric, computed from the accumulated per-kind
-    /// times.
-    pub(crate) fn seconds_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.total_seconds() / self.iterations as f64
-        }
-    }
-
     /// Fraction of total time spent in `kind` (0 if nothing recorded).
     pub(crate) fn fraction(&self, kind: UpdateKind) -> f64 {
         let t = self.total_seconds();
@@ -172,16 +161,6 @@ mod tests {
         a.merge(&b);
         assert!((a.seconds(UpdateKind::U) - 3.0).abs() < 1e-12);
         assert_eq!(a.iterations, 12);
-    }
-
-    #[test]
-    fn seconds_per_iteration_divides_by_coverage() {
-        let mut t = UpdateTimings::new();
-        assert_eq!(t.seconds_per_iteration(), 0.0);
-        t.add(UpdateKind::X, Duration::from_secs(2));
-        t.add(UpdateKind::N, Duration::from_secs(2));
-        t.iterations = 8;
-        assert!((t.seconds_per_iteration() - 0.5).abs() < 1e-12);
     }
 
     #[test]

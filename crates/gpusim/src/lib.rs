@@ -25,12 +25,10 @@
 
 mod cpu;
 mod device;
-mod multi;
 mod tasks;
 mod transfer;
 
 pub use cpu::CpuModel;
 pub use device::{KernelStats, SimtDevice};
-pub use multi::{MultiDevice, MultiIteration};
 pub use tasks::{SweepProfile, TaskCost, WorkloadProfile};
 pub use transfer::PcieLink;

@@ -161,31 +161,6 @@ pub fn decode_params(mut buf: &[u8], graph: &FactorGraph) -> Result<EdgeParams, 
     Ok(params)
 }
 
-/// Encodes a factor partition (part count + per-factor assignment).
-pub fn encode_partition(partition: &crate::partition::Partition, out: &mut Vec<u8>) {
-    out.put_u32_le(partition.parts as u32);
-    out.put_u32_le(partition.assignment.len() as u32);
-    for &p in &partition.assignment {
-        out.put_u32_le(p);
-    }
-}
-
-/// Decodes a factor partition and validates it against `graph` (factor
-/// count and part-index range).
-pub fn decode_partition(
-    mut buf: &[u8],
-    graph: &FactorGraph,
-) -> Result<crate::partition::Partition, IoError> {
-    need(&buf, 8)?;
-    let parts = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    need(&buf, 4 * n)?;
-    let assignment: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
-    let partition = crate::partition::Partition { assignment, parts };
-    partition.validate(graph).map_err(IoError::Corrupt)?;
-    Ok(partition)
-}
-
 /// Encodes a full ADMM state checkpoint (x, m, u, n, z).
 pub fn encode_store(store: &VarStore, out: &mut Vec<u8>) {
     out.put_u32_le(store.dims() as u32);
@@ -590,62 +565,6 @@ mod tests {
         b2.add_factor(&[v]);
         let g2 = b2.build();
         assert!(matches!(decode_params(&buf, &g2), Err(IoError::Corrupt(_))));
-    }
-
-    #[test]
-    fn partition_roundtrip() {
-        use crate::partition::Partition;
-        let g = sample();
-        let p = Partition::grow(&g, 2);
-        let mut buf = Vec::new();
-        encode_partition(&p, &mut buf);
-        let back = decode_partition(&buf, &g).unwrap();
-        assert_eq!(back.parts, p.parts);
-        assert_eq!(back.assignment, p.assignment);
-    }
-
-    #[test]
-    fn partition_truncation_rejected() {
-        use crate::partition::Partition;
-        let g = sample();
-        let p = Partition::grow(&g, 2);
-        let mut buf = Vec::new();
-        encode_partition(&p, &mut buf);
-        for cut in [0usize, 4, 8, buf.len() - 1] {
-            assert!(decode_partition(&buf[..cut], &g).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn partition_out_of_range_part_rejected() {
-        use crate::partition::Partition;
-        let g = sample();
-        let p = Partition::grow(&g, 2);
-        let mut buf = Vec::new();
-        encode_partition(&p, &mut buf);
-        // Overwrite the first assignment with an out-of-range part.
-        buf[8..12].copy_from_slice(&77u32.to_le_bytes());
-        assert!(matches!(
-            decode_partition(&buf, &g),
-            Err(IoError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn partition_wrong_graph_rejected() {
-        use crate::partition::Partition;
-        let g = sample();
-        let p = Partition::grow(&g, 2);
-        let mut buf = Vec::new();
-        encode_partition(&p, &mut buf);
-        let mut b2 = GraphBuilder::new(3);
-        let v = b2.add_var();
-        b2.add_factor(&[v]);
-        let g2 = b2.build();
-        assert!(matches!(
-            decode_partition(&buf, &g2),
-            Err(IoError::Corrupt(_))
-        ));
     }
 
     #[test]

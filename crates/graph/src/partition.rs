@@ -1,13 +1,12 @@
-//! Factor partitioning for multi-device execution (paper future-work 3).
+//! Factor partitioning for sharded execution (paper future-work 3).
 //!
 //! "Extend the code to allow the use of multiple GPUs and multiple
 //! computers — this is an easy extension but requires new code to be
 //! written." The partitioner assigns every factor to one of `parts`
-//! devices, trying to balance per-part edge counts while keeping factors
+//! shards, trying to balance per-part edge counts while keeping factors
 //! that share variables together (BFS region growing). Variables touched
 //! by more than one part become *halo* variables whose consensus requires
-//! an inter-device exchange every iteration — the quantity the multi-GPU
-//! model charges for.
+//! a cross-shard exchange every iteration (`crate::shard`).
 
 use crate::graph::FactorGraph;
 use crate::ids::{FactorId, VarId};

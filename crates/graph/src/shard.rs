@@ -9,9 +9,7 @@
 //!
 //! * [`HaloExchangePlan`] — the topological map of halo variables
 //!   (touched by more than one part): which edges contribute to each and
-//!   which parts hold a replica. The multi-device pricing model in
-//!   `paradmm-gpusim` computes its predicted exchange volume from this
-//!   *same* plan, so model-vs-measured drift is a testable quantity.
+//!   which parts hold a replica.
 //! * [`HaloReduceTask`] — per halo variable, the precomputed weighted-sum
 //!   scratch (`Σρ` folded in the global graph's `var_edges` order) and
 //!   the `(shard, stage slot)` list of staged `ρ·(x+u)` contributions, in
@@ -52,14 +50,10 @@ pub struct HaloVarPlan {
 
 /// The topological halo-exchange map of a `(graph, partition)` pair: one
 /// entry per variable touched by more than one part, in ascending global
-/// variable order.
-///
-/// Both the real [`ShardedStore`] execution path and the
-/// `paradmm-gpusim` multi-device pricing model derive their exchange
-/// volume from this plan, so the two can be compared byte-for-byte.
+/// variable order. [`ShardedStore`] builds its staging and reduction
+/// recipes from it.
 #[derive(Debug, Clone)]
 pub struct HaloExchangePlan {
-    dims: usize,
     /// Per-halo-variable plans, ascending by global variable id.
     pub vars: Vec<HaloVarPlan>,
 }
@@ -96,40 +90,13 @@ impl HaloExchangePlan {
                 }
             })
             .collect();
-        HaloExchangePlan {
-            dims: graph.dims(),
-            vars,
-        }
-    }
-
-    /// Components per edge vector.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.dims
+        HaloExchangePlan { vars }
     }
 
     /// Number of halo variables.
     #[inline]
     pub fn halo_var_count(&self) -> usize {
         self.vars.len()
-    }
-
-    /// Doubles gathered per iteration: every incident edge of every halo
-    /// variable ships its `dims`-vector weighted message to the reducer.
-    pub fn gather_doubles(&self) -> usize {
-        self.vars.iter().map(|v| v.degree * self.dims).sum()
-    }
-
-    /// Doubles broadcast per iteration: the combined `z` goes back to
-    /// every part holding a replica.
-    pub fn broadcast_doubles(&self) -> usize {
-        self.vars.iter().map(|v| v.parts.len() * self.dims).sum()
-    }
-
-    /// Total exchange bytes per iteration (gather + broadcast, 8 bytes
-    /// per double). Zero when there are no halo variables.
-    pub fn bytes_per_iteration(&self) -> usize {
-        8 * (self.gather_doubles() + self.broadcast_doubles())
     }
 }
 
@@ -616,7 +583,6 @@ mod tests {
         let g = chain(30, 2);
         let (s, _) = sharded(&g, 1);
         assert_eq!(s.plan.halo_var_count(), 0);
-        assert_eq!(s.plan.bytes_per_iteration(), 0);
         assert!(s.shards[0].stage_edges.is_empty());
         assert_eq!(
             s.shards[0].interior_vars.len(),
@@ -639,19 +605,6 @@ mod tests {
                 sh.graph.validate().unwrap();
             }
         }
-    }
-
-    #[test]
-    fn plan_bytes_formula() {
-        let g = chain(10, 3);
-        let partition = Partition::grow(&g, 2);
-        let plan = HaloExchangePlan::build(&g, &partition);
-        let gather: usize = plan.vars.iter().map(|v| v.degree * 3).sum();
-        let bcast: usize = plan.vars.iter().map(|v| v.parts.len() * 3).sum();
-        assert_eq!(plan.gather_doubles(), gather);
-        assert_eq!(plan.broadcast_doubles(), bcast);
-        assert_eq!(plan.bytes_per_iteration(), 8 * (gather + bcast));
-        assert!(plan.halo_var_count() >= 1, "a split chain has a seam");
     }
 
     #[test]

@@ -122,8 +122,8 @@ fn assert_bit_identical_across_sync_backends(problem: &mut AdmmProblem, iters: u
         );
         assert_matches(&sharded_cont, &format!("sharded({parts}, contiguous)"));
     }
-    // AutoBackend probes all three sync candidates on a clone and locks
-    // in one of them — whichever wins, iterates must match serial
+    // AutoBackend probes all three sync candidates on the live store and
+    // locks in one of them — whichever wins, iterates must match serial
     // bitwise.
     let mut auto = AutoBackend::new(2);
     let auto_store = run_from_seeded_state(problem, &mut auto, iters);

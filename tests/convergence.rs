@@ -1,11 +1,10 @@
-//! Convergence-behavior integration tests: residual decrease, adaptive ρ,
-//! three-weight propagation, and warm starting.
+//! Convergence-behavior integration tests: residual decrease and warm
+//! starting.
 
 use paradmm::core::{
-    AdmmProblem, BackendSpec, ResidualBalancing, SerialBackend, Solver, SolverOptions, StopReason,
-    StoppingCriteria, SweepExecutor, TwaWeights, UpdateTimings, WeightClass,
+    AdmmProblem, BackendSpec, Solver, SolverOptions, StopReason, StoppingCriteria,
 };
-use paradmm::graph::{EdgeId, EdgeParams, GraphBuilder, VarId, VarStore};
+use paradmm::graph::{GraphBuilder, VarId};
 use paradmm::prox::{ProxOp, QuadraticProx};
 
 fn consensus_chain(k: usize, targets: &[f64]) -> (AdmmProblem, Vec<VarId>) {
@@ -76,93 +75,6 @@ fn chain_consensus_converges_to_global_mean() {
         let z = solver.store().z_var(v)[0];
         assert!((z - 5.0).abs() < 1e-3, "z = {z}");
     }
-}
-
-#[test]
-fn adaptive_rho_accelerates_badly_scaled_problem() {
-    // A deliberately mis-scaled ρ: residual balancing must fix it and
-    // converge in fewer iterations than the fixed-ρ run.
-    let build = || {
-        let (p, _) = consensus_chain(6, &[10.0, -10.0, 10.0, -10.0, 10.0, -10.0]);
-        p
-    };
-    let iterations_with = |adapt: bool| -> usize {
-        let problem = build();
-        let mut store = VarStore::zeros(problem.graph());
-        let mut problem = problem;
-        // Mis-scale: tiny rho.
-        let rho0 = EdgeParams::uniform(problem.graph(), 0.01, 1.0);
-        *problem.params_mut() = rho0;
-        let balancer = ResidualBalancing::default();
-        let mut acc = 1.0;
-        let mut t = UpdateTimings::new();
-        for outer in 0..200 {
-            SerialBackend.run_block(&problem, &mut store, 10, &mut t);
-            let r = paradmm::core::Residuals::compute(problem.graph(), problem.params(), &store);
-            let n_comp = problem.graph().num_edges();
-            if r.converged(n_comp, 1e-8, 1e-6) {
-                return (outer + 1) * 10;
-            }
-            if adapt {
-                balancer.adapt(&mut problem, &mut store, &r, &mut acc);
-            }
-        }
-        2000
-    };
-    let fixed = iterations_with(false);
-    let adaptive = iterations_with(true);
-    assert!(
-        adaptive < fixed,
-        "adaptive ρ should converge faster: adaptive {adaptive} vs fixed {fixed}"
-    );
-}
-
-#[test]
-fn twa_infinite_weight_pins_variable() {
-    // Factor 0 is *certain* (a near-hard constraint s = 7, strong enough
-    // to pin its output even against an infinite-weight prox input);
-    // factor 1 is a soft anchor at 1. TWA semantics: broadcasting the
-    // certain factor's message with infinite weight makes the consensus
-    // follow it; with standard weights the soft anchor still tugs z away.
-    let build = |certain: bool| {
-        let mut b = GraphBuilder::new(1);
-        let v = b.add_var();
-        b.add_factor(&[v]);
-        b.add_factor(&[v]);
-        let proxes: Vec<Box<dyn ProxOp>> = vec![
-            Box::new(QuadraticProx::isotropic(1, 1e15, &[7.0])),
-            Box::new(QuadraticProx::isotropic(1, 10.0, &[1.0])),
-        ];
-        let graph = b.build();
-        let mut weights = TwaWeights::standard(&graph);
-        if certain {
-            weights.set(EdgeId(0), WeightClass::Infinite);
-        }
-        let mut problem = AdmmProblem::new(graph, proxes, 1.0, 1.0);
-        weights.apply(problem.params_mut(), 1.0);
-        let _ = (v, VarId(0));
-        problem
-    };
-    // Both weightings converge to ~7 in the limit (the anchor is near-
-    // hard); TWA's value is the *transient* — the certain message takes
-    // over the consensus immediately instead of being averaged in.
-    let run = |problem: &AdmmProblem, iters: usize| {
-        let mut store = VarStore::zeros(problem.graph());
-        let mut t = UpdateTimings::new();
-        SerialBackend.run_block(problem, &mut store, iters, &mut t);
-        store.z_var(VarId(0))[0]
-    };
-    let z_twa = run(&build(true), 5);
-    let z_std = run(&build(false), 5);
-    let (err_twa, err_std) = ((z_twa - 7.0).abs(), (z_std - 7.0).abs());
-    assert!(
-        err_twa < 0.01,
-        "TWA must pin z to 7 within a few iterations, z = {z_twa}"
-    );
-    assert!(
-        err_std > 10.0 * err_twa,
-        "standard weights should still be compromising after 5 iterations: twa {z_twa} vs std {z_std}"
-    );
 }
 
 #[test]

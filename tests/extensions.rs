@@ -1,10 +1,9 @@
 //! Integration tests for the future-work extensions: asynchronous
-//! scheduling, multi-device partitioning, serialization round-trips
-//! through the full pipeline, and the Sudoku combinatorial domain.
+//! scheduling, serialization round-trips through the full pipeline, and
+//! the Sudoku combinatorial domain.
 
 use paradmm::core::{BackendSpec, Solver, SolverOptions, StoppingCriteria, UpdateTimings};
-use paradmm::gpusim::{MultiDevice, WorkloadProfile};
-use paradmm::graph::{io, Partition, VarStore};
+use paradmm::graph::{io, VarStore};
 use paradmm::mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
 use paradmm::packing::{PackingConfig, PackingProblem};
 use paradmm::sudoku::{Grid, SudokuConfig, SudokuProblem};
@@ -84,24 +83,6 @@ fn graph_io_roundtrip_through_solver() {
     second_half.load_checkpoint(&ckpt).unwrap();
     second_half.run(50);
     assert_eq!(second_half.store().z, uninterrupted.store().z);
-}
-
-#[test]
-fn partition_multi_gpu_consistency() {
-    // The multi-device model must price a 1-GPU run identically to the
-    // plain engine's breakdown, and a 2-GPU MPC run must actually win.
-    let (_, admm) = MpcProblem::build(MpcConfig::new(20_000), paper_plant());
-    let profile = WorkloadProfile::from_problem(&admm);
-    let part1 = Partition::contiguous(admm.graph(), 1);
-    let one = MultiDevice::k40s(1).iteration_time(admm.graph(), &profile, &part1);
-    assert_eq!(one.halo_vars, 0);
-
-    let part2 = Partition::grow(admm.graph(), 2);
-    let speedup = MultiDevice::k40s(2).speedup(admm.graph(), &profile, &part2);
-    assert!(
-        speedup > 1.3,
-        "2 GPUs should beat 1 on a chain, got {speedup:.2}"
-    );
 }
 
 #[test]

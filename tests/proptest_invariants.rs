@@ -389,29 +389,6 @@ proptest! {
         prop_assert!(stats.cut_edges >= stats.halo_vars);
     }
 
-    /// The partition codec round-trips every grown partition against its
-    /// graph and rejects truncation at every cut point.
-    #[test]
-    fn partition_codec_roundtrip_and_truncation(
-        g in arb_graph(8, 10),
-        parts in 1usize..5,
-        frac in 0.0f64..1.0,
-    ) {
-        use paradmm::graph::io::{decode_partition, encode_partition};
-        let p = Partition::grow(&g, parts);
-        let mut buf = Vec::new();
-        encode_partition(&p, &mut buf);
-        let back = decode_partition(&buf, &g).unwrap();
-        prop_assert_eq!(back.parts, p.parts);
-        prop_assert_eq!(&back.assignment, &p.assignment);
-
-        let cut = (buf.len() as f64 * frac) as usize;
-        if cut < buf.len() {
-            prop_assert!(decode_partition(&buf[..cut], &g).is_err());
-        }
-        prop_assert!(decode_partition(&buf[..buf.len() - 1], &g).is_err());
-    }
-
     /// With f ≡ 0, the consensus z equals the ρ-weighted average of
     /// messages no matter the topology (conservation property of the
     /// z-update), and residuals are finite.
