@@ -6,8 +6,7 @@
 //! Also compares devices (future-work item 5: TITAN X, M40).
 
 use paradmm_bench::{print_table, FigArgs};
-use paradmm_core::UpdateKind;
-use paradmm_gpusim::{CpuModel, SimtDevice, WorkloadProfile};
+use paradmm_gpusim::{CpuModel, SimtDevice, UpdateKind, WorkloadProfile};
 use paradmm_mpc::{pendulum::paper_plant, MpcConfig, MpcProblem};
 use paradmm_packing::{PackingConfig, PackingProblem};
 

@@ -33,8 +33,8 @@ use crate::problem::AdmmProblem;
 use crate::stale::StaleBoundedBackend;
 use crate::timing::UpdateTimings;
 
-/// A way to execute blocks of ADMM iterations (the five x/m/z/u/n sweeps)
-/// and report how long each update kind took.
+/// A way to execute blocks of ADMM iterations (the three passes of a
+/// [`SweepPlan`]) and report how long each pass took.
 ///
 /// Implementations own whatever execution resources they need (thread
 /// pools, partitions, shard stores); the [`crate::Solver`] owns
@@ -168,7 +168,7 @@ impl SweepExecutor for SerialBackend {
             for pass in plan.passes() {
                 let t0 = Instant::now();
                 run_pass_serial(problem, store, pass);
-                t.add(pass.kind().timing_kind(), t0.elapsed());
+                t.add(pass.kind(), t0.elapsed());
             }
         }
     }
@@ -466,6 +466,23 @@ mod tests {
         SerialBackend.run_block(&problem, &mut store, 5, &mut t);
         assert!(t.total_seconds() > 0.0);
         assert_eq!(t.iterations, 5);
+    }
+
+    #[test]
+    fn serial_block_books_each_of_the_three_passes() {
+        let problem = consensus_problem(&[1.0, 2.0]);
+        let mut store = VarStore::zeros(problem.graph());
+        let mut t = UpdateTimings::new();
+        SerialBackend.run_block(&problem, &mut store, 20, &mut t);
+        for pass in PassKind::ORDER {
+            assert!(t.seconds(pass) > 0.0, "{} booked no time", pass.label());
+        }
+        let breakdown = t.breakdown();
+        let labels: Vec<&str> = breakdown
+            .split(" | ")
+            .map(|part| part.split(' ').next().unwrap_or(""))
+            .collect();
+        assert_eq!(labels, ["x+m", "z", "u+n"], "{breakdown}");
     }
 
     #[test]

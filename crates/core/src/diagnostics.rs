@@ -38,15 +38,14 @@ pub fn plan_report(plan: &SweepPlan, costs: &SweepCosts, problem: &AdmmProblem) 
         costs.factor_imbalance()
     ));
     out.push_str(&format!(
-        "element sweeps: m {:.2e}s/edge | z {:.2e}s/var | u {:.2e}s/edge | n {:.2e}s/edge\n",
-        costs.m_per_edge, costs.z_per_var, costs.u_per_edge, costs.n_per_edge
+        "element sweeps: m {:.2e}s/edge | z {:.2e}s/var | u+n {:.2e}s/edge\n",
+        costs.m_per_edge, costs.z_per_var, costs.un_per_edge
     ));
     out.push_str(&format!(
-        "kernel throughput: m {:.2} | z {:.2} | u {:.2} | n {:.2} GB/s\n",
+        "kernel throughput: m {:.2} | z {:.2} | u+n {:.2} GB/s\n",
         gb_per_s(m_bytes_per_edge(g.dims()), costs.m_per_edge),
         gb_per_s(z_bytes_per_var(g), costs.z_per_var),
-        gb_per_s(u_bytes_per_edge(g.dims()), costs.u_per_edge),
-        gb_per_s(n_bytes_per_edge(g.dims()), costs.n_per_edge),
+        gb_per_s(un_bytes_per_edge(g.dims()), costs.un_per_edge),
     ));
     out.push_str(&format!(
         "predicted serial iteration: {:.3e}s\n",
@@ -187,8 +186,7 @@ impl ProxKindCost {
 // turn the planner's measured per-item costs into GB/s figures. These
 // count the doubles each kernel body touches, not cache-line traffic:
 //  * m: read x_e, u_e; write m_e                      → 3·d·8 bytes/edge
-//  * u: read u_e, x_e, z_b; write u_e                 → 4·d·8 bytes/edge
-//  * n: read z_b, u_e; write n_e                      → 3·d·8 bytes/edge
+//  * u+n: read u_e, x_e, z_b; write u_e, n_e          → 5·d·8 bytes/edge
 //  * z: per edge of the fold read ρ_e + m_e (d+1 doubles), plus read-
 //       modify-write of the d-vector accumulator     → (deg·(d+1) + 2·d)·8
 //       bytes/var at the variable's degree (mean degree = ne/nv here).
@@ -197,12 +195,8 @@ fn m_bytes_per_edge(d: usize) -> f64 {
     (3 * d * 8) as f64
 }
 
-fn u_bytes_per_edge(d: usize) -> f64 {
-    (4 * d * 8) as f64
-}
-
-fn n_bytes_per_edge(d: usize) -> f64 {
-    (3 * d * 8) as f64
+fn un_bytes_per_edge(d: usize) -> f64 {
+    (5 * d * 8) as f64
 }
 
 fn z_bytes_per_var(g: &paradmm_graph::FactorGraph) -> f64 {
@@ -413,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn subnormal_count_sees_every_array_and_reaches_the_trace() {
+    fn subnormal_count_sees_every_array() {
         let p = problem();
         let mut store = paradmm_graph::VarStore::zeros(p.graph());
         assert_eq!(subnormal_count(&store), 0);

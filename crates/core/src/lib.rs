@@ -85,9 +85,8 @@ pub use diagnostics::{
     ProxKindCost,
 };
 pub use fleet::FleetSolver;
-pub use kernels::UpdateKind;
 pub use paradmm_prox::{ProxCtx, ProxOp};
-pub use plan::{Pass, PassKind, PassSpace, Planner, SweepPlan};
+pub use plan::{Pass, PassKind, Planner, SweepPlan};
 pub use pool::PoolBackend;
 pub use problem::AdmmProblem;
 pub use request::{Priority, SolveOutcome, SolveRequest, SolveRequestParts};

@@ -36,23 +36,13 @@ use std::time::Instant;
 use paradmm_graph::{FactorGraph, FactorId, VarStore};
 use paradmm_prox::ProxCtx;
 
-use crate::kernels::{self, UpdateKind};
+use crate::kernels;
 use crate::problem::AdmmProblem;
 use crate::timing::SweepCosts;
 
-/// The index space a pass sweeps over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PassSpace {
-    /// One task per factor (fused x+m).
-    Factors,
-    /// One task per variable node (z-update).
-    Vars,
-    /// One task per edge (fused u+n).
-    Edges,
-}
-
 /// What one pass computes: a fusion of adjacent sweeps over the same
-/// index space.
+/// index space. Declared in execution order, which
+/// [`crate::UpdateTimings`] indexes its per-pass slots by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassKind {
     /// Fused x+m over factor-edge ranges: each factor runs its proximal
@@ -66,30 +56,9 @@ pub enum PassKind {
 }
 
 impl PassKind {
-    /// The index space this pass sweeps.
-    pub(crate) fn space(self) -> PassSpace {
-        match self {
-            PassKind::Xm => PassSpace::Factors,
-            PassKind::Z => PassSpace::Vars,
-            PassKind::Un => PassSpace::Edges,
-        }
-    }
-
-    /// The constituent sweeps, in execution order.
-    pub(crate) fn kinds(self) -> &'static [UpdateKind] {
-        match self {
-            PassKind::Xm => &[UpdateKind::X, UpdateKind::M],
-            PassKind::Z => &[UpdateKind::Z],
-            PassKind::Un => &[UpdateKind::U, UpdateKind::N],
-        }
-    }
-
-    /// The [`UpdateKind`] a fused pass's time is accounted under in
-    /// [`crate::UpdateTimings`] — the first constituent: x+m under `X`,
-    /// u+n under `U`.
-    pub(crate) fn timing_kind(self) -> UpdateKind {
-        self.kinds()[0]
-    }
+    /// The three passes in execution order: the one order
+    /// [`SweepPlan::from_passes`] accepts.
+    pub(crate) const ORDER: [PassKind; 3] = [PassKind::Xm, PassKind::Z, PassKind::Un];
 
     /// Short stable label (`"x+m"`, `"z"`, `"u+n"`).
     pub fn label(self) -> &'static str {
@@ -227,8 +196,8 @@ impl SweepPlan {
     /// weighted splits. `None` unless the passes are exactly `x+m`, `z`,
     /// `u+n` in that order, i.e. cover the sweeps x→m→z→u→n each once.
     pub fn from_passes(passes: Vec<Pass>) -> Option<Self> {
-        let sweeps = passes.iter().flat_map(|p| p.kind().kinds());
-        sweeps.eq(&UpdateKind::ALL).then_some(SweepPlan { passes })
+        let kinds = passes.iter().map(Pass::kind);
+        kinds.eq(PassKind::ORDER).then_some(SweepPlan { passes })
     }
 
     /// The default schedule: `x+m | z | u+n` with uniform chunks of 64
@@ -275,10 +244,10 @@ impl SweepPlan {
     pub fn matches(&self, graph: &FactorGraph) -> bool {
         self.passes.iter().all(|p| {
             p.items()
-                == match p.kind().space() {
-                    PassSpace::Factors => graph.num_factors(),
-                    PassSpace::Vars => graph.num_vars(),
-                    PassSpace::Edges => graph.num_edges(),
+                == match p.kind() {
+                    PassKind::Xm => graph.num_factors(),
+                    PassKind::Z => graph.num_vars(),
+                    PassKind::Un => graph.num_edges(),
                 }
         })
     }
@@ -419,7 +388,7 @@ impl Planner {
         };
 
         // u+n: homogeneous streaming work per edge.
-        let un_total = (costs.u_per_edge + costs.n_per_edge) * ne as f64;
+        let un_total = costs.un_per_edge * ne as f64;
         let un_pass = Pass::uniform(PassKind::Un, ne, self.chunk_for(un_total, ne));
 
         SweepPlan {
@@ -433,8 +402,7 @@ impl Planner {
     /// [`EdgeStream`](paradmm_graph::EdgeStream) — on scratch state (min
     /// over [`Planner::reps`] repetitions), so the chunk sizes and
     /// weighted splits derived from them describe the kernels that will
-    /// actually execute. The fused u+n time is split into the n sweep's
-    /// own time and the rest, charged to u.
+    /// actually execute.
     pub fn measure(&self, problem: &AdmmProblem) -> SweepCosts {
         let g = problem.graph();
         let d = g.dims();
@@ -493,9 +461,6 @@ impl Planner {
             kernels::z_update_swapped_range(g, params, &s.m, &s.z_prev, &mut s.z, 0, nv)
         });
         let stream = paradmm_graph::EdgeStream::build(g, params);
-        let n_s = time_sweep(&mut |s: &mut VarStore| {
-            kernels::n_update_range_stream(&stream, &s.z, &s.u, &mut s.n, 0, ne)
-        });
         let un_s = time_sweep(&mut |s: &mut VarStore| {
             kernels::un_update_range_stream(&stream, &s.x, &s.z, &mut s.u, &mut s.n, 0, ne)
         });
@@ -510,8 +475,7 @@ impl Planner {
             factor_seconds,
             m_per_edge: per(m_s, ne),
             z_per_var: per(z_s, nv),
-            u_per_edge: per(un_s - n_s, ne),
-            n_per_edge: per(n_s, ne),
+            un_per_edge: per(un_s, ne),
         }
     }
 
@@ -565,13 +529,6 @@ mod tests {
             plan.passes().iter().map(|x| x.kind()).collect::<Vec<_>>(),
             vec![PassKind::Xm, PassKind::Z, PassKind::Un]
         );
-        let kinds: Vec<UpdateKind> = plan
-            .passes()
-            .iter()
-            .flat_map(|x| x.kind().kinds())
-            .copied()
-            .collect();
-        assert_eq!(kinds, UpdateKind::ALL);
     }
 
     #[test]

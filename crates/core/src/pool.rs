@@ -119,7 +119,7 @@ use paradmm_graph::{EdgeStream, VarStore};
 
 use crate::backend::SweepExecutor;
 use crate::diagnostics::{FleetDiagnostics, FleetWorkerStats};
-use crate::kernels::{self, UpdateKind};
+use crate::kernels;
 use crate::plan::{Pass, PassKind, SweepPlan};
 use crate::problem::AdmmProblem;
 use crate::timing::UpdateTimings;
@@ -582,9 +582,9 @@ pub(crate) fn run_round(
 /// but `sharded` and `async` builds it: `pool` is its name, and `rayon`,
 /// `barrier`, `worksteal` and `fleet` keep their spec text.
 ///
-/// Wall time is recorded under [`UpdateKind::X`]: workers run passes
-/// back to back without a common boundary, so per-kind attribution is
-/// not separable.
+/// A block's whole wall time is booked under the x+m pass
+/// ([`PassKind::Xm`]): workers run passes back to back without a common
+/// boundary, so the time of one pass is not separable from the others.
 #[derive(Debug)]
 pub struct PoolBackend {
     threads: usize,
@@ -631,7 +631,7 @@ impl SweepExecutor for PoolBackend {
             store,
         }];
         run_round(&mut round, iters, self.threads, &mut self.diagnostics);
-        t.add(UpdateKind::X, t0.elapsed());
+        t.add(PassKind::Xm, t0.elapsed());
     }
 }
 

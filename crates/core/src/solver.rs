@@ -48,7 +48,7 @@ pub struct SolverReport {
     /// Total wall-clock time of the run: update sweeps plus residual
     /// checks.
     pub elapsed: Duration,
-    /// Per-update-kind timing breakdown.
+    /// Per-pass timing breakdown (`x+m | z | u+n`).
     pub timings: UpdateTimings,
     /// Residuals at the final check (if any check ran).
     pub final_residuals: Option<Residuals>,

@@ -98,7 +98,8 @@ use std::time::Instant;
 use paradmm_graph::{EdgeStream, Partition, ShardedStore, VarStore};
 
 use crate::backend::SweepExecutor;
-use crate::kernels::{self, UpdateKind};
+use crate::kernels;
+use crate::plan::PassKind;
 use crate::pool::run_workers;
 use crate::problem::AdmmProblem;
 use crate::timing::UpdateTimings;
@@ -496,10 +497,10 @@ fn run_stale(
                 shard.graph.num_edges(),
             );
             if tid == 0 {
-                local.add(UpdateKind::X, t1 - t0);
+                local.add(PassKind::Xm, t1 - t0);
                 // Interior z + staging + reduce + waits.
-                local.add(UpdateKind::Z, t3 - t1);
-                local.add(UpdateKind::U, t3.elapsed());
+                local.add(PassKind::Z, t3 - t1);
+                local.add(PassKind::Un, t3.elapsed());
             }
             my_mark.store(
                 watermark::encode(it, watermark::PHASE_DONE),

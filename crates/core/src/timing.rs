@@ -1,23 +1,23 @@
-//! Per-update-kind wall-clock accounting and the measured sweep cost
-//! model the [`crate::plan::Planner`] compiles schedules from.
+//! Per-pass wall-clock accounting and the measured sweep cost model the
+//! [`crate::plan::Planner`] compiles schedules from.
 //!
-//! The paper reports which sweeps dominate the iteration (e.g. packing on
-//! the GPU: x 31% + z 40%; MPC on CPUs: m+u+n = 60%). The solver collects
-//! exactly those breakdowns here. Fused passes are accounted under their
-//! first constituent sweep ([`crate::plan::PassKind::timing_kind`]):
-//! x+m under `x`, u+n under `u`.
+//! Every executor runs the three fused passes `x+m | z | u+n`, so time is
+//! booked per [`PassKind`]. The paper's per-sweep percentages (packing on
+//! the GPU: x 31% + z 40%; MPC on CPUs: m+u+n = 60%) split the iteration
+//! into its five sweeps; those are priced by the machine models in
+//! `paradmm-gpusim`, which keep the five-sweep vocabulary.
 
 use std::time::Duration;
 
-use crate::kernels::UpdateKind;
+use crate::plan::PassKind;
 
-/// Measured per-item costs of the five sweeps on this machine — the
-/// input to [`crate::plan::Planner`]'s chunk-size and split decisions.
+/// Measured per-item costs of the sweeps on this machine — the input to
+/// [`crate::plan::Planner`]'s chunk-size and split decisions.
 ///
 /// The x sweep is resolved *per factor* (proximal operators are the only
 /// heterogeneous work in an iteration; the paper's future-work item 2 is
-/// exactly tuning around them); the element-wise m/z/u/n sweeps are
-/// summarized by a mean per-item cost.
+/// exactly tuning around them); the element-wise m, z and fused u+n
+/// bodies are summarized by a mean per-item cost.
 #[derive(Debug, Clone)]
 pub struct SweepCosts {
     /// Measured seconds of each factor's proximal operator, in factor
@@ -27,11 +27,8 @@ pub struct SweepCosts {
     pub m_per_edge: f64,
     /// Mean seconds per variable of the z consensus average.
     pub z_per_var: f64,
-    /// Mean seconds per edge of the dual ascent: the fused u+n pass
-    /// less its n share, so `u_per_edge + n_per_edge` is the pass.
-    pub u_per_edge: f64,
-    /// Mean seconds per edge of the `n = z − u` sweep.
-    pub n_per_edge: f64,
+    /// Mean seconds per edge of the fused u+n pass.
+    pub un_per_edge: f64,
 }
 
 impl SweepCosts {
@@ -61,18 +58,19 @@ impl SweepCosts {
         }
     }
 
-    /// Predicted serial seconds of one full iteration (all five sweeps).
+    /// Predicted serial seconds of one full iteration (all three passes).
     pub(crate) fn predicted_iteration_seconds(&self, num_edges: usize, num_vars: usize) -> f64 {
         self.x_total()
-            + (self.m_per_edge + self.u_per_edge + self.n_per_edge) * num_edges as f64
+            + (self.m_per_edge + self.un_per_edge) * num_edges as f64
             + self.z_per_var * num_vars as f64
     }
 }
 
-/// Accumulated wall-clock time per update kind.
+/// Accumulated wall-clock time per pass of the fused schedule.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateTimings {
-    seconds: [f64; 5],
+    /// Seconds per [`PassKind`], indexed by its declaration order.
+    seconds: [f64; 3],
     /// Number of complete iterations these timings cover.
     pub iterations: usize,
 }
@@ -83,28 +81,28 @@ impl UpdateTimings {
         Self::default()
     }
 
-    /// Adds `dur` to the accumulator of `kind`.
+    /// Adds `dur` to the accumulator of `pass`.
     #[inline]
-    pub(crate) fn add(&mut self, kind: UpdateKind, dur: Duration) {
-        self.seconds[kind.index()] += dur.as_secs_f64();
+    pub(crate) fn add(&mut self, pass: PassKind, dur: Duration) {
+        self.seconds[pass as usize] += dur.as_secs_f64();
     }
 
-    /// Total seconds spent in `kind`.
+    /// Total seconds spent in `pass`.
     #[inline]
-    pub(crate) fn seconds(&self, kind: UpdateKind) -> f64 {
-        self.seconds[kind.index()]
+    pub(crate) fn seconds(&self, pass: PassKind) -> f64 {
+        self.seconds[pass as usize]
     }
 
-    /// Total seconds across all five kinds.
+    /// Total seconds across all three passes.
     pub fn total_seconds(&self) -> f64 {
         self.seconds.iter().sum()
     }
 
-    /// Fraction of total time spent in `kind` (0 if nothing recorded).
-    pub(crate) fn fraction(&self, kind: UpdateKind) -> f64 {
+    /// Fraction of total time spent in `pass` (0 if nothing recorded).
+    pub(crate) fn fraction(&self, pass: PassKind) -> f64 {
         let t = self.total_seconds();
         if t > 0.0 {
-            self.seconds(kind) / t
+            self.seconds(pass) / t
         } else {
             0.0
         }
@@ -112,16 +110,16 @@ impl UpdateTimings {
 
     /// Merges another accumulator into this one.
     pub(crate) fn merge(&mut self, other: &UpdateTimings) {
-        for i in 0..5 {
-            self.seconds[i] += other.seconds[i];
+        for (s, o) in self.seconds.iter_mut().zip(other.seconds) {
+            *s += o;
         }
         self.iterations += other.iterations;
     }
 
     /// Formats a one-line percentage breakdown like
-    /// `x 31.2% | m 9.8% | z 40.1% | u 9.4% | n 9.5%`.
+    /// `x+m 43.2% | z 29.8% | u+n 27.0%`.
     pub fn breakdown(&self) -> String {
-        UpdateKind::ALL
+        PassKind::ORDER
             .iter()
             .map(|&k| format!("{} {:.1}%", k.label(), 100.0 * self.fraction(k)))
             .collect::<Vec<_>>()
@@ -136,30 +134,30 @@ mod tests {
     #[test]
     fn add_and_fractions() {
         let mut t = UpdateTimings::new();
-        t.add(UpdateKind::X, Duration::from_millis(30));
-        t.add(UpdateKind::Z, Duration::from_millis(70));
+        t.add(PassKind::Xm, Duration::from_millis(30));
+        t.add(PassKind::Z, Duration::from_millis(70));
         assert!((t.total_seconds() - 0.1).abs() < 1e-9);
-        assert!((t.fraction(UpdateKind::Z) - 0.7).abs() < 1e-9);
-        assert_eq!(t.fraction(UpdateKind::M), 0.0);
+        assert!((t.fraction(PassKind::Z) - 0.7).abs() < 1e-9);
+        assert_eq!(t.fraction(PassKind::Un), 0.0);
     }
 
     #[test]
     fn empty_fraction_is_zero() {
         let t = UpdateTimings::new();
-        assert_eq!(t.fraction(UpdateKind::X), 0.0);
+        assert_eq!(t.fraction(PassKind::Xm), 0.0);
         assert_eq!(t.total_seconds(), 0.0);
     }
 
     #[test]
     fn merge_accumulates() {
         let mut a = UpdateTimings::new();
-        a.add(UpdateKind::U, Duration::from_secs(1));
+        a.add(PassKind::Un, Duration::from_secs(1));
         a.iterations = 5;
         let mut b = UpdateTimings::new();
-        b.add(UpdateKind::U, Duration::from_secs(2));
+        b.add(PassKind::Un, Duration::from_secs(2));
         b.iterations = 7;
         a.merge(&b);
-        assert!((a.seconds(UpdateKind::U) - 3.0).abs() < 1e-12);
+        assert!((a.seconds(PassKind::Un) - 3.0).abs() < 1e-12);
         assert_eq!(a.iterations, 12);
     }
 
@@ -169,8 +167,7 @@ mod tests {
             factor_seconds: vec![1e-6, 1e-6, 8e-6],
             m_per_edge: 1e-8,
             z_per_var: 2e-8,
-            u_per_edge: 1e-8,
-            n_per_edge: 1e-8,
+            un_per_edge: 2e-8,
         };
         assert!((c.x_total() - 1e-5).abs() < 1e-12);
         assert_eq!(c.max_factor(), 8e-6);
@@ -181,8 +178,7 @@ mod tests {
             factor_seconds: vec![],
             m_per_edge: 0.0,
             z_per_var: 0.0,
-            u_per_edge: 0.0,
-            n_per_edge: 0.0,
+            un_per_edge: 0.0,
         };
         assert_eq!(empty.factor_imbalance(), 1.0);
     }
@@ -190,9 +186,7 @@ mod tests {
     #[test]
     fn breakdown_formats_all_kinds() {
         let mut t = UpdateTimings::new();
-        t.add(UpdateKind::X, Duration::from_secs(1));
-        let s = t.breakdown();
-        assert!(s.contains("x 100.0%"));
-        assert!(s.contains("n 0.0%"));
+        t.add(PassKind::Xm, Duration::from_secs(1));
+        assert_eq!(t.breakdown(), "x+m 100.0% | z 0.0% | u+n 0.0%");
     }
 }

@@ -136,7 +136,7 @@ impl CpuModel {
 mod tests {
     use super::*;
     use crate::tasks::TaskCost;
-    use paradmm_core::UpdateKind;
+    use crate::UpdateKind;
 
     fn sweep(kind: UpdateKind, n: usize, compute: f64, bytes: f64) -> SweepProfile {
         SweepProfile {

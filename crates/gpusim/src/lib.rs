@@ -17,11 +17,13 @@
 //!
 //! The models price; they do not execute. Each is a pure function of a
 //! problem's [`WorkloadProfile`], the pass or sweep being launched, the
-//! device and `ntb` — the fused `x+m | z | u+n` launches come from
-//! [`WorkloadProfile::pass_tasks`]. Iterates are computed only by the
-//! `paradmm-core` executors. Timing constants are calibrated against a
-//! measured serial run so the modeled serial-CPU time matches reality,
-//! making speedup = modeled-CPU / modeled-GPU a like-for-like ratio.
+//! device and `ntb` — the paper's five sweeps are named by
+//! [`UpdateKind`], and the fused `x+m | z | u+n` launches the executors
+//! run come from [`WorkloadProfile::pass_tasks`]. Iterates are computed
+//! only by the `paradmm-core` executors. Timing constants are calibrated
+//! against a measured serial run so the modeled serial-CPU time matches
+//! reality, making speedup = modeled-CPU / modeled-GPU a like-for-like
+//! ratio.
 
 mod cpu;
 mod device;
@@ -30,5 +32,5 @@ mod transfer;
 
 pub use cpu::CpuModel;
 pub use device::{KernelStats, SimtDevice};
-pub use tasks::{SweepProfile, TaskCost, WorkloadProfile};
+pub use tasks::{SweepProfile, TaskCost, UpdateKind, WorkloadProfile};
 pub use transfer::PcieLink;

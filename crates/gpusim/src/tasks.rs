@@ -7,7 +7,7 @@
 //! split into coalesced streams and scattered transactions according to the
 //! actual edge-ordered array layout).
 
-use paradmm_core::{AdmmProblem, PassKind, UpdateKind};
+use paradmm_core::{AdmmProblem, PassKind};
 use paradmm_graph::FactorGraph;
 
 /// Cost of one task (one thread's work in a kernel).
@@ -54,6 +54,52 @@ impl TaskCost {
 }
 
 const F64_BYTES: f64 = 8.0;
+
+/// The five sweeps of the paper's Algorithm 2, in execution order — the
+/// unit its GPU and CPU figures time, and so the unit the models price.
+/// The executors run three fused passes instead ([`PassKind`]);
+/// [`WorkloadProfile::pass_tasks`] prices those.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UpdateKind {
+    /// Proximal-operator sweep over factors.
+    X,
+    /// `m = x + u` sweep over edges.
+    M,
+    /// Weighted-average sweep over variable nodes.
+    Z,
+    /// Dual-ascent sweep over edges.
+    U,
+    /// `n = z − u` sweep over edges.
+    N,
+}
+
+impl UpdateKind {
+    /// All kinds in execution order.
+    pub const ALL: [UpdateKind; 5] = [
+        UpdateKind::X,
+        UpdateKind::M,
+        UpdateKind::Z,
+        UpdateKind::U,
+        UpdateKind::N,
+    ];
+
+    /// Index 0..5 in execution order.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Short lowercase label matching the paper's figures ("x-update", …).
+    pub fn label(self) -> &'static str {
+        match self {
+            UpdateKind::X => "x",
+            UpdateKind::M => "m",
+            UpdateKind::Z => "z",
+            UpdateKind::U => "u",
+            UpdateKind::N => "n",
+        }
+    }
+}
 
 /// The tasks of one of the five sweeps.
 #[derive(Debug, Clone)]
@@ -247,6 +293,12 @@ mod tests {
     use paradmm_core::AdmmProblem;
     use paradmm_graph::GraphBuilder;
     use paradmm_prox::{ProxOp, ZeroProx};
+
+    #[test]
+    fn update_kind_ordering() {
+        assert_eq!(UpdateKind::ALL[0].index(), 0);
+        assert_eq!(UpdateKind::ALL[4].label(), "n");
+    }
 
     fn star_problem(leaves: usize, dims: usize) -> AdmmProblem {
         let mut b = GraphBuilder::new(dims);

@@ -579,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn single_part_has_no_halo_and_zero_bytes() {
+    fn single_part_has_no_halo() {
         let g = chain(30, 2);
         let (s, _) = sharded(&g, 1);
         assert_eq!(s.plan.halo_var_count(), 0);

@@ -10,8 +10,8 @@
 //!
 //! Run: `cargo run --release --example gpu_simulation`
 
-use paradmm::core::{SweepPlan, UpdateKind};
-use paradmm::gpusim::{PcieLink, SimtDevice, TaskCost, WorkloadProfile};
+use paradmm::core::SweepPlan;
+use paradmm::gpusim::{PcieLink, SimtDevice, TaskCost, UpdateKind, WorkloadProfile};
 use paradmm::graph::VarStore;
 use paradmm::packing::{PackingConfig, PackingProblem};
 

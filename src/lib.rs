@@ -60,7 +60,7 @@ pub mod prelude {
         InstanceReport, Pass, PassKind, Planner, PoolBackend, Priority, ProxCtx, ProxOp, Residuals,
         SerialBackend, SolveOutcome, SolveRequest, Solver, SolverOptions, SolverReport,
         StaleBoundedBackend, StopReason, StoppingCriteria, SweepCosts, SweepExecutor, SweepPlan,
-        UpdateKind, UpdateTimings,
+        UpdateTimings,
     };
     pub use paradmm_graph::{
         AlignedVec, BatchInstance, BatchLayout, BatchStore, EdgeId, EdgeParams, EdgeStream,
